@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .fields import Fp, PrimeField
-from .linalg import (BudgetError, Matrix, Subspace, apply_map, contains,
-                     coords_in_rows, enumerate_between, enumerate_subspaces,
-                     image, intersect, kernel, pivot_patterns, preimage, rref)
+from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
+                     contains, coords_in_rows, enumerate_between,
+                     enumerate_subspaces, image, intersect, kernel,
+                     pivot_patterns, preimage, rref)
 
 
 class LinkedChain:
@@ -84,7 +85,15 @@ class LinkedChain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkedChain":
-        field_ = PrimeField(d["ring"]["p"])
+        d = _require_dict(d, "a chain")
+        field_ = PrimeField(_require_dict(d["ring"], "a chain ring")["p"])
+        for key in ("n", "d", "r", "s"):
+            if type(d[key]) is not int:
+                raise ValueError("chain %r must be an integer, got %r"
+                                 % (key, d[key]))
+        for key in ("fs", "gs"):
+            if not isinstance(d[key], list):
+                raise ValueError("chain %r must be a JSON list of matrices" % key)
         return cls(field_, d["n"], d["d"], d["r"],
                    [Matrix.from_dict(m) for m in d["fs"]],
                    [Matrix.from_dict(m) for m in d["gs"]],
@@ -127,7 +136,10 @@ class ChainPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainPoint":
-        return cls([Subspace.from_dict(s) for s in d["spaces"]])
+        spaces = _require_dict(d, "a chain point")["spaces"]
+        if not isinstance(spaces, list):
+            raise ValueError("chain point 'spaces' must be a JSON list")
+        return cls([Subspace.from_dict(s) for s in spaces])
 
 
 @dataclass
@@ -171,15 +183,10 @@ class DecompositionReport:
 
     def as_dict(self) -> dict:
         return {"level": self.level,
-                "image_block": [[x.v for x in row] for row in self.image_block],
-                "kernel_block": [[x.v for x in row] for row in self.kernel_block],
-                "complement_block": [[x.v for x in row]
-                                     for row in self.complement_block],
+                "image_block": [list(row) for row in self.image_block],
+                "kernel_block": [list(row) for row in self.kernel_block],
+                "complement_block": [list(row) for row in self.complement_block],
                 "block_dims": list(self.block_dims)}
-
-
-def _vector_ints(v) -> list:
-    return [x.v for x in v]
 
 
 def validate_chain(chain: LinkedChain) -> ValidationReport:
@@ -211,11 +218,11 @@ def validate_chain(chain: LinkedChain) -> ValidationReport:
         meet = intersect(image(chain.fs[i]), kernel(chain.fs[i + 1]))
         if meet.dim > 0:
             report.add("III", i, "im f_%d meets ker f_%d" % (i, i + 1),
-                       witness=_vector_ints(meet.basis.row(0)))
+                       witness=list(meet.basis.row(0)))
         meet = intersect(image(chain.gs[i + 1]), kernel(chain.gs[i]))
         if meet.dim > 0:
             report.add("III", i, "im g_%d meets ker g_%d" % (i + 1, i),
-                       witness=_vector_ints(meet.basis.row(0)))
+                       witness=list(meet.basis.row(0)))
     return report
 
 
@@ -223,10 +230,10 @@ def _containment_witness(a: Subspace, b: Subspace):
     """A vector of a not in b, or of b not in a (they are known unequal)."""
     for row in a.basis_rows():
         if not b.contains_vector(row):
-            return _vector_ints(row)
+            return list(row)
     for row in b.basis_rows():
         if not a.contains_vector(row):
-            return _vector_ints(row)
+            return list(row)
     return None
 
 
@@ -243,10 +250,8 @@ def make_standard_chain(n: int, d: int, d1: int, s, p: int, r: int) -> LinkedCha
     if s.is_zero():
         if not 0 < d1 < d:
             raise ValueError("degenerate chain: need 0 < d1 < d when s = 0")
-        rows_f = [[field_(1 if (i == j and i < d1) else 0) for j in range(d)]
-                  for i in range(d)]
-        rows_g = [[field_(1 if (i == j and i >= d1) else 0) for j in range(d)]
-                  for i in range(d)]
+        rows_f = [[int(i == j and i < d1) for j in range(d)] for i in range(d)]
+        rows_g = [[int(i == j and i >= d1) for j in range(d)] for i in range(d)]
         f = Matrix.from_rows(field_, rows_f)
         g = Matrix.from_rows(field_, rows_g)
     else:
@@ -384,6 +389,7 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
     if not is_linked_point(chain, pt):
         raise ValueError("tangent space requested at a non-linked point")
     field_ = chain.field
+    p = field_.p
     d, r, n = chain.d, chain.r, chain.n
     comp_rows = []
     for i, sp in enumerate(pt):
@@ -391,25 +397,22 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
             comp = complements[i]
             if comp.rows != d - r or comp.cols != d:
                 raise ValueError("complement %d must be %dx%d" % (i, d - r, d))
+            if comp.ring != field_:
+                raise ValueError("complement %d must live over %r" % (i, field_))
             rows = comp.row_list()
         else:
             pset = set(sp.pivots)
-            rows = []
-            for c in range(d):
-                if c not in pset:
-                    vec = [field_.zero()] * d
-                    vec[c] = field_.one()
-                    rows.append(vec)
-        full = Matrix.from_rows(field_, [list(rw) for rw in sp.basis_rows()] + rows)
+            rows = [[int(j == c) for j in range(d)]
+                    for c in range(d) if c not in pset]
+        full = Matrix.from_rows(field_, sp.basis_rows() + rows)
         if rref(full).rank != d:
             raise ValueError("supplied complement does not complement V_%d" % i)
         comp_rows.append(rows)
 
-    def quotient_coords(level: int, vec) -> list:
-        coords = coords_in_rows(
-            [list(rw) for rw in pt[level].basis_rows()] + comp_rows[level],
-            vec, field_)
-        return list(coords[r:])
+    def quotient_coords(level: int, vec) -> tuple:
+        coords = coords_in_rows(pt[level].basis_rows() + comp_rows[level],
+                                vec, field_)
+        return coords[r:]
 
     nunk = n * r * (d - r)
     if nunk == 0:
@@ -424,21 +427,18 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
                                          ("g", chain.gs[i], i + 1, i)):
             for a, bvec in enumerate(pt[src].basis_rows()):
                 img = mat.apply(bvec)
-                lam = coords_in_rows([list(rw) for rw in pt[dst].basis_rows()],
-                                     img, field_)
+                lam = coords_in_rows(pt[dst].basis_rows(), img, field_)
                 if lam is None:
                     raise RuntimeError("linked point failed coordinate solve")
                 carried = [mat.apply(comp_rows[src][c]) for c in range(d - r)]
                 carried_q = [quotient_coords(dst, w) for w in carried]
                 for out_c in range(d - r):
-                    row = [field_.zero()] * nunk
+                    row = [0] * nunk
                     for c in range(d - r):
-                        row[unknown(src, a, c)] = \
-                            row[unknown(src, a, c)] + carried_q[c][out_c]
+                        row[unknown(src, a, c)] += carried_q[c][out_c]
                     for k in range(r):
-                        row[unknown(dst, k, out_c)] = \
-                            row[unknown(dst, k, out_c)] - lam[k]
-                    eqs.append(row)
+                        row[unknown(dst, k, out_c)] -= lam[k]
+                    eqs.append([x % p for x in row])
     if not eqs:
         return nunk
     system = Matrix.from_rows(field_, eqs)

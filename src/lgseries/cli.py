@@ -62,12 +62,30 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _fail(message: str, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": message}, sort_keys=True) + "\n")
+def _fail(message: str, code: int, **extra) -> int:
+    sys.stderr.write(json.dumps(dict(extra, error=message), sort_keys=True) + "\n")
     return code
 
 
-def _chain_from_args(args) -> chains.LinkedChain:
+class _UsageError(Exception):
+    """A malformed command line; reported like any other invalid input."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+class _InvalidChain(ValueError):
+    def __init__(self, violations: list):
+        super().__init__("the chain violates the linked-chain axioms")
+        self.violations = violations
+
+
+def _chain_from_args(args, validate: bool = True) -> chains.LinkedChain:
+    """The chain the flags describe.  A chain read from a file is checked
+    against the axioms first (unless ``validate`` is off), since the
+    enumeration and the per-point analysis assume them."""
     kind = args.kind
     if kind == "standard":
         return chains.make_standard_chain(args.n, args.dim, args.d1, args.s,
@@ -75,8 +93,15 @@ def _chain_from_args(args) -> chains.LinkedChain:
     if kind == "section":
         return series.build_section_chain(args.degree, args.p, args.rank + 1)
     if kind == "file":
+        if not args.chain_file:
+            raise ValueError("--kind file needs --chain-file")
         with open(args.chain_file) as fh:
-            return chains.LinkedChain.from_dict(json.load(fh))
+            chain = chains.LinkedChain.from_dict(json.load(fh))
+        if validate:
+            report = chains.validate_chain(chain)
+            if not report.ok:
+                raise _InvalidChain(report.violations)
+        return chain
     raise ValueError("unknown chain kind %r" % kind)
 
 
@@ -108,11 +133,13 @@ def _add_output_flags(p: argparse.ArgumentParser, csv_ok: bool = False) -> None:
 
 def _parse_subspace(text: str, p: int, ambient: int) -> Subspace:
     rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("a basis must be a JSON list of rows, got %r" % (text,))
     return Subspace.from_rows(PrimeField(p), ambient, rows)
 
 
 def cmd_validate_chain(args) -> int:
-    chain = _chain_from_args(args)
+    chain = _chain_from_args(args, validate=False)
     report = chain.as_dict()
     report.update(chains.validate_chain(chain).as_dict())
     report["schema_version"] = SCHEMA_VERSION
@@ -256,7 +283,7 @@ def cmd_dual_probe(args) -> int:
 
 
 def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lgseries",
         description="Deterministic censuses and certificates for linked "
                     "subspace chains and nodal-curve limit linear series.")
@@ -348,26 +375,52 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(argv: list) -> Optional[dict]:
+    """The flag defaults named by ``--config FILE`` or ``--config=FILE``."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return None
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _UsageError("cannot read config: %s" % exc)
+    if not isinstance(config, dict):
+        raise _UsageError("cannot read config: %s is not a JSON object" % path)
+    return config
+
+
+def _check_limits(args) -> None:
+    # flags and config values alike: a budget counts candidates, workers
+    # count threads
+    budget = getattr(args, "budget", None)
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise _UsageError("--budget must be a nonnegative integer, got %r"
+                          % (budget,))
+    workers = getattr(args, "workers", None)
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise _UsageError("--workers must be a positive integer, got %r"
+                          % (workers,))
+
+
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    config = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                config = json.load(fh)
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
-            return _fail("cannot read config: %s" % exc, EXIT_INVALID)
-    parser = _build_parser(config)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser(_load_config(argv)).parse_args(argv)
+        _check_limits(args)
+    except _UsageError as exc:
+        return _fail(str(exc), EXIT_INVALID)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return args.func(args)
     except BudgetError as exc:
         return _fail(str(exc), EXIT_BUDGET)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except _InvalidChain as exc:
+        return _fail(str(exc), EXIT_INVALID, violations=exc.violations)
+    except (ValueError, OSError, KeyError) as exc:
         return _fail(str(exc), EXIT_INVALID)
 
 

@@ -1,11 +1,26 @@
 """Canonical exact linear algebra over GF(p) and GF(p)[eps]/(eps^2).
 
-Matrices act on column vectors; vectors are plain tuples of ring elements.
+Matrices act on column vectors; vectors are plain tuples of entries.
 Subspaces are stored by their reduced row-echelon basis, which is the unique
 canonical representative, so subspace equality, hashing and set-level
 deduplication are exact.  Everything is immutable and side-effect free; the
 subspace stream partitions deterministically by pivot pattern so exhaustive
 searches can fan out without shared state.
+
+Entries.  Over GF(p) a Matrix or Subspace holds its entries as plain ints in
+[0, p), with p read from ``ring.p``, and every routine works on them with int
+arithmetic reduced mod p.  ``Fp`` and ``Dual`` are the boundary types:
+``Matrix.from_rows``, ``Subspace.from_rows`` and the ``from_dict`` readers
+accept ints, or ``Fp`` of the same p, and reduce them (vectors passed to
+``apply``, ``contains_vector``, ``solve`` and ``coords_in_rows`` are reduced
+the same way); floats, strings and bools raise ValueError.  Entry accessors
+(``entry``, ``row``, ``row_list``, ``basis_rows``, ``apply``, ``solve``)
+return ints over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp``
+values still hold.  ``Matrix.det`` returns a ring element.  A field matrix
+never mixes ``Fp`` and int entries, because they hash differently and
+subspace hashing reads ``entries``.  Over the dual numbers the entries are
+``Dual`` elements and the element-based code runs; ``ring.dual`` picks the
+path.
 
 Over the dual numbers, echelonization pivots on unit entries only.  A matrix
 whose nonzero rows cannot all be led by a unit pivot in the standard column
@@ -17,6 +32,8 @@ because echelon ranks are unreliable over a non-domain.
 
 from __future__ import annotations
 
+from itertools import chain, combinations, product
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .fields import Dual, DualNumbers, Fp, PrimeField, ring_from_dict
@@ -28,6 +45,48 @@ class BudgetError(RuntimeError):
     def __init__(self, message: str, count: Optional[int] = None):
         super().__init__(message)
         self.count = count
+
+
+def _residue(x, p: int) -> int:
+    """One GF(p) entry as an int in [0, p): an int, or an Fp over the same p."""
+    if type(x) is int:
+        return x % p
+    if isinstance(x, Fp):
+        if x.p != p:
+            raise ValueError("element of GF(%d) used in GF(%d)" % (x.p, p))
+        return x.v
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x) % p
+    raise ValueError("entries over GF(%d) must be integers, got %r" % (p, x))
+
+
+def _dual_entry(ring, x) -> Dual:
+    if isinstance(x, (Dual, Fp)):
+        return ring(x)
+    return Dual(_residue(x, ring.p), 0, ring.p)
+
+
+def _entries(ring, xs) -> tuple:
+    """The coercion point: ints mod p over a field, Dual over the dual numbers."""
+    if ring.dual:
+        return tuple(_dual_entry(ring, x) for x in xs)
+    p = ring.p
+    return tuple([x % p if type(x) is int else _residue(x, p) for x in xs])
+
+
+def _zero(ring):
+    return ring.zero() if ring.dual else 0
+
+
+def _one(ring):
+    return ring.one() if ring.dual else 1
+
+
+def _require_dict(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object, got %s"
+                         % (what, type(d).__name__))
+    return d
 
 
 class Matrix:
@@ -50,19 +109,18 @@ class Matrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            ents.extend(ring(x) if not _is_element(x, ring) else x for x in row)
-        return cls(ring, nrows, ncols, tuple(ents))
+            ents.extend(row)
+        return cls(ring, nrows, ncols, _entries(ring, ents))
 
     @classmethod
     def identity(cls, ring, n: int) -> "Matrix":
-        one, zero = ring.one(), ring.zero()
+        one, zero = _one(ring), _zero(ring)
         return cls(ring, n, n,
                    tuple(one if i == j else zero for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, ring, rows: int, cols: int) -> "Matrix":
-        z = ring.zero()
-        return cls(ring, rows, cols, (z,) * (rows * cols))
+        return cls(ring, rows, cols, (_zero(ring),) * (rows * cols))
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -70,65 +128,84 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
+    def _rows(self) -> list:
+        c, e = self.cols, self.entries
+        return [e[i * c:(i + 1) * c] for i in range(self.rows)]
+
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def row_list(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(r) for r in self._rows()]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, self.cols, self.rows,
-                      tuple(self.entry(i, j)
-                            for j in range(self.cols) for i in range(self.rows)))
+                      tuple(chain.from_iterable(self.column(j)
+                                                for j in range(self.cols))))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows or self.ring != other.ring:
             raise ValueError("shape/ring mismatch in matrix product")
-        ents = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = self.ring.zero()
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.entry(k, j)
-                ents.append(acc)
-        return Matrix(self.ring, self.rows, other.cols, tuple(ents))
+        rows = self._rows()
+        cols = [other.column(j) for j in range(other.cols)]
+        if self.ring.dual:
+            zero = self.ring.zero()
+            ents = tuple(sum(map(mul, r, c), zero) for r in rows for c in cols)
+        else:
+            p = self.ring.p
+            ents = tuple([sum(map(mul, r, c)) % p for r in rows for c in cols])
+        return Matrix(self.ring, self.rows, other.cols, ents)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix sum")
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        if self.ring.dual:
+            ents = tuple(a + b for a, b in zip(self.entries, other.entries))
+        else:
+            p = self.ring.p
+            ents = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
+        return Matrix(self.ring, self.rows, self.cols, ents)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix difference")
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        if self.ring.dual:
+            ents = tuple(a - b for a, b in zip(self.entries, other.entries))
+        else:
+            p = self.ring.p
+            ents = tuple((a - b) % p for a, b in zip(self.entries, other.entries))
+        return Matrix(self.ring, self.rows, self.cols, ents)
 
     def scale(self, c) -> "Matrix":
-        c = self.ring(c)
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(c * x for x in self.entries))
+        (c,) = _entries(self.ring, (c,))
+        if self.ring.dual:
+            ents = tuple(c * x for x in self.entries)
+        else:
+            p = self.ring.p
+            ents = tuple(c * x % p for x in self.entries)
+        return Matrix(self.ring, self.rows, self.cols, ents)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product m @ v with v a length-`cols` vector."""
         if len(v) != self.cols:
             raise ValueError("vector length %d does not match cols %d"
                              % (len(v), self.cols))
-        out = []
-        for i in range(self.rows):
-            acc = self.ring.zero()
-            ri = self.row(i)
-            for k in range(self.cols):
-                acc = acc + ri[k] * v[k]
-            out.append(acc)
-        return tuple(out)
+        return self._apply(_entries(self.ring, v))
+
+    def _apply(self, v: Sequence) -> tuple:
+        # v already holds entries of this ring
+        if self.ring.dual:
+            zero = self.ring.zero()
+            return tuple([sum(map(mul, r, v), zero) for r in self._rows()])
+        p = self.ring.p
+        return tuple([sum(map(mul, r, v)) % p for r in self._rows()])
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
+        if self.ring.dual:
+            return all(x.is_zero() for x in self.entries)
+        return not any(self.entries)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         ents = tuple(self.entry(i, j) for i in rows for j in cols)
@@ -138,20 +215,19 @@ class Matrix:
         """Determinant over the coefficient ring (works over dual numbers).
 
         Laplace expansion with bitmask memoisation; fine for the small sizes
-        this engine ever sees.
+        this engine ever sees.  The result is a ring element (an ``Fp`` over
+        GF(p)).
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
+        ring = self.ring
         n = self.rows
-        if n == 0:
-            return self.ring.one()
         # dp maps a frozen column mask to the determinant of the submatrix on
         # rows 0..k-1 and the columns in the mask (k = popcount of the mask).
-        dp = {0: self.ring.one()}
-        for _ in range(n):
+        dp = {0: _one(ring)}
+        for k in range(n):
             ndp = {}
             for mask, val in dp.items():
-                k = bin(mask).count("1")
                 for j in range(n):
                     bit = 1 << j
                     if mask & bit:
@@ -167,24 +243,26 @@ class Matrix:
                         ndp[nm] = ndp[nm] + term
                     else:
                         ndp[nm] = term
+            if not ring.dual:
+                ndp = {m: x % ring.p for m, x in ndp.items()}
             dp = ndp
-        return dp[(1 << n) - 1]
+        det = dp[(1 << n) - 1]
+        return det if ring.dual else ring(det)
 
     def to_dual(self) -> "Matrix":
         """Reinterpret a GF(p) matrix over GF(p)[eps]/(eps^2)."""
         if self.ring.dual:
             return self
-        ring = DualNumbers(self.ring.p)
-        return Matrix(ring, self.rows, self.cols,
-                      tuple(Dual(x.v, 0, self.ring.p) for x in self.entries))
+        p = self.ring.p
+        return Matrix(DualNumbers(p), self.rows, self.cols,
+                      tuple(Dual(x, 0, p) for x in self.entries))
 
     def mod_eps(self) -> "Matrix":
         """Reduce a dual-number matrix modulo eps."""
         if not self.ring.dual:
             return self
-        ring = PrimeField(self.ring.p)
-        return Matrix(ring, self.rows, self.cols,
-                      tuple(Fp(x.a0, self.ring.p) for x in self.entries))
+        return Matrix(PrimeField(self.ring.p), self.rows, self.cols,
+                      tuple(x.a0 for x in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -197,8 +275,8 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r, %s)" % (self.ring,
-                                   [[_entry_repr(x) for x in self.row(i)]
-                                    for i in range(self.rows)])
+                                   [[_entry_repr(x) for x in r]
+                                    for r in self._rows()])
 
     def as_dict(self) -> dict:
         return {"ring": self.ring.as_dict(), "rows": self.rows, "cols": self.cols,
@@ -206,27 +284,33 @@ class Matrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Matrix":
-        ring = ring_from_dict(d["ring"])
-        ents = tuple(_entry_from_json(ring, e) for e in d["entries"])
-        return cls(ring, d["rows"], d["cols"], ents)
-
-
-def _is_element(x, ring) -> bool:
-    return isinstance(x, Dual) if ring.dual else isinstance(x, Fp)
+        d = _require_dict(d, "a matrix")
+        ring = ring_from_dict(_require_dict(d["ring"], "a matrix ring"))
+        rows, cols, ents = d["rows"], d["cols"], d["entries"]
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError("matrix rows and cols must be nonnegative integers")
+        if not isinstance(ents, list):
+            raise ValueError("matrix entries must be a JSON list")
+        return cls(ring, rows, cols, tuple(_entry_from_json(ring, e) for e in ents))
 
 
 def _entry_repr(x) -> str:
     if isinstance(x, Dual):
         return "%d+%de" % (x.a0, x.a1)
-    return str(x.v)
+    return str(x)
 
 
 def _entry_json(x):
-    return [x.a0, x.a1] if isinstance(x, Dual) else x.v
+    return [x.a0, x.a1] if isinstance(x, Dual) else x
 
 
 def _entry_from_json(ring, e):
-    return ring(e[0], e[1]) if ring.dual else ring(e)
+    if not ring.dual:
+        return _residue(e, ring.p)
+    if not isinstance(e, list) or len(e) != 2:
+        raise ValueError("dual-number entries must be [a0, a1] pairs, got %r"
+                         % (e,))
+    return Dual(_residue(e[0], ring.p), _residue(e[1], ring.p), ring.p)
 
 
 class Echelon(NamedTuple):
@@ -245,8 +329,45 @@ def rref(m: Matrix) -> Echelon:
     after the pivot rows, and the result is flagged ``unit_pivots=False``
     whenever some nonzero row's leading entry is not its unit pivot.
     """
+    if m.ring.dual:
+        return _rref_dual(m)
+    p = m.ring.p
+    work = [list(r) for r in m._rows()]
+    nrows = len(work)
+    pivots = []
+    rank = 0
+    for col in range(m.cols):
+        if rank == nrows:
+            break
+        sel = None
+        for i in range(rank, nrows):
+            if work[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        prow = work[sel]
+        work[sel] = work[rank]
+        lead = prow[col]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            prow = [inv * x % p for x in prow]
+        work[rank] = prow
+        for i in range(nrows):
+            if i != rank:
+                row = work[i]
+                c = row[col]
+                if c:
+                    work[i] = [(a - c * b) % p for a, b in zip(row, prow)]
+        pivots.append(col)
+        rank += 1
+    flat = tuple(chain.from_iterable(work[:rank]))
+    return Echelon(Matrix(m.ring, rank, m.cols, flat), rank, tuple(pivots), True)
+
+
+def _rref_dual(m: Matrix) -> Echelon:
     ring = m.ring
-    work = [list(m.row(i)) for i in range(m.rows)]
+    work = [list(r) for r in m._rows()]
     pivots = []
     pivot_rows = 0
     for col in range(m.cols):
@@ -271,19 +392,19 @@ def rref(m: Matrix) -> Echelon:
     leftovers = [r for r in work[rank:] if not all(x.is_zero() for x in r)]
     unit_ok = True
     if leftovers:
-        # Only reachable over the dual numbers: each leftover entry is a
-        # multiple of eps.  Canonicalise by echelonizing the eps-parts.
+        # Each leftover entry is a multiple of eps.  Canonicalise by
+        # echelonizing the eps-parts.
         unit_ok = False
-        eps_rows = [[Fp(x.a1, ring.p) for x in r] for r in leftovers]
+        eps_rows = [[x.a1 for x in r] for r in leftovers]
         sub = rref(Matrix.from_rows(PrimeField(ring.p), eps_rows))
-        for i in range(sub.matrix.rows):
-            rows.append([Dual(0, x.v, ring.p) for x in sub.matrix.row(i)])
+        for r in sub.matrix._rows():
+            rows.append([Dual(0, x, ring.p) for x in r])
     for r, pc in zip(rows[:rank], pivots):
         lead = next(j for j, x in enumerate(r) if not x.is_zero())
         if lead != pc:
             unit_ok = False
             break
-    flat = tuple(x for r in rows for x in r)
+    flat = tuple(chain.from_iterable(rows))
     return Echelon(Matrix(ring, len(rows), m.cols, flat), rank, tuple(pivots), unit_ok)
 
 
@@ -315,8 +436,7 @@ class Subspace:
         if m.cols != ambient_dim:
             raise ValueError("row length %d does not match ambient %d"
                              % (m.cols, ambient_dim))
-        ech = rref(m)
-        return cls(ring, ambient_dim, ech.matrix, ech.pivots, ech.unit_pivots)
+        return cls.from_matrix(m)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Subspace":
@@ -332,11 +452,12 @@ class Subspace:
         return cls.from_matrix(Matrix.identity(ring, ambient_dim))
 
     @classmethod
-    def _from_canonical(cls, ring, ambient_dim: int, rows: list, pivots: tuple) -> "Subspace":
-        # trusted constructor for rows already in canonical echelon form
-        flat = tuple(x for r in rows for x in r)
-        return cls(ring, ambient_dim, Matrix(ring, len(rows), ambient_dim, flat),
-                   pivots, True)
+    def _span(cls, ring, ambient_dim: int, rows: list) -> "Subspace":
+        # span of rows that already hold entries of ring
+        if not rows:
+            return cls.zero_space(ring, ambient_dim)
+        flat = tuple(chain.from_iterable(rows))
+        return cls.from_matrix(Matrix(ring, len(rows), ambient_dim, flat))
 
     @property
     def dim(self) -> int:
@@ -351,7 +472,7 @@ class Subspace:
         return red.rank == self.basis.rows
 
     def basis_rows(self) -> list:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return self.basis._rows()
 
     def contains_vector(self, v: Sequence) -> bool:
         """Membership test by reduction against the canonical basis.
@@ -362,15 +483,26 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        v = [x if _is_element(x, self.ring) else self.ring(x) for x in v]
-        for i, pc in enumerate(self.pivots):
+        v = _entries(self.ring, v)
+        if self.ring.dual:
+            return self._contains_dual(v)
+        # pivot coordinates of v are never touched by the other basis rows,
+        # so reduction mod p can wait until the end
+        for row, pc in zip(self.basis._rows(), self.pivots):
+            c = v[pc]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        p = self.ring.p
+        return not any(x % p for x in v)
+
+    def _contains_dual(self, v: Sequence) -> bool:
+        rows = self.basis._rows()
+        for row, pc in zip(rows, self.pivots):
             c = v[pc]
             if not c.is_zero():
-                row = self.basis.row(i)
                 v = [a - c * b for a, b in zip(v, row)]
         # reduce any eps-torsion remainder against the torsion rows
-        for i in range(len(self.pivots), self.basis.rows):
-            row = self.basis.row(i)
+        for row in rows[len(self.pivots):]:
             lead = next(j for j, x in enumerate(row) if not x.is_zero())
             c = v[lead]
             if c.is_zero():
@@ -389,20 +521,19 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         _check_ambient(self, other)
-        rows = self.basis_rows() + other.basis_rows()
-        if not rows:
-            return Subspace.zero_space(self.ring, self.ambient_dim)
-        return Subspace.from_rows(self.ring, self.ambient_dim, rows)
+        return Subspace._span(self.ring, self.ambient_dim,
+                              self.basis_rows() + other.basis_rows())
 
     __add__ = sum
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked dual constraints."""
         _check_ambient(self, other)
-        cons = self.constraints().row_list() + other.constraints().row_list()
-        if not cons:
+        a, b = self.constraints(), other.constraints()
+        if a.rows + b.rows == 0:
             return Subspace.full_space(self.ring, self.ambient_dim)
-        return kernel(Matrix.from_rows(self.ring, cons))
+        return kernel(Matrix(self.ring, a.rows + b.rows, self.ambient_dim,
+                             a.entries + b.entries))
 
     __and__ = intersect
 
@@ -420,7 +551,10 @@ class Subspace:
         return Subspace.from_matrix(self.basis.to_dual())
 
     def key(self) -> tuple:
-        return (self.ambient_dim,) + tuple(_entry_json_t(x) for x in self.basis.entries)
+        if self.ring.dual:
+            return (self.ambient_dim,) + tuple((x.a0, x.a1)
+                                               for x in self.basis.entries)
+        return (self.ambient_dim,) + self.basis.entries
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -434,25 +568,26 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d, basis=%s)" % (
             self.dim, self.ambient_dim,
-            [[_entry_repr(x) for x in self.basis.row(i)]
-             for i in range(self.basis.rows)])
+            [[_entry_repr(x) for x in r] for r in self.basis_rows()])
 
     def as_dict(self) -> dict:
         return {"ring": self.ring.as_dict(), "ambient_dim": self.ambient_dim,
                 "rank": self.dim,
-                "basis": [[_entry_json(x) for x in self.basis.row(i)]
-                          for i in range(self.basis.rows)]}
+                "basis": [[_entry_json(x) for x in r] for r in self.basis_rows()]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
-        ring = ring_from_dict(d["ring"])
-        return cls.from_rows(ring, d["ambient_dim"],
+        d = _require_dict(d, "a subspace")
+        ring = ring_from_dict(_require_dict(d["ring"], "a subspace ring"))
+        ambient, basis = d["ambient_dim"], d["basis"]
+        if type(ambient) is not int or ambient < 0:
+            raise ValueError("subspace ambient_dim must be a nonnegative integer")
+        if not isinstance(basis, list) or \
+                not all(isinstance(row, list) for row in basis):
+            raise ValueError("subspace basis must be a JSON list of rows")
+        return cls.from_rows(ring, ambient,
                              [[_entry_from_json(ring, e) for e in row]
-                              for row in d["basis"]])
-
-
-def _entry_json_t(x):
-    return (x.a0, x.a1) if isinstance(x, Dual) else x.v
+                              for row in basis])
 
 
 def _check_ambient(u: Subspace, w: Subspace) -> None:
@@ -464,28 +599,24 @@ def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical Subspace (field coefficients)."""
     if m.ring.dual:
         raise ValueError("kernel computation requires field coefficients")
+    p = m.ring.p
     ech = rref(m)
     pivots = set(ech.pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
     rows = []
-    zero, one = m.ring.zero(), m.ring.one()
-    for fc in free_cols:
-        v = [zero] * m.cols
-        v[fc] = one
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [0] * m.cols
+        v[fc] = 1
         for i, pc in enumerate(ech.pivots):
-            v[pc] = -ech.matrix.entry(i, fc)
+            v[pc] = -ech.matrix.entry(i, fc) % p
         rows.append(v)
-    if not rows:
-        return Subspace.zero_space(m.ring, m.cols)
-    return Subspace.from_rows(m.ring, m.cols, rows)
+    return Subspace._span(m.ring, m.cols, rows)
 
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, i.e. the image of v -> m v."""
-    cols = [m.column(j) for j in range(m.cols)]
-    if not cols:
-        return Subspace.zero_space(m.ring, m.rows)
-    return Subspace.from_rows(m.ring, m.rows, cols)
+    return Subspace._span(m.ring, m.rows, [m.column(j) for j in range(m.cols)])
 
 
 def apply_map(m: Matrix, u: Subspace) -> Subspace:
@@ -493,9 +624,7 @@ def apply_map(m: Matrix, u: Subspace) -> Subspace:
     if m.cols != u.ambient_dim:
         raise ValueError("map domain %d does not match ambient %d"
                          % (m.cols, u.ambient_dim))
-    if u.dim == 0:
-        return Subspace.zero_space(m.ring, m.rows)
-    return Subspace.from_rows(m.ring, m.rows, [m.apply(r) for r in u.basis_rows()])
+    return Subspace._span(m.ring, m.rows, [m._apply(r) for r in u.basis_rows()])
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:
@@ -525,26 +654,40 @@ def solve(m: Matrix, v: Sequence):
     """One solution x of m x = v over a field, or None if inconsistent."""
     if m.ring.dual:
         raise ValueError("solve requires field coefficients")
+    if len(v) != m.rows:
+        raise ValueError("right-hand side length %d does not match rows %d"
+                         % (len(v), m.rows))
     if m.rows == 0:
-        return (m.ring.zero(),) * m.cols
-    aug = Matrix.from_rows(m.ring,
-                           [list(m.row(i)) + [m.ring(v[i])] for i in range(m.rows)])
-    ech = rref(aug)
-    zero = m.ring.zero()
-    x = [zero] * m.cols
+        return (0,) * m.cols
+    v = _entries(m.ring, v)
+    return _solve_augmented(m.ring, m.rows, m.cols,
+                            chain.from_iterable(r + (b,) for r, b in zip(m._rows(), v)))
+
+
+def _solve_augmented(ring, rows: int, cols: int, aug) -> Optional[tuple]:
+    # aug: the rows x (cols + 1) augmented system [m | v], flattened
+    ech = rref(Matrix(ring, rows, cols + 1, tuple(aug)))
+    x = [0] * cols
     for i, pc in enumerate(ech.pivots):
-        if pc == m.cols:
+        if pc == cols:
             return None  # pivot in the augmented column: inconsistent
-        x[pc] = ech.matrix.entry(i, m.cols)
+        x[pc] = ech.matrix.entry(i, cols)
     return tuple(x)
 
 
 def coords_in_rows(rows: Sequence[Sequence], v: Sequence, ring):
     """Coefficients expressing v as a combination of the given rows, or None."""
+    if ring.dual:
+        raise ValueError("coordinates require field coefficients")
     if not rows:
-        return () if all(ring(x).is_zero() for x in v) else None
-    m = Matrix.from_rows(ring, rows).transpose()
-    return solve(m, [ring(x) for x in v])
+        return () if not any(_entries(ring, v)) else None
+    m = Matrix.from_rows(ring, rows)
+    if len(v) != m.cols:
+        raise ValueError("vector length %d does not match row length %d"
+                         % (len(v), m.cols))
+    # the system sum_i c_i rows[i] = v has the rows as its columns
+    return _solve_augmented(ring, m.cols, m.rows,
+                            chain.from_iterable(zip(*m._rows(), _entries(ring, v))))
 
 
 def gaussian_binomial(d: int, r: int, q: int) -> int:
@@ -571,8 +714,6 @@ def _free_position_count(d: int, pivots: Sequence[int]) -> int:
 
 def pivot_patterns(d: int, r: int) -> Iterator[tuple]:
     """All echelon pivot-column patterns in lexicographic order."""
-    from itertools import combinations
-
     return combinations(range(d), r)
 
 
@@ -585,8 +726,6 @@ def enumerate_subspaces(d: int, r: int, q: int, budget: Optional[int] = None,
     Restricting ``pivots`` to one pattern yields a single echelon cell, which
     is how exhaustive searches are partitioned across workers.
     """
-    from itertools import product
-
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))
     ring = PrimeField(q)
@@ -598,18 +737,20 @@ def enumerate_subspaces(d: int, r: int, q: int, budget: Optional[int] = None,
                 "enumeration of %d subspaces exceeds budget %d" % (total, budget),
                 count=total)
     patterns = [tuple(pivots)] if pivots is not None else list(pivot_patterns(d, r))
-    zero, one = ring.zero(), ring.one()
     for pat in patterns:
         pset = set(pat)
-        free_pos = [(i, c) for i, pc in enumerate(pat)
+        # flat row-major positions of the free entries, and the cell's
+        # template with its pivot ones in place
+        free_pos = [i * d + c for i, pc in enumerate(pat)
                     for c in range(pc + 1, d) if c not in pset]
+        template = [0] * (r * d)
+        for i, pc in enumerate(pat):
+            template[i * d + pc] = 1
         for values in product(range(q), repeat=len(free_pos)):
-            rows = [[zero] * d for _ in range(r)]
-            for i, pc in enumerate(pat):
-                rows[i][pc] = one
-            for (i, c), val in zip(free_pos, values):
-                rows[i][c] = Fp(val, q)
-            yield Subspace._from_canonical(ring, d, rows, pat)
+            ents = template[:]
+            for pos, val in zip(free_pos, values):
+                ents[pos] = val
+            yield Subspace(ring, d, Matrix(ring, r, d, tuple(ents)), pat, True)
 
 
 def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subspace]:
@@ -631,27 +772,25 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
         c = coords_in_rows(upper_rows, row, ring)
         if c is None:
             raise ValueError("lower is not contained in upper")
-        lower_coords.append(list(c))
+        lower_coords.append(c)
     if lower_coords:
-        lech = rref(Matrix.from_rows(ring, lower_coords))
+        lech = rref(Matrix(ring, a, b, tuple(x for c in lower_coords for x in c)))
         lpiv = set(lech.pivots)
     else:
         lpiv = set()
     non_piv = [c for c in range(b) if c not in lpiv]
     lower_rows = lower.basis_rows()
+    ambient = lower.ambient_dim
     for w in enumerate_subspaces(len(non_piv), r - a, q):
         rows = list(lower_rows)
         for wrow in w.basis_rows():
-            # lift through the complement coordinates, then back to ambient
-            vec = [ring.zero()] * b
+            # lift through the complement coordinates back to ambient
+            amb = [0] * ambient
             for coeff, c in zip(wrow, non_piv):
-                vec[c] = coeff
-            amb = [ring.zero()] * lower.ambient_dim
-            for coeff, urow in zip(vec, upper_rows):
-                if not coeff.is_zero():
-                    amb = [x + coeff * y for x, y in zip(amb, urow)]
-            rows.append(amb)
-        yield Subspace.from_rows(ring, lower.ambient_dim, rows)
+                if coeff:
+                    amb = [x + coeff * y for x, y in zip(amb, upper_rows[c])]
+            rows.append([x % q for x in amb])
+        yield Subspace._span(ring, ambient, rows)
 
 
 def rank_everywhere_at_most(m: Matrix, j: int) -> bool:
@@ -660,8 +799,6 @@ def rank_everywhere_at_most(m: Matrix, j: int) -> bool:
     Over the dual numbers this is the scheme-wide rank bound: a minor equal
     to eps is *not* zero, even though it vanishes at the closed point.
     """
-    from itertools import combinations
-
     if j < 0:
         raise ValueError("rank bound must be nonnegative, got %d" % j)
     k = j + 1

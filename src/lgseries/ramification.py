@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .fields import Fp, PrimeField, is_tame
+from .fields import PrimeField, is_tame
 from .linalg import Matrix, Subspace
 
 INFINITY = "inf"
@@ -101,23 +101,13 @@ class RamificationData:
                 "ramification": list(self.ramification), "tame": self.tame}
 
 
-def _shift_basis_matrix(m: int, t: Fp, ring) -> Matrix:
+def _shift_basis_matrix(m: int, t: int, ring) -> Matrix:
     """Change of coordinates sending coefficients in y to coefficients in
     (y - t): row k of the result reads off the k-th Hasse coefficient at t."""
-    rows = []
-    for k in range(m + 1):
-        rows.append([ring(comb(j, k)) * pow_elem(t, j - k, ring)
-                     for j in range(m + 1)])
-    return Matrix.from_rows(ring, rows)
-
-
-def pow_elem(t: Fp, e: int, ring):
-    if e < 0:
-        return ring.zero()
-    acc = ring.one()
-    for _ in range(e):
-        acc = acc * t
-    return acc
+    p = ring.p
+    return Matrix.from_rows(ring, [[comb(j, k) * pow(t, j - k, p) % p if j >= k
+                                    else 0 for j in range(m + 1)]
+                                   for k in range(m + 1)])
 
 
 def vanishing_sequence(v: Subspace, point, degree: Optional[int] = None) -> RamificationData:
@@ -138,16 +128,15 @@ def vanishing_sequence(v: Subspace, point, degree: Optional[int] = None) -> Rami
     if v.dim == 0:
         raise ValueError("vanishing sequence of the zero series is undefined")
     if point == INFINITY:
-        rows = [list(reversed(row)) for row in v.basis_rows()]
+        rows = [row[::-1] for row in v.basis_rows()]
     else:
-        t = ring(point)
-        shift = _shift_basis_matrix(m, t, ring)
+        point = ring(point).v
+        shift = _shift_basis_matrix(m, point, ring)
         rows = [shift.apply(row) for row in v.basis_rows()]
     filtered = Subspace.from_rows(ring, m + 1, rows)
     orders = filtered.pivots
     alpha = tuple(a - j for j, a in enumerate(orders))
-    return RamificationData(point if point == INFINITY else ring(point).v,
-                            tuple(orders), alpha, is_tame(orders, ring.p))
+    return RamificationData(point, tuple(orders), alpha, is_tame(orders, ring.p))
 
 
 def wronskian(v: Subspace) -> tuple:
@@ -159,7 +148,8 @@ def wronskian(v: Subspace) -> tuple:
     ring = v.ring
     if v.dim == 0:
         raise ValueError("Wronskian of the zero series is undefined")
-    basis = [tuple(row) for row in v.basis_rows()]
+    # the polynomial helpers above work on ring elements
+    basis = [tuple(ring(x) for x in row) for row in v.basis_rows()]
     rp1 = len(basis)
     grid = [[_poly_trim(hasse_derivative(b, j, ring)) for b in basis]
             for j in range(rp1)]

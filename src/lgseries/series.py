@@ -53,19 +53,19 @@ class NodalModel:
     def forward_matrix(self, i: int) -> Matrix:
         """E_i -> E_{i+1}: (a, b) -> (0, z*b) in level coordinates."""
         d = self.d
-        rows = [[self.field.zero()] * (d + 1) for _ in range(d + 1)]
-        rows[d - i][0] = self.field.one()              # new b_1 = node value
+        rows = [[0] * (d + 1) for _ in range(d + 1)]
+        rows[d - i][0] = 1                             # new b_1 = node value
         for j in range(1, i + 1):                      # new b_{j+1} = b_j
-            rows[d - i + j][d - i + j] = self.field.one()
+            rows[d - i + j][d - i + j] = 1
         return Matrix.from_rows(self.field, rows)
 
     def backward_matrix(self, i: int) -> Matrix:
         """E_{i+1} -> E_i: (a, b) -> (y*a, 0) in level coordinates."""
         d = self.d
-        rows = [[self.field.zero()] * (d + 1) for _ in range(d + 1)]
-        rows[1][0] = self.field.one()                  # new a_1 = node value
+        rows = [[0] * (d + 1) for _ in range(d + 1)]
+        rows[1][0] = 1                                 # new a_1 = node value
         for k in range(1, d - i):                      # new a_{k+1} = a_k
-            rows[k + 1][k] = self.field.one()
+            rows[k + 1][k] = 1
         return Matrix.from_rows(self.field, rows)
 
     def chain(self, rank: int) -> LinkedChain:
@@ -76,26 +76,12 @@ class NodalModel:
 
     def y_aspect_matrix(self, i: int) -> Matrix:
         """Project E_i onto the y-side polynomial (ascending, degree <= d-i)."""
-        d = self.d
-        rows = []
-        for k in range(d - i + 1):
-            v = [self.field.zero()] * (d + 1)
-            v[k] = self.field.one()
-            rows.append(v)
-        return Matrix.from_rows(self.field, rows)
+        return Matrix.from_rows(self.field, self._unit_vectors(range(self.d - i + 1)))
 
     def z_aspect_matrix(self, i: int) -> Matrix:
         """Project E_i onto the z-side polynomial (ascending, degree <= i)."""
-        d = self.d
-        rows = []
-        v = [self.field.zero()] * (d + 1)
-        v[0] = self.field.one()
-        rows.append(v)
-        for j in range(1, i + 1):
-            v = [self.field.zero()] * (d + 1)
-            v[d - i + j] = self.field.one()
-            rows.append(v)
-        return Matrix.from_rows(self.field, rows)
+        cols = [0] + list(range(self.d - i + 1, self.d + 1))
+        return Matrix.from_rows(self.field, self._unit_vectors(cols))
 
     def z_vanishing_space(self, i: int) -> Subspace:
         """Sections with b identically zero (rows supported on a_1..a_{d-i})."""
@@ -106,14 +92,11 @@ class NodalModel:
         return self._coordinate_space(range(self.d - i + 1, self.d + 1))
 
     def _coordinate_space(self, cols) -> Subspace:
-        rows = []
-        for c in cols:
-            v = [self.field.zero()] * (self.d + 1)
-            v[c] = self.field.one()
-            rows.append(v)
-        if not rows:
-            return Subspace.zero_space(self.field, self.d + 1)
-        return Subspace.from_rows(self.field, self.d + 1, rows)
+        return Subspace.from_rows(self.field, self.d + 1, self._unit_vectors(cols))
+
+    def _unit_vectors(self, cols) -> list:
+        """The coordinate vectors e_c of the level coordinates, c in cols."""
+        return [[int(j == c) for j in range(self.d + 1)] for c in cols]
 
     def section(self, i: int, a_coeffs: Sequence, b_coeffs: Sequence,
                 ring=None) -> tuple:
@@ -377,7 +360,7 @@ def _crude_patch(model: NodalModel, pair: EHPair, i: int, prev: Subspace,
     for k, pc in enumerate(pair.vz.pivots):
         if pc >= d - i + 1:
             b = list(pair.vz.basis.row(k)[d - i:])
-            vec = model.section(i, [field_.zero()], b)
+            vec = model.section(i, [0], b)
             if not partial.contains_vector(vec):
                 return Subspace.from_rows(field_, d + 1, [vec])
     raise RuntimeError("no independent y-vanishing generator available")

@@ -220,3 +220,131 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["rho"] == 2
+
+
+def one_json_error(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    rep = json.loads(lines[0])
+    assert "error" in rep
+    return rep
+
+
+def chain_dict(p, fs, gs, s=0, r=1):
+    """A two-level chain of 2x2 maps, as LinkedChain.as_dict writes it."""
+    ring = {"p": p, "dual": False}
+    return {"ring": ring, "n": 2, "d": 2, "r": r, "s": s,
+            "fs": [{"ring": ring, "rows": 2, "cols": 2, "entries": fs}],
+            "gs": [{"ring": ring, "rows": 2, "cols": 2, "entries": gs}]}
+
+
+def test_non_integer_basis_entry_exit_code(capsys):
+    code, out, err = run(capsys, "vanishing", "--degree", "2", "--p", "5",
+                         "--basis", "[[1.5,0,0]]", "--point", "0")
+    assert code == 2 and out == ""
+    assert "1.5" in one_json_error(err)["error"]
+
+
+def test_chain_file_non_integer_entries_exit_code(capsys, tmp_path):
+    for bad in ("a", 0.5):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_dict(2, [1, bad, 0, 0], [0, 0, 0, 1])))
+        code, _, err = run(capsys, "census", "--kind", "file", "--chain-file",
+                           str(path), "--budget", "100")
+        assert code == 2
+        one_json_error(err)
+
+
+def test_chain_file_top_level_list_exit_code(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps([chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1])]))
+    code, _, err = run(capsys, "census", "--kind", "file", "--chain-file",
+                       str(path), "--budget", "100")
+    assert code == 2
+    one_json_error(err)
+
+
+def test_census_validates_file_chain_first(capsys, tmp_path):
+    # f = g = id over GF(3) with s = 0 breaks f*g = s*id and ker f = im g
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_dict(3, [1, 0, 0, 1], [1, 0, 0, 1])))
+    code, _, _ = run(capsys, "validate-chain", "--kind", "file",
+                     "--chain-file", str(path))
+    assert code == 4
+    code, out, err = run(capsys, "census", "--kind", "file", "--chain-file",
+                         str(path), "--budget", "1000")
+    assert code == 2 and out == ""
+    rep = one_json_error(err)
+    assert {v["condition"] for v in rep["violations"]} == {"I", "II"}
+
+
+def test_census_of_valid_file_chain_unchanged(capsys, tmp_path):
+    _, plain, _ = run(capsys, "census", "--kind", "standard", "--n", "2",
+                      "--dim", "2", "--d1", "1", "--s", "0", "--p", "2",
+                      "--rank", "1", "--budget", "1000")
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1])))
+    code, out, _ = run(capsys, "census", "--kind", "file", "--chain-file",
+                       str(path), "--budget", "1000")
+    assert code == 0
+    assert out == plain
+
+
+def test_config_equals_form(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"genus": 0, "rank": 1, "degree": 3}))
+    code, out, _ = run(capsys, "--config=%s" % cfg, "rho")
+    assert code == 0
+    assert json.loads(out)["rho"] == 4
+    code, out, _ = run(capsys, "--config=%s" % cfg, "rho", "--degree", "2")
+    assert code == 0
+    assert json.loads(out)["rho"] == 2
+
+
+def test_config_unreadable_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "--config=%s" % (tmp_path / "missing.json"),
+                       "rho")
+    assert code == 2
+    one_json_error(err)
+    code, _, err = run(capsys, "rho", "--config")
+    assert code == 2
+    one_json_error(err)
+
+
+def test_negative_budget_exit_code(capsys):
+    code, out, err = run(capsys, "census", "--kind", "standard", "--budget",
+                         "-1")
+    assert code == 2 and out == ""
+    assert "budget" in one_json_error(err)["error"]
+
+
+def test_nonpositive_workers_exit_code(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run(capsys, "census", "--kind", "standard",
+                             "--budget", "1000", "--workers", workers)
+        assert code == 2 and out == ""
+        assert "workers" in one_json_error(err)["error"]
+
+
+def test_limits_from_config_are_checked(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"budget": -5}))
+    code, _, err = run(capsys, "--config", str(cfg), "census", "--kind",
+                       "standard")
+    assert code == 2
+    one_json_error(err)
+
+
+def test_usage_errors_are_one_json_line(capsys):
+    code, _, err = run(capsys, "census", "--kind", "standard")
+    assert code == 2
+    assert "--budget" in one_json_error(err)["error"]
+
+
+def test_tangent_validates_file_chain_first(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_dict(3, [1, 0, 0, 1], [1, 0, 0, 1])))
+    code, out, err = run(capsys, "tangent", "--kind", "file", "--chain-file",
+                         str(path), "--budget", "1000")
+    assert code == 2 and out == ""
+    assert one_json_error(err)["violations"]

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgseries.fields import DualNumbers, Fp, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
@@ -292,3 +294,135 @@ def test_serialization_roundtrip():
     D = DualNumbers(3)
     md = mat(D, [[D(1, 2), D(0, 1)]])
     assert Matrix.from_dict(md.as_dict()) == md
+
+
+# --- property tests of the integer GF(p) core -------------------------------
+
+PRIMES = (2, 3, 5, 7)
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+
+def oracle_rref(rows, p, ncols):
+    """Textbook Gauss-Jordan over the integers mod p; rows and pivots."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        sel = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        inv = pow(a[rank][c], p - 2, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        pivots.append(c)
+        rank += 1
+    return [tuple(row) for row in a[:rank]], tuple(pivots)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    """(p, number of columns, rows) with entries in [0, p)."""
+    p = draw(st.sampled_from(PRIMES))
+    ncols = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=0, max_size=max_rows))
+    return p, ncols, rows
+
+
+@st.composite
+def subspaces(draw, count, max_dim=5):
+    """``count`` subspaces of one GF(p)^d, each spanned by random rows."""
+    p = draw(st.sampled_from(PRIMES))
+    d = draw(st.integers(1, max_dim))
+    row = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    field = PrimeField(p)
+    return [Subspace.from_rows(field, d, draw(st.lists(row, max_size=d + 1)))
+            for _ in range(count)]
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_matches_plain_int_oracle(case):
+    p, ncols, rows = case
+    m = Matrix(PrimeField(p), len(rows), ncols,
+               tuple(x for row in rows for x in row))
+    ech = rref(m)
+    want_rows, want_pivots = oracle_rref(rows, p, ncols)
+    assert ech.matrix.row_list() == [list(r) for r in want_rows]
+    assert ech.pivots == want_pivots
+    assert ech.rank == len(want_pivots)
+    assert all(type(x) is int and 0 <= x < p for x in ech.matrix.entries)
+
+
+@PROPERTY
+@given(subspaces(2))
+def test_dimension_formula_for_sum_and_intersection(pair):
+    u, w = pair
+    assert sum_spaces(u, w).dim + intersect(u, w).dim == u.dim + w.dim
+
+
+@PROPERTY
+@given(subspaces(3))
+def test_modular_law(triple):
+    u, y, x = triple
+    w = intersect(u, y)  # any subspace of u
+    assert contains(u, w)
+    assert intersect(u, sum_spaces(w, x)) == sum_spaces(w, intersect(u, x))
+
+
+@PROPERTY
+@given(subspaces(2))
+def test_membership_agrees_with_dimension(pair):
+    u, w = pair
+    for v in w.basis_rows():
+        grown = sum_spaces(u, Subspace.from_rows(u.ring, u.ambient_dim, [v]))
+        assert u.contains_vector(v) == (grown.dim == u.dim)
+    assert contains(u, w) == (sum_spaces(u, w) == u)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_nullity(case):
+    p, ncols, rows = case
+    if not rows:
+        return
+    m = mat(PrimeField(p), rows)
+    ker = kernel(m)
+    assert ker.dim + image(m).dim == ncols
+    for v in ker.basis_rows():
+        assert not any(m.apply(v))
+
+
+@PROPERTY
+@given(matrices(), st.integers(-3, 3))
+def test_fp_rows_and_int_rows_give_one_subspace(case, shift):
+    p, ncols, rows = case
+    field = PrimeField(p)
+    from_ints = Subspace.from_rows(field, ncols,
+                                   [[x + shift * p for x in row] for row in rows])
+    from_fp = Subspace.from_rows(field, ncols,
+                                 [[Fp(x, p) for x in row] for row in rows])
+    assert from_ints == from_fp
+    assert hash(from_ints) == hash(from_fp)
+    assert from_ints.key() == from_fp.key()
+
+
+def test_entries_are_ints_and_boundary_rejects_non_integers():
+    m = mat(GF5, [[Fp(3, 5), 7], [-1, 0]])
+    assert m.entries == (3, 2, 4, 0)
+    assert all(type(x) is int for x in m.entries)
+    for bad in (1.5, "1", True, None, Fp(1, 3)):
+        with pytest.raises(ValueError):
+            mat(GF5, [[bad, 0]])
+        with pytest.raises(ValueError):
+            Subspace.from_rows(GF5, 2, [[0, bad]])
+    with pytest.raises(ValueError):
+        Matrix.from_dict({"ring": {"p": 5, "dual": False}, "rows": 1,
+                          "cols": 2, "entries": [1, 0.5]})
+    assert m.det() == Fp(3 * 0 - 2 * 4, 5)
+    assert isinstance(m.det(), Fp)
