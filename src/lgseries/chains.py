@@ -425,13 +425,15 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
     for i in range(n - 1):
         for direction, mat, src, dst in (("f", chain.fs[i], i, i + 1),
                                          ("g", chain.gs[i], i + 1, i)):
+            # the complement rows pushed through the map, in quotient
+            # coordinates; the same for every basis vector of the source
+            carried_q = [quotient_coords(dst, mat.apply(comp_rows[src][c]))
+                         for c in range(d - r)]
             for a, bvec in enumerate(pt[src].basis_rows()):
                 img = mat.apply(bvec)
                 lam = coords_in_rows(pt[dst].basis_rows(), img, field_)
                 if lam is None:
                     raise RuntimeError("linked point failed coordinate solve")
-                carried = [mat.apply(comp_rows[src][c]) for c in range(d - r)]
-                carried_q = [quotient_coords(dst, w) for w in carried]
                 for out_c in range(d - r):
                     row = [0] * nunk
                     for c in range(d - r):

@@ -138,6 +138,45 @@ def _parse_subspace(text: str, p: int, ambient: int) -> Subspace:
     return Subspace.from_rows(PrimeField(p), ambient, rows)
 
 
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _parse_constraints(text: str, r: int) -> list:
+    """The --constraints JSON: a list of {"side": "Y"|"Z", "point": int or
+    "inf", "min": [r+1 ints]} objects."""
+    cons = json.loads(text)
+    if not isinstance(cons, list):
+        raise ValueError("--constraints must be a JSON list, got %r" % (text,))
+    for c in cons:
+        if not isinstance(c, dict) or set(c) != {"side", "point", "min"}:
+            raise ValueError("a constraint must be an object with exactly the "
+                             "keys side, point and min, got %r" % (c,))
+        if c["side"] not in ("Y", "Z"):
+            raise ValueError("constraint side must be Y or Z, got %r"
+                             % (c["side"],))
+        if not (_is_int(c["point"]) or c["point"] == "inf"):
+            raise ValueError('constraint point must be an integer or "inf", '
+                             "got %r" % (c["point"],))
+        if not _is_int_list(c["min"]) or len(c["min"]) != r + 1:
+            raise ValueError("constraint min must be a list of %d integers, "
+                             "got %r" % (r + 1, c["min"]))
+    return cons
+
+
+def _parse_alphas(text: str) -> list:
+    """The --alphas JSON: a list of ramification sequences (int lists)."""
+    alphas = json.loads(text)
+    if not isinstance(alphas, list) or not all(map(_is_int_list, alphas)):
+        raise ValueError("--alphas must be a JSON list of integer lists, "
+                         "got %r" % (text,))
+    return alphas
+
+
 def cmd_validate_chain(args) -> int:
     chain = _chain_from_args(args, validate=False)
     report = chain.as_dict()
@@ -199,7 +238,8 @@ def cmd_components_n2(args) -> int:
 
 
 def cmd_enum_lls(args) -> int:
-    constraints = json.loads(args.constraints) if args.constraints else None
+    constraints = (_parse_constraints(args.constraints, args.rank)
+                   if args.constraints else None)
     pts = []
     for lsp in series.enumerate_limit_series(args.degree, args.rank, args.p,
                                              constraints=constraints,
@@ -267,7 +307,7 @@ def cmd_vanishing(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    alphas = json.loads(args.alphas) if args.alphas else []
+    alphas = _parse_alphas(args.alphas) if args.alphas else []
     value = ramification.rho(args.genus, args.rank, args.degree, alphas)
     report = {"schema_version": SCHEMA_VERSION, "genus": args.genus,
               "r": args.rank, "d": args.degree, "alphas": alphas, "rho": value}

@@ -23,7 +23,8 @@ from typing import Iterator, Optional, Sequence
 from .chains import ChainPoint, LinkedChain, enumerate_points
 from .fields import DualNumbers, PrimeField
 from .linalg import (Matrix, Subspace, apply_map, enumerate_subspaces,
-                     intersect, preimage, rank_everywhere_at_most)
+                     intersect, pivot_patterns, preimage,
+                     rank_everywhere_at_most, subspace_count_by_pivots)
 from .ramification import INFINITY, vanishing_sequence
 
 
@@ -172,9 +173,7 @@ class EHPair:
         d = vy.ambient_dim - 1 if d is None else d
         if vy.dim != vz.dim:
             raise ValueError("aspects must have equal dimension")
-        a_y = vanishing_sequence(vy, 0).vanishing
-        a_z = vanishing_sequence(vz, 0).vanishing
-        return cls(vy, vz, a_y, a_z, d)
+        return cls(vy, vz, node_orders(vy), node_orders(vz), d)
 
     @property
     def r(self) -> int:
@@ -199,31 +198,54 @@ class EHPair:
                 "a_y": list(self.a_y), "a_z": list(self.a_z)}
 
 
+def node_orders(v: Subspace) -> tuple:
+    """Vanishing sequence of an aspect at the node (coordinate 0).
+
+    The coordinates are ascending coefficients, which is already the order
+    filtration at 0, so the orders are the pivot columns of the canonical
+    basis: ``vanishing_sequence(v, 0).vanishing`` without the rewrite.
+    """
+    if v.ring.dual:
+        raise ValueError("vanishing_sequence needs field coefficients; "
+                         "use vanishing_sequence_dual for dual-number probes")
+    if v.dim == 0:
+        raise ValueError("vanishing sequence of the zero series is undefined")
+    return v.pivots
+
+
+def crude_orders(a_y: Sequence[int], a_z: Sequence[int], d: int) -> bool:
+    """a_y[i] + a_z[r-i] >= d for every i."""
+    r = len(a_y) - 1
+    return all(a_y[i] + a_z[r - i] >= d for i in range(r + 1))
+
+
+def refined_orders(a_y: Sequence[int], a_z: Sequence[int], d: int) -> bool:
+    """a_y[i] + a_z[r-i] = d for every i."""
+    r = len(a_y) - 1
+    return all(a_y[i] + a_z[r - i] == d for i in range(r + 1))
+
+
 def is_crude(pair: EHPair, d: Optional[int] = None) -> bool:
     """Node orders satisfy a_y[i] + a_z[r-i] >= d for every i."""
-    d = pair.d if d is None else d
-    r = pair.r
-    return all(pair.a_y[i] + pair.a_z[r - i] >= d for i in range(r + 1))
+    return crude_orders(pair.a_y, pair.a_z, pair.d if d is None else d)
 
 
 def is_refined(pair: EHPair, d: Optional[int] = None) -> bool:
     """Node orders satisfy a_y[i] + a_z[r-i] = d for every i."""
-    d = pair.d if d is None else d
-    r = pair.r
-    return all(pair.a_y[i] + pair.a_z[r - i] == d for i in range(r + 1))
+    return refined_orders(pair.a_y, pair.a_z, pair.d if d is None else d)
 
 
 def forgetful_map(model: NodalModel, point: ChainPoint) -> EHPair:
     """Send a linked point to its outer aspect pair with node data.
 
     Level-0 coordinates are exactly the ascending y-coefficients and level-d
-    coordinates the ascending z-coefficients, so both aspects are literal
-    reinterpretations of the boundary subspaces.
+    coordinates the ascending z-coefficients, so both aspects are the
+    boundary subspaces themselves, already in canonical form.
     """
-    vy = Subspace.from_rows(model.field, model.d + 1,
-                            [list(r) for r in point[0].basis_rows()])
-    vz = Subspace.from_rows(model.field, model.d + 1,
-                            [list(r) for r in point[model.d].basis_rows()])
+    vy, vz = point[0], point[model.d]
+    if vy.ambient_dim != model.d + 1:
+        raise ValueError("row length %d does not match ambient %d"
+                         % (vy.ambient_dim, model.d + 1))
     return EHPair.from_subspaces(vy, vz, model.d)
 
 
@@ -378,12 +400,16 @@ def enumerate_limit_series(d: int, r: int, q: int,
     """
     model = NodalModel(d, q)
     chain = model.chain(r + 1)
-    y_cons = [c for c in (constraints or []) if c["side"] == "Y"]
-    z_cons = [c for c in (constraints or []) if c["side"] == "Z"]
+    sides = {"Y": [], "Z": []}
+    for c in constraints or ():
+        if c["side"] not in sides:
+            raise ValueError("constraint side must be Y or Z, got %r"
+                             % (c["side"],))
+        sides[c["side"]].append(c)
+    y_cons, z_cons = sides["Y"], sides["Z"]
     for pt in enumerate_points(chain, budget=budget):
-        pair = forgetful_map(model, pt)
-        if all(_meets_bound(pair.vy, c) for c in y_cons) and \
-                all(_meets_bound(pair.vz, c) for c in z_cons):
+        if all(_meets_bound(pt[0], c) for c in y_cons) and \
+                all(_meets_bound(pt[d], c) for c in z_cons):
             yield LimitSeriesPoint(model, pt)
 
 
@@ -430,9 +456,62 @@ class ImageReport:
                     self.refined_preimages_all_unique}
 
 
+def _pattern_pairs(d: int, r: int, orders_ok) -> list:
+    """Pivot-pattern pairs (P_y, P_z) of (r+1)-dimensional aspects whose node
+    orders pass ``orders_ok``; every pair of subspaces in the two echelon
+    cells shares those orders, since they are the pivots."""
+    patterns = list(pivot_patterns(d + 1, r + 1))
+    return [(py, pz) for py in patterns for pz in patterns
+            if orders_ok(py, pz, d)]
+
+
+def _cell_pair_count(d: int, r: int, q: int, pattern_pairs: list) -> int:
+    """Number of aspect pairs in the given products of echelon cells."""
+    return sum(subspace_count_by_pivots(d + 1, r + 1, q, py)
+               * subspace_count_by_pivots(d + 1, r + 1, q, pz)
+               for py, pz in pattern_pairs)
+
+
+def missing_crude_pairs(d: int, r: int, q: int, image_keys) -> list:
+    """Keys of the crude aspect pairs not in ``image_keys``, sorted.
+
+    Lists the crude pairs explicitly, cell by cell over the crude pattern
+    pairs only; ``fr_image_report`` calls it only when the counts show that
+    some crude pair is missing.
+    """
+    cells = {}
+
+    def cell(pattern):
+        if pattern not in cells:
+            cells[pattern] = [v.key() for v in enumerate_subspaces(
+                d + 1, r + 1, q, pivots=pattern)]
+        return cells[pattern]
+
+    missing = []
+    for py, pz in _pattern_pairs(d, r, crude_orders):
+        for ky in cell(py):
+            missing.extend((ky, kz) for kz in cell(pz)
+                           if (ky, kz) not in image_keys)
+    return sorted(missing)
+
+
 def fr_image_report(d: int, r: int, q: int,
                     budget: Optional[int] = None) -> ImageReport:
-    """Exhaustively compare the forgetful image with the crude locus."""
+    """Exhaustively compare the forgetful image with the crude locus.
+
+    The image comes from the point stream, one forgetful pair per point.  The
+    crude and refined loci are counted by echelon cells: the node orders of
+    an aspect are its pivot columns, so both conditions depend only on the
+    pair of pivot patterns, and a cell pair holds q^(free entries) pairs.
+    The image equals the crude locus exactly when every image pair is crude
+    and the counts agree; crude pairs are listed only to name the missing
+    ones when they do not.
+
+    ``budget`` caps the candidates of the point stream.  Its level 0 alone
+    spends one unit on each of the G(d+1, r+1, q) subspaces, so a run that
+    finishes the stream has spent at least G, and no separate check on the
+    aspect space is needed.
+    """
     model = NodalModel(d, q)
     report = ImageReport(d, r, q)
     preimages = {}
@@ -444,25 +523,23 @@ def fr_image_report(d: int, r: int, q: int,
         preimages[key] = preimages.get(key, 0) + 1
         image_pairs[key] = pair
     report.image_size = len(preimages)
-    crude_keys = set()
-    refined_keys = set()
-    for vy in enumerate_subspaces(d + 1, r + 1, q, budget=budget):
-        for vz in enumerate_subspaces(d + 1, r + 1, q):
-            pair = EHPair.from_subspaces(vy, vz, d)
-            if is_crude(pair):
-                crude_keys.add(pair.key())
-                if is_refined(pair):
-                    refined_keys.add(pair.key())
-    report.crude_pairs = len(crude_keys)
-    report.refined_pairs = len(refined_keys)
-    report.refined_points = sum(preimages.get(k, 0) for k in refined_keys)
-    fr_keys = set(preimages)
-    report.equal = fr_keys == crude_keys
-    report.fr_not_crude = [list(map(list, k)) for k in sorted(fr_keys - crude_keys)]
-    report.crude_not_fr = [list(map(list, k)) for k in sorted(crude_keys - fr_keys)]
-    report.preimage_counts = {k: v for k, v in preimages.items()}
-    report.refined_preimages_all_unique = all(
-        preimages.get(k, 0) == 1 for k in refined_keys)
+    report.crude_pairs = _cell_pair_count(
+        d, r, q, _pattern_pairs(d, r, crude_orders))
+    report.refined_pairs = _cell_pair_count(
+        d, r, q, _pattern_pairs(d, r, refined_orders))
+    not_crude = [k for k, pair in image_pairs.items() if not is_crude(pair)]
+    refined = [k for k, pair in image_pairs.items() if is_refined(pair)]
+    report.refined_points = sum(preimages[k] for k in refined)
+    crude_in_image = report.image_size - len(not_crude)
+    report.equal = not not_crude and crude_in_image == report.crude_pairs
+    report.fr_not_crude = [list(map(list, k)) for k in sorted(not_crude)]
+    if crude_in_image != report.crude_pairs:
+        report.crude_not_fr = [list(map(list, k)) for k in
+                               missing_crude_pairs(d, r, q, image_pairs)]
+    report.preimage_counts = preimages
+    report.refined_preimages_all_unique = (
+        len(refined) == report.refined_pairs
+        and all(preimages[k] == 1 for k in refined))
     return report
 
 

@@ -1,4 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgseries.cli import main
 
@@ -348,3 +353,86 @@ def test_tangent_validates_file_chain_first(capsys, tmp_path):
                          str(path), "--budget", "1000")
     assert code == 2 and out == ""
     assert one_json_error(err)["violations"]
+
+
+def test_constraints_not_objects_exit_code(capsys):
+    code, out, err = run(capsys, "enum-lls", "--degree", "2", "--rank", "0",
+                         "--p", "2", "--budget", "1000", "--constraints",
+                         "[1]")
+    assert code == 2 and out == ""
+    assert "constraint" in one_json_error(err)["error"]
+
+
+def test_alphas_not_lists_exit_code(capsys):
+    code, out, err = run(capsys, "rho", "--genus", "0", "--rank", "1",
+                         "--degree", "2", "--alphas", "[1]")
+    assert code == 2 and out == ""
+    assert "alphas" in one_json_error(err)["error"]
+
+
+def test_constraint_unknown_side_exit_code(capsys):
+    code, out, err = run(capsys, "enum-lls", "--degree", "2", "--rank", "0",
+                         "--p", "2", "--budget", "1000", "--constraints",
+                         '[{"side": "Q", "point": 0, "min": [1]}]')
+    assert code == 2 and out == ""
+    assert "side" in one_json_error(err)["error"]
+
+
+def test_fr_image_budget_boundary(capsys):
+    # the level-0 stream alone spends G(4, 2, 2) = 35 units; the whole point
+    # stream of d=3 r=1 p=2 examines 592 candidates
+    base = ("fr-image", "--degree", "3", "--rank", "1", "--p", "2")
+    code, out, err = run(capsys, *base, "--budget", "591")
+    assert code == 3 and out == ""
+    one_json_error(err)
+    code, out, err = run(capsys, *base, "--budget", "592")
+    assert code == 0 and err == ""
+    assert json.loads(out)["equal"]
+
+
+# --- fuzzing the JSON-valued flags ------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 5) | st.integers()
+                | st.floats(allow_nan=False)
+                | st.sampled_from(["Y", "Z", "inf", "Q", ""]) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(["side", "point", "min", "x"]),
+                          children, max_size=4)
+        | st.fixed_dictionaries({"side": children, "point": children,
+                                 "min": children})),
+    max_leaves=12)
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=150)
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 2, 3, 4)
+    if err:
+        one_json_error(err)
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_fuzz_enum_lls_constraints(value):
+    code, err = run_quiet("enum-lls", "--degree", "2", "--rank", "0", "--p",
+                          "2", "--budget", "1000", "--constraints",
+                          json.dumps(value))
+    assert_clean_exit(code, err)
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_fuzz_rho_alphas(value):
+    code, err = run_quiet("rho", "--genus", "0", "--rank", "1", "--degree",
+                          "2", "--alphas", json.dumps(value))
+    assert_clean_exit(code, err)

@@ -7,7 +7,8 @@ from lgseries.linalg import Subspace, enumerate_subspaces, kernel
 from lgseries.series import (EHPair, NodalModel, build_section_chain,
                              dual_probe, enumerate_limit_series, forgetful_map,
                              fr_image_report, is_crude, is_refined, lift_crude,
-                             reconstruct_refined, vanishing_sequence_dual)
+                             missing_crude_pairs, reconstruct_refined,
+                             vanishing_sequence_dual)
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -315,3 +316,94 @@ def test_vanishing_sequence_dual_matches_field_on_constants():
         vd = v.to_dual()
         assert vanishing_sequence_dual(vd) == \
             vanishing_sequence(v, 0).vanishing
+
+
+# --- echelon-cell counting against the listing of all aspect pairs ----------
+
+def test_node_orders_are_pivots():
+    # at y = 0 the ascending coefficients are the order filtration, so the
+    # vanishing sequence is the pivot pattern
+    from lgseries.ramification import vanishing_sequence
+
+    for p in (2, 3):
+        for d in range(1, 5):
+            for k in range(1, d + 2):
+                for v in enumerate_subspaces(d + 1, k, p):
+                    pair = EHPair.from_subspaces(v, v, d)
+                    orders = vanishing_sequence(v, 0).vanishing
+                    assert pair.a_y == pair.a_z == orders
+
+
+def test_node_orders_reject_zero_and_dual_aspects():
+    zero = Subspace.zero_space(GF2, 3)
+    with pytest.raises(ValueError):
+        EHPair.from_subspaces(zero, zero, 2)
+    vd = Subspace.from_rows(GF3, 3, [[0, 1, 0]]).to_dual()
+    with pytest.raises(ValueError):
+        EHPair.from_subspaces(vd, vd, 2)
+
+
+def listed_pairs(d, r, q):
+    """Keys of all crude and all refined aspect pairs, by listing every pair
+    of G(d+1, r+1, q) and reading the orders off vanishing_sequence."""
+    from lgseries.ramification import vanishing_sequence
+
+    aspects = [(v.key(), vanishing_sequence(v, 0).vanishing)
+               for v in enumerate_subspaces(d + 1, r + 1, q)]
+    crude, refined = set(), set()
+    for ky, a_y in aspects:
+        for kz, a_z in aspects:
+            sums = {a_y[i] + a_z[r - i] for i in range(r + 1)}
+            if min(sums) >= d:
+                crude.add((ky, kz))
+                if sums == {d}:
+                    refined.add((ky, kz))
+    return crude, refined
+
+
+def image_preimages(d, r, q):
+    """Preimage counts of the boundary aspect pairs of all linked points."""
+    preimages = {}
+    for pt in enumerate_points(NodalModel(d, q).chain(r + 1)):
+        key = (pt[0].key(), pt[d].key())
+        preimages[key] = preimages.get(key, 0) + 1
+    return preimages
+
+
+def listing_report(d, r, q):
+    """The fr-image report computed from the listing, as a dict."""
+    preimages = image_preimages(d, r, q)
+    crude, refined = listed_pairs(d, r, q)
+    image = set(preimages)
+
+    def as_list(keys):
+        return [list(map(list, k)) for k in sorted(keys)]
+
+    return {"schema_version": 1, "d": d, "r": r, "q": q,
+            "points": sum(preimages.values()), "image_size": len(image),
+            "crude_pairs": len(crude), "refined_pairs": len(refined),
+            "refined_points": sum(preimages.get(k, 0) for k in refined),
+            "equal": image == crude,
+            "fr_not_crude": as_list(image - crude),
+            "crude_not_fr": as_list(crude - image),
+            "preimage_counts": [[list(map(list, k)), cnt]
+                                for k, cnt in sorted(preimages.items())],
+            "refined_preimages_all_unique":
+                all(preimages.get(k, 0) == 1 for k in refined)}
+
+
+@pytest.mark.parametrize("d,r,q", [(2, 0, 3), (2, 1, 2), (3, 0, 2),
+                                   (3, 2, 2), (2, 1, 5)])
+def test_fr_image_report_matches_listing(d, r, q):
+    assert fr_image_report(d, r, q).as_dict() == listing_report(d, r, q)
+
+
+@pytest.mark.parametrize("d,r,q", [(2, 0, 3), (2, 1, 2)])
+def test_missing_crude_pairs_matches_listing(d, r, q):
+    image = set(image_preimages(d, r, q))
+    crude, _ = listed_pairs(d, r, q)
+    assert missing_crude_pairs(d, r, q, image) == []
+    dropped = sorted(crude)[len(crude) // 2]
+    partial = image - {dropped}
+    assert missing_crude_pairs(d, r, q, partial) == \
+        sorted(crude - partial) == [dropped]
