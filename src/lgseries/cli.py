@@ -194,11 +194,26 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+def _point_from_file(path: str, chain: chains.LinkedChain) -> chains.ChainPoint:
+    """A point read from JSON, checked against the chain before analysis:
+    each level over the chain's field and of its ambient dimension and rank,
+    and the point linked."""
+    with open(path) as fh:
+        pt = chains.ChainPoint.from_dict(json.load(fh))
+    for i, sp in enumerate(pt):
+        if sp.ring != chain.field:
+            raise ValueError("level %d is over %r, the chain over %r"
+                             % (i, sp.ring, chain.field))
+    if not chains.is_linked_point(chain, pt):
+        raise ValueError("the point is not linked: some f_i(V_i) is not in "
+                         "V_(i+1) or some g_i(V_(i+1)) is not in V_i")
+    return pt
+
+
 def cmd_tangent(args) -> int:
     chain = _chain_from_args(args)
     if args.point_file:
-        with open(args.point_file) as fh:
-            pt = chains.ChainPoint.from_dict(json.load(fh))
+        pt = _point_from_file(args.point_file, chain)
     else:
         pts = chains.enumerate_points(chain, budget=args.budget)
         pt = None

@@ -172,12 +172,6 @@ class Dual:
         inv0 = pow(self.a0, -1, self.p)
         return Dual(inv0, -inv0 * inv0 * self.a1, self.p)
 
-    def constant_part(self) -> Fp:
-        return Fp(self.a0, self.p)
-
-    def eps_part(self) -> Fp:
-        return Fp(self.a1, self.p)
-
 
 class PrimeField:
     """Ring descriptor for GF(p).  Calling it coerces ints/elements."""
@@ -206,9 +200,6 @@ class PrimeField:
 
     def one(self) -> Fp:
         return Fp(1, self.p)
-
-    def elements(self):
-        return (Fp(i, self.p) for i in range(self.p))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -254,9 +245,6 @@ class DualNumbers:
 
     def eps(self) -> Dual:
         return Dual(0, 1, self.p)
-
-    def field(self) -> PrimeField:
-        return PrimeField(self.p)
 
     def __eq__(self, other):
         return isinstance(other, DualNumbers) and other.p == self.p

@@ -18,15 +18,23 @@ the same way); floats, strings and bools raise ValueError.  Entry accessors
 return ints over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp``
 values still hold.  ``Matrix.det`` returns a ring element.  A field matrix
 never mixes ``Fp`` and int entries, because they hash differently and
-subspace hashing reads ``entries``.  Over the dual numbers the entries are
-``Dual`` elements and the element-based code runs; ``ring.dual`` picks the
-path.
+subspace hashing reads ``entries``.
 
-Over the dual numbers, echelonization pivots on unit entries only.  A matrix
-whose nonzero rows cannot all be led by a unit pivot in the standard column
-order is flagged (``unit_pivots=False``) rather than rejected; rank counts
-unit pivots.  Rank conditions that must hold on the whole ring (not just at
-the closed point) go through ``rank_everywhere_at_most``, which tests minors,
+Dual numbers.  Over R = GF(p)[eps]/(eps^2) the entries are ``Dual`` values,
+and a submodule M of R^d is decided through the GF(p)-subspace
+W = {(x0 | x1) : x0 + eps x1 in M} of GF(p)^(2d), which is stable under
+eps: (x0 | x1) -> (0 | x0).  The field RREF of W is unique and is read back
+as the canonical basis of M: rows led in the x0 block are the unit-pivot
+rows x0 + eps x1; rows (0 | t) led in the x1 block run over the RREF of
+T = {t : eps t in M}, and eps t is kept (as an eps-torsion row, after the
+unit-pivot rows) only when the pivot of t is not a unit pivot.  So equal
+modules have equal bases and hashes, and membership is membership in W.
+Rank counts unit pivots; ``unit_pivots`` is False when a torsion row is kept
+or a unit-pivot row has an eps entry left of its pivot.  Matrix products,
+sums, ``scale``, ``apply``, ``kernel``, ``solve`` and ``coords_in_rows``
+require field coefficients and raise ValueError over the dual numbers.  Rank
+conditions that must hold on the whole ring (not just at the closed point)
+go through ``rank_everywhere_at_most``, which tests minors over the ring,
 because echelon ranks are unreliable over a non-domain.
 """
 
@@ -74,12 +82,11 @@ def _entries(ring, xs) -> tuple:
     return tuple([x % p if type(x) is int else _residue(x, p) for x in xs])
 
 
-def _zero(ring):
-    return ring.zero() if ring.dual else 0
-
-
-def _one(ring):
-    return ring.one() if ring.dual else 1
+def _field_p(ring, what: str) -> int:
+    """p of a field ring; dual-number coefficients raise ValueError."""
+    if ring.dual:
+        raise ValueError("%s requires field coefficients" % what)
+    return ring.p
 
 
 def _require_dict(d, what: str) -> dict:
@@ -114,13 +121,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n: int) -> "Matrix":
-        one, zero = _one(ring), _zero(ring)
-        return cls(ring, n, n,
-                   tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls(ring, n, n, _entries(ring, [int(i == j) for i in range(n)
+                                               for j in range(n)]))
 
     @classmethod
     def zero(cls, ring, rows: int, cols: int) -> "Matrix":
-        return cls(ring, rows, cols, (_zero(ring),) * (rows * cols))
+        return cls(ring, rows, cols, _entries(ring, (0,) * (rows * cols)))
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -148,43 +154,30 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows or self.ring != other.ring:
             raise ValueError("shape/ring mismatch in matrix product")
+        p = _field_p(self.ring, "a matrix product")
         rows = self._rows()
         cols = [other.column(j) for j in range(other.cols)]
-        if self.ring.dual:
-            zero = self.ring.zero()
-            ents = tuple(sum(map(mul, r, c), zero) for r in rows for c in cols)
-        else:
-            p = self.ring.p
-            ents = tuple([sum(map(mul, r, c)) % p for r in rows for c in cols])
+        ents = tuple([sum(map(mul, r, c)) % p for r in rows for c in cols])
         return Matrix(self.ring, self.rows, other.cols, ents)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix sum")
-        if self.ring.dual:
-            ents = tuple(a + b for a, b in zip(self.entries, other.entries))
-        else:
-            p = self.ring.p
-            ents = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
+        p = _field_p(self.ring, "a matrix sum")
+        ents = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
         return Matrix(self.ring, self.rows, self.cols, ents)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix difference")
-        if self.ring.dual:
-            ents = tuple(a - b for a, b in zip(self.entries, other.entries))
-        else:
-            p = self.ring.p
-            ents = tuple((a - b) % p for a, b in zip(self.entries, other.entries))
+        p = _field_p(self.ring, "a matrix difference")
+        ents = tuple((a - b) % p for a, b in zip(self.entries, other.entries))
         return Matrix(self.ring, self.rows, self.cols, ents)
 
     def scale(self, c) -> "Matrix":
-        (c,) = _entries(self.ring, (c,))
-        if self.ring.dual:
-            ents = tuple(c * x for x in self.entries)
-        else:
-            p = self.ring.p
-            ents = tuple(c * x % p for x in self.entries)
+        p = _field_p(self.ring, "scaling a matrix")
+        c = _residue(c, p)
+        ents = tuple(c * x % p for x in self.entries)
         return Matrix(self.ring, self.rows, self.cols, ents)
 
     def apply(self, v: Sequence) -> tuple:
@@ -196,16 +189,11 @@ class Matrix:
 
     def _apply(self, v: Sequence) -> tuple:
         # v already holds entries of this ring
-        if self.ring.dual:
-            zero = self.ring.zero()
-            return tuple([sum(map(mul, r, v), zero) for r in self._rows()])
-        p = self.ring.p
+        p = _field_p(self.ring, "applying a matrix")
         return tuple([sum(map(mul, r, v)) % p for r in self._rows()])
 
     def is_zero(self) -> bool:
-        if self.ring.dual:
-            return all(x.is_zero() for x in self.entries)
-        return not any(self.entries)
+        return all(x == 0 for x in self.entries)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         ents = tuple(self.entry(i, j) for i in rows for j in cols)
@@ -215,8 +203,8 @@ class Matrix:
         """Determinant over the coefficient ring (works over dual numbers).
 
         Laplace expansion with bitmask memoisation; fine for the small sizes
-        this engine ever sees.  The result is a ring element (an ``Fp`` over
-        GF(p)).
+        this engine ever sees.  Over GF(p) the expansion runs on unreduced
+        ints.  The result is a ring element (an ``Fp`` over GF(p)).
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -224,7 +212,7 @@ class Matrix:
         n = self.rows
         # dp maps a frozen column mask to the determinant of the submatrix on
         # rows 0..k-1 and the columns in the mask (k = popcount of the mask).
-        dp = {0: _one(ring)}
+        dp = {0: 1}
         for k in range(n):
             ndp = {}
             for mask, val in dp.items():
@@ -243,11 +231,8 @@ class Matrix:
                         ndp[nm] = ndp[nm] + term
                     else:
                         ndp[nm] = term
-            if not ring.dual:
-                ndp = {m: x % ring.p for m, x in ndp.items()}
             dp = ndp
-        det = dp[(1 << n) - 1]
-        return det if ring.dual else ring(det)
+        return ring(dp[(1 << n) - 1])
 
     def to_dual(self) -> "Matrix":
         """Reinterpret a GF(p) matrix over GF(p)[eps]/(eps^2)."""
@@ -321,13 +306,12 @@ class Echelon(NamedTuple):
 
 
 def rref(m: Matrix) -> Echelon:
-    """Reduced row-echelon form with unit pivots, canonical over both rings.
+    """Reduced row-echelon form, canonical over both rings.
 
     Over a field this is the classical unique RREF.  Over the dual numbers
-    pivots are chosen among unit entries in leftmost column order; rows with
-    no unit entry (eps-torsion rows) are normalised separately and appended
-    after the pivot rows, and the result is flagged ``unit_pivots=False``
-    whenever some nonzero row's leading entry is not its unit pivot.
+    it is the RREF of the eps-stable GF(p)-subspace W read back as a module
+    basis (see the module docstring): unit-pivot rows first, then the
+    eps-torsion rows, so the form depends only on the module spanned.
     """
     if m.ring.dual:
         return _rref_dual(m)
@@ -365,57 +349,50 @@ def rref(m: Matrix) -> Echelon:
     return Echelon(Matrix(m.ring, rank, m.cols, flat), rank, tuple(pivots), True)
 
 
+def _eps_stable(m: Matrix) -> Matrix:
+    """GF(p) matrix whose row space is W for the row module M of a dual matrix.
+
+    Each row x0 + eps x1 contributes (x0 | x1) and its eps multiple (0 | x0).
+    """
+    zeros = [0] * m.cols
+    rows = []
+    for r in m._rows():
+        x0 = [x.a0 for x in r]
+        rows.append(x0 + [x.a1 for x in r])
+        rows.append(zeros + x0)
+    return Matrix(PrimeField(m.ring.p), 2 * m.rows, 2 * m.cols,
+                  tuple(chain.from_iterable(rows)))
+
+
 def _rref_dual(m: Matrix) -> Echelon:
-    ring = m.ring
-    work = [list(r) for r in m._rows()]
+    d, p = m.cols, m.ring.p
+    w = rref(_eps_stable(m))
+    rows = []
     pivots = []
-    pivot_rows = 0
-    for col in range(m.cols):
-        sel = None
-        for i in range(pivot_rows, len(work)):
-            if work[i][col].is_unit():
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[pivot_rows], work[sel] = work[sel], work[pivot_rows]
-        inv = work[pivot_rows][col].inverse()
-        work[pivot_rows] = [inv * x for x in work[pivot_rows]]
-        for i in range(len(work)):
-            if i != pivot_rows and not work[i][col].is_zero():
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[pivot_rows])]
-        pivots.append(col)
-        pivot_rows += 1
-    rank = pivot_rows
-    rows = work[:rank]
-    leftovers = [r for r in work[rank:] if not all(x.is_zero() for x in r)]
     unit_ok = True
-    if leftovers:
-        # Each leftover entry is a multiple of eps.  Canonicalise by
-        # echelonizing the eps-parts.
-        unit_ok = False
-        eps_rows = [[x.a1 for x in r] for r in leftovers]
-        sub = rref(Matrix.from_rows(PrimeField(ring.p), eps_rows))
-        for r in sub.matrix._rows():
-            rows.append([Dual(0, x, ring.p) for x in r])
-    for r, pc in zip(rows[:rank], pivots):
-        lead = next(j for j, x in enumerate(r) if not x.is_zero())
-        if lead != pc:
+    # field RREF lists every row led in the x0 block before the x1 block
+    for r, pc in zip(w.matrix._rows(), w.pivots):
+        if pc < d:
+            pivots.append(pc)
+            unit_ok = unit_ok and not any(r[d:d + pc])
+            rows.append([Dual(a, b, p) for a, b in zip(r[:d], r[d:])])
+        elif pc - d not in pivots:
             unit_ok = False
-            break
-    flat = tuple(chain.from_iterable(rows))
-    return Echelon(Matrix(ring, len(rows), m.cols, flat), rank, tuple(pivots), unit_ok)
+            rows.append([Dual(0, b, p) for b in r[d:]])
+    return Echelon(Matrix(m.ring, len(rows), d, tuple(chain.from_iterable(rows))),
+                   len(pivots), tuple(pivots), unit_ok)
 
 
 class Subspace:
     """A subspace of ring^d held by its canonical echelon basis.
 
     Two subspaces are equal iff their canonical bases agree entrywise.  Over
-    the dual numbers a Subspace tracks ``unit_pivots`` (the echelon form has
-    unit leading entries in standard column order) and exposes
-    ``is_free_cofree`` (basis rows stay independent after setting eps = 0),
-    which is the condition for being an honest rank-r sub-bundle.
+    the dual numbers the basis is the canonical form of the eps-stable
+    GF(p)-subspace W (module docstring), so two generating sets of one module
+    give equal, equally hashed Subspaces.  A dual Subspace tracks
+    ``unit_pivots`` (every basis row is led by its unit pivot) and exposes
+    ``is_free_cofree`` (no eps-torsion row: free with free quotient), which
+    is the condition for being an honest rank-r sub-bundle.
     """
 
     __slots__ = ("ring", "ambient_dim", "basis", "pivots", "unit_pivots")
@@ -465,11 +442,9 @@ class Subspace:
 
     @property
     def is_free_cofree(self) -> bool:
-        """Basis rows stay independent mod eps (trivially true over a field)."""
-        if not self.ring.dual:
-            return True
-        red = rref(self.basis.mod_eps())
-        return red.rank == self.basis.rows
+        """No eps-torsion basis row, i.e. every row has a unit pivot (always
+        true over a field)."""
+        return self.dim == len(self.pivots)
 
     def basis_rows(self) -> list:
         return self.basis._rows()
@@ -477,15 +452,16 @@ class Subspace:
     def contains_vector(self, v: Sequence) -> bool:
         """Membership test by reduction against the canonical basis.
 
-        Coefficients are forced by the pivot coordinates (pivot columns are
-        cleared in every other basis row), so the reduction is sound over
-        both coefficient rings.
+        Over a field the coefficients are forced by the pivot coordinates
+        (pivot columns are cleared in every other basis row).  Over the dual
+        numbers v0 + eps v1 lies in the module iff (v0 | v1) lies in W.
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         v = _entries(self.ring, v)
         if self.ring.dual:
-            return self._contains_dual(v)
+            w = Subspace.from_matrix(_eps_stable(self.basis))
+            return w.contains_vector([x.a0 for x in v] + [x.a1 for x in v])
         # pivot coordinates of v are never touched by the other basis rows,
         # so reduction mod p can wait until the end
         for row, pc in zip(self.basis._rows(), self.pivots):
@@ -494,24 +470,6 @@ class Subspace:
                 v = [a - c * b for a, b in zip(v, row)]
         p = self.ring.p
         return not any(x % p for x in v)
-
-    def _contains_dual(self, v: Sequence) -> bool:
-        rows = self.basis._rows()
-        for row, pc in zip(rows, self.pivots):
-            c = v[pc]
-            if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, row)]
-        # reduce any eps-torsion remainder against the torsion rows
-        for row in rows[len(self.pivots):]:
-            lead = next(j for j, x in enumerate(row) if not x.is_zero())
-            c = v[lead]
-            if c.is_zero():
-                continue
-            if c.a0 != 0:
-                return False  # a torsion row can only cancel eps-multiples
-            coeff = Dual(c.a1 * pow(row[lead].a1, -1, self.ring.p), 0, self.ring.p)
-            v = [a - coeff * b for a, b in zip(v, row)]
-        return all(x.is_zero() for x in v)
 
     def contains(self, other: "Subspace") -> bool:
         """True when ``other`` is a subspace of ``self``."""
@@ -551,9 +509,6 @@ class Subspace:
         return Subspace.from_matrix(self.basis.to_dual())
 
     def key(self) -> tuple:
-        if self.ring.dual:
-            return (self.ambient_dim,) + tuple((x.a0, x.a1)
-                                               for x in self.basis.entries)
         return (self.ambient_dim,) + self.basis.entries
 
     def __eq__(self, other):
@@ -597,9 +552,7 @@ def _check_ambient(u: Subspace, w: Subspace) -> None:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical Subspace (field coefficients)."""
-    if m.ring.dual:
-        raise ValueError("kernel computation requires field coefficients")
-    p = m.ring.p
+    p = _field_p(m.ring, "kernel computation")
     ech = rref(m)
     pivots = set(ech.pivots)
     rows = []
@@ -652,8 +605,7 @@ def contains(u: Subspace, w: Subspace) -> bool:
 
 def solve(m: Matrix, v: Sequence):
     """One solution x of m x = v over a field, or None if inconsistent."""
-    if m.ring.dual:
-        raise ValueError("solve requires field coefficients")
+    _field_p(m.ring, "solve")
     if len(v) != m.rows:
         raise ValueError("right-hand side length %d does not match rows %d"
                          % (len(v), m.rows))
@@ -677,8 +629,7 @@ def _solve_augmented(ring, rows: int, cols: int, aug) -> Optional[tuple]:
 
 def coords_in_rows(rows: Sequence[Sequence], v: Sequence, ring):
     """Coefficients expressing v as a combination of the given rows, or None."""
-    if ring.dual:
-        raise ValueError("coordinates require field coefficients")
+    _field_p(ring, "coords_in_rows")
     if not rows:
         return () if not any(_entries(ring, v)) else None
     m = Matrix.from_rows(ring, rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .chains import ChainPoint, LinkedChain, enumerate_points
-from .fields import DualNumbers, PrimeField
+from .fields import Dual, DualNumbers, PrimeField
 from .linalg import (Matrix, Subspace, apply_map, enumerate_subspaces,
                      intersect, pivot_patterns, preimage,
                      rank_everywhere_at_most, subspace_count_by_pivots)
@@ -599,6 +599,13 @@ class DualProbeReport:
                     self.first_order_sum >= self.d - 1}
 
 
+def _apply_to_dual(m: Matrix, v: Sequence) -> tuple:
+    """A GF(p) map on a dual vector: m(x0 + eps x1) = m x0 + eps m x1."""
+    y0 = m.apply([x.a0 for x in v])
+    y1 = m.apply([x.a1 for x in v])
+    return tuple(Dual(a, b, m.ring.p) for a, b in zip(y0, y1))
+
+
 def dual_probe(p: int) -> DualProbeReport:
     """The first-order probe point: degree 2, rank 0, sections
     (y^2 + eps*y, 0), (y + eps, eps), (eps, z + eps) over GF(p)[eps].
@@ -617,13 +624,12 @@ def dual_probe(p: int) -> DualProbeReport:
     spaces = [v0, v1, v2]
     linked = True
     for i in range(2):
-        fdual = model.forward_matrix(i).to_dual()
-        gdual = model.backward_matrix(i).to_dual()
+        f, g = model.forward_matrix(i), model.backward_matrix(i)
         for row in spaces[i].basis_rows():
-            if not spaces[i + 1].contains_vector(fdual.apply(row)):
+            if not spaces[i + 1].contains_vector(_apply_to_dual(f, row)):
                 linked = False
         for row in spaces[i + 1].basis_rows():
-            if not spaces[i].contains_vector(gdual.apply(row)):
+            if not spaces[i].contains_vector(_apply_to_dual(g, row)):
                 linked = False
     a_y = vanishing_sequence_dual(v0)        # level-0 coords = y-coefficients
     a_z = vanishing_sequence_dual(v2)        # level-d coords = z-coefficients

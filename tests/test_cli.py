@@ -195,6 +195,34 @@ def test_tangent_command_point_file(capsys, tmp_path):
     assert not rep["signature"]["exact"]
 
 
+def test_tangent_point_file_rejects_dual_ring(capsys, tmp_path):
+    level = {"ring": {"p": 2, "dual": True}, "ambient_dim": 2, "rank": 1,
+             "basis": [[[0, 0], [1, 0]]]}
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps({"spaces": [level, level]}))
+    code, out, err = run(capsys, "tangent", "--kind", "standard", "--n", "2",
+                         "--dim", "2", "--d1", "1", "--rank", "1", "--p", "2",
+                         "--budget", "1000", "--point-file", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "error" in json.loads(err)
+
+
+def test_tangent_point_file_rejects_unlinked_point(capsys, tmp_path):
+    # V_0 = <(1, 0)>, V_1 = <(1, 1)>: f_0(V_0) = <(1, 0)> is not in V_1
+    ring = {"p": 2, "dual": False}
+    point = {"spaces": [
+        {"ring": ring, "ambient_dim": 2, "rank": 1, "basis": [[1, 0]]},
+        {"ring": ring, "ambient_dim": 2, "rank": 1, "basis": [[1, 1]]},
+    ]}
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps(point))
+    code, out, err = run(capsys, "tangent", "--kind", "standard", "--n", "2",
+                         "--dim", "2", "--d1", "1", "--rank", "1", "--p", "2",
+                         "--budget", "1000", "--point-file", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "not linked" in json.loads(err)["error"]
+
+
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"genus": 0, "rank": 1, "degree": 2}))

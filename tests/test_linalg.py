@@ -426,3 +426,77 @@ def test_entries_are_ints_and_boundary_rejects_non_integers():
                           "cols": 2, "entries": [1, 0.5]})
     assert m.det() == Fp(3 * 0 - 2 * 4, 5)
     assert isinstance(m.det(), Fp)
+
+
+# --- dual-number modules as eps-stable GF(p)-subspaces -----------------------
+
+def test_dual_canonical_form_depends_only_on_module():
+    # span{(1, 0), (0, eps)} from two generating sets
+    D = DualNumbers(3)
+    eps = D.eps()
+    a = Subspace.from_rows(D, 2, [[1, eps], [0, eps]])
+    b = Subspace.from_rows(D, 2, [[1, 0], [0, eps]])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.basis.row_list() == [[D(1), D(0)], [D(0), eps]]
+    assert (a.pivots, a.unit_pivots, a.is_free_cofree) == ((0,), False, False)
+
+
+def module_elements(ring, d, rows):
+    """Every R-combination of the rows, R = GF(p)[eps]/(eps^2), listed."""
+    scalars = [ring(a0, a1) for a0 in range(ring.p) for a1 in range(ring.p)]
+    return {tuple(sum((c * r[j] for c, r in zip(cs, rows)), ring.zero())
+                  for j in range(d))
+            for cs in itertools.product(scalars, repeat=len(rows))}
+
+
+@st.composite
+def dual_module_pairs(draw):
+    """(ring, d, rows_a, rows_b, v) over GF(p)[eps]/(eps^2), p in {2, 3}.
+
+    Half the time rows_b are R-combinations of rows_a, so that different
+    generating sets of one module come up often.
+    """
+    ring = DualNumbers(draw(st.sampled_from((2, 3))))
+    d = draw(st.integers(1, 4))
+    elt = st.builds(ring, st.integers(0, ring.p - 1),
+                    st.integers(0, ring.p - 1))
+    vec = st.lists(elt, min_size=d, max_size=d)
+    rows_a = draw(st.lists(vec, max_size=3))
+    if rows_a and draw(st.booleans()):
+        coeffs = draw(st.lists(st.lists(elt, min_size=len(rows_a),
+                                        max_size=len(rows_a)),
+                               min_size=1, max_size=3))
+        rows_b = [[sum((c * r[j] for c, r in zip(cs, rows_a)), ring.zero())
+                   for j in range(d)] for cs in coeffs]
+    else:
+        rows_b = draw(st.lists(vec, max_size=3))
+    return ring, d, rows_a, rows_b, draw(vec)
+
+
+@PROPERTY
+@given(dual_module_pairs())
+def test_dual_subspaces_compare_as_modules(case):
+    ring, d, rows_a, rows_b, v = case
+    a = Subspace.from_rows(ring, d, rows_a)
+    b = Subspace.from_rows(ring, d, rows_b)
+    elements_a = module_elements(ring, d, rows_a)
+    same = elements_a == module_elements(ring, d, rows_b)
+    assert (a == b) == same == (a.contains(b) and b.contains(a))
+    if same:
+        assert hash(a) == hash(b)
+    inside = tuple(v) in elements_a
+    assert a.contains_vector(v) == inside
+    assert (Subspace.from_rows(ring, d, rows_a + [v]) == a) == inside
+    again = rref(a.basis)
+    assert (again.matrix, again.pivots, again.unit_pivots) == \
+        (a.basis, a.pivots, a.unit_pivots)
+
+
+def test_dual_matrix_arithmetic_is_field_only():
+    D = DualNumbers(3)
+    m = mat(D, [[D(1, 2), D(0, 1)], [D(2, 0), D(1, 1)]])
+    for op in (lambda: m * m, lambda: m + m, lambda: m - m,
+               lambda: m.scale(2), lambda: m.apply([1, 0])):
+        with pytest.raises(ValueError, match="field coefficients"):
+            op()
