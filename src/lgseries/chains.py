@@ -17,15 +17,19 @@ from typing import Iterator, Optional, Sequence
 
 from .fields import Fp, PrimeField
 from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
-                     contains, coords_in_rows, enumerate_between,
-                     enumerate_subspaces, image, intersect, kernel,
-                     pivot_patterns, preimage, rref)
+                     contains, enumerate_between, enumerate_subspaces, image,
+                     intersect, kernel, pivot_patterns, preimage, rref)
 
 
 class LinkedChain:
-    """The chain datum; levels are 0-based (spaces 0..n-1, maps 0..n-2)."""
+    """The chain datum; levels are 0-based (spaces 0..n-1, maps 0..n-2).
 
-    __slots__ = ("field", "n", "d", "r", "fs", "gs", "s")
+    ``_kernels`` caches (ker f_i, ker g_i) per step once computed; it takes
+    no part in equality or hashing, and ``truncate``/``reverse`` start with
+    an empty cache.
+    """
+
+    __slots__ = ("field", "n", "d", "r", "fs", "gs", "s", "_kernels")
 
     def __init__(self, field_: PrimeField, n: int, d: int, r: int,
                  fs: Sequence[Matrix], gs: Sequence[Matrix], s: Fp):
@@ -47,10 +51,22 @@ class LinkedChain:
         self.fs = tuple(fs)
         self.gs = tuple(gs)
         self.s = field_(s)
+        self._kernels = None
 
     @property
     def p(self) -> int:
         return self.field.p
+
+    def _step_kernels(self) -> tuple:
+        """(ker f_i, ker g_i) for every step, computed on first use.
+
+        Concurrent first calls may both compute the kernels; they store equal
+        values, so the race is harmless.
+        """
+        if self._kernels is None:
+            self._kernels = tuple((kernel(f), kernel(g))
+                                  for f, g in zip(self.fs, self.gs))
+        return self._kernels
 
     def truncate(self, n_prime: int) -> "LinkedChain":
         if not 1 <= n_prime <= self.n:
@@ -344,34 +360,52 @@ def _extend_levels(chain: LinkedChain, prefix: list, counter: _Budget,
 def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
     """Per-step ranks of f and g restricted to the point, plus exactness.
 
-    When s = 0 the containment definition of exactness must agree with the
-    rank law (sum of the two step ranks equals r); both are computed and a
-    disagreement raises, since it would indicate a corrupted chain.
+    The 2(n-1) step images f_i(V_i) and g_i(V_{i+1}) are computed once: the
+    ranks are their dimensions, and exactness is decided from the same images
+    by the helper ``is_exact`` uses, with the chain's cached kernels.  When
+    s = 0 the containment definition of exactness must agree with the rank
+    law (sum of the two step ranks equals r); a disagreement raises
+    RuntimeError, since it would indicate a corrupted chain or an unlinked
+    point.
     """
     _check_point_shape(chain, pt)
-    f_ranks = []
-    g_ranks = []
-    for i in range(chain.n - 1):
-        f_ranks.append(apply_map(chain.fs[i], pt[i]).dim)
-        g_ranks.append(apply_map(chain.gs[i], pt[i + 1]).dim)
-    exact = is_exact(chain, pt)
+    f_imgs, g_imgs = _step_images(chain, pt)
+    f_ranks = tuple(im.dim for im in f_imgs)
+    g_ranks = tuple(im.dim for im in g_imgs)
+    exact = _exact_from_images(chain, pt, f_imgs, g_imgs)
     if chain.s.is_zero():
         by_ranks = all(rf + rg == chain.r for rf, rg in zip(f_ranks, g_ranks))
         if by_ranks != exact:
             raise RuntimeError(
                 "exactness rank law violated; the chain is not linked-valid")
-    return SignatureReport(tuple(f_ranks), tuple(g_ranks), exact)
+    return SignatureReport(f_ranks, g_ranks, exact)
 
 
 def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
-    """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1})."""
+    """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}).
+
+    Computes the step images and decides with the helper ``signature`` uses;
+    ker f_i and ker g_i come from the chain's cache.
+    """
     _check_point_shape(chain, pt)
-    for i in range(chain.n - 1):
-        ker_g_restr = intersect(pt[i + 1], kernel(chain.gs[i]))
-        if not contains(apply_map(chain.fs[i], pt[i]), ker_g_restr):
+    return _exact_from_images(chain, pt, *_step_images(chain, pt))
+
+
+def _step_images(chain: LinkedChain, pt: ChainPoint) -> tuple:
+    """(f_i(V_i) per step, g_i(V_{i+1}) per step)."""
+    steps = range(chain.n - 1)
+    return (tuple(apply_map(chain.fs[i], pt[i]) for i in steps),
+            tuple(apply_map(chain.gs[i], pt[i + 1]) for i in steps))
+
+
+def _exact_from_images(chain: LinkedChain, pt: ChainPoint,
+                       f_imgs: Sequence[Subspace],
+                       g_imgs: Sequence[Subspace]) -> bool:
+    """Exactness at every step, given the step images of the point."""
+    for i, (ker_f, ker_g) in enumerate(chain._step_kernels()):
+        if not contains(f_imgs[i], intersect(pt[i + 1], ker_g)):
             return False
-        ker_f_restr = intersect(pt[i], kernel(chain.fs[i]))
-        if not contains(apply_map(chain.gs[i], pt[i + 1]), ker_f_restr):
+        if not contains(g_imgs[i], intersect(pt[i], ker_f)):
             return False
     return True
 
@@ -384,14 +418,27 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
     complement coordinates; each step contributes the linearised linkage
     conditions.  The answer does not depend on the complement choice, which
     can be exercised by passing explicit complements.
+
+    Method: each level's frame M_i (the basis of V_i over its complement
+    rows) is inverted by one RREF of [M_i | I], for the default coordinate
+    complement and a supplied one alike; the frame coordinates of any vector
+    v are then v M_i^-1, the first r of them in V_i and the rest in the
+    quotient.  Per step and direction, the source frame pushed through the
+    map and read in the target frame gives, on the basis rows, the target
+    basis coordinates of each image f_i(b) or g_i(b), and on the complement
+    rows, the carried complement in quotient coordinates.  Checks: a
+    complement of the wrong shape or ring, or whose frame is singular,
+    raises ValueError ("does not complement"), before any linkage check; a
+    source basis vector whose image has a nonzero quotient part raises
+    ValueError (non-linked point).
     """
     _check_point_shape(chain, pt)
-    if not is_linked_point(chain, pt):
-        raise ValueError("tangent space requested at a non-linked point")
     field_ = chain.field
     p = field_.p
     d, r, n = chain.d, chain.r, chain.n
-    comp_rows = []
+    unit = [(0,) * k + (1,) + (0,) * (d - 1 - k) for k in range(d)]
+    frames = []
+    inverses = []
     for i, sp in enumerate(pt):
         if complements is not None:
             comp = complements[i]
@@ -399,20 +446,18 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
                 raise ValueError("complement %d must be %dx%d" % (i, d - r, d))
             if comp.ring != field_:
                 raise ValueError("complement %d must live over %r" % (i, field_))
-            rows = comp.row_list()
+            rows = [comp.row(k) for k in range(comp.rows)]
         else:
             pset = set(sp.pivots)
-            rows = [[int(j == c) for j in range(d)]
+            rows = [tuple(int(j == c) for j in range(d))
                     for c in range(d) if c not in pset]
-        full = Matrix.from_rows(field_, sp.basis_rows() + rows)
-        if rref(full).rank != d:
+        frame = sp.basis_rows() + rows
+        ech = rref(Matrix.from_rows(field_,
+                                    [row + e for row, e in zip(frame, unit)]))
+        if ech.pivots != tuple(range(d)):
             raise ValueError("supplied complement does not complement V_%d" % i)
-        comp_rows.append(rows)
-
-    def quotient_coords(level: int, vec) -> tuple:
-        coords = coords_in_rows(pt[level].basis_rows() + comp_rows[level],
-                                vec, field_)
-        return coords[r:]
+        frames.append(Matrix.from_rows(field_, frame))
+        inverses.append(ech.matrix.submatrix(range(d), range(d, 2 * d)))
 
     nunk = n * r * (d - r)
     if nunk == 0:
@@ -423,21 +468,19 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
         return (level * r + a) * (d - r) + c
 
     for i in range(n - 1):
-        for direction, mat, src, dst in (("f", chain.fs[i], i, i + 1),
-                                         ("g", chain.gs[i], i + 1, i)):
-            # the complement rows pushed through the map, in quotient
-            # coordinates; the same for every basis vector of the source
-            carried_q = [quotient_coords(dst, mat.apply(comp_rows[src][c]))
-                         for c in range(d - r)]
-            for a, bvec in enumerate(pt[src].basis_rows()):
-                img = mat.apply(bvec)
-                lam = coords_in_rows(pt[dst].basis_rows(), img, field_)
-                if lam is None:
-                    raise RuntimeError("linked point failed coordinate solve")
+        for mat, src, dst in ((chain.fs[i], i, i + 1), (chain.gs[i], i + 1, i)):
+            # row k: the coordinates of mat(row k of the source frame) in
+            # the target frame; rows 0..r-1 image the basis, the rest carry
+            # the complement
+            coords = frames[src] * mat.transpose() * inverses[dst]
+            if not coords.submatrix(range(r), range(r, d)).is_zero():
+                raise ValueError("tangent space requested at a non-linked point")
+            for a in range(r):
+                lam = coords.row(a)[:r]
                 for out_c in range(d - r):
                     row = [0] * nunk
                     for c in range(d - r):
-                        row[unknown(src, a, c)] += carried_q[c][out_c]
+                        row[unknown(src, a, c)] += coords.entry(r + c, r + out_c)
                     for k in range(r):
                         row[unknown(dst, k, out_c)] -= lam[k]
                     eqs.append([x % p for x in row])
@@ -661,6 +704,7 @@ def census(chain: LinkedChain, q: Optional[int] = None,
     counter = _Budget(budget)
     patterns = list(pivot_patterns(chain.d, chain.r))
     edges = set()
+    chain._step_kernels()  # fill the cache before partitions share the chain
 
     def run_partition(pat) -> CensusReport:
         part = CensusReport(chain.as_dict(), chain.p)

@@ -534,15 +534,19 @@ class Subspace:
     def from_dict(cls, d: dict) -> "Subspace":
         d = _require_dict(d, "a subspace")
         ring = ring_from_dict(_require_dict(d["ring"], "a subspace ring"))
-        ambient, basis = d["ambient_dim"], d["basis"]
+        ambient, rank, basis = d["ambient_dim"], d["rank"], d["basis"]
         if type(ambient) is not int or ambient < 0:
             raise ValueError("subspace ambient_dim must be a nonnegative integer")
         if not isinstance(basis, list) or \
                 not all(isinstance(row, list) for row in basis):
             raise ValueError("subspace basis must be a JSON list of rows")
-        return cls.from_rows(ring, ambient,
-                             [[_entry_from_json(ring, e) for e in row]
-                              for row in basis])
+        sp = cls.from_rows(ring, ambient,
+                           [[_entry_from_json(ring, e) for e in row]
+                            for row in basis])
+        if type(rank) is not int or rank != sp.dim:
+            raise ValueError("subspace rank %r does not match the dimension %d "
+                             "of its basis" % (rank, sp.dim))
+        return sp
 
 
 def _check_ambient(u: Subspace, w: Subspace) -> None:

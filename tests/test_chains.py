@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
@@ -5,9 +7,10 @@ from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
                              expected_component_count_n2, extend_truncation,
                              is_exact, is_linked_point, make_standard_chain,
                              signature, tangent_dimension, validate_chain)
-from lgseries.fields import PrimeField
+from lgseries.fields import Dual, DualNumbers, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace,
                              gaussian_binomial, rref)
+from lgseries.series import build_section_chain
 
 GF2 = PrimeField(2)
 
@@ -215,6 +218,82 @@ def test_tangent_complement_independence_random():
             tangent_dimension(chain, pt)
 
 
+def _first_order_lifts(sp, p):
+    """Every free lift span{b_a + eps x_a} of sp over GF(p)[eps], listed
+    once: dual Subspaces are canonical, so the set removes duplicates."""
+    D = DualNumbers(p)
+    basis = sp.basis_rows()
+    d = sp.ambient_dim
+    lifts = set()
+    for xs in itertools.product(range(p), repeat=len(basis) * d):
+        rows = [[D(b[j], xs[a * d + j]) for j in range(d)]
+                for a, b in enumerate(basis)]
+        lifts.add(Subspace.from_rows(D, d, rows))
+    return lifts
+
+
+def _ring_maps_into(mat, src, dst, p):
+    """mat(src) <= dst over GF(p)[eps], mat applied to both eps-parts."""
+    for row in src.basis_rows():
+        lo = mat.apply([x.a0 for x in row])
+        hi = mat.apply([x.a1 for x in row])
+        if not dst.contains_vector([Dual(a, b, p) for a, b in zip(lo, hi)]):
+            return False
+    return True
+
+
+def _count_linked_lifts(chain, pt):
+    """The GF(p)[eps]-points of the linked chain lying over pt, by listing
+    the lifts level by level and keeping the tuples linked over the ring."""
+    p = chain.p
+    lifts = [_first_order_lifts(sp, p) for sp in pt]
+
+    def extend(level, prev):
+        if level == chain.n:
+            return 1
+        total = 0
+        for w in lifts[level]:
+            if prev is None or (
+                    _ring_maps_into(chain.fs[level - 1], prev, w, p)
+                    and _ring_maps_into(chain.gs[level - 1], w, prev, p)):
+                total += extend(level + 1, w)
+        return total
+
+    return extend(0, None)
+
+
+@pytest.mark.parametrize("case", [
+    (2, 3, 1, 0, 2, 1), (3, 3, 1, 0, 2, 1), (2, 4, 2, 0, 2, 2),
+    (2, 3, 1, 0, 3, 1), (2, 3, 1, 1, 2, 1), "section(2, 2, 2)"])
+def test_tangent_dimension_counts_first_order_points(case):
+    if case == "section(2, 2, 2)":
+        chain = build_section_chain(2, 2, 2)
+    else:
+        chain = make_standard_chain(*case)
+    pts = list(enumerate_points(chain))
+    if case == (2, 4, 2, 0, 2, 2):
+        pts = pts[::7]  # 15 of 105 points keeps the listing fast
+    for pt in pts:
+        assert _count_linked_lifts(chain, pt) == \
+            chain.p ** tangent_dimension(chain, pt)
+
+
+def test_tangent_rejects_point_unlinked_in_one_direction():
+    # f projects onto e1, e2 and g onto e3, e4
+    c = make_standard_chain(2, 4, 2, 0, 2, r=1)
+
+    def line(v):
+        return Subspace.from_rows(GF2, 4, [v])
+
+    e1, e2, e3, e4 = ([int(i == k) for i in range(4)] for k in range(4))
+    only_f = ChainPoint([line(e1), line(e2)])  # f(V_0) not in V_1, g(V_1) = 0
+    only_g = ChainPoint([line(e3), line(e4)])  # f(V_0) = 0, g(V_1) not in V_0
+    for pt in (only_f, only_g):
+        assert not is_linked_point(c, pt)
+        with pytest.raises(ValueError, match="non-linked"):
+            tangent_dimension(c, pt)
+
+
 def test_decompose_cross_node():
     c = cross_chain()
     rep = decompose(c, cross_node(), 1)
@@ -410,6 +489,18 @@ def test_truncate_and_reverse():
     rev = c.reverse()
     assert rev.fs == tuple(reversed(c.gs))
     assert validate_chain(rev).ok
+
+
+def test_kernel_cache_leaves_chain_identity():
+    c = make_standard_chain(3, 3, 1, 0, 2, r=1)
+    fresh = make_standard_chain(3, 3, 1, 0, 2, r=1)
+    census(c)  # fills the cache of step kernels
+    assert c == fresh and hash(c) == hash(fresh)
+    assert c.truncate(2) == fresh.truncate(2)
+    assert c.reverse() == fresh.reverse()
+    assert c.truncate(2)._step_kernels() == c._step_kernels()[:1]
+    assert c.reverse()._step_kernels() == \
+        tuple((kg, kf) for kf, kg in reversed(c._step_kernels()))
 
 
 def test_chain_serialization_roundtrip():

@@ -223,6 +223,19 @@ def test_tangent_point_file_rejects_unlinked_point(capsys, tmp_path):
     assert err.count("\n") == 1 and "not linked" in json.loads(err)["error"]
 
 
+def test_tangent_point_file_rejects_wrong_stated_rank(capsys, tmp_path):
+    # each level's basis spans a line, but the file states rank 7
+    level = {"ring": {"p": 2, "dual": False}, "ambient_dim": 2, "rank": 7,
+             "basis": [[0, 1]]}
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps({"spaces": [level, level]}))
+    code, out, err = run(capsys, "tangent", "--kind", "standard", "--n", "2",
+                         "--dim", "2", "--d1", "1", "--rank", "1", "--p", "2",
+                         "--budget", "1000", "--point-file", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "rank" in json.loads(err)["error"]
+
+
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"genus": 0, "rank": 1, "degree": 2}))

@@ -296,6 +296,18 @@ def test_serialization_roundtrip():
     assert Matrix.from_dict(md.as_dict()) == md
 
 
+def test_subspace_from_dict_checks_rank():
+    u = Subspace.from_rows(GF5, 3, [[1, 2, 0], [2, 4, 0]])  # rank 1
+    good = u.as_dict()
+    assert good["rank"] == 1 and Subspace.from_dict(good) == u
+    zero = {"ring": {"p": 5, "dual": False}, "ambient_dim": 2, "rank": 0,
+            "basis": [[0, 0]]}
+    assert Subspace.from_dict(zero) == Subspace.zero_space(GF5, 2)
+    for bad in (2, 0, 7, -1, "1", 1.0, True, None, [1]):
+        with pytest.raises(ValueError):
+            Subspace.from_dict(dict(good, rank=bad))
+
+
 # --- property tests of the integer GF(p) core -------------------------------
 
 PRIMES = (2, 3, 5, 7)
