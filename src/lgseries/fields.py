@@ -121,18 +121,6 @@ class Dual:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Dual(self.a0 - o.a0, self.a1 - o.a1, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Dual(o.a0 - self.a0, o.a1 - self.a1, self.p)
-
     def __mul__(self, other):
         # (a0 + a1 eps)(b0 + b1 eps) = a0 b0 + (a0 b1 + a1 b0) eps
         o = self._coerce(other)
@@ -141,9 +129,6 @@ class Dual:
         return Dual(self.a0 * o.a0, self.a0 * o.a1 + self.a1 * o.a0, self.p)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Dual(-self.a0, -self.a1, self.p)
 
     def __eq__(self, other):
         if isinstance(other, Dual):
@@ -157,12 +142,6 @@ class Dual:
 
     def __repr__(self):
         return "Dual(%d, %d, %d)" % (self.a0, self.a1, self.p)
-
-    def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0
-
-    def is_unit(self) -> bool:
-        return self.a0 != 0
 
     def inverse(self) -> "Dual":
         """(a0 + a1 eps)^-1 = a0^-1 - a0^-2 a1 eps."""
@@ -180,10 +159,11 @@ class PrimeField:
     dual = False
 
     def __init__(self, p: int):
+        # the size cap first: trial division of a huge modulus never ends
+        if isinstance(p, int) and p >= MAX_MODULUS:
+            raise ValueError("modulus must be < 2^31, got %d" % p)
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError("modulus must be a prime integer, got %r" % (p,))
-        if p >= MAX_MODULUS:
-            raise ValueError("modulus must be < 2^31, got %d" % p)
         self.p = p
 
     def __call__(self, v) -> Fp:

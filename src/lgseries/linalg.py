@@ -16,7 +16,7 @@ accept ints, or ``Fp`` of the same p, and reduce them (vectors passed to
 the same way); floats, strings and bools raise ValueError.  Entry accessors
 (``entry``, ``row``, ``row_list``, ``basis_rows``, ``apply``, ``solve``)
 return ints over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp``
-values still hold.  ``Matrix.det`` returns a ring element.  A field matrix
+values still hold.  ``Matrix.det`` returns an ``Fp``.  A field matrix
 never mixes ``Fp`` and int entries, because they hash differently and
 subspace hashing reads ``entries``.
 
@@ -31,11 +31,13 @@ unit-pivot rows) only when the pivot of t is not a unit pivot.  So equal
 modules have equal bases and hashes, and membership is membership in W.
 Rank counts unit pivots; ``unit_pivots`` is False when a torsion row is kept
 or a unit-pivot row has an eps entry left of its pivot.  Matrix products,
-sums, ``scale``, ``apply``, ``kernel``, ``solve`` and ``coords_in_rows``
-require field coefficients and raise ValueError over the dual numbers.  Rank
-conditions that must hold on the whole ring (not just at the closed point)
-go through ``rank_everywhere_at_most``, which tests minors over the ring,
-because echelon ranks are unreliable over a non-domain.
+sums, ``scale``, ``apply``, ``det``, ``kernel``, ``solve`` and
+``coords_in_rows`` require field coefficients and raise ValueError over the
+dual numbers.  Rank conditions that must hold on the whole ring (not just at
+the closed point) go through ``rank_everywhere_at_most``, which splits a
+dual matrix as A0 + eps A1 and decides the bound from the GF(p) rank of A0
+and, at the boundary rank, from whether A1 maps ker A0 into im A0.  No
+routine does arithmetic on ``Dual`` elements.
 """
 
 from __future__ import annotations
@@ -161,15 +163,15 @@ class Matrix:
         return Matrix(self.ring, self.rows, other.cols, ents)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix sum")
+        if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
+            raise ValueError("shape/ring mismatch in matrix sum")
         p = _field_p(self.ring, "a matrix sum")
         ents = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
         return Matrix(self.ring, self.rows, self.cols, ents)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix difference")
+        if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
+            raise ValueError("shape/ring mismatch in matrix difference")
         p = _field_p(self.ring, "a matrix difference")
         ents = tuple((a - b) % p for a, b in zip(self.entries, other.entries))
         return Matrix(self.ring, self.rows, self.cols, ents)
@@ -200,15 +202,14 @@ class Matrix:
         return Matrix(self.ring, len(rows), len(cols), ents)
 
     def det(self):
-        """Determinant over the coefficient ring (works over dual numbers).
+        """Determinant over GF(p), as an ``Fp``.
 
-        Laplace expansion with bitmask memoisation; fine for the small sizes
-        this engine ever sees.  Over GF(p) the expansion runs on unreduced
-        ints.  The result is a ring element (an ``Fp`` over GF(p)).
+        Laplace expansion with bitmask memoisation on unreduced ints; fine
+        for the small sizes this engine ever sees.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        ring = self.ring
+        p = _field_p(self.ring, "a determinant")
         n = self.rows
         # dp maps a frozen column mask to the determinant of the submatrix on
         # rows 0..k-1 and the columns in the mask (k = popcount of the mask).
@@ -227,12 +228,9 @@ class Matrix:
                     if (k + used_before) % 2 == 1:
                         term = -term
                     nm = mask | bit
-                    if nm in ndp:
-                        ndp[nm] = ndp[nm] + term
-                    else:
-                        ndp[nm] = term
+                    ndp[nm] = ndp.get(nm, 0) + term
             dp = ndp
-        return ring(dp[(1 << n) - 1])
+        return Fp(dp[(1 << n) - 1], p)
 
     def to_dual(self) -> "Matrix":
         """Reinterpret a GF(p) matrix over GF(p)[eps]/(eps^2)."""
@@ -578,9 +576,9 @@ def image(m: Matrix) -> Subspace:
 
 def apply_map(m: Matrix, u: Subspace) -> Subspace:
     """Image of the subspace u under the linear map m."""
-    if m.cols != u.ambient_dim:
-        raise ValueError("map domain %d does not match ambient %d"
-                         % (m.cols, u.ambient_dim))
+    if m.cols != u.ambient_dim or m.ring != u.ring:
+        raise ValueError("map domain %d over %r does not match ambient %d "
+                         "over %r" % (m.cols, m.ring, u.ambient_dim, u.ring))
     return Subspace._span(m.ring, m.rows, [m._apply(r) for r in u.basis_rows()])
 
 
@@ -752,15 +750,18 @@ def rank_everywhere_at_most(m: Matrix, j: int) -> bool:
     """True iff every (j+1)-minor of m vanishes identically in the ring.
 
     Over the dual numbers this is the scheme-wide rank bound: a minor equal
-    to eps is *not* zero, even though it vanishes at the closed point.
+    to eps is *not* zero, even though it vanishes at the closed point.  It
+    is decided over GF(p) from m = A0 + eps A1: the eps-part of a
+    (j+1)-minor is a sum of determinants that take j columns from A0, so
+    the bound holds when rank A0 < j and fails when rank A0 > j.  When
+    rank A0 = j it holds exactly when A1 maps ker A0 into im A0, the
+    tangent space of the determinantal locus at A0.
     """
     if j < 0:
         raise ValueError("rank bound must be nonnegative, got %d" % j)
-    k = j + 1
-    if k > min(m.rows, m.cols):
-        return True
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            if not m.submatrix(rows, cols).det().is_zero():
-                return False
-    return True
+    a0 = m.mod_eps()
+    rank = rref(a0).rank
+    if rank != j or not m.ring.dual:
+        return rank <= j
+    a1 = Matrix(a0.ring, m.rows, m.cols, tuple(x.a1 for x in m.entries))
+    return image(a0).contains(apply_map(a1, kernel(a0)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .fields import PrimeField, is_tame
+from .fields import is_tame
 from .linalg import Matrix, Subspace
 
 INFINITY = "inf"
@@ -71,6 +71,8 @@ def poly_order_at(a: tuple, t, ring, degree_bound: Optional[int] = None):
 
     Returns None for the zero polynomial.
     """
+    if ring.dual:
+        raise ValueError("orders of vanishing need field coefficients")
     a = _poly_trim(tuple(ring(x) for x in a))
     if not a:
         return None
@@ -146,6 +148,8 @@ def wronskian(v: Subspace) -> tuple:
     zero/nonzero verdict and all root orders are invariants of the series.
     """
     ring = v.ring
+    if ring.dual:
+        raise ValueError("the Wronskian needs field coefficients")
     if v.dim == 0:
         raise ValueError("Wronskian of the zero series is undefined")
     # the polynomial helpers above work on ring elements
@@ -205,16 +209,23 @@ def plucker_check(v: Subspace, degree: Optional[int] = None, genus: int = 0,
 
     Inspect at least every rational point plus infinity (the default) to
     account for all ramification of a series whose Wronskian splits over the
-    base field.  A separable series exceeding the bound is impossible; it is
-    reported as a hard error rather than a certificate.
+    base field.  A negative genus, or a point inspected twice (points are
+    read mod p), raises ValueError.  A separable series exceeding the bound
+    is impossible; it is reported as a hard error rather than a certificate.
     """
     ring = v.ring
     m = (v.ambient_dim - 1) if degree is None else degree
     r = v.dim - 1
+    if genus < 0:
+        raise ValueError("genus must be nonnegative, got %d" % genus)
+    separable = is_separable(v)
     if points is None:
         points = list(range(ring.p)) + [INFINITY]
+    points = [pt if pt == INFINITY else ring(pt).v for pt in points]
+    if len(set(points)) != len(points):
+        raise ValueError("a point is inspected twice: %r (points are read "
+                         "mod %d)" % (points, ring.p))
     bound = (r + 1) * m + comb(r + 1, 2) * (2 * genus - 2)
-    separable = is_separable(v)
     total = 0
     all_tame = True
     ramified = []
@@ -230,8 +241,7 @@ def plucker_check(v: Subspace, degree: Optional[int] = None, genus: int = 0,
             "separable series with inspected weight %d above the bound %d"
             % (total, bound))
     return PluckerCertificate(genus, m, r, bound, total, separable, all_tame,
-                              [p if p == INFINITY else PrimeField(ring.p)(p).v
-                               for p in points], ramified)
+                              points, ramified)
 
 
 def rho(genus: int, r: int, d: int, alphas: Sequence[Sequence[int]] = ()) -> int:

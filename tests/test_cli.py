@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
@@ -156,6 +159,24 @@ def test_dual_probe_command(capsys):
         assert rep["d_minus_1_inequality_holds"]
         assert not rep["d_inequality_holds"]
 
+
+
+# sha256 of `dual-probe --p P` stdout, as computed by listing dual-number
+# minors; deciding the rank conditions over GF(p) must not move a byte
+DUAL_PROBE_SHA256 = {
+    2: "a30952a39693203f8588e5ad562dd6f1c9db2d630d6de9bbecca9cc97d4cc55a",
+    3: "be84c206a112fde223838b758ec00c3e40dcbcab7834064d86599b65ec77ddeb",
+    5: "cb1b8c6fbe7d808b762c64fad9deb998e08eab4d1c2f819dc888b8822e38ffd1",
+    7: "fb6ff65c7247d4179df98905eb18b47a3caaf4e3bcd6594b5fb59ae99dc39874",
+    11: "87f3cea278e1f83df0b30d5fd0f92af1b22938bf6eaba6f459c1d8eb8c159cfa",
+}
+
+
+def test_dual_probe_bytes_pinned(capsys):
+    for p, digest in DUAL_PROBE_SHA256.items():
+        code, out, _ = run(capsys, "dual-probe", "--p", str(p))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 def test_enum_lls_command(capsys):
     code, out, _ = run(capsys, "enum-lls", "--degree", "1", "--rank", "0",
@@ -431,6 +452,46 @@ def test_fr_image_budget_boundary(capsys):
     assert json.loads(out)["equal"]
 
 
+
+PLUCKER = ("plucker", "--degree", "2", "--p", "5", "--basis",
+           "[[0,0,1],[1,0,0]]")
+
+
+def test_plucker_bad_genus_or_repeated_point_exit_code(capsys):
+    for extra in (("--points", "0,0,0,0,0,0,0"), ("--genus", "-3"),
+                  ("--points", "0,5")):
+        code, out, err = run(capsys, *PLUCKER, *extra)
+        assert code == 2 and out == ""
+        one_json_error(err)
+
+
+def test_config_values_checked_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    census = ("census", "--budget", "100")
+    rho = ("rho", "--genus", "0", "--rank", "1", "--degree", "2")
+    for config, argv in (({"rank": 1.5}, census), ({"n": 2.0}, census),
+                         ({"degree": 2.5}, census + ("--kind", "section")),
+                         ({"genus": 0.5}, ("rho", "--rank", "1", "--degree",
+                                           "2")),
+                         ({"format": "xml"}, census),
+                         ({"experiments": "no"}, census),
+                         ({"out": 5}, rho)):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == "", config
+        assert repr(next(iter(config))) in one_json_error(err)["error"]
+
+
+def test_config_string_values_still_work(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"genus": "0", "rank": "1", "degree": "2"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "rho")
+    assert code == 0 and json.loads(out)["rho"] == 2
+    cfg.write_text(json.dumps({"kind": "standard", "budget": "1000",
+                               "format": "csv", "experiments": False}))
+    code, out, _ = run(capsys, "--config", str(cfg), "census")
+    assert code == 0 and out.startswith("f_ranks,g_ranks,count")
+
 # --- fuzzing the JSON-valued flags ------------------------------------------
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 5) | st.integers()
@@ -477,3 +538,45 @@ def test_fuzz_rho_alphas(value):
     code, err = run_quiet("rho", "--genus", "0", "--rank", "1", "--degree",
                           "2", "--alphas", json.dumps(value))
     assert_clean_exit(code, err)
+
+
+
+@FUZZ
+@given(st.lists(st.integers(-6, 12) | st.just("inf") | JSON_SCALARS,
+                max_size=8),
+       st.integers(-4, 4))
+def test_fuzz_plucker_points_and_genus(points, genus):
+    argv = PLUCKER + ("--genus", str(genus))
+    if points:
+        argv += ("--points", ",".join(map(str, points)))
+    code, err = run_quiet(*argv)
+    assert_clean_exit(code, err)
+
+
+CONFIG_KEYS = st.sampled_from(["genus", "rank", "degree", "alphas", "p",
+                               "point", "format"])
+
+
+@FUZZ
+@given(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=3))
+def test_fuzz_config_values(config):
+    flags = {"genus": "0", "rank": "1", "degree": "2", "p": "5", "point": "0"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        for command, names in (("rho", ("genus", "rank", "degree")),
+                               ("vanishing", ("degree", "p", "point"))):
+            argv = ["--config", path, command, "--out", out]
+            for name in names:
+                if name not in config:
+                    argv += ["--" + name, flags[name]]
+            if command == "vanishing":
+                argv += ["--basis", "[[1,0,0]]"]
+            code, err = run_quiet(*argv)
+            assert_clean_exit(code, err)
+            if command == "rho" and code == 0:
+                with open(out) as fh:
+                    rep = json.load(fh)
+                assert all(type(rep[k]) is int for k in ("genus", "r", "d",
+                                                         "rho"))

@@ -23,6 +23,8 @@ def test_prime_field_rejects_bad_moduli():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(2**31 + 11)
+    with pytest.raises(ValueError):
+        PrimeField(2**61 - 1)  # prime; trial division of it would not end
 
 
 def test_field_inverse_examples():

@@ -512,3 +512,71 @@ def test_dual_matrix_arithmetic_is_field_only():
                lambda: m.scale(2), lambda: m.apply([1, 0])):
         with pytest.raises(ValueError, match="field coefficients"):
             op()
+
+
+# --- scheme-wide rank bounds over GF(p)[eps] ---------------------------------
+
+def dual_det(rows, p):
+    """Cofactor determinant of a square matrix of (a0, a1) pairs, as a pair."""
+    if not rows:
+        return (1, 0)
+    c0 = c1 = 0
+    for j, (a0, a1) in enumerate(rows[0]):
+        b0, b1 = dual_det([r[:j] + r[j + 1:] for r in rows[1:]], p)
+        sign = -1 if j % 2 else 1
+        c0 += sign * a0 * b0
+        c1 += sign * (a0 * b1 + a1 * b0)
+    return (c0 % p, c1 % p)
+
+
+def minors_vanish(rows, j, p):
+    """Oracle: every (j+1)-minor is 0 in GF(p)[eps], listed one by one."""
+    k = j + 1
+    return all(dual_det([[rows[i][c] for c in cs] for i in rs], p) == (0, 0)
+               for rs in itertools.combinations(range(len(rows)), k)
+               for cs in itertools.combinations(range(len(rows[0])), k))
+
+
+@st.composite
+def dual_matrices(draw):
+    """(p, rows of (a0, a1) pairs) with A0 of a drawn rank bound, up to 3x4."""
+    p = draw(st.sampled_from((2, 3)))
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    digit = st.integers(0, p - 1)
+    # A0 = B C with B nrows x k and C k x ncols, so low ranks come up often
+    b = draw(st.lists(st.lists(digit, min_size=k, max_size=k),
+                      min_size=nrows, max_size=nrows))
+    c = draw(st.lists(st.lists(digit, min_size=ncols, max_size=ncols),
+                      min_size=k, max_size=k))
+    a1 = draw(st.lists(st.lists(digit, min_size=ncols, max_size=ncols),
+                       min_size=nrows, max_size=nrows))
+    return p, [[(sum(b[i][t] * c[t][j] for t in range(k)) % p, a1[i][j])
+                for j in range(ncols)] for i in range(nrows)]
+
+
+@PROPERTY
+@given(dual_matrices())
+def test_rank_everywhere_matches_dual_minors(case):
+    p, rows = case
+    D = DualNumbers(p)
+    m = mat(D, [[D(a0, a1) for a0, a1 in r] for r in rows])
+    for j in range(min(len(rows), len(rows[0])) + 1):
+        assert rank_everywhere_at_most(m, j) == minors_vanish(rows, j, p)
+
+
+def test_det_is_field_only():
+    D = DualNumbers(3)
+    with pytest.raises(ValueError, match="field coefficients"):
+        mat(D, [[D(1, 2), D(0, 1)], [D(2, 0), D(1, 1)]]).det()
+
+
+def test_ring_mismatch_raises():
+    a, b = mat(GF3, [[1, 2]]), mat(GF5, [[4, 4]])
+    with pytest.raises(ValueError, match="ring"):
+        a + b
+    with pytest.raises(ValueError, match="ring"):
+        a - b
+    with pytest.raises(ValueError, match="does not match"):
+        apply_map(mat(GF5, [[1, 0], [0, 1]]),
+                  Subspace.from_rows(GF3, 2, [[1, 1]]))

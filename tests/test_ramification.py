@@ -192,3 +192,25 @@ def test_vanishing_rejects_dual():
     v = Subspace.from_rows(D, 2, [[D(1, 0), D(0, 1)]])
     with pytest.raises(ValueError):
         vanishing_sequence(v, 0)
+
+
+def test_wronskian_and_orders_reject_dual():
+    from lgseries.fields import DualNumbers
+
+    D = DualNumbers(3)
+    v = Subspace.from_rows(D, 3, [[D(1, 0), D(0, 1), D(0, 0)],
+                                  [D(0, 0), D(0, 0), D(1, 0)]])
+    for op in (lambda: wronskian(v), lambda: is_separable(v),
+               lambda: poly_order_at((D(0, 1), D(1, 0)), 0, D)):
+        with pytest.raises(ValueError, match="field coefficients"):
+            op()
+
+
+def test_plucker_rejects_negative_genus_and_repeated_points():
+    v = poly_space(GF5, 2, [[0, 0, 1], [1, 0, 0]])
+    with pytest.raises(ValueError, match="genus"):
+        plucker_check(v, genus=-3)
+    for points in ([0, 0], [0, 5], [INFINITY, 1, INFINITY], [-1, 4]):
+        with pytest.raises(ValueError, match="twice"):
+            plucker_check(v, points=points)
+    assert plucker_check(v, points=[0, 6, INFINITY]).inspected == [0, 1, INFINITY]
