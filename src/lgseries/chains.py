@@ -4,10 +4,13 @@ A linked chain is the data (n, d, r, {f_i}, {g_i}, s): n copies of a
 d-dimensional space over GF(p), forward maps f_i and backward maps g_i with
 f_i g_i = g_i f_i = s * id, kernel/image exchange wherever s vanishes, and no
 collapsing of consecutive images.  Its points are tuples of r-dimensional
-subspaces carried into each other by the maps.  All functions here are pure;
-enumeration order is fixed, so censuses are byte-reproducible and can be
-partitioned by the pivot pattern of the first subspace and merged in any
-order.
+subspaces carried into each other by the maps.  All functions here are pure
+and chains and points are immutable; enumeration order is fixed, so censuses
+are byte-reproducible and can be partitioned by the pivot pattern of the
+first subspace and merged in any order.
+
+The per-point analysis (ranks, exactness, tangent dimension) reads
+everything off one set of per-step frame products, ``_step_products``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
 class LinkedChain:
     """The chain datum; levels are 0-based (spaces 0..n-1, maps 0..n-2).
 
-    ``_kernels`` caches (ker f_i, ker g_i) per step once computed; it takes
-    no part in equality or hashing, and ``truncate``/``reverse`` start with
-    an empty cache.
+    Immutable once built: it holds no cache, so equality, hashing and every
+    analysis depend only on the fields below.
     """
 
-    __slots__ = ("field", "n", "d", "r", "fs", "gs", "s", "_kernels")
+    __slots__ = ("field", "n", "d", "r", "fs", "gs", "s")
 
     def __init__(self, field_: PrimeField, n: int, d: int, r: int,
                  fs: Sequence[Matrix], gs: Sequence[Matrix], s: Fp):
@@ -51,22 +53,10 @@ class LinkedChain:
         self.fs = tuple(fs)
         self.gs = tuple(gs)
         self.s = field_(s)
-        self._kernels = None
 
     @property
     def p(self) -> int:
         return self.field.p
-
-    def _step_kernels(self) -> tuple:
-        """(ker f_i, ker g_i) for every step, computed on first use.
-
-        Concurrent first calls may both compute the kernels; they store equal
-        values, so the race is harmless.
-        """
-        if self._kernels is None:
-            self._kernels = tuple((kernel(f), kernel(g))
-                                  for f, g in zip(self.fs, self.gs))
-        return self._kernels
 
     def truncate(self, n_prime: int) -> "LinkedChain":
         if not 1 <= n_prime <= self.n:
@@ -329,113 +319,54 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
     Level 0 runs over the subspace stream of GF(q)^d; each later level runs
     only over the interval f_i(V_i) <= V <= g_i^{-1}(V_i), so no candidate is
     ever generated and then filtered for linkage.  ``first_pivots`` restricts
-    level 0 to one pivot pattern, the unit of work-partitioning.
+    level 0 to one pivot pattern, the unit of work-partitioning.  The search
+    is depth-first over an explicit stack of candidate iterators, one per
+    level, so chain length is not bounded by the recursion limit.
     """
     if q is not None and q != chain.p:
         raise ValueError("q=%d does not match the chain's field GF(%d)"
                          % (q, chain.p))
     counter = budget if isinstance(budget, _Budget) else _Budget(budget)
-    for pt in _extend_levels(chain, [], counter, first_pivots):
-        yield pt
-
-
-def _extend_levels(chain: LinkedChain, prefix: list, counter: _Budget,
-                   first_pivots: Optional[tuple]) -> Iterator[ChainPoint]:
-    level = len(prefix)
-    if level == chain.n:
-        yield ChainPoint(prefix)
-        return
-    if level == 0:
-        candidates = enumerate_subspaces(chain.d, chain.r, chain.p,
-                                         pivots=first_pivots)
-    else:
-        lower = apply_map(chain.fs[level - 1], prefix[-1])
-        upper = preimage(chain.gs[level - 1], prefix[-1])
-        candidates = enumerate_between(lower, upper, chain.r)
-    for cand in candidates:
+    prefix = []
+    stack = [enumerate_subspaces(chain.d, chain.r, chain.p,
+                                 pivots=first_pivots)]
+    while stack:
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+            if stack:
+                prefix.pop()
+            continue
         counter.spend()
-        yield from _extend_levels(chain, prefix + [cand], counter, first_pivots)
+        if len(prefix) == chain.n - 1:
+            yield ChainPoint(prefix + [cand])
+        else:
+            stack.append(_interval(chain, len(prefix), cand))
+            prefix.append(cand)
 
 
-def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
-    """Per-step ranks of f and g restricted to the point, plus exactness.
-
-    The 2(n-1) step images f_i(V_i) and g_i(V_{i+1}) are computed once: the
-    ranks are their dimensions, and exactness is decided from the same images
-    by the helper ``is_exact`` uses, with the chain's cached kernels.  When
-    s = 0 the containment definition of exactness must agree with the rank
-    law (sum of the two step ranks equals r); a disagreement raises
-    RuntimeError, since it would indicate a corrupted chain or an unlinked
-    point.
-    """
-    _check_point_shape(chain, pt)
-    f_imgs, g_imgs = _step_images(chain, pt)
-    f_ranks = tuple(im.dim for im in f_imgs)
-    g_ranks = tuple(im.dim for im in g_imgs)
-    exact = _exact_from_images(chain, pt, f_imgs, g_imgs)
-    if chain.s.is_zero():
-        by_ranks = all(rf + rg == chain.r for rf, rg in zip(f_ranks, g_ranks))
-        if by_ranks != exact:
-            raise RuntimeError(
-                "exactness rank law violated; the chain is not linked-valid")
-    return SignatureReport(f_ranks, g_ranks, exact)
+def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
+    """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order."""
+    return enumerate_between(apply_map(chain.fs[i], v),
+                             preimage(chain.gs[i], v), chain.r)
 
 
-def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
-    """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}).
+def _step_products(chain: LinkedChain, pt: ChainPoint,
+                   complements: Optional[Sequence[Matrix]] = None) -> list:
+    """Per step i, the frame products (F_i, G_i) of f_i and g_i on the point.
 
-    Computes the step images and decides with the helper ``signature`` uses;
-    ker f_i and ker g_i come from the chain's cache.
-    """
-    _check_point_shape(chain, pt)
-    return _exact_from_images(chain, pt, *_step_images(chain, pt))
-
-
-def _step_images(chain: LinkedChain, pt: ChainPoint) -> tuple:
-    """(f_i(V_i) per step, g_i(V_{i+1}) per step)."""
-    steps = range(chain.n - 1)
-    return (tuple(apply_map(chain.fs[i], pt[i]) for i in steps),
-            tuple(apply_map(chain.gs[i], pt[i + 1]) for i in steps))
-
-
-def _exact_from_images(chain: LinkedChain, pt: ChainPoint,
-                       f_imgs: Sequence[Subspace],
-                       g_imgs: Sequence[Subspace]) -> bool:
-    """Exactness at every step, given the step images of the point."""
-    for i, (ker_f, ker_g) in enumerate(chain._step_kernels()):
-        if not contains(f_imgs[i], intersect(pt[i + 1], ker_g)):
-            return False
-        if not contains(g_imgs[i], intersect(pt[i], ker_f)):
-            return False
-    return True
-
-
-def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
-                      complements: Optional[Sequence[Matrix]] = None) -> int:
-    """Dimension of the space of first-order deformations of a linked point.
-
-    Unknowns are maps phi_i from V_i to E/V_i, one per level, written in the
-    complement coordinates; each step contributes the linearised linkage
-    conditions.  The answer does not depend on the complement choice, which
-    can be exercised by passing explicit complements.
-
-    Method: each level's frame M_i (the basis of V_i over its complement
-    rows) is inverted by one RREF of [M_i | I], for the default coordinate
-    complement and a supplied one alike; the frame coordinates of any vector
-    v are then v M_i^-1, the first r of them in V_i and the rest in the
-    quotient.  Per step and direction, the source frame pushed through the
-    map and read in the target frame gives, on the basis rows, the target
-    basis coordinates of each image f_i(b) or g_i(b), and on the complement
-    rows, the carried complement in quotient coordinates.  Checks: a
-    complement of the wrong shape or ring, or whose frame is singular,
-    raises ValueError ("does not complement"), before any linkage check; a
-    source basis vector whose image has a nonzero quotient part raises
-    ValueError (non-linked point).
+    Level i's frame M_i (basis of V_i over complement rows, coordinate ones
+    by default) is inverted by one RREF of [M_i | I].  F_i = M_i f_i^T
+    M_{i+1}^-1: row k holds f_i(row k of M_i) in frame coordinates, the first
+    r in V_{i+1} and the rest in the quotient.  Its top-left r x r block, the
+    basis images in basis coordinates, does not depend on the complements.
+    G_i = M_{i+1} g_i^T M_i^-1 likewise.  A bad complement raises ValueError
+    ("does not complement") before any linkage check; a basis image with a
+    nonzero quotient part raises ValueError (non-linked point).
     """
     _check_point_shape(chain, pt)
     field_ = chain.field
-    p = field_.p
-    d, r, n = chain.d, chain.r, chain.n
+    d, r = chain.d, chain.r
     unit = [(0,) * k + (1,) + (0,) * (d - 1 - k) for k in range(d)]
     frames = []
     inverses = []
@@ -459,35 +390,98 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
         frames.append(Matrix.from_rows(field_, frame))
         inverses.append(ech.matrix.submatrix(range(d), range(d, 2 * d)))
 
-    nunk = n * r * (d - r)
-    if nunk == 0:
-        return 0
+    def product(name: str, i: int, mat: Matrix, src: int, dst: int) -> Matrix:
+        coords = frames[src] * mat.transpose() * inverses[dst]
+        if not coords.submatrix(range(r), range(r, d)).is_zero():
+            raise ValueError("non-linked point: %s_%d(V_%d) is not in V_%d"
+                             % (name, i, src, dst))
+        return coords
+
+    return [(product("f", i, chain.fs[i], i, i + 1),
+             product("g", i, chain.gs[i], i + 1, i))
+            for i in range(chain.n - 1)]
+
+
+def _restricted(chain: LinkedChain, products: list) -> list:
+    """Per step, (f_i on V_i, g_i on V_{i+1}) as r x r matrices in basis
+    coordinates: row a is the image of the source's a-th basis vector."""
+    rr = range(chain.r)
+    return [(fp.submatrix(rr, rr), gp.submatrix(rr, rr))
+            for fp, gp in products]
+
+
+def _exact_from(restricted: list) -> bool:
+    """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}),
+    at every step; the kernel of a restricted map is the left kernel of its
+    matrix and its image the row space."""
+    return all(Subspace.from_matrix(lf).contains(kernel(lg.transpose()))
+               and Subspace.from_matrix(lg).contains(kernel(lf.transpose()))
+               for lf, lg in restricted)
+
+
+def _signature_from(chain: LinkedChain, products: list) -> SignatureReport:
+    restricted = _restricted(chain, products)
+    f_ranks = tuple(rref(lf).rank for lf, _ in restricted)
+    g_ranks = tuple(rref(lg).rank for _, lg in restricted)
+    exact = _exact_from(restricted)
+    if chain.s.is_zero():
+        by_ranks = all(rf + rg == chain.r for rf, rg in zip(f_ranks, g_ranks))
+        if by_ranks != exact:
+            raise RuntimeError(
+                "exactness rank law violated; the chain is not linked-valid")
+    return SignatureReport(f_ranks, g_ranks, exact)
+
+
+def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
+    """Per-step ranks of f and g restricted to the point, plus exactness.
+
+    Read off one pass of frame products (``_step_products``, shared with
+    ``tangent_dimension``) in r-dimensional basis coordinates; a non-linked
+    point raises ValueError.  When s = 0 the containment definition of
+    exactness must agree with the rank law (the two step ranks sum to r); a
+    disagreement raises RuntimeError, as it indicates a corrupted chain.
+    """
+    return _signature_from(chain, _step_products(chain, pt))
+
+
+def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
+    """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}),
+    decided as in ``signature``; a non-linked point raises ValueError."""
+    return _exact_from(_restricted(chain, _step_products(chain, pt)))
+
+
+def _tangent_from(chain: LinkedChain, products: list) -> int:
+    p, r = chain.p, chain.r
+    e = chain.d - r
+    nunk = chain.n * r * e
     eqs = []
-
-    def unknown(level: int, a: int, c: int) -> int:
-        return (level * r + a) * (d - r) + c
-
-    for i in range(n - 1):
-        for mat, src, dst in ((chain.fs[i], i, i + 1), (chain.gs[i], i + 1, i)):
-            # row k: the coordinates of mat(row k of the source frame) in
-            # the target frame; rows 0..r-1 image the basis, the rest carry
-            # the complement
-            coords = frames[src] * mat.transpose() * inverses[dst]
-            if not coords.submatrix(range(r), range(r, d)).is_zero():
-                raise ValueError("tangent space requested at a non-linked point")
+    for i, step in enumerate(products):
+        for coords, src, dst in zip(step, (i, i + 1), (i + 1, i)):
+            # unknown (level, a, c) sits at column (level * r + a) * e + c;
+            # coords rows 0..r-1 image the basis, the rest carry the complement
             for a in range(r):
                 lam = coords.row(a)[:r]
-                for out_c in range(d - r):
+                for out_c in range(e):
                     row = [0] * nunk
-                    for c in range(d - r):
-                        row[unknown(src, a, c)] += coords.entry(r + c, r + out_c)
+                    for c in range(e):
+                        row[(src * r + a) * e + c] += coords.entry(r + c, r + out_c)
                     for k in range(r):
-                        row[unknown(dst, k, out_c)] -= lam[k]
+                        row[(dst * r + k) * e + out_c] -= lam[k]
                     eqs.append([x % p for x in row])
-    if not eqs:
-        return nunk
-    system = Matrix.from_rows(field_, eqs)
-    return nunk - rref(system).rank
+    return nunk - rref(Matrix.from_rows(chain.field, eqs)).rank
+
+
+def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
+                      complements: Optional[Sequence[Matrix]] = None) -> int:
+    """Dimension of the space of first-order deformations of a linked point.
+
+    Unknowns are maps phi_i from V_i to E/V_i, one per level, written in the
+    complement coordinates; each step contributes the linearised linkage
+    conditions, read off the frame products ``signature`` uses (with the
+    supplied complements, if any; the answer does not depend on them).  A
+    bad complement or a non-linked point raises ValueError.
+    """
+    return _tangent_from(chain, _step_products(chain, pt, complements))
 
 
 def decompose(chain: LinkedChain, pt: ChainPoint, level: int,
@@ -561,9 +555,7 @@ def extend_truncation(chain: LinkedChain, partial: ChainPoint) -> ChainPoint:
         raise ValueError("partial point is not linked for the truncated chain")
     spaces = list(partial)
     for i in range(n_prime - 1, chain.n - 1):
-        lower = apply_map(chain.fs[i], spaces[-1])
-        upper = preimage(chain.gs[i], spaces[-1])
-        nxt = next(iter(enumerate_between(lower, upper, chain.r)), None)
+        nxt = next(_interval(chain, i, spaces[-1]), None)
         if nxt is None:
             raise RuntimeError("no completion exists; chain axioms violated")
         spaces.append(nxt)
@@ -578,35 +570,30 @@ def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
     Levels up to the first non-exact step are kept verbatim; the remaining
     levels are rebuilt as the lexicographically least completion that is
     linked, preserves the forward ranks, and is exact at every step (the
-    backward output is the mirrored run on the reversed chain).
+    backward output is the mirrored run on the reversed chain, whose ranks
+    are the input's with f and g swapped and both tuples reversed).
     """
     if not chain.s.is_zero():
         raise ValueError("exactify requires s = 0")
     sig = signature(chain, pt)
     if sig.exact:
         raise ValueError("point is already exact")
-    f_point = _exactify_forward(chain, pt, sig.f_ranks)
+    f_point = _exactify_forward(chain, pt, sig.f_ranks, sig.g_ranks)
     rev = chain.reverse()
     rev_pt = ChainPoint(tuple(reversed(pt.spaces)))
-    rev_sig = signature(rev, rev_pt)
-    g_fixed = _exactify_forward(rev, rev_pt, rev_sig.f_ranks)
+    g_fixed = _exactify_forward(rev, rev_pt, sig.g_ranks[::-1],
+                                sig.f_ranks[::-1])
     g_point = ChainPoint(tuple(reversed(g_fixed.spaces)))
     return f_point, g_point
 
 
-def _exactify_forward(chain: LinkedChain, pt: ChainPoint,
-                      target_f: tuple) -> ChainPoint:
-    first_bad = None
-    for i in range(chain.n - 1):
-        rf = apply_map(chain.fs[i], pt[i]).dim
-        rg = apply_map(chain.gs[i], pt[i + 1]).dim
-        if rf + rg != chain.r:
-            first_bad = i
-            break
-    if first_bad is None:
-        return pt
-    prefix = list(pt.spaces[:first_bad + 1])
-    result = _complete_exact(chain, prefix, target_f)
+def _exactify_forward(chain: LinkedChain, pt: ChainPoint, f_ranks: tuple,
+                      g_ranks: tuple) -> ChainPoint:
+    # s = 0 and the point is not exact, so by the rank law some step has
+    # rank sum other than r
+    first_bad = next(i for i, (rf, rg) in enumerate(zip(f_ranks, g_ranks))
+                     if rf + rg != chain.r)
+    result = _complete_exact(chain, list(pt.spaces[:first_bad + 1]), f_ranks)
     if result is None:
         raise RuntimeError(
             "no exact completion preserving the forward ranks exists")
@@ -614,23 +601,35 @@ def _exactify_forward(chain: LinkedChain, pt: ChainPoint,
 
 
 def _complete_exact(chain: LinkedChain, prefix: list, target_f: tuple):
-    level = len(prefix)
-    if level == chain.n:
-        return list(prefix)
-    i = level - 1
-    lower = apply_map(chain.fs[i], prefix[-1])
-    upper = preimage(chain.gs[i], prefix[-1])
-    want_g = chain.r - target_f[i]
-    for cand in enumerate_between(lower, upper, chain.r):
-        if apply_map(chain.gs[i], cand).dim != want_g:
+    """The first completion of ``prefix``, in enumeration order, with step
+    ranks (target_f[i], r - target_f[i]) from its last level on, or None."""
+    spaces = list(prefix)
+    stack = [_exact_candidates(chain, spaces[-1], len(spaces), target_f)]
+    while stack:
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+            if stack:
+                spaces.pop()
             continue
-        if level < chain.n - 1 and \
-                apply_map(chain.fs[level], cand).dim != target_f[level]:
-            continue
-        result = _complete_exact(chain, prefix + [cand], target_f)
-        if result is not None:
-            return result
+        spaces.append(cand)
+        if len(spaces) == chain.n:
+            return spaces
+        stack.append(_exact_candidates(chain, cand, len(spaces), target_f))
     return None
+
+
+def _exact_candidates(chain: LinkedChain, prev: Subspace, level: int,
+                      target_f: tuple) -> Iterator[Subspace]:
+    """The interval after ``prev``, kept where g_{level-1} has rank
+    r - target_f[level-1] and f_level rank target_f[level]."""
+    i = level - 1
+    want_g = chain.r - target_f[i]
+    last = level == chain.n - 1
+    return (cand for cand in _interval(chain, i, prev)
+            if apply_map(chain.gs[i], cand).dim == want_g
+            and (last or apply_map(chain.fs[level], cand).dim
+                 == target_f[level]))
 
 
 def admissible_signatures_n2(d: int, r: int, d1: int, d2: int) -> range:
@@ -704,14 +703,14 @@ def census(chain: LinkedChain, q: Optional[int] = None,
     counter = _Budget(budget)
     patterns = list(pivot_patterns(chain.d, chain.r))
     edges = set()
-    chain._step_kernels()  # fill the cache before partitions share the chain
 
     def run_partition(pat) -> CensusReport:
         part = CensusReport(chain.as_dict(), chain.p)
         for pt in enumerate_points(chain, budget=counter, first_pivots=pat):
             part.points += 1
-            sig = signature(chain, pt)
-            tdim = tangent_dimension(chain, pt)
+            products = _step_products(chain, pt)
+            sig = _signature_from(chain, products)
+            tdim = _tangent_from(chain, products)
             part.tangent_histogram[tdim] = part.tangent_histogram.get(tdim, 0) + 1
             if sig.exact:
                 part.exact += 1

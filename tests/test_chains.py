@@ -8,8 +8,8 @@ from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
                              is_exact, is_linked_point, make_standard_chain,
                              signature, tangent_dimension, validate_chain)
 from lgseries.fields import Dual, DualNumbers, PrimeField
-from lgseries.linalg import (BudgetError, Matrix, Subspace,
-                             gaussian_binomial, rref)
+from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
+                             gaussian_binomial, intersect, kernel, rref)
 from lgseries.series import build_section_chain
 
 GF2 = PrimeField(2)
@@ -134,6 +134,12 @@ def test_enumerate_points_rank_zero():
     assert all(sp.dim == 0 for sp in pts[0])
 
 
+def test_enumerate_points_deeper_than_recursion_limit():
+    # s = 1: every level repeats the first, so the 3 lines of GF(2)^2
+    c = make_standard_chain(1500, 2, 1, 1, 2, r=1)
+    assert len(list(enumerate_points(c))) == 3
+
+
 def test_enumerate_points_budget():
     with pytest.raises(BudgetError):
         list(enumerate_points(make_standard_chain(2, 4, 2, 0, 2, r=2),
@@ -167,6 +173,70 @@ def test_exactness_rank_law_exhaustive():
             law = all(rf + rg == c.r
                       for rf, rg in zip(sig.f_ranks, sig.g_ranks))
             assert law == sig.exact == is_exact(c, pt)
+
+
+def _exact_by_containment(chain, pt):
+    """Exactness by its definition in the ambient space: at every step,
+    V_{i+1} meet ker g_i lies in f_i(V_i), and V_i meet ker f_i in
+    g_i(V_{i+1})."""
+    for i, (f, g) in enumerate(zip(chain.fs, chain.gs)):
+        if not apply_map(f, pt[i]).contains(intersect(pt[i + 1], kernel(g))):
+            return False
+        if not apply_map(g, pt[i + 1]).contains(intersect(pt[i], kernel(f))):
+            return False
+    return True
+
+
+def conjugated_standard_chain(n, d, d1, p, r, seed):
+    """The s = 0 standard chain with every map replaced by P m P^-1 for a
+    random invertible P: an isomorphic chain with dense maps."""
+    import random
+
+    F = PrimeField(p)
+    rng = random.Random(seed)
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    while True:
+        rows = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        ech = rref(Matrix.from_rows(F, [a + b for a, b in zip(rows, unit)]))
+        if ech.pivots == tuple(range(d)):
+            break
+    P = Matrix.from_rows(F, rows)
+    P_inv = ech.matrix.submatrix(range(d), range(d, 2 * d))
+    base = make_standard_chain(n, d, d1, 0, p, r=r)
+    return LinkedChain(F, n, d, r, [P * f * P_inv for f in base.fs],
+                       [P * g * P_inv for g in base.gs], F(0))
+
+
+def test_exactness_matches_containment_oracle():
+    chains = list(small_standard_chains())
+    chains += [build_section_chain(2, 2, 1), build_section_chain(3, 2, 2),
+               build_section_chain(3, 2, 3),
+               make_standard_chain(3, 3, 1, 2, 3, r=2),
+               conjugated_standard_chain(3, 3, 1, 3, 1, seed=5)]
+    assert validate_chain(chains[-1]).ok
+    non_exact = 0
+    for c in chains:
+        for pt in enumerate_points(c):
+            want = _exact_by_containment(c, pt)
+            assert signature(c, pt).exact == is_exact(c, pt) == want
+            non_exact += not want
+    assert non_exact > 0
+    # On a valid chain either containment implies the other, so take a datum
+    # violating f g = 0 (f: e2 -> e3, g: e4 -> e2) on which exactly one
+    # fails; reversed, the other one fails.  The ranks there still sum to r,
+    # so signature's rank-law cross-check raises.
+    f = Matrix.from_rows(GF2, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 0, 0]])
+    g = Matrix.from_rows(GF2, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0],
+                               [0, 0, 0, 0]])
+    bad = LinkedChain(GF2, 2, 4, 2, [f], [g], GF2(0))
+    pt = ChainPoint([Subspace.from_rows(GF2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+                     Subspace.from_rows(GF2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])])
+    for c, p in ((bad, pt), (bad.reverse(), ChainPoint(pt.spaces[::-1]))):
+        assert is_linked_point(c, p) and not _exact_by_containment(c, p)
+        assert not is_exact(c, p)
+        with pytest.raises(RuntimeError, match="rank law"):
+            signature(c, p)
 
 
 def test_tangent_cross_chain_values():
@@ -290,8 +360,9 @@ def test_tangent_rejects_point_unlinked_in_one_direction():
     only_g = ChainPoint([line(e3), line(e4)])  # f(V_0) = 0, g(V_1) not in V_0
     for pt in (only_f, only_g):
         assert not is_linked_point(c, pt)
-        with pytest.raises(ValueError, match="non-linked"):
-            tangent_dimension(c, pt)
+        for analysis in (tangent_dimension, signature, is_exact):
+            with pytest.raises(ValueError, match="non-linked"):
+                analysis(c, pt)
 
 
 def test_decompose_cross_node():
@@ -380,6 +451,16 @@ def test_exactify_cross_node():
     assert signature(c, gpt).key() == ((1,), (0,))
     assert is_exact(c, fpt) and is_exact(c, gpt)
     assert is_linked_point(c, fpt) and is_linked_point(c, gpt)
+
+
+def test_exactify_deeper_than_recursion_limit():
+    # the cross node at the start of a 1500-level chain: the forward
+    # completion searches through every later level
+    c = make_standard_chain(1500, 2, 1, 0, 2, r=1)
+    e1, e2, diag = span2([[1, 0]]), span2([[0, 1]]), span2([[1, 1]])
+    fpt, gpt = exactify(c, ChainPoint([e2] + [e1] * 1499))
+    assert fpt == ChainPoint([e2, diag] + [e1] * 1498)
+    assert gpt == ChainPoint([e1] * 1500)
 
 
 def test_exactify_rejects_exact_input():
@@ -494,13 +575,10 @@ def test_truncate_and_reverse():
 def test_kernel_cache_leaves_chain_identity():
     c = make_standard_chain(3, 3, 1, 0, 2, r=1)
     fresh = make_standard_chain(3, 3, 1, 0, 2, r=1)
-    census(c)  # fills the cache of step kernels
+    census(c)  # a census leaves the chain as it was built
     assert c == fresh and hash(c) == hash(fresh)
     assert c.truncate(2) == fresh.truncate(2)
     assert c.reverse() == fresh.reverse()
-    assert c.truncate(2)._step_kernels() == c._step_kernels()[:1]
-    assert c.reverse()._step_kernels() == \
-        tuple((kg, kf) for kf, kg in reversed(c._step_kernels()))
 
 
 def test_chain_serialization_roundtrip():

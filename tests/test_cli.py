@@ -178,6 +178,42 @@ def test_dual_probe_bytes_pinned(capsys):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+# sha256 of census stdout, taken before the per-point analysis moved onto
+# one set of frame products; exhaustive reports must not change
+CENSUS_SHA256 = {
+    "census --kind section --degree 3 --rank 1 --p 2 --budget 100000 "
+    "--experiments":
+        "8fd99333c53008b5d91fd89d76fbd422c32229066dc8135bdd07ecd1bda38263",
+    "census --kind standard --n 3 --dim 4 --d1 2 --s 0 --p 2 --rank 2 "
+    "--budget 1000000 --experiments":
+        "6d29437049265ac991412295814aa1bf21d76b9cc4257cb1a1690915e5cd7aab",
+    "census --kind standard --n 3 --dim 3 --d1 1 --s 2 --p 3 --rank 2 "
+    "--budget 100000":
+        "073ae790b746667a48a6c3409ead9ca4dc350c9253618041cf656d6ee1cc757d",
+    "census --kind standard --n 2 --dim 4 --d1 2 --s 0 --p 3 --rank 2 "
+    "--budget 1000000 --experiments":
+        "89565e33620ca75842a802e31d3ab546f07074a2b94a98ca6873ec830ed573a5",
+}
+
+
+def test_census_bytes_pinned(capsys):
+    for argv, digest in CENSUS_SHA256.items():
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_chain_longer_than_recursion_limit(capsys):
+    flags = ("--kind", "standard", "--n", "1500", "--dim", "2", "--d1", "1",
+             "--s", "1", "--p", "2", "--rank", "0", "--budget", "10000")
+    code, out, _ = run(capsys, "census", *flags)
+    assert code == 0
+    assert json.loads(out)["points"] == 1
+    code, out, _ = run(capsys, "tangent", *flags)
+    assert code == 0
+    assert json.loads(out)["tangent_dimension"] == 0
+
+
 def test_enum_lls_command(capsys):
     code, out, _ = run(capsys, "enum-lls", "--degree", "1", "--rank", "0",
                        "--p", "2", "--budget", "10000")
