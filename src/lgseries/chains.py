@@ -322,11 +322,21 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
     level 0 to one pivot pattern, the unit of work-partitioning.  The search
     is depth-first over an explicit stack of candidate iterators, one per
     level, so chain length is not bounded by the recursion limit.
+
+    Many prefixes end in the same subspace, so each interval is walked once
+    per call: a memo private to the call maps (level, V) to the candidates
+    of its interval.  It is filled lazily, each candidate recorded as the
+    live stream yields it and the record kept once the stream is exhausted;
+    a later prefix ending in V replays the record.  Every candidate taken off
+    the stack, replayed or not, spends one budget unit, so the order of the
+    points and the count at which the budget runs out are those of walking
+    every interval afresh, and no candidate is drawn ahead of its spend.
     """
     if q is not None and q != chain.p:
         raise ValueError("q=%d does not match the chain's field GF(%d)"
                          % (q, chain.p))
     counter = budget if isinstance(budget, _Budget) else _Budget(budget)
+    memo = {}
     prefix = []
     stack = [enumerate_subspaces(chain.d, chain.r, chain.p,
                                  pivots=first_pivots)]
@@ -338,11 +348,25 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
                 prefix.pop()
             continue
         counter.spend()
-        if len(prefix) == chain.n - 1:
+        level = len(prefix)
+        if level == chain.n - 1:
             yield ChainPoint(prefix + [cand])
         else:
-            stack.append(_interval(chain, len(prefix), cand))
+            key = (level, cand)
+            seen = memo.get(key)
+            stack.append(iter(seen) if seen is not None else
+                         _recorded(_interval(chain, level, cand), memo, key))
             prefix.append(cand)
+
+
+def _recorded(stream: Iterator[Subspace], memo: dict,
+              key: tuple) -> Iterator[Subspace]:
+    """Yield ``stream``; once it is exhausted, store its items at memo[key]."""
+    seen = []
+    for item in stream:
+        seen.append(item)
+        yield item
+    memo[key] = tuple(seen)
 
 
 def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
@@ -717,9 +741,13 @@ def census(chain: LinkedChain, q: Optional[int] = None,
                 key = sig.key()
                 part.signatures[key] = part.signatures.get(key, 0) + 1
             elif experiments and chain.s.is_zero():
-                fpt, gpt = exactify(chain, pt)
-                a = signature(chain, fpt).key()
-                b = signature(chain, gpt).key()
+                # exactify raises unless both exact completions exist; the
+                # forward one keeps f_ranks and the backward one g_ranks,
+                # and exact steps have rank sum r, so their keys follow
+                exactify(chain, pt)
+                r = chain.r
+                a = (sig.f_ranks, tuple(r - x for x in sig.f_ranks))
+                b = (tuple(r - x for x in sig.g_ranks), sig.g_ranks)
                 edges.add(tuple(sorted((a, b))))
         return part
 

@@ -5,6 +5,13 @@ flags win), runs one experiment, and writes a schema-versioned JSON or CSV
 report.  Identical inputs produce byte-identical reports.  Exit codes:
 0 success, 2 invalid input, 3 enumeration budget exceeded, 4 a verification
 command found a property violation.
+
+Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
+except the ``enum-lls`` listing: its points keep their ``Subspace`` objects,
+and the writer encodes each distinct subspace once and lays the report out
+around those fragments, byte for byte as ``json.dumps`` would.  Its
+``"count"`` sorts before ``"points"``, so the whole point stream is taken
+before anything is written; a budget exit writes no report.
 """
 
 from __future__ import annotations
@@ -28,18 +35,55 @@ EXIT_VIOLATION = 4
 SCHEMA_VERSION = 1
 
 
-def _emit(report: dict, args) -> None:
+def _json_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+def _emit(report: dict, args, encode=_json_text) -> None:
     fmt = getattr(args, "format", "json") or "json"
     if fmt == "csv":
         text = _to_csv(report)
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = encode(report) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_text_from_fragments(report: dict) -> str:
+    """``_json_text`` of ``report`` with each ``Subspace`` in it standing for
+    its ``as_dict()``.
+
+    Each distinct subspace is encoded once by ``json.dumps`` and re-indented
+    for the depth it sits at; the dicts (string keys only), lists and scalars
+    around the subspaces are laid out here the way ``json.dumps(...,
+    sort_keys=True, indent=2)`` lays them out, so the text is the same byte
+    for byte.
+    """
+    fragments = {}
+
+    def encode(value, pad: str) -> str:
+        if isinstance(value, Subspace):
+            key = (value, pad)
+            text = fragments.get(key)
+            if text is None:
+                text = fragments[key] = _json_text(value.as_dict()).replace(
+                    "\n", "\n" + pad)
+            return text
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            items = (inner + json.dumps(k) + ": " + encode(value[k], inner)
+                     for k in sorted(value))
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(value, (list, tuple)) and value:
+            items = (inner + encode(v, inner) for v in value)
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return json.dumps(value)
+
+    return encode(report, "")
 
 
 def _to_csv(report: dict) -> str:
@@ -91,6 +135,7 @@ def _chain_from_args(args, validate: bool = True) -> chains.LinkedChain:
         return chains.make_standard_chain(args.n, args.dim, args.d1, args.s,
                                           args.p, r=args.rank)
     if kind == "section":
+        series._require_series_rank(args.rank)
         return series.build_section_chain(args.degree, args.p, args.rank + 1)
     if kind == "file":
         if not args.chain_file:
@@ -255,14 +300,16 @@ def cmd_components_n2(args) -> int:
 def cmd_enum_lls(args) -> int:
     constraints = (_parse_constraints(args.constraints, args.rank)
                    if args.constraints else None)
-    pts = []
-    for lsp in series.enumerate_limit_series(args.degree, args.rank, args.p,
-                                             constraints=constraints,
-                                             budget=args.budget):
-        pts.append(lsp.as_dict())
+    # LimitSeriesPoint.as_dict() with the Subspace objects left in place, so
+    # that the writer encodes each distinct subspace once
+    pts = [{"d": lsp.model.d, "p": lsp.model.p,
+            "point": {"spaces": lsp.point.spaces}}
+           for lsp in series.enumerate_limit_series(
+               args.degree, args.rank, args.p, constraints=constraints,
+               budget=args.budget)]
     report = {"schema_version": SCHEMA_VERSION, "d": args.degree,
               "r": args.rank, "q": args.p, "count": len(pts), "points": pts}
-    _emit(report, args)
+    _emit(report, args, encode=_json_text_from_fragments)
     return EXIT_OK
 
 

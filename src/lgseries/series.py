@@ -122,6 +122,13 @@ def build_section_chain(d: int, p: int, rank: int) -> LinkedChain:
     return NodalModel(d, p).chain(rank)
 
 
+def _require_series_rank(r: int) -> None:
+    """A series of projective dimension r has (r+1)-dimensional spaces, so
+    r must be nonnegative."""
+    if r < 0:
+        raise ValueError("series rank r must be nonnegative, got %d" % r)
+
+
 class LimitSeriesPoint:
     """A linked point of the section chain, i.e. one limit series."""
 
@@ -396,8 +403,9 @@ def enumerate_limit_series(d: int, r: int, q: int,
     ``constraints`` is a list of {"side": "Y"|"Z", "point": value-or-"inf",
     "min": [a_0..a_r]} lower bounds on vanishing sequences, imposed on the
     y-aspect of level 0 for Y-points and the z-aspect of level d for
-    Z-points.  Order is deterministic.
+    Z-points.  Order is deterministic.  A negative r raises ValueError.
     """
+    _require_series_rank(r)
     model = NodalModel(d, q)
     chain = model.chain(r + 1)
     sides = {"Y": [], "Z": []}

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from lgseries import chains as chains_module
 from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
                              census, decompose, enumerate_points, exactify,
                              expected_component_count_n2, extend_truncation,
@@ -9,7 +10,8 @@ from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
                              signature, tangent_dimension, validate_chain)
 from lgseries.fields import Dual, DualNumbers, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
-                             gaussian_binomial, intersect, kernel, rref)
+                             enumerate_subspaces, gaussian_binomial,
+                             intersect, kernel, rref)
 from lgseries.series import build_section_chain
 
 GF2 = PrimeField(2)
@@ -144,6 +146,66 @@ def test_enumerate_points_budget():
     with pytest.raises(BudgetError):
         list(enumerate_points(make_standard_chain(2, 4, 2, 0, 2, r=2),
                               budget=3))
+
+
+def _points_walking_every_interval(chain):
+    """The point stream by plain recursion, calling ``_interval`` afresh at
+    every tree node (the oracle for the memo in ``enumerate_points``)."""
+    out = []
+
+    def walk(prefix):
+        if len(prefix) == chain.n:
+            out.append(ChainPoint(prefix))
+            return
+        for w in chains_module._interval(chain, len(prefix) - 1, prefix[-1]):
+            walk(prefix + [w])
+
+    for v in enumerate_subspaces(chain.d, chain.r, chain.p):
+        walk([v])
+    return out
+
+
+def test_enumerate_points_matches_fresh_interval_walk():
+    chains = [build_section_chain(2, 2, 1), build_section_chain(3, 2, 2),
+              build_section_chain(3, 3, 2)]
+    chains += list(small_standard_chains())
+    chains += [make_standard_chain(3, 3, 1, 2, 3, r=2),
+               conjugated_standard_chain(3, 3, 1, 3, 1, seed=5)]
+    for c in chains:
+        assert list(enumerate_points(c)) == _points_walking_every_interval(c)
+
+
+def _count_enumerate_between(monkeypatch):
+    """Patch ``chains.enumerate_between`` to count its calls and yields."""
+    counts = {"calls": 0, "yields": 0}
+    real = chains_module.enumerate_between
+
+    def counting(*args):
+        counts["calls"] += 1
+        for item in real(*args):
+            counts["yields"] += 1
+            yield item
+
+    monkeypatch.setattr(chains_module, "enumerate_between", counting)
+    return counts
+
+
+def test_enumerate_points_draws_no_candidate_ahead_of_budget(monkeypatch):
+    counts = _count_enumerate_between(monkeypatch)
+    c = make_standard_chain(2, 6, 3, 0, 2, r=3)
+    with pytest.raises(BudgetError) as info:
+        list(enumerate_points(c, budget=100, first_pivots=(3, 4, 5)))
+    assert info.value.count == 101
+    assert counts["yields"] <= 100
+
+
+def test_enumerate_points_walks_each_interval_once(monkeypatch):
+    # section (3, 3, 2): 1,119 prefixes below the last level, but only 390
+    # distinct (level, subspace) pairs among them
+    counts = _count_enumerate_between(monkeypatch)
+    assert sum(1 for _ in enumerate_points(build_section_chain(3, 3, 2))) \
+        == 1147
+    assert counts["calls"] == 390
 
 
 def test_exactness_cross_chain_examples():
@@ -545,6 +607,40 @@ def test_census_experiments_graph():
     assert g is not None
     assert g["connected_components"] == 1  # the node bridges both signatures
     assert len(g["nodes"]) == 2
+
+
+def _graph_from_exactify_outputs(c):
+    """census's signature graph, built from ``signature`` of both exactify
+    outputs of every non-exact point."""
+    nodes, edges = set(), set()
+    for pt in enumerate_points(c):
+        sig = signature(c, pt)
+        if sig.exact:
+            nodes.add(sig.key())
+            continue
+        fpt, gpt = exactify(c, pt)
+        edges.add(tuple(sorted((signature(c, fpt).key(),
+                                signature(c, gpt).key()))))
+    root = {node: node for node in nodes}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        if a in root and b in root:
+            root[find(a)] = find(b)
+    return {"nodes": [[list(a), list(b)] for a, b in sorted(nodes)],
+            "edges": [[[list(x[0]), list(x[1])] for x in e]
+                      for e in sorted(edges)],
+            "connected_components": len({find(x) for x in nodes})}
+
+
+def test_census_graph_matches_exactify_outputs():
+    for c in list(small_standard_chains()) + [cross_chain()]:
+        graph = census(c, experiments=True).signature_graph
+        assert graph == _graph_from_exactify_outputs(c)
 
 
 def test_closure_multiplicity_n2():

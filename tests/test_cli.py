@@ -8,7 +8,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgseries import cli
 from lgseries.cli import main
+from lgseries.fields import PrimeField
+from lgseries.linalg import Subspace
+from lgseries.series import enumerate_limit_series
 
 
 def run(capsys, *argv):
@@ -220,6 +224,104 @@ def test_enum_lls_command(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["count"] == 5
+
+
+# sha256 of enum-lls stdout (with --budget 1000000000), taken before the
+# report was written from per-subspace fragments
+ENUM_LLS_SHA256 = {
+    ("--degree", "3", "--rank", "1", "--p", "3"):  # 1,147 points
+        "8d34c3e78f854e7ef16c7c1f654272be981d485eeb08bb5016531ed4d82d844a",
+    ("--degree", "2", "--rank", "1", "--p", "5"):  # 116 points
+        "1802d28cc84a03dedeb70a3b06a55c3dd11bf97d92ec53cd8bc116ebfc64435b",
+    ("--degree", "3", "--rank", "0", "--p", "2", "--constraints",
+     '[{"side":"Y","point":0,"min":[1]},{"side":"Z","point":"inf","min":[1]}]'):
+        "d8e0c834e6b790b06be9d96915683fbc11af74cee1fcb6ca3384de3c1b0dd59b",
+    ("--degree", "2", "--rank", "0", "--p", "2", "--constraints",
+     '[{"side":"Y","point":-1,"min":[5]}]'):  # no point meets it
+        "848b2466e1797e0b8b469b836d95f9ee3410925f262dec032a371c6e6621ce35",
+}
+
+
+def test_enum_lls_bytes_pinned(capsys):
+    for argv, digest in ENUM_LLS_SHA256.items():
+        code, out, _ = run(capsys, "enum-lls", *argv, "--budget", "1000000000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _enum_lls_by_json_dumps(degree, rank, p, constraints):
+    """The enum-lls report text built from ``as_dict`` and ``json.dumps``."""
+    pts = [lsp.as_dict() for lsp in enumerate_limit_series(
+        degree, rank, p, constraints=constraints)]
+    report = {"schema_version": 1, "d": degree, "r": rank, "q": p,
+              "count": len(pts), "points": pts}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_enum_lls_writer_matches_json_dumps(capsys, tmp_path):
+    y_and_z = [{"side": "Y", "point": 0, "min": [1]},
+               {"side": "Z", "point": "inf", "min": [1]}]
+    unmet = [{"side": "Y", "point": -1, "min": [5]}]
+    path = tmp_path / "lls.json"
+    for degree, rank, p, cons in ((1, 0, 2, None), (2, 1, 3, None),
+                                  (3, 0, 2, y_and_z), (2, 0, 2, unmet)):
+        want = _enum_lls_by_json_dumps(degree, rank, p, cons)
+        argv = ["enum-lls", "--degree", str(degree), "--rank", str(rank),
+                "--p", str(p), "--budget", "1000000"]
+        if cons is not None:
+            argv += ["--constraints", json.dumps(cons)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out == want
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == "" and path.read_text() == want
+    assert json.loads(want)["count"] == 0
+
+
+def test_fragment_writer_matches_json_dumps_on_mixed_values():
+    field = PrimeField(3)
+    line = Subspace.from_rows(field, 3, [[1, 2, 0]])
+    zero = Subspace.zero_space(field, 2)
+    value = {"b": [line, {"x": line, "y": [], "z": zero}, (zero, line)],
+             "a": {}, "s": "two\nlines", "t": [True, None, -1, 0.5],
+             "c": {"deep": [[line]]}}
+
+    def plain(v):
+        if isinstance(v, Subspace):
+            return v.as_dict()
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return v
+
+    assert cli._json_text_from_fragments(value) == \
+        json.dumps(plain(value), sort_keys=True, indent=2)
+
+
+def test_enum_lls_budget_boundary_writes_nothing(capsys, tmp_path):
+    # the stream of d=3 r=1 p=3 takes 2,266 candidates off its stack
+    base = ("enum-lls", "--degree", "3", "--rank", "1", "--p", "3")
+    path = tmp_path / "lls.json"
+    code, out, err = run(capsys, *base, "--budget", "2265", "--out", str(path))
+    assert code == 3 and out == "" and not path.exists()
+    one_json_error(err)
+    code, out, err = run(capsys, *base, "--budget", "2265")
+    assert code == 3 and out == ""
+    one_json_error(err)
+    code, out, err = run(capsys, *base, "--budget", "2266")
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == 1147
+
+
+def test_negative_series_rank_exit_code(capsys):
+    for argv in (("enum-lls", "--degree", "3", "--rank", "-1", "--p", "3"),
+                 ("census", "--kind", "section", "--degree", "2", "--rank",
+                  "-1", "--p", "2"),
+                 ("fr-image", "--degree", "2", "--rank", "-1", "--p", "2")):
+        code, out, err = run(capsys, *argv, "--budget", "1000")
+        assert code == 2 and out == "", argv
+        assert one_json_error(err)["error"] == \
+            "series rank r must be nonnegative, got -1"
 
 
 def test_tangent_command(capsys):

@@ -237,6 +237,11 @@ def test_enumerate_limit_series_counts():
     assert exact_nonrefined in pts
 
 
+def test_enumerate_limit_series_rejects_negative_rank():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(enumerate_limit_series(2, -1, 2))
+
+
 def test_enumerate_limit_series_with_constraints():
     # maximal vanishing at the y-point 0 forces VY = span{y^d}
     out = list(enumerate_limit_series(
