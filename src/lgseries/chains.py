@@ -6,8 +6,7 @@ f_i g_i = g_i f_i = s * id, kernel/image exchange wherever s vanishes, and no
 collapsing of consecutive images.  Its points are tuples of r-dimensional
 subspaces carried into each other by the maps.  All functions here are pure
 and chains and points are immutable; enumeration order is fixed, so censuses
-are byte-reproducible and can be partitioned by the pivot pattern of the
-first subspace and merged in any order.
+are byte-reproducible.  A census is one serial fold over the point stream.
 
 The per-point analysis (ranks, exactness, tangent dimension) reads
 everything off one set of per-step frame products, ``_step_products``.
@@ -21,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 from .fields import Fp, PrimeField
 from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
                      contains, enumerate_between, enumerate_subspaces, image,
-                     intersect, kernel, pivot_patterns, preimage, rref)
+                     intersect, kernel, preimage, rref)
 
 
 class LinkedChain:
@@ -288,29 +287,6 @@ def is_linked_point(chain: LinkedChain, pt: ChainPoint) -> bool:
     return True
 
 
-class _Budget:
-    """Shared candidate counter; raises once more candidates than allowed."""
-
-    __slots__ = ("limit", "used", "_lock")
-
-    def __init__(self, limit: Optional[int]):
-        import threading
-
-        self.limit = limit
-        self.used = 0
-        self._lock = threading.Lock()
-
-    def spend(self, k: int = 1) -> None:
-        if self.limit is None:
-            return
-        with self._lock:
-            self.used += k
-            if self.used > self.limit:
-                raise BudgetError(
-                    "enumeration examined more than %d candidate subspaces"
-                    % self.limit, count=self.used)
-
-
 def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
                      budget: Optional[int] = None,
                      first_pivots: Optional[tuple] = None) -> Iterator[ChainPoint]:
@@ -319,9 +295,10 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
     Level 0 runs over the subspace stream of GF(q)^d; each later level runs
     only over the interval f_i(V_i) <= V <= g_i^{-1}(V_i), so no candidate is
     ever generated and then filtered for linkage.  ``first_pivots`` restricts
-    level 0 to one pivot pattern, the unit of work-partitioning.  The search
-    is depth-first over an explicit stack of candidate iterators, one per
-    level, so chain length is not bounded by the recursion limit.
+    level 0 to one pivot pattern; these cells, taken in pattern order, make
+    up the whole stream.  The search is depth-first over an explicit stack
+    of candidate iterators, one per level, so chain length is not bounded
+    by the recursion limit.
 
     Many prefixes end in the same subspace, so each interval is walked once
     per call: a memo private to the call maps (level, V) to the candidates
@@ -331,11 +308,12 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
     the stack, replayed or not, spends one budget unit, so the order of the
     points and the count at which the budget runs out are those of walking
     every interval afresh, and no candidate is drawn ahead of its spend.
+    BudgetError is raised once more than ``budget`` candidates are spent.
     """
     if q is not None and q != chain.p:
         raise ValueError("q=%d does not match the chain's field GF(%d)"
                          % (q, chain.p))
-    counter = budget if isinstance(budget, _Budget) else _Budget(budget)
+    spent = 0
     memo = {}
     prefix = []
     stack = [enumerate_subspaces(chain.d, chain.r, chain.p,
@@ -347,7 +325,11 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
             if stack:
                 prefix.pop()
             continue
-        counter.spend()
+        spent += 1
+        if budget is not None and spent > budget:
+            raise BudgetError(
+                "enumeration examined more than %d candidate subspaces"
+                % budget, count=spent)
         level = len(prefix)
         if level == chain.n - 1:
             yield ChainPoint(prefix + [cand])
@@ -662,6 +644,8 @@ def admissible_signatures_n2(d: int, r: int, d1: int, d2: int) -> range:
         raise ValueError("need d1 + d2 = d")
     if not 0 < r < d:
         raise ValueError("need 0 < r < d")
+    if not 0 < d1 < d:
+        raise ValueError("need 0 < d1 < d, got d1=%d d=%d" % (d1, d))
     return range(max(0, r - d2), min(r, d1) + 1)
 
 
@@ -676,8 +660,8 @@ def expected_component_count_n2(d: int, r: int, d1: int, d2: int) -> int:
 
 @dataclass
 class CensusReport:
-    """Aggregated point data; merging censuses of disjoint partitions of the
-    level-0 stream is a commutative sum on every field."""
+    """Aggregated point data: counts by exactness, exact signature and
+    tangent dimension, emitted in sorted key order."""
 
     chain: dict
     q: int
@@ -686,16 +670,6 @@ class CensusReport:
     signatures: dict = field(default_factory=dict)  # exact points by signature
     tangent_histogram: dict = field(default_factory=dict)
     signature_graph: Optional[dict] = None
-
-    def merge(self, other: "CensusReport") -> "CensusReport":
-        out = CensusReport(self.chain, self.q, self.points + other.points,
-                           self.exact + other.exact,
-                           dict(self.signatures), dict(self.tangent_histogram))
-        for k, v in other.signatures.items():
-            out.signatures[k] = out.signatures.get(k, 0) + v
-        for k, v in other.tangent_histogram.items():
-            out.tangent_histogram[k] = out.tangent_histogram.get(k, 0) + v
-        return out
 
     def as_dict(self) -> dict:
         d = {"schema_version": 1,
@@ -711,56 +685,40 @@ class CensusReport:
 
 
 def census(chain: LinkedChain, q: Optional[int] = None,
-           budget: Optional[int] = None, workers: int = 1,
+           budget: Optional[int] = None,
            experiments: bool = False) -> CensusReport:
     """Count points, exact points, exact signatures, and tangent dimensions.
 
-    The report is identical for any worker count: partitions are the pivot
-    patterns of the level-0 subspace and the merge is commutative.  With
-    ``experiments`` set, a signature-adjacency graph is attached (edges join
-    the two exactified signatures over each non-exact point); its
-    connectivity is reported as data, with nothing asserted.
+    One serial fold over ``enumerate_points``; every point is analysed from
+    one set of frame products.  With ``experiments`` set, a
+    signature-adjacency graph is attached (edges join the two exactified
+    signatures over each non-exact point); its connectivity is reported as
+    data, with nothing asserted.
     """
     if q is not None and q != chain.p:
         raise ValueError("q=%d does not match the chain's field GF(%d)"
                          % (q, chain.p))
-    counter = _Budget(budget)
-    patterns = list(pivot_patterns(chain.d, chain.r))
-    edges = set()
-
-    def run_partition(pat) -> CensusReport:
-        part = CensusReport(chain.as_dict(), chain.p)
-        for pt in enumerate_points(chain, budget=counter, first_pivots=pat):
-            part.points += 1
-            products = _step_products(chain, pt)
-            sig = _signature_from(chain, products)
-            tdim = _tangent_from(chain, products)
-            part.tangent_histogram[tdim] = part.tangent_histogram.get(tdim, 0) + 1
-            if sig.exact:
-                part.exact += 1
-                key = sig.key()
-                part.signatures[key] = part.signatures.get(key, 0) + 1
-            elif experiments and chain.s.is_zero():
-                # exactify raises unless both exact completions exist; the
-                # forward one keeps f_ranks and the backward one g_ranks,
-                # and exact steps have rank sum r, so their keys follow
-                exactify(chain, pt)
-                r = chain.r
-                a = (sig.f_ranks, tuple(r - x for x in sig.f_ranks))
-                b = (tuple(r - x for x in sig.g_ranks), sig.g_ranks)
-                edges.add(tuple(sorted((a, b))))
-        return part
-
     report = CensusReport(chain.as_dict(), chain.p)
-    if workers <= 1:
-        for pat in patterns:
-            report = report.merge(run_partition(pat))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(run_partition, patterns):
-                report = report.merge(part)
+    edges = set()
+    for pt in enumerate_points(chain, budget=budget):
+        report.points += 1
+        products = _step_products(chain, pt)
+        sig = _signature_from(chain, products)
+        tdim = _tangent_from(chain, products)
+        report.tangent_histogram[tdim] = report.tangent_histogram.get(tdim, 0) + 1
+        if sig.exact:
+            report.exact += 1
+            key = sig.key()
+            report.signatures[key] = report.signatures.get(key, 0) + 1
+        elif experiments and chain.s.is_zero():
+            # exactify raises unless both exact completions exist; the
+            # forward one keeps f_ranks and the backward one g_ranks, and
+            # exact steps have rank sum r, so their keys follow
+            exactify(chain, pt)
+            r = chain.r
+            a = (sig.f_ranks, tuple(r - x for x in sig.f_ranks))
+            b = (tuple(r - x for x in sig.g_ranks), sig.g_ranks)
+            edges.add(tuple(sorted((a, b))))
     if experiments:
         nodes = sorted(report.signatures)
         adj = {node: set() for node in nodes}

@@ -233,7 +233,7 @@ def cmd_validate_chain(args) -> int:
 
 def cmd_census(args) -> int:
     chain = _chain_from_args(args)
-    rep = chains.census(chain, budget=args.budget, workers=args.workers,
+    rep = chains.census(chain, budget=args.budget,
                         experiments=args.experiments)
     _emit(rep.as_dict(), args)
     return EXIT_OK
@@ -405,7 +405,8 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     add("validate-chain", cmd_validate_chain, chain_flags=True)
 
     p = add("census", cmd_census, chain_flags=True, budget=True, csv_ok=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the census is serial")
     p.add_argument("--experiments", action="store_true",
                    help="attach the signature-adjacency graph")
 
@@ -518,8 +519,8 @@ def _check_config(command: argparse.ArgumentParser, config: dict) -> None:
 
 
 def _check_limits(args) -> None:
-    # flags and config values alike: a budget counts candidates, workers
-    # count threads
+    # flags and config values alike: a budget counts candidates; --workers
+    # has no effect (the census is serial) but keeps its K >= 1 check
     budget = getattr(args, "budget", None)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise _UsageError("--budget must be a nonnegative integer, got %r"

@@ -4,8 +4,7 @@ Matrices act on column vectors; vectors are plain tuples of entries.
 Subspaces are stored by their reduced row-echelon basis, which is the unique
 canonical representative, so subspace equality, hashing and set-level
 deduplication are exact.  Everything is immutable and side-effect free; the
-subspace stream partitions deterministically by pivot pattern so exhaustive
-searches can fan out without shared state.
+subspace stream splits deterministically by pivot pattern into echelon cells.
 
 Entries.  Over GF(p) a Matrix or Subspace holds its entries as plain ints in
 [0, p), with p read from ``ring.p``, and every routine works on them with int
@@ -676,8 +675,8 @@ def enumerate_subspaces(d: int, r: int, q: int, budget: Optional[int] = None,
 
     Deterministic order: pivot patterns lexicographically, then free entries
     lexicographically (row-major positions, last position varying fastest).
-    Restricting ``pivots`` to one pattern yields a single echelon cell, which
-    is how exhaustive searches are partitioned across workers.
+    Restricting ``pivots`` to one pattern yields a single echelon cell, so an
+    exhaustive search splits into disjoint cells.
     """
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))

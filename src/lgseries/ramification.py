@@ -246,6 +246,9 @@ def plucker_check(v: Subspace, degree: Optional[int] = None, genus: int = 0,
 
 def rho(genus: int, r: int, d: int, alphas: Sequence[Sequence[int]] = ()) -> int:
     """Expected dimension (r+1)(d-r) - r*genus - sum of all ramification."""
+    if genus < 0 or r < 0:
+        raise ValueError("need genus >= 0 and r >= 0, got genus=%d r=%d"
+                         % (genus, r))
     total = 0
     for alpha in alphas:
         alpha = list(alpha)

@@ -11,7 +11,7 @@ from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
 from lgseries.fields import Dual, DualNumbers, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
                              enumerate_subspaces, gaussian_binomial,
-                             intersect, kernel, rref)
+                             intersect, kernel, pivot_patterns, rref)
 from lgseries.series import build_section_chain
 
 GF2 = PrimeField(2)
@@ -570,6 +570,15 @@ def test_component_formulas():
         admissible_signatures_n2(3, 1, 1, 1)
 
 
+def test_component_formulas_reject_d1_out_of_range():
+    # d1 + d2 = d holds, but one side is empty or negative
+    for d, r, d1 in ((3, 1, 5), (2, 1, -2), (3, 1, 0), (3, 1, 3)):
+        with pytest.raises(ValueError, match="0 < d1 < d"):
+            admissible_signatures_n2(d, r, d1, d - d1)
+        with pytest.raises(ValueError, match="0 < d1 < d"):
+            expected_component_count_n2(d, r, d1, d - d1)
+
+
 def test_census_cross_chain():
     rep = census(cross_chain())
     assert rep.points == 5
@@ -591,14 +600,15 @@ def test_census_rank_zero():
     assert rep.points == 1
 
 
-def test_census_workers_and_merge_determinism():
-    c = make_standard_chain(2, 3, 1, 0, 2, r=1)
-    one = census(c, workers=1)
-    two = census(c, workers=3)
-    assert one.as_dict() == two.as_dict()
-    with_graph_1 = census(c, workers=1, experiments=True)
-    with_graph_3 = census(c, workers=3, experiments=True)
-    assert with_graph_1.as_dict() == with_graph_3.as_dict()
+def test_point_stream_is_its_pivot_cells_in_pattern_order():
+    # the single stream a census folds over is the concatenation of the
+    # first_pivots cells, so splitting by cell neither loses nor reorders
+    for c in (make_standard_chain(2, 3, 1, 0, 2, r=1),
+              build_section_chain(3, 2, 2),
+              conjugated_standard_chain(3, 3, 1, 3, 1, seed=5)):
+        cells = [pt for pat in pivot_patterns(c.d, c.r)
+                 for pt in enumerate_points(c, first_pivots=pat)]
+        assert list(enumerate_points(c)) == cells
 
 
 def test_census_experiments_graph():

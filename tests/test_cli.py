@@ -590,6 +590,41 @@ def test_fr_image_budget_boundary(capsys):
     assert json.loads(out)["equal"]
 
 
+CENSUS_BUDGET_BOUNDARY = {
+    # candidates the whole point stream examines
+    ("--kind", "section", "--degree", "3", "--rank", "2", "--p", "2"): 208,
+    ("--kind", "section", "--degree", "3", "--rank", "1", "--p", "3"): 2266,
+    ("--kind", "standard", "--n", "3", "--dim", "4", "--d1", "2", "--s", "0",
+     "--p", "2", "--rank", "2", "--experiments", "--workers", "2"): 351,
+}
+
+
+def test_census_budget_boundary(capsys):
+    for flags, n in CENSUS_BUDGET_BOUNDARY.items():
+        code, out, err = run(capsys, "census", *flags, "--budget", str(n - 1))
+        assert code == 3 and out == "", flags
+        one_json_error(err)
+        code, out, err = run(capsys, "census", *flags, "--budget", str(n))
+        assert code == 0 and err == "", flags
+        json.loads(out)
+
+
+def test_components_n2_d1_out_of_range_exit_code(capsys):
+    for dim, d1 in (("3", "5"), ("2", "-2"), ("3", "0"), ("3", "3")):
+        code, out, err = run(capsys, "components-n2", "--dim", dim, "--rank",
+                             "1", "--d1", d1, "--budget", "100")
+        assert code == 2 and out == "", (dim, d1)
+        assert "d1" in one_json_error(err)["error"]
+
+
+def test_rho_negative_genus_or_rank_exit_code(capsys):
+    for genus, rank in (("-1", "1"), ("0", "-1")):
+        code, out, err = run(capsys, "rho", "--genus", genus, "--rank", rank,
+                             "--degree", "2")
+        assert code == 2 and out == ""
+        one_json_error(err)
+
+
 
 PLUCKER = ("plucker", "--degree", "2", "--p", "5", "--basis",
            "[[0,0,1],[1,0,0]]")
@@ -718,3 +753,23 @@ def test_fuzz_config_values(config):
                     rep = json.load(fh)
                 assert all(type(rep[k]) is int for k in ("genus", "r", "d",
                                                          "rho"))
+
+
+@FUZZ
+@given(st.integers(-2, 7), st.integers(-2, 6), st.integers(-3, 8))
+def test_fuzz_components_n2(dim, rank, d1):
+    code, err = run_quiet("components-n2", "--dim", str(dim), "--rank",
+                          str(rank), "--d1", str(d1), "--budget", "2000")
+    assert_clean_exit(code, err)
+
+
+ROW_LISTS = st.lists(st.lists(st.integers(-2, 4), max_size=4), max_size=3)
+
+
+@FUZZ
+@given(st.sampled_from(["reconstruct", "lift-crude"]),
+       JSON_VALUES | ROW_LISTS, JSON_VALUES | ROW_LISTS)
+def test_fuzz_aspect_rows(command, vy, vz):
+    code, err = run_quiet(command, "--degree", "2", "--p", "2",
+                          "--vy", json.dumps(vy), "--vz", json.dumps(vz))
+    assert_clean_exit(code, err)

@@ -183,6 +183,10 @@ def test_rho_validation():
         rho(0, 1, 2, [[-1, 0]])      # negative
     with pytest.raises(ValueError):
         rho(0, 1, 2, [[1, 0]])       # decreasing
+    with pytest.raises(ValueError):
+        rho(-1, 1, 2)                # negative genus
+    with pytest.raises(ValueError):
+        rho(0, -1, 2)                # negative rank
 
 
 def test_vanishing_rejects_dual():
