@@ -1,8 +1,8 @@
 """Exact engine for linked subspace chains and limit linear series on
 two-component nodal curves over prime fields and dual numbers."""
 
-from .fields import (Dual, DualNumbers, Fp, PrimeField, dual_inverse,
-                     field_inverse, is_tame, tameness_determinant)
+from .fields import (Dual, DualNumbers, Fp, PrimeField, is_tame,
+                     tameness_determinant)
 from .linalg import (BudgetError, Matrix, Subspace, apply_map, contains,
                      enumerate_between, enumerate_subspaces, gaussian_binomial,
                      image, intersect, kernel, preimage, rank_everywhere_at_most,

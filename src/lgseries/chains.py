@@ -410,25 +410,29 @@ def _step_products(chain: LinkedChain, pt: ChainPoint,
 
 def _restricted(chain: LinkedChain, products: list) -> list:
     """Per step, (f_i on V_i, g_i on V_{i+1}) as r x r matrices in basis
-    coordinates: row a is the image of the source's a-th basis vector."""
+    coordinates (row a is the image of the source's a-th basis vector), each
+    with its row space, the image of the restricted map."""
     rr = range(chain.r)
-    return [(fp.submatrix(rr, rr), gp.submatrix(rr, rr))
-            for fp, gp in products]
+    out = []
+    for fp, gp in products:
+        lf, lg = fp.submatrix(rr, rr), gp.submatrix(rr, rr)
+        out.append((lf, lg, Subspace.from_matrix(lf), Subspace.from_matrix(lg)))
+    return out
 
 
 def _exact_from(restricted: list) -> bool:
     """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}),
     at every step; the kernel of a restricted map is the left kernel of its
     matrix and its image the row space."""
-    return all(Subspace.from_matrix(lf).contains(kernel(lg.transpose()))
-               and Subspace.from_matrix(lg).contains(kernel(lf.transpose()))
-               for lf, lg in restricted)
+    return all(im_f.contains(kernel(lg.transpose()))
+               and im_g.contains(kernel(lf.transpose()))
+               for lf, lg, im_f, im_g in restricted)
 
 
 def _signature_from(chain: LinkedChain, products: list) -> SignatureReport:
     restricted = _restricted(chain, products)
-    f_ranks = tuple(rref(lf).rank for lf, _ in restricted)
-    g_ranks = tuple(rref(lg).rank for _, lg in restricted)
+    f_ranks = tuple(im_f.dim for _, _, im_f, _ in restricted)
+    g_ranks = tuple(im_g.dim for _, _, _, im_g in restricted)
     exact = _exact_from(restricted)
     if chain.s.is_zero():
         by_ranks = all(rf + rg == chain.r for rf, rg in zip(f_ranks, g_ranks))
@@ -584,6 +588,13 @@ def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
     sig = signature(chain, pt)
     if sig.exact:
         raise ValueError("point is already exact")
+    return _exactify(chain, pt, sig)
+
+
+def _exactify(chain: LinkedChain, pt: ChainPoint,
+              sig: SignatureReport) -> tuple:
+    """``exactify`` of a non-exact point of an s = 0 chain, given its
+    signature."""
     f_point = _exactify_forward(chain, pt, sig.f_ranks, sig.g_ranks)
     rev = chain.reverse()
     rev_pt = ChainPoint(tuple(reversed(pt.spaces)))
@@ -711,10 +722,10 @@ def census(chain: LinkedChain, q: Optional[int] = None,
             key = sig.key()
             report.signatures[key] = report.signatures.get(key, 0) + 1
         elif experiments and chain.s.is_zero():
-            # exactify raises unless both exact completions exist; the
+            # _exactify raises unless both exact completions exist; the
             # forward one keeps f_ranks and the backward one g_ranks, and
             # exact steps have rank sum r, so their keys follow
-            exactify(chain, pt)
+            _exactify(chain, pt, sig)
             r = chain.r
             a = (sig.f_ranks, tuple(r - x for x in sig.f_ranks))
             b = (tuple(r - x for x in sig.g_ranks), sig.g_ranks)

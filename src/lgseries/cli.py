@@ -87,6 +87,7 @@ def _json_text_from_fragments(report: dict) -> str:
 
 
 def _to_csv(report: dict) -> str:
+    """A census or vanishing report, the two that take ``--format csv``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     if "signatures" in report:
@@ -94,15 +95,11 @@ def _to_csv(report: dict) -> str:
         for sig, cnt in report["signatures"]:
             writer.writerow([" ".join(map(str, sig[0])),
                              " ".join(map(str, sig[1])), cnt])
-    elif "vanishing" in report:
+    else:
         writer.writerow(["point", "j", "a_j", "alpha_j"])
         for j, (a, al) in enumerate(zip(report["vanishing"],
                                         report["ramification"])):
             writer.writerow([report["point"], j, a, al])
-    else:
-        writer.writerow(sorted(report))
-        writer.writerow([json.dumps(report[k], sort_keys=True)
-                         for k in sorted(report)])
     return buf.getvalue()
 
 

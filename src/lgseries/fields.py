@@ -1,13 +1,16 @@
 """Exact scalar arithmetic: prime fields GF(p) and dual numbers GF(p)[eps]/(eps^2).
 
-Every value is immutable and every operation is a pure function, so scalars
-may be shared freely between threads.  Moduli are capped at 2^31 so that all
-intermediate products stay comfortably inside machine integers on any
-platform; the binomial determinant used by the tameness test is computed
-over unbounded integers first and only reduced at the end.
+Every value is immutable and every operation is a pure function.  The
+package's routines compute with ints mod p and call none of the element
+arithmetic below.  Moduli are capped at 2^31 so that all intermediate
+products stay comfortably inside machine integers on any platform;
+determinants are computed over unbounded integers first and only reduced
+at the end.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 MAX_MODULUS = 2**31
 
@@ -243,14 +246,6 @@ def ring_from_dict(d: dict):
     return DualNumbers(d["p"]) if d.get("dual") else PrimeField(d["p"])
 
 
-def field_inverse(x: Fp) -> Fp:
-    return x.inverse()
-
-
-def dual_inverse(x: Dual) -> Dual:
-    return x.inverse()
-
-
 def integer_determinant(m: list) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(m)
@@ -277,8 +272,6 @@ def integer_determinant(m: list) -> int:
 
 def binomial_matrix(a) -> list:
     """Matrix binom(a_i, j) for 0 <= i, j <= r, over the integers."""
-    from math import comb
-
     r = len(a) - 1
     return [[comb(ai, j) for j in range(r + 1)] for ai in a]
 
@@ -294,9 +287,7 @@ def tameness_determinant(a, p: int) -> Fp:
     if not a or a[0] < 0 or any(x >= y for x, y in zip(a, a[1:])):
         raise ValueError(
             "vanishing sequence must be strictly increasing and nonnegative: %r" % (a,))
-    field = PrimeField(p)
-    det = integer_determinant(binomial_matrix(a))
-    return field(det)
+    return PrimeField(p)(integer_determinant(binomial_matrix(a)))
 
 
 def is_tame(a, p: int) -> bool:

@@ -36,7 +36,7 @@ dual numbers.  Rank conditions that must hold on the whole ring (not just at
 the closed point) go through ``rank_everywhere_at_most``, which splits a
 dual matrix as A0 + eps A1 and decides the bound from the GF(p) rank of A0
 and, at the boundary rank, from whether A1 maps ker A0 into im A0.  No
-routine does arithmetic on ``Dual`` elements.
+routine does arithmetic on ``Fp`` or ``Dual`` elements.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from itertools import chain, combinations, product
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .fields import Dual, DualNumbers, Fp, PrimeField, ring_from_dict
+from .fields import (Dual, DualNumbers, Fp, PrimeField, integer_determinant,
+                     ring_from_dict)
 
 
 class BudgetError(RuntimeError):
@@ -201,35 +202,12 @@ class Matrix:
         return Matrix(self.ring, len(rows), len(cols), ents)
 
     def det(self):
-        """Determinant over GF(p), as an ``Fp``.
-
-        Laplace expansion with bitmask memoisation on unreduced ints; fine
-        for the small sizes this engine ever sees.
-        """
+        """Determinant over GF(p), as an ``Fp``: fraction-free Bareiss on the
+        entries as integers, reduced at the end."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         p = _field_p(self.ring, "a determinant")
-        n = self.rows
-        # dp maps a frozen column mask to the determinant of the submatrix on
-        # rows 0..k-1 and the columns in the mask (k = popcount of the mask).
-        dp = {0: 1}
-        for k in range(n):
-            ndp = {}
-            for mask, val in dp.items():
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit:
-                        continue
-                    used_before = bin(mask & (bit - 1)).count("1")
-                    term = val * self.entry(k, j)
-                    # cofactor sign of position (k, used_before) in the
-                    # growing (k+1)x(k+1) corner
-                    if (k + used_before) % 2 == 1:
-                        term = -term
-                    nm = mask | bit
-                    ndp[nm] = ndp.get(nm, 0) + term
-            dp = ndp
-        return Fp(dp[(1 << n) - 1], p)
+        return Fp(integer_determinant(self._rows()), p)
 
     def to_dual(self) -> "Matrix":
         """Reinterpret a GF(p) matrix over GF(p)[eps]/(eps^2)."""

@@ -7,63 +7,59 @@ polynomial coefficients in ascending order.  Orders of vanishing at infinity
 are m minus the degree.  Hasse derivatives D^(j) y^k = binom(k, j) y^(k-j)
 replace ordinary derivatives so that everything stays correct in small
 characteristic.
+
+Polynomials are tuples of ints in [0, p); ``hasse_derivative`` and
+``poly_order_at`` reduce their input (ints, or ``Fp`` of the same p) and,
+like ``wronskian``, raise ValueError over the dual numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 from typing import Optional, Sequence
 
 from .fields import is_tame
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _entries, _field_p
 
 INFINITY = "inf"
 
 
 def _poly_trim(coeffs: tuple) -> tuple:
     n = len(coeffs)
-    while n > 0 and coeffs[n - 1].is_zero():
+    while n > 0 and not coeffs[n - 1]:
         n -= 1
     return coeffs[:n]
 
 
-def poly_add(a: tuple, b: tuple, ring) -> tuple:
-    n = max(len(a), len(b))
-    z = ring.zero()
-    return tuple((a[i] if i < len(a) else z) + (b[i] if i < len(b) else z)
-                 for i in range(n))
+def poly_add(a: tuple, b: tuple, p: int) -> tuple:
+    return tuple((x + y) % p for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def poly_mul(a: tuple, b: tuple, ring) -> tuple:
+def poly_mul(a: tuple, b: tuple, p: int) -> tuple:
     if not a or not b:
         return ()
-    z = ring.zero()
-    out = [z] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return tuple(out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(c % p for c in out)
 
 
-def poly_scale(a: tuple, c) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def poly_eval(a: tuple, t):
-    acc = None
+def poly_eval(a: tuple, t: int, p: int) -> int:
+    acc = 0
     for c in reversed(a):
-        acc = c if acc is None else acc * t + c
+        acc = (acc * t + c) % p
     return acc
 
 
 def hasse_derivative(a: tuple, j: int, ring) -> tuple:
     """j-th Hasse derivative: coefficient k+j contributes binom(k+j, j)."""
-    if j >= len(a):
-        return ()
-    return tuple(ring(comb(k + j, j)) * a[k + j] for k in range(len(a) - j))
+    p = _field_p(ring, "a Hasse derivative")
+    a = _entries(ring, a)
+    return tuple(comb(k + j, j) * a[k + j] % p for k in range(len(a) - j))
 
 
 def poly_order_at(a: tuple, t, ring, degree_bound: Optional[int] = None):
@@ -71,18 +67,17 @@ def poly_order_at(a: tuple, t, ring, degree_bound: Optional[int] = None):
 
     Returns None for the zero polynomial.
     """
-    if ring.dual:
-        raise ValueError("orders of vanishing need field coefficients")
-    a = _poly_trim(tuple(ring(x) for x in a))
+    p = _field_p(ring, "an order of vanishing")
+    a = _poly_trim(_entries(ring, a))
     if not a:
         return None
     if t == INFINITY:
         if degree_bound is None:
             raise ValueError("order at infinity needs the degree bound")
         return degree_bound - (len(a) - 1)
-    t = ring(t)
+    t = ring(t).v
     for k in range(len(a)):
-        if not poly_eval(hasse_derivative(a, k, ring), t).is_zero():
+        if poly_eval(hasse_derivative(a, k, ring), t, p):
             return k
     raise AssertionError("nonzero polynomial with no finite order")
 
@@ -148,31 +143,29 @@ def wronskian(v: Subspace) -> tuple:
     zero/nonzero verdict and all root orders are invariants of the series.
     """
     ring = v.ring
-    if ring.dual:
-        raise ValueError("the Wronskian needs field coefficients")
+    p = _field_p(ring, "the Wronskian")
     if v.dim == 0:
         raise ValueError("Wronskian of the zero series is undefined")
-    # the polynomial helpers above work on ring elements
-    basis = [tuple(ring(x) for x in row) for row in v.basis_rows()]
-    rp1 = len(basis)
+    basis = v.basis_rows()
     grid = [[_poly_trim(hasse_derivative(b, j, ring)) for b in basis]
-            for j in range(rp1)]
-    return _poly_det(grid, ring)
+            for j in range(len(basis))]
+    return _poly_det(grid, p)
 
 
-def _poly_det(grid, ring) -> tuple:
+def _poly_det(grid, p: int) -> tuple:
+    """Cofactor expansion of a square grid of polynomials along its first row."""
     n = len(grid)
     if n == 0:
-        return (ring.one(),)
+        return (1,)
     if n == 1:
         return grid[0][0]
     acc = ()
     for j in range(n):
-        minor = [[grid[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = poly_mul(grid[0][j], _poly_det(minor, ring), ring)
+        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
+        term = poly_mul(grid[0][j], _poly_det(minor, p), p)
         if j % 2 == 1:
-            term = poly_scale(term, -ring.one())
-        acc = poly_add(acc, term, ring)
+            term = tuple(-x % p for x in term)
+        acc = poly_add(acc, term, p)
     return _poly_trim(acc)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .chains import ChainPoint, LinkedChain, enumerate_points
+from .chains import ChainPoint, LinkedChain, enumerate_points, is_linked_point
 from .fields import Dual, DualNumbers, PrimeField
 from .linalg import (Matrix, Subspace, apply_map, enumerate_subspaces,
                      intersect, pivot_patterns, preimage,
@@ -42,10 +42,6 @@ class NodalModel:
     @property
     def p(self) -> int:
         return self.field.p
-
-    @property
-    def n_levels(self) -> int:
-        return self.d + 1
 
     @property
     def ambient_dim(self) -> int:
@@ -87,10 +83,6 @@ class NodalModel:
     def z_vanishing_space(self, i: int) -> Subspace:
         """Sections with b identically zero (rows supported on a_1..a_{d-i})."""
         return self._coordinate_space(range(1, self.d - i + 1))
-
-    def y_vanishing_space(self, i: int) -> Subspace:
-        """Sections with a identically zero (rows supported on b_1..b_i)."""
-        return self._coordinate_space(range(self.d - i + 1, self.d + 1))
 
     def _coordinate_space(self, cols) -> Subspace:
         return Subspace.from_rows(self.field, self.d + 1, self._unit_vectors(cols))
@@ -298,8 +290,6 @@ def reconstruct_refined(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoi
         spaces.append(v_i)
     point = ChainPoint(spaces)
     chain = model.chain(r + 1)
-    from .chains import is_linked_point
-
     if not is_linked_point(chain, point):
         raise RuntimeError("refined reconstruction is not linked")
     return LimitSeriesPoint(model, point)
@@ -344,8 +334,6 @@ def lift_crude(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoint:
     spaces.append(vd)
     point = ChainPoint(spaces)
     chain = model.chain(r + 1)
-    from .chains import is_linked_point
-
     if not is_linked_point(chain, point):
         raise RuntimeError("crude lifting is not linked")
     return LimitSeriesPoint(model, point)

@@ -773,3 +773,118 @@ def test_fuzz_aspect_rows(command, vy, vz):
     code, err = run_quiet(command, "--degree", "2", "--p", "2",
                           "--vy", json.dumps(vy), "--vz", json.dumps(vz))
     assert_clean_exit(code, err)
+
+
+def evenly(*strategies):
+    """Draw from each strategy with equal chance, however many branches it
+    has (``a | b`` weighs each flattened branch alike)."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+# degree-2 bases: lists of rows of three small ints
+DEGREE2_ROWS = st.lists(st.lists(st.integers(-2, 6), min_size=3, max_size=3),
+                        max_size=4)
+
+
+@FUZZ
+@given(evenly(DEGREE2_ROWS, JSON_VALUES, ROW_LISTS),
+       evenly(st.integers(-6, 12), st.just("inf"), JSON_SCALARS))
+def test_fuzz_vanishing_basis_and_point(basis, point):
+    code, err = run_quiet("vanishing", "--degree", "2", "--p", "5",
+                          "--basis", json.dumps(basis), "--point", str(point))
+    assert_clean_exit(code, err)
+
+
+@FUZZ
+@given(evenly(DEGREE2_ROWS, JSON_VALUES, ROW_LISTS))
+def test_fuzz_plucker_basis(basis):
+    code, err = run_quiet("plucker", "--degree", "2", "--p", "5", "--basis",
+                          json.dumps(basis))
+    assert_clean_exit(code, err)
+
+
+def run_quiet_with_file(content, *argv):
+    """run_quiet with the JSON ``content`` in a temporary file, whose path
+    takes the place of ``"FILE"`` in argv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(content, fh)
+        return run_quiet(*[path if a == "FILE" else a for a in argv])
+
+
+VALID_CHAIN = chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1])  # the cross chain
+MAP_ENTRIES = evenly(st.lists(st.integers(-2, 4), min_size=4, max_size=4),
+                     st.lists(st.integers(-2, 4) | JSON_SCALARS, max_size=5))
+SMALL = evenly(st.integers(-1, 3), JSON_SCALARS)
+
+
+def _times(m, n):
+    """Product of 2x2 matrices held as flat row-major lists."""
+    return [m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3]]
+
+
+def _conjugated_chain(p, a, b):
+    """The cross chain f = diag(1, 0), g = diag(0, 1) carried to B f adj(A)
+    and A g adj(B), a valid chain when A and B are invertible mod p."""
+    f, g = [1, 0, 0, 0], [0, 0, 0, 1]
+
+    def adj(m):
+        return [m[3], -m[1], -m[2], m[0]]
+
+    return chain_dict(p, [x % p for x in _times(_times(b, f), adj(a))],
+                      [x % p for x in _times(_times(a, g), adj(b))])
+
+
+def _invertible_2x2(p):
+    return st.lists(st.integers(0, p - 1), min_size=4, max_size=4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+
+
+CHAIN_FILES = evenly(
+    st.sampled_from([2, 3]).flatmap(
+        lambda p: st.builds(_conjugated_chain, st.just(p), _invertible_2x2(p),
+                            _invertible_2x2(p))),
+    st.builds(chain_dict, evenly(st.sampled_from([2, 3, 4]), JSON_SCALARS),
+              MAP_ENTRIES, MAP_ENTRIES, SMALL, SMALL),
+    st.builds(lambda key, value: dict(VALID_CHAIN, **{key: value}),
+              st.sampled_from(sorted(VALID_CHAIN)), JSON_VALUES),
+    JSON_VALUES)
+
+
+@FUZZ
+@given(CHAIN_FILES, st.booleans())
+def test_fuzz_census_chain_file(content, experiments):
+    argv = ("census", "--kind", "file", "--chain-file", "FILE",
+            "--budget", "100") + (("--experiments",) if experiments else ())
+    assert_clean_exit(*run_quiet_with_file(content, *argv))
+
+
+def _line_level(a, b):
+    return {"ring": {"p": 2, "dual": False}, "ambient_dim": 2, "rank": 1,
+            "basis": [[a, b]]}
+
+
+# a well-formed level of the GF(2)^2 chain below, or one with a field replaced
+LINE_LEVELS = st.builds(_line_level, st.integers(-2, 4), st.integers(-2, 4))
+LEVELS = evenly(
+    LINE_LEVELS,
+    st.builds(lambda level, key, value: dict(level, **{key: value}),
+              LINE_LEVELS, st.sampled_from(sorted(_line_level(0, 1))),
+              evenly(JSON_VALUES, ROW_LISTS)))
+POINT_FILES = evenly(
+    st.fixed_dictionaries({"spaces": st.lists(LEVELS, min_size=2,
+                                              max_size=2)}),
+    st.fixed_dictionaries({"spaces": st.lists(evenly(LEVELS, JSON_VALUES),
+                                              max_size=3)}),
+    JSON_VALUES)
+
+
+@FUZZ
+@given(POINT_FILES)
+def test_fuzz_tangent_point_file(content):
+    assert_clean_exit(*run_quiet_with_file(
+        content, "tangent", "--kind", "standard", "--n", "2", "--dim", "2",
+        "--d1", "1", "--rank", "1", "--p", "2", "--budget", "1000",
+        "--point-file", "FILE"))

@@ -4,9 +4,8 @@ from math import comb, factorial
 import pytest
 
 from lgseries.fields import (Dual, DualNumbers, Fp, PrimeField,
-                             binomial_matrix, dual_inverse, field_inverse,
-                             integer_determinant, is_prime, is_tame,
-                             tameness_determinant)
+                             binomial_matrix, integer_determinant, is_prime,
+                             is_tame, tameness_determinant)
 
 PRIMES_SMALL = [2, 3, 5, 7, 11, 13]
 
@@ -28,25 +27,25 @@ def test_prime_field_rejects_bad_moduli():
 
 
 def test_field_inverse_examples():
-    assert field_inverse(Fp(1, 5)) == Fp(1, 5)
+    assert Fp(1, 5).inverse() == Fp(1, 5)
     # exhaustive oracle over GF(5): the inverse of 2 is whatever multiplies to 1
     expected = next(c for c in range(1, 5) if (2 * c) % 5 == 1)
     assert expected == 3
-    assert field_inverse(Fp(2, 5)) == Fp(3, 5)
-    assert field_inverse(Fp(1, 2)) == Fp(1, 2)
+    assert Fp(2, 5).inverse() == Fp(3, 5)
+    assert Fp(1, 2).inverse() == Fp(1, 2)
 
 
 def test_field_inverse_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        field_inverse(Fp(0, 7))
+        Fp(0, 7).inverse()
 
 
 def test_field_inverse_involution_exhaustive():
     for p in [2, 3, 5, 7, 11, 97]:
         for v in range(1, p):
             x = Fp(v, p)
-            assert field_inverse(field_inverse(x)) == x
-            assert x * field_inverse(x) == Fp(1, p)
+            assert x.inverse().inverse() == x
+            assert x * x.inverse() == Fp(1, p)
 
 
 def test_field_arithmetic_basics():
@@ -62,13 +61,13 @@ def test_field_arithmetic_basics():
 
 def test_dual_inverse_examples():
     D = DualNumbers(3)
-    assert dual_inverse(D(1, 0)) == D(1, 0)
+    assert D(1, 0).inverse() == D(1, 0)
     x = D(1, 1)
-    inv = dual_inverse(x)
+    inv = x.inverse()
     assert inv == D(1, 2)
     assert x * inv == D(1, 0)  # (1+e)(1+2e) = 1+3e = 1
     with pytest.raises(ZeroDivisionError):
-        dual_inverse(D(0, 1))
+        D(0, 1).inverse()
 
 
 def test_dual_inverse_all_units():
@@ -163,3 +162,47 @@ def test_dual_ring_descriptor():
     assert D.as_dict() == {"p": 3, "dual": True}
     assert PrimeField(3).as_dict() == {"p": 3, "dual": False}
     assert D(Fp(2, 3), 1) == Dual(2, 1, 3)
+
+
+# every arithmetic method and inverse of the element types
+ELEMENT_ARITHMETIC = {
+    Fp: ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+         "__neg__", "inverse"),
+    Dual: ("__add__", "__radd__", "__mul__", "__rmul__", "inverse"),
+}
+
+
+def test_no_library_routine_does_element_arithmetic(monkeypatch):
+    from lgseries.chains import census, make_standard_chain
+    from lgseries.linalg import Matrix, Subspace
+    from lgseries.ramification import (INFINITY, hasse_derivative,
+                                       plucker_check, poly_order_at,
+                                       vanishing_sequence, wronskian)
+    from lgseries.series import dual_probe, fr_image_report
+
+    def forbidden(*args):
+        raise AssertionError("Fp/Dual element arithmetic was called")
+
+    for cls, names in ELEMENT_ARITHMETIC.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, forbidden)
+    with pytest.raises(AssertionError):
+        Fp(1, 5) * Fp(2, 5)
+
+    F5 = PrimeField(5)
+    v = Subspace.from_rows(F5, 4, [[1, 2, 0, 3], [0, 1, 4, 1]])
+    for point in list(range(5)) + [INFINITY]:
+        vanishing_sequence(v, point)
+    plucker_check(v)
+    w = wronskian(v)
+    assert w
+    assert poly_order_at(w, 2, F5, degree_bound=6) is not None
+    assert hasse_derivative(w, 1, F5)
+    assert Matrix.from_rows(F5, [[1, 2, 3], [4, 0, 1], [2, 2, 2]]).det() == 0
+    assert is_tame([0, 2, 5], 3) == (integer_determinant(
+        binomial_matrix([0, 2, 5])) % 3 != 0)
+    rep = census(make_standard_chain(2, 2, 1, 0, 2, 1), budget=1000,
+                 experiments=True)
+    assert rep.signature_graph["edges"]  # the exactify completions ran
+    assert fr_image_report(2, 1, 2).equal
+    dual_probe(3)

@@ -218,3 +218,25 @@ def test_plucker_rejects_negative_genus_and_repeated_points():
         with pytest.raises(ValueError, match="twice"):
             plucker_check(v, points=points)
     assert plucker_check(v, points=[0, 6, INFINITY]).inspected == [0, 1, INFINITY]
+
+
+def test_polynomial_helpers_return_ints_mod_p():
+    for p in (2, 3):
+        field = PrimeField(p)
+        for k in (1, 2, 3):
+            for v in enumerate_subspaces(4, k, p):
+                assert all(type(x) is int and 0 <= x < p for x in wronskian(v))
+                for j in range(4):
+                    h = hasse_derivative(v.basis_rows()[0], j, field)
+                    assert all(type(x) is int and 0 <= x < p for x in h)
+    # unreduced ints and Fp coefficients are reduced once, at the boundary
+    h = hasse_derivative((-1, 7, -3, GF5(4)), 1, GF5)
+    assert h == (2, 4, 2) and all(type(x) is int for x in h)
+
+
+def test_hasse_derivative_rejects_dual():
+    from lgseries.fields import DualNumbers
+
+    D = DualNumbers(3)
+    with pytest.raises(ValueError, match="field coefficients"):
+        hasse_derivative((D(0, 1), D(1, 0)), 1, D)
