@@ -14,8 +14,9 @@ everything off one set of per-step frame products, ``_step_products``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .fields import Fp, PrimeField
 from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
@@ -287,37 +288,50 @@ def is_linked_point(chain: LinkedChain, pt: ChainPoint) -> bool:
     return True
 
 
-def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
-                     budget: Optional[int] = None,
+def enumerate_points(chain: LinkedChain, budget: Optional[int] = None,
                      first_pivots: Optional[tuple] = None) -> Iterator[ChainPoint]:
     """All linked points, each exactly once, in a fixed deterministic order.
 
-    Level 0 runs over the subspace stream of GF(q)^d; each later level runs
+    Level 0 runs over the subspace stream of GF(p)^d; each later level runs
     only over the interval f_i(V_i) <= V <= g_i^{-1}(V_i), so no candidate is
     ever generated and then filtered for linkage.  ``first_pivots`` restricts
     level 0 to one pivot pattern; these cells, taken in pattern order, make
-    up the whole stream.  The search is depth-first over an explicit stack
-    of candidate iterators, one per level, so chain length is not bounded
-    by the recursion limit.
+    up the whole stream.  The walk is ``_walk`` from the empty prefix, so
+    each interval is walked once per call, and BudgetError is raised once
+    more than ``budget`` candidates are spent.
+    """
+    yield from _walk(chain, [], enumerate_subspaces(chain.d, chain.r, chain.p,
+                                                    pivots=first_pivots),
+                     budget=budget)
+
+
+def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
+          first: Iterable[Subspace],
+          keep: Optional[Callable[[int, Subspace], bool]] = None,
+          budget: Optional[int] = None) -> Iterator[ChainPoint]:
+    """The linked completions of ``prefix``, depth first, in stream order.
+
+    ``first`` holds the candidates for level len(prefix); each later level
+    runs over the interval f_i(V) <= W <= g_i^{-1}(V) of the level before,
+    restricted to the W with keep(level, W) when ``keep`` is given.  The
+    search runs on an explicit stack of candidate iterators, one per level,
+    so chain length is not bounded by the recursion limit.
 
     Many prefixes end in the same subspace, so each interval is walked once
-    per call: a memo private to the call maps (level, V) to the candidates
-    of its interval.  It is filled lazily, each candidate recorded as the
-    live stream yields it and the record kept once the stream is exhausted;
-    a later prefix ending in V replays the record.  Every candidate taken off
-    the stack, replayed or not, spends one budget unit, so the order of the
-    points and the count at which the budget runs out are those of walking
-    every interval afresh, and no candidate is drawn ahead of its spend.
-    BudgetError is raised once more than ``budget`` candidates are spent.
+    per call: a memo private to the call maps (level, V) to the kept
+    candidates of its interval.  It is filled lazily, each candidate
+    recorded as the live stream yields it and the record kept once the
+    stream is exhausted; a later prefix ending in V replays the record.
+    Every candidate taken off the stack, replayed or not, spends one budget
+    unit, so the order of the points and the count at which the budget runs
+    out are those of walking every interval afresh, and no candidate is
+    drawn ahead of its spend.  BudgetError is raised once more than
+    ``budget`` candidates are spent.
     """
-    if q is not None and q != chain.p:
-        raise ValueError("q=%d does not match the chain's field GF(%d)"
-                         % (q, chain.p))
     spent = 0
     memo = {}
-    prefix = []
-    stack = [enumerate_subspaces(chain.d, chain.r, chain.p,
-                                 pivots=first_pivots)]
+    prefix = list(prefix)
+    stack = [iter(first)]
     while stack:
         cand = next(stack[-1], None)
         if cand is None:
@@ -333,12 +347,16 @@ def enumerate_points(chain: LinkedChain, q: Optional[int] = None,
         level = len(prefix)
         if level == chain.n - 1:
             yield ChainPoint(prefix + [cand])
-        else:
-            key = (level, cand)
-            seen = memo.get(key)
-            stack.append(iter(seen) if seen is not None else
-                         _recorded(_interval(chain, level, cand), memo, key))
-            prefix.append(cand)
+            continue
+        key = (level, cand)
+        seen = memo.get(key)
+        if seen is None:
+            seen = _interval(chain, level, cand)
+            if keep is not None:
+                seen = filter(functools.partial(keep, level + 1), seen)
+            seen = _recorded(seen, memo, key)
+        stack.append(iter(seen))
+        prefix.append(cand)
 
 
 def _recorded(stream: Iterator[Subspace], memo: dict,
@@ -554,22 +572,21 @@ def decompose(chain: LinkedChain, pt: ChainPoint, level: int,
 def extend_truncation(chain: LinkedChain, partial: ChainPoint) -> ChainPoint:
     """Complete a linked point of a truncation to the full chain.
 
-    Each new level takes the first subspace, in enumeration order, of the
-    interval f(V) <= W <= g^{-1}(V); the interval is nonempty because the
-    preimage has dimension at least r.
+    The answer is the first completion in stream order: the first point of
+    ``enumerate_points(chain)`` whose first levels are ``partial``.  On a
+    chain that passes ``validate_chain`` no interval is empty (the preimage
+    has dimension at least r), so this takes the first subspace of each new
+    interval in turn.
     """
     n_prime = len(partial)
     if not 1 <= n_prime <= chain.n:
         raise ValueError("partial point length out of range")
     if not is_linked_point(chain.truncate(n_prime), partial):
         raise ValueError("partial point is not linked for the truncated chain")
-    spaces = list(partial)
-    for i in range(n_prime - 1, chain.n - 1):
-        nxt = next(_interval(chain, i, spaces[-1]), None)
-        if nxt is None:
-            raise RuntimeError("no completion exists; chain axioms violated")
-        spaces.append(nxt)
-    return ChainPoint(spaces)
+    point = next(_walk(chain, partial.spaces[:-1], partial.spaces[-1:]), None)
+    if point is None:
+        raise RuntimeError("no completion exists; chain axioms violated")
+    return point
 
 
 def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
@@ -606,47 +623,27 @@ def _exactify(chain: LinkedChain, pt: ChainPoint,
 
 def _exactify_forward(chain: LinkedChain, pt: ChainPoint, f_ranks: tuple,
                       g_ranks: tuple) -> ChainPoint:
+    """The first completion, in stream order, of the levels of ``pt`` up to
+    its first non-exact step whose later steps have ranks
+    (f_ranks[i], r - f_ranks[i])."""
+    r = chain.r
     # s = 0 and the point is not exact, so by the rank law some step has
     # rank sum other than r
     first_bad = next(i for i, (rf, rg) in enumerate(zip(f_ranks, g_ranks))
-                     if rf + rg != chain.r)
-    result = _complete_exact(chain, list(pt.spaces[:first_bad + 1]), f_ranks)
-    if result is None:
+                     if rf + rg != r)
+
+    def keep(level: int, w: Subspace) -> bool:
+        # step level-1 exact with its forward rank, and f_level's rank kept
+        return (apply_map(chain.gs[level - 1], w).dim == r - f_ranks[level - 1]
+                and (level == chain.n - 1
+                     or apply_map(chain.fs[level], w).dim == f_ranks[level]))
+
+    point = next(_walk(chain, pt.spaces[:first_bad],
+                       pt.spaces[first_bad:first_bad + 1], keep), None)
+    if point is None:
         raise RuntimeError(
             "no exact completion preserving the forward ranks exists")
-    return ChainPoint(result)
-
-
-def _complete_exact(chain: LinkedChain, prefix: list, target_f: tuple):
-    """The first completion of ``prefix``, in enumeration order, with step
-    ranks (target_f[i], r - target_f[i]) from its last level on, or None."""
-    spaces = list(prefix)
-    stack = [_exact_candidates(chain, spaces[-1], len(spaces), target_f)]
-    while stack:
-        cand = next(stack[-1], None)
-        if cand is None:
-            stack.pop()
-            if stack:
-                spaces.pop()
-            continue
-        spaces.append(cand)
-        if len(spaces) == chain.n:
-            return spaces
-        stack.append(_exact_candidates(chain, cand, len(spaces), target_f))
-    return None
-
-
-def _exact_candidates(chain: LinkedChain, prev: Subspace, level: int,
-                      target_f: tuple) -> Iterator[Subspace]:
-    """The interval after ``prev``, kept where g_{level-1} has rank
-    r - target_f[level-1] and f_level rank target_f[level]."""
-    i = level - 1
-    want_g = chain.r - target_f[i]
-    last = level == chain.n - 1
-    return (cand for cand in _interval(chain, i, prev)
-            if apply_map(chain.gs[i], cand).dim == want_g
-            and (last or apply_map(chain.fs[level], cand).dim
-                 == target_f[level]))
+    return point
 
 
 def admissible_signatures_n2(d: int, r: int, d1: int, d2: int) -> range:
@@ -695,8 +692,7 @@ class CensusReport:
         return d
 
 
-def census(chain: LinkedChain, q: Optional[int] = None,
-           budget: Optional[int] = None,
+def census(chain: LinkedChain, budget: Optional[int] = None,
            experiments: bool = False) -> CensusReport:
     """Count points, exact points, exact signatures, and tangent dimensions.
 
@@ -706,9 +702,6 @@ def census(chain: LinkedChain, q: Optional[int] = None,
     signatures over each non-exact point); its connectivity is reported as
     data, with nothing asserted.
     """
-    if q is not None and q != chain.p:
-        raise ValueError("q=%d does not match the chain's field GF(%d)"
-                         % (q, chain.p))
     report = CensusReport(chain.as_dict(), chain.p)
     edges = set()
     for pt in enumerate_points(chain, budget=budget):

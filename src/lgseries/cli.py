@@ -321,7 +321,7 @@ def _pair_from_args(args) -> series.EHPair:
     ambient = args.degree + 1
     vy = _parse_subspace(args.vy, args.p, ambient)
     vz = _parse_subspace(args.vz, args.p, ambient)
-    return series.EHPair.from_subspaces(vy, vz, args.degree)
+    return series.EHPair.from_subspaces(vy, vz)
 
 
 def cmd_reconstruct(args) -> int:
@@ -347,8 +347,7 @@ def cmd_plucker(args) -> int:
     points = None
     if args.points:
         points = [p if p == "inf" else int(p) for p in args.points.split(",")]
-    cert = ramification.plucker_check(v, degree=args.degree, genus=args.genus,
-                                      points=points)
+    cert = ramification.plucker_check(v, genus=args.genus, points=points)
     _emit(cert.as_dict(), args)
     return EXIT_OK
 
@@ -356,7 +355,7 @@ def cmd_plucker(args) -> int:
 def cmd_vanishing(args) -> int:
     v = _parse_subspace(args.basis, args.p, args.degree + 1)
     point = ramification.INFINITY if args.point == "inf" else int(args.point)
-    data = ramification.vanishing_sequence(v, point, degree=args.degree)
+    data = ramification.vanishing_sequence(v, point)
     report = data.as_dict()
     report["schema_version"] = SCHEMA_VERSION
     _emit(report, args)

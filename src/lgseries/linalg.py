@@ -687,40 +687,34 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     """All r-dimensional subspaces V with lower <= V <= upper, each once.
 
     Works in quotient coordinates of upper/lower so candidates are generated,
-    never filtered.  Deterministic order inherited from enumerate_subspaces.
+    never filtered.  The pivots of a subspace are the leading columns of its
+    vectors, so lower's pivots are among upper's, and the rows of upper's
+    canonical basis at the other pivots span a complement of lower: they are
+    the quotient coordinates, read off the two echelon forms without
+    solving.  Deterministic order inherited from enumerate_subspaces.  Dual
+    coefficients, or lower not inside upper, raise ValueError.
     """
-    _check_ambient(lower, upper)
+    q = _field_p(lower.ring, "enumerate_between")
+    if not upper.contains(lower):
+        raise ValueError("lower is not contained in upper")
     a, b = lower.dim, upper.dim
     if r < a or r > b:
         return
-    ring = lower.ring
-    q = ring.p
-    upper_rows = upper.basis_rows()
-    # lower in coordinates of upper's basis
-    lower_coords = []
-    for row in lower.basis_rows():
-        c = coords_in_rows(upper_rows, row, ring)
-        if c is None:
-            raise ValueError("lower is not contained in upper")
-        lower_coords.append(c)
-    if lower_coords:
-        lech = rref(Matrix(ring, a, b, tuple(x for c in lower_coords for x in c)))
-        lpiv = set(lech.pivots)
-    else:
-        lpiv = set()
-    non_piv = [c for c in range(b) if c not in lpiv]
+    lpiv = set(lower.pivots)
+    quotient = [row for row, pc in zip(upper.basis_rows(), upper.pivots)
+                if pc not in lpiv]
     lower_rows = lower.basis_rows()
     ambient = lower.ambient_dim
-    for w in enumerate_subspaces(len(non_piv), r - a, q):
+    for w in enumerate_subspaces(b - a, r - a, q):
         rows = list(lower_rows)
         for wrow in w.basis_rows():
             # lift through the complement coordinates back to ambient
             amb = [0] * ambient
-            for coeff, c in zip(wrow, non_piv):
+            for coeff, urow in zip(wrow, quotient):
                 if coeff:
-                    amb = [x + coeff * y for x, y in zip(amb, upper_rows[c])]
+                    amb = [x + coeff * y for x, y in zip(amb, urow)]
             rows.append([x % q for x in amb])
-        yield Subspace._span(ring, ambient, rows)
+        yield Subspace._span(lower.ring, ambient, rows)
 
 
 def rank_everywhere_at_most(m: Matrix, j: int) -> bool:

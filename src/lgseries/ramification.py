@@ -107,21 +107,19 @@ def _shift_basis_matrix(m: int, t: int, ring) -> Matrix:
                                    for k in range(m + 1)])
 
 
-def vanishing_sequence(v: Subspace, point, degree: Optional[int] = None) -> RamificationData:
+def vanishing_sequence(v: Subspace, point) -> RamificationData:
     """Vanishing and ramification sequences of the series v at one point.
 
-    The basis is rewritten in the order filtration at the point and
-    re-echelonized; the pivot columns are exactly the distinct orders of
-    vanishing realised by the subspace.
+    The degree bound m is the ambient dimension minus one.  The basis is
+    rewritten in the order filtration at the point and re-echelonized; the
+    pivot columns are exactly the distinct orders of vanishing realised by
+    the subspace.
     """
     ring = v.ring
     if ring.dual:
         raise ValueError("vanishing_sequence needs field coefficients; "
                          "use vanishing_sequence_dual for dual-number probes")
-    m = (v.ambient_dim - 1) if degree is None else degree
-    if v.ambient_dim != m + 1:
-        raise ValueError("subspace of degree-<=%d polynomials must sit in "
-                         "dimension %d" % (m, m + 1))
+    m = v.ambient_dim - 1
     if v.dim == 0:
         raise ValueError("vanishing sequence of the zero series is undefined")
     if point == INFINITY:
@@ -196,9 +194,10 @@ class PluckerCertificate:
                 "ramified": [rd.as_dict() for rd in self.ramified]}
 
 
-def plucker_check(v: Subspace, degree: Optional[int] = None, genus: int = 0,
+def plucker_check(v: Subspace, genus: int = 0,
                   points: Optional[Sequence] = None) -> PluckerCertificate:
-    """Total inspected ramification weight against (r+1)d + C(r+1,2)(2g-2).
+    """Total inspected ramification weight against (r+1)d + C(r+1,2)(2g-2),
+    where d is the ambient dimension minus one.
 
     Inspect at least every rational point plus infinity (the default) to
     account for all ramification of a series whose Wronskian splits over the
@@ -207,7 +206,7 @@ def plucker_check(v: Subspace, degree: Optional[int] = None, genus: int = 0,
     is impossible; it is reported as a hard error rather than a certificate.
     """
     ring = v.ring
-    m = (v.ambient_dim - 1) if degree is None else degree
+    m = v.ambient_dim - 1
     r = v.dim - 1
     if genus < 0:
         raise ValueError("genus must be nonnegative, got %d" % genus)
@@ -223,7 +222,7 @@ def plucker_check(v: Subspace, degree: Optional[int] = None, genus: int = 0,
     all_tame = True
     ramified = []
     for pt in points:
-        data = vanishing_sequence(v, pt, degree=m)
+        data = vanishing_sequence(v, pt)
         total += data.weight
         if not data.tame:
             all_tame = False

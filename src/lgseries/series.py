@@ -156,23 +156,26 @@ class EHPair:
     """An aspect pair: a degree-d series on each component plus its node
     vanishing sequences."""
 
-    __slots__ = ("vy", "vz", "a_y", "a_z", "d")
+    __slots__ = ("vy", "vz", "a_y", "a_z")
 
-    def __init__(self, vy: Subspace, vz: Subspace, a_y: tuple, a_z: tuple, d: int):
+    def __init__(self, vy: Subspace, vz: Subspace, a_y: tuple, a_z: tuple):
         self.vy = vy
         self.vz = vz
         self.a_y = tuple(a_y)
         self.a_z = tuple(a_z)
-        self.d = d
 
     @classmethod
-    def from_subspaces(cls, vy: Subspace, vz: Subspace, d: Optional[int] = None) -> "EHPair":
+    def from_subspaces(cls, vy: Subspace, vz: Subspace) -> "EHPair":
         if vy.ambient_dim != vz.ambient_dim:
             raise ValueError("aspects must share the degree bound")
-        d = vy.ambient_dim - 1 if d is None else d
         if vy.dim != vz.dim:
             raise ValueError("aspects must have equal dimension")
-        return cls(vy, vz, node_orders(vy), node_orders(vz), d)
+        return cls(vy, vz, node_orders(vy), node_orders(vz))
+
+    @property
+    def d(self) -> int:
+        """The degree: aspects are series of degree-<=d polynomials."""
+        return self.vy.ambient_dim - 1
 
     @property
     def r(self) -> int:
@@ -224,14 +227,14 @@ def refined_orders(a_y: Sequence[int], a_z: Sequence[int], d: int) -> bool:
     return all(a_y[i] + a_z[r - i] == d for i in range(r + 1))
 
 
-def is_crude(pair: EHPair, d: Optional[int] = None) -> bool:
+def is_crude(pair: EHPair) -> bool:
     """Node orders satisfy a_y[i] + a_z[r-i] >= d for every i."""
-    return crude_orders(pair.a_y, pair.a_z, pair.d if d is None else d)
+    return crude_orders(pair.a_y, pair.a_z, pair.d)
 
 
-def is_refined(pair: EHPair, d: Optional[int] = None) -> bool:
+def is_refined(pair: EHPair) -> bool:
     """Node orders satisfy a_y[i] + a_z[r-i] = d for every i."""
-    return refined_orders(pair.a_y, pair.a_z, pair.d if d is None else d)
+    return refined_orders(pair.a_y, pair.a_z, pair.d)
 
 
 def forgetful_map(model: NodalModel, point: ChainPoint) -> EHPair:
@@ -245,7 +248,7 @@ def forgetful_map(model: NodalModel, point: ChainPoint) -> EHPair:
     if vy.ambient_dim != model.d + 1:
         raise ValueError("row length %d does not match ambient %d"
                          % (vy.ambient_dim, model.d + 1))
-    return EHPair.from_subspaces(vy, vz, model.d)
+    return EHPair.from_subspaces(vy, vz)
 
 
 def _node_filtration_rows(v: Subspace, min_order: int, shift: int,
@@ -260,7 +263,7 @@ def _node_filtration_rows(v: Subspace, min_order: int, shift: int,
     return rows
 
 
-def reconstruct_refined(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoint:
+def reconstruct_refined(pair: EHPair) -> LimitSeriesPoint:
     """The unique linked point over a refined pair.
 
     Level i glues the order->=i part of the y-aspect (shifted down i steps)
@@ -268,8 +271,8 @@ def reconstruct_refined(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoi
     matching node values; refinedness makes every level land on dimension
     r+1.
     """
-    d = pair.d if d is None else d
-    if not is_refined(pair, d):
+    d = pair.d
+    if not is_refined(pair):
         raise ValueError("reconstruction requires a refined pair")
     model = NodalModel(d, pair.vy.ring.p)
     r = pair.r
@@ -295,7 +298,7 @@ def reconstruct_refined(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoi
     return LimitSeriesPoint(model, point)
 
 
-def lift_crude(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoint:
+def lift_crude(pair: EHPair) -> LimitSeriesPoint:
     """A linked point over any crude pair, built level by level.
 
     Each middle level is generated by the forward image of the previous
@@ -307,8 +310,8 @@ def lift_crude(pair: EHPair, d: Optional[int] = None) -> LimitSeriesPoint:
     resolved by taking first rows of canonical bases, so the output is
     deterministic.
     """
-    d = pair.d if d is None else d
-    if not is_crude(pair, d):
+    d = pair.d
+    if not is_crude(pair):
         raise ValueError("lifting requires a crude pair")
     model = NodalModel(d, pair.vy.ring.p)
     r = pair.r

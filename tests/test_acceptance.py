@@ -125,7 +125,7 @@ def test_criterion_5_forgetful_image():
             preimages.setdefault(key, []).append(pt)
         for vy in enumerate_subspaces(d + 1, r + 1, q):
             for vz in enumerate_subspaces(d + 1, r + 1, q):
-                pair = EHPair.from_subspaces(vy, vz, d)
+                pair = EHPair.from_subspaces(vy, vz)
                 if not is_crude(pair):
                     assert pair.key() not in preimages
                     continue

@@ -506,6 +506,59 @@ def test_extend_truncation_surjective_and_deterministic():
                 assert full.spaces[:n_prime] == part.spaces
 
 
+def _walk_oracle_chains():
+    return list(small_standard_chains(max_d=3, max_n=3)) + [
+        build_section_chain(2, 2, 1), build_section_chain(3, 2, 2)]
+
+
+def test_extend_truncation_is_first_completion_in_stream():
+    # the oracle reads the point stream only: the first point whose first
+    # n' levels are the partial point
+    truncations = 0
+    for c in _walk_oracle_chains():
+        stream = list(enumerate_points(c))
+        for n_prime in range(1, c.n):
+            for part in enumerate_points(c.truncate(n_prime)):
+                want = next(pt for pt in stream
+                            if pt.spaces[:n_prime] == part.spaces)
+                assert extend_truncation(c, part) == want
+                truncations += 1
+    assert truncations == 434
+
+
+def _first_exact_keeping(chain, stream, sigs, pt, sig):
+    """The first stream point that keeps the levels of ``pt`` up to its
+    first step off the rank law, is exact and has the forward ranks of
+    ``pt``."""
+    first_bad = next(i for i, (rf, rg) in enumerate(zip(sig.f_ranks,
+                                                        sig.g_ranks))
+                     if rf + rg != chain.r)
+    keep = pt.spaces[:first_bad + 1]
+    return next(q for q, qs in zip(stream, sigs)
+                if q.spaces[:first_bad + 1] == keep and qs.exact
+                and qs.f_ranks == sig.f_ranks)
+
+
+def test_exactify_is_first_exact_point_in_stream():
+    non_exact = 0
+    for c in _walk_oracle_chains():
+        rev = c.reverse()
+        stream, rev_stream = list(enumerate_points(c)), list(enumerate_points(rev))
+        sigs = [signature(c, q) for q in stream]
+        rev_sigs = [signature(rev, q) for q in rev_stream]
+        for pt, sig in zip(stream, sigs):
+            if sig.exact:
+                continue
+            fpt, gpt = exactify(c, pt)
+            assert fpt == _first_exact_keeping(c, stream, sigs, pt, sig)
+            rev_pt = ChainPoint(pt.spaces[::-1])
+            back = _first_exact_keeping(rev, rev_stream, rev_sigs, rev_pt,
+                                        signature(rev, rev_pt))
+            assert gpt == ChainPoint(back.spaces[::-1])
+            non_exact += 1
+    assert non_exact == 205
+
+
 def test_exactify_cross_node():
     c = cross_chain()
     fpt, gpt = exactify(c, cross_node())

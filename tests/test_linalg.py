@@ -235,6 +235,41 @@ def test_subspace_between_enumerator():
         assert contains(v, lower) and contains(upper, v) and v.dim == 2
 
 
+@pytest.mark.parametrize("d, q", [(4, 2), (3, 3)])
+def test_enumerate_between_equals_filtered_stream(d, q):
+    # every pair lower <= upper and every r: the filtered subspace stream,
+    # without repeats, and a Gaussian binomial of the quotient many
+    by_dim = [list(enumerate_subspaces(d, r, q)) for r in range(d + 1)]
+    spaces = [v for layer in by_dim for v in layer]
+    pairs = 0
+    for upper in spaces:
+        for lower in spaces:
+            if not upper.contains(lower):
+                continue
+            pairs += 1
+            for r in range(d + 1):
+                got = list(enumerate_between(lower, upper, r))
+                assert len(set(got)) == len(got)
+                assert set(got) == {v for v in by_dim[r] if v.contains(lower)
+                                    and upper.contains(v)}
+                assert len(got) == gaussian_binomial(upper.dim - lower.dim,
+                                                     r - lower.dim, q)
+    assert pairs == sum(len(list(all_subspaces(v.dim, q))) for v in spaces)
+
+
+def test_enumerate_between_rejects_uncontained_and_dual():
+    lower = Subspace.from_rows(GF2, 3, [[0, 0, 1]])
+    upper = Subspace.from_rows(GF2, 3, [[1, 0, 0], [0, 1, 0]])
+    for r in range(4):
+        with pytest.raises(ValueError):
+            list(enumerate_between(lower, upper, r))
+    D = DualNumbers(3)
+    zero, full = Subspace.zero_space(D, 2), Subspace.full_space(D, 2)
+    for r in range(3):
+        with pytest.raises(ValueError):
+            list(enumerate_between(zero, full, r))
+
+
 def test_solve_and_apply():
     m = mat(GF5, [[1, 2], [3, 4]])
     x = solve(m, [Fp(1, 5), Fp(2, 5)])

@@ -17,7 +17,7 @@ GF3 = PrimeField(3)
 def pair_from_rows(field, d, vy_rows, vz_rows):
     vy = Subspace.from_rows(field, d + 1, vy_rows)
     vz = Subspace.from_rows(field, d + 1, vz_rows)
-    return EHPair.from_subspaces(vy, vz, d)
+    return EHPair.from_subspaces(vy, vz)
 
 
 def test_section_chain_validates():
@@ -143,7 +143,7 @@ def test_reconstruct_uniqueness_by_enumeration():
             field = PrimeField(q)
             for vy in enumerate_subspaces(d + 1, 1, q):
                 for vz in enumerate_subspaces(d + 1, 1, q):
-                    pair = EHPair.from_subspaces(vy, vz, d)
+                    pair = EHPair.from_subspaces(vy, vz)
                     if not is_refined(pair):
                         continue
                     pts = preimages.get(pair.key(), [])
@@ -166,7 +166,7 @@ def test_lift_crude_equals_reconstruct_on_refined():
     for q in (2, 3):
         for vy in enumerate_subspaces(3, 1, q):
             for vz in enumerate_subspaces(3, 1, q):
-                pair = EHPair.from_subspaces(vy, vz, 2)
+                pair = EHPair.from_subspaces(vy, vz)
                 if is_refined(pair):
                     assert lift_crude(pair).point == \
                         reconstruct_refined(pair).point
@@ -213,7 +213,7 @@ def test_lift_crude_exhaustive_round_trip():
         for d in (1, 2):
             for vy in enumerate_subspaces(d + 1, 1, q):
                 for vz in enumerate_subspaces(d + 1, 1, q):
-                    pair = EHPair.from_subspaces(vy, vz, d)
+                    pair = EHPair.from_subspaces(vy, vz)
                     if not is_crude(pair):
                         continue
                     lsp = lift_crude(pair)
@@ -334,7 +334,7 @@ def test_node_orders_are_pivots():
         for d in range(1, 5):
             for k in range(1, d + 2):
                 for v in enumerate_subspaces(d + 1, k, p):
-                    pair = EHPair.from_subspaces(v, v, d)
+                    pair = EHPair.from_subspaces(v, v)
                     orders = vanishing_sequence(v, 0).vanishing
                     assert pair.a_y == pair.a_z == orders
 
@@ -342,10 +342,10 @@ def test_node_orders_are_pivots():
 def test_node_orders_reject_zero_and_dual_aspects():
     zero = Subspace.zero_space(GF2, 3)
     with pytest.raises(ValueError):
-        EHPair.from_subspaces(zero, zero, 2)
+        EHPair.from_subspaces(zero, zero)
     vd = Subspace.from_rows(GF3, 3, [[0, 1, 0]]).to_dual()
     with pytest.raises(ValueError):
-        EHPair.from_subspaces(vd, vd, 2)
+        EHPair.from_subspaces(vd, vd)
 
 
 def listed_pairs(d, r, q):
