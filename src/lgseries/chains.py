@@ -6,17 +6,26 @@ f_i g_i = g_i f_i = s * id, kernel/image exchange wherever s vanishes, and no
 collapsing of consecutive images.  Its points are tuples of r-dimensional
 subspaces carried into each other by the maps.  All functions here are pure
 and chains and points are immutable; enumeration order is fixed, so censuses
-are byte-reproducible.  A census is one serial fold over the point stream.
+are byte-reproducible.
 
-The per-point analysis (ranks, exactness, tangent dimension) reads
-everything off one set of per-step frame products, ``_step_products``.
+The linked points are the paths through a layered graph: its nodes are
+(level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  Every
+analysis reads an edge through ``_step``: the ranks of f_i and g_i on the
+point, exactness at the step, and the step's block of the linearised
+linkage equations, which couple consecutive levels only.  ``signature``,
+``is_exact`` and ``tangent_dimension`` run it along one point's path; a
+census runs it once per edge of the whole graph and folds the tangent
+equations forward level by level (``_advance``), merging the prefixes that
+reach the same state.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .fields import Fp, PrimeField
 from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
@@ -308,7 +317,8 @@ def enumerate_points(chain: LinkedChain, budget: Optional[int] = None,
 def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
           first: Iterable[Subspace],
           keep: Optional[Callable[[int, Subspace], bool]] = None,
-          budget: Optional[int] = None) -> Iterator[ChainPoint]:
+          budget: Optional[int] = None,
+          memo: Optional[dict] = None) -> Iterator[ChainPoint]:
     """The linked completions of ``prefix``, depth first, in stream order.
 
     ``first`` holds the candidates for level len(prefix); each later level
@@ -318,8 +328,9 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
     so chain length is not bounded by the recursion limit.
 
     Many prefixes end in the same subspace, so each interval is walked once
-    per call: a memo private to the call maps (level, V) to the kept
-    candidates of its interval.  It is filled lazily, each candidate
+    per call: a memo maps (level, V) to the kept candidates of its interval
+    (private to the call unless ``memo`` passes one in that already holds
+    whole intervals, without ``keep``).  It is filled lazily, each candidate
     recorded as the live stream yields it and the record kept once the
     stream is exhausted; a later prefix ending in V replays the record.
     Every candidate taken off the stack, replayed or not, spends one budget
@@ -329,7 +340,7 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
     ``budget`` candidates are spent.
     """
     spent = 0
-    memo = {}
+    memo = {} if memo is None else memo
     prefix = list(prefix)
     stack = [iter(first)]
     while stack:
@@ -370,133 +381,194 @@ def _recorded(stream: Iterator[Subspace], memo: dict,
 
 
 def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
-    """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order."""
-    return enumerate_between(apply_map(chain.fs[i], v),
-                             preimage(chain.gs[i], v), chain.r)
+    """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order.
 
-
-def _step_products(chain: LinkedChain, pt: ChainPoint,
-                   complements: Optional[Sequence[Matrix]] = None) -> list:
-    """Per step i, the frame products (F_i, G_i) of f_i and g_i on the point.
-
-    Level i's frame M_i (basis of V_i over complement rows, coordinate ones
-    by default) is inverted by one RREF of [M_i | I].  F_i = M_i f_i^T
-    M_{i+1}^-1: row k holds f_i(row k of M_i) in frame coordinates, the first
-    r in V_{i+1} and the rest in the quotient.  Its top-left r x r block, the
-    basis images in basis coordinates, does not depend on the complements.
-    G_i = M_{i+1} g_i^T M_i^-1 likewise.  A bad complement raises ValueError
-    ("does not complement") before any linkage check; a basis image with a
-    nonzero quotient part raises ValueError (non-linked point).
+    g_i^{-1}(v) has dimension at least r for any map, so the interval is
+    empty only when f_i(v) is not inside g_i^{-1}(v).  The chain axioms rule
+    that out (g_i f_i = s id); on a chain violating them the stream raises
+    ValueError naming step i.
     """
-    _check_point_shape(chain, pt)
+    lower, upper = apply_map(chain.fs[i], v), preimage(chain.gs[i], v)
+    try:
+        yield from enumerate_between(lower, upper, chain.r)
+    except ValueError:
+        if upper.contains(lower):
+            raise
+        raise ValueError("step %d: f_%d(V) is not inside g_%d^-1(V) for some "
+                         "V; the chain violates the linked-chain axioms"
+                         % (i, i, i)) from None
+
+
+def _frame(chain: LinkedChain, sp: Subspace,
+           comp: Optional[Matrix] = None, i: int = 0) -> tuple:
+    """(M, M^-1) for the frame M of V = sp: its basis over complement rows,
+    the rows of ``comp`` or the coordinate ones at the non-pivot columns.
+
+    M is inverted by one RREF of [M | I]; a ``comp`` that does not
+    complement V (level i) raises ValueError.
+    """
     field_ = chain.field
     d, r = chain.d, chain.r
+    if comp is not None:
+        if comp.rows != d - r or comp.cols != d:
+            raise ValueError("complement %d must be %dx%d" % (i, d - r, d))
+        if comp.ring != field_:
+            raise ValueError("complement %d must live over %r" % (i, field_))
+        rows = [comp.row(k) for k in range(comp.rows)]
+    else:
+        pset = set(sp.pivots)
+        rows = [tuple(int(j == c) for j in range(d))
+                for c in range(d) if c not in pset]
+    frame = sp.basis_rows() + rows
     unit = [(0,) * k + (1,) + (0,) * (d - 1 - k) for k in range(d)]
-    frames = []
-    inverses = []
-    for i, sp in enumerate(pt):
-        if complements is not None:
-            comp = complements[i]
-            if comp.rows != d - r or comp.cols != d:
-                raise ValueError("complement %d must be %dx%d" % (i, d - r, d))
-            if comp.ring != field_:
-                raise ValueError("complement %d must live over %r" % (i, field_))
-            rows = [comp.row(k) for k in range(comp.rows)]
-        else:
-            pset = set(sp.pivots)
-            rows = [tuple(int(j == c) for j in range(d))
-                    for c in range(d) if c not in pset]
-        frame = sp.basis_rows() + rows
-        ech = rref(Matrix.from_rows(field_,
-                                    [row + e for row, e in zip(frame, unit)]))
-        if ech.pivots != tuple(range(d)):
-            raise ValueError("supplied complement does not complement V_%d" % i)
-        frames.append(Matrix.from_rows(field_, frame))
-        inverses.append(ech.matrix.submatrix(range(d), range(d, 2 * d)))
+    ech = rref(Matrix.from_rows(field_,
+                                [row + e for row, e in zip(frame, unit)]))
+    if ech.pivots != tuple(range(d)):
+        raise ValueError("supplied complement does not complement V_%d" % i)
+    return (Matrix.from_rows(field_, frame),
+            ech.matrix.submatrix(range(d), range(d, 2 * d)))
 
-    def product(name: str, i: int, mat: Matrix, src: int, dst: int) -> Matrix:
-        coords = frames[src] * mat.transpose() * inverses[dst]
-        if not coords.submatrix(range(r), range(r, d)).is_zero():
+
+class _Step(NamedTuple):
+    """What one edge V_k -> V_{k+1} of a linked point contributes."""
+    f_rank: int      # rank of f_k on V_k
+    g_rank: int      # rank of g_k on V_{k+1}
+    exact: bool      # both kernel containments hold at this step
+    eqs: tuple       # rows of [E_V | E_W], the linearised linkage equations
+
+
+def _step(chain: LinkedChain, k: int, src: tuple, dst: tuple) -> _Step:
+    """The step data of the edge V_k -> V_{k+1}, from their frames.
+
+    F = M_k f_k^T M_{k+1}^-1: row a holds f_k(row a of M_k) in frame
+    coordinates, the first r in V_{k+1} and the rest in the quotient.  Its
+    top-left r x r block is f_k on V_k in basis coordinates, and does not
+    depend on the complements; a nonzero top-right block raises ValueError
+    (non-linked point).  G = M_{k+1} g_k^T M_k^-1 likewise.  Exactness is
+    the containment definition: the kernel of each restricted map (the left
+    kernel of its block) lies in the image of the other (the row space).
+
+    The unknowns are the maps phi_k : V_k -> E/V_k in complement
+    coordinates, phi(b_a) = sum_c X[a][c] c_c, flattened as X[a][c] at a*e+c
+    with e = d - r.  Linkage to first order reads X_k Q_F = L_F X_{k+1} and
+    X_{k+1} Q_G = L_G X_k, with L the r x r and Q the e x e diagonal
+    blocks; ``eqs`` holds those 2re equations as rows over the unknowns of
+    level k, then those of level k+1.
+    """
+    p, d, r = chain.p, chain.d, chain.r
+    e = d - r
+    rr, ee = range(r), range(r, d)
+
+    def product(name: str, mat: Matrix, from_frame: tuple, to_frame: tuple,
+                src_i: int, dst_i: int) -> Matrix:
+        coords = from_frame[0] * mat.transpose() * to_frame[1]
+        if not coords.submatrix(rr, ee).is_zero():
             raise ValueError("non-linked point: %s_%d(V_%d) is not in V_%d"
-                             % (name, i, src, dst))
+                             % (name, k, src_i, dst_i))
         return coords
 
-    return [(product("f", i, chain.fs[i], i, i + 1),
-             product("g", i, chain.gs[i], i + 1, i))
-            for i in range(chain.n - 1)]
+    fc = product("f", chain.fs[k], src, dst, k, k + 1)
+    gc = product("g", chain.gs[k], dst, src, k + 1, k)
+    lf, lg = fc.submatrix(rr, rr), gc.submatrix(rr, rr)
+    im_f, im_g = Subspace.from_matrix(lf), Subspace.from_matrix(lg)
+    exact = (im_f.contains(kernel(lg.transpose()))
+             and im_g.contains(kernel(lf.transpose())))
+    re_ = r * e
+    eqs = []
+    for coords, forward in ((fc, True), (gc, False)):
+        for a in rr:
+            lam = coords.row(a)[:r]
+            for out_c in range(e):
+                own = [0] * re_      # X of the map's source level
+                other = [0] * re_    # X of its target level
+                for c in range(e):
+                    own[a * e + c] = coords.entry(r + c, r + out_c)
+                for kk in rr:
+                    other[kk * e + out_c] = -lam[kk] % p
+                eqs.append(tuple(own + other) if forward
+                           else tuple(other + own))
+    return _Step(im_f.dim, im_g.dim, exact, tuple(eqs))
 
 
-def _restricted(chain: LinkedChain, products: list) -> list:
-    """Per step, (f_i on V_i, g_i on V_{i+1}) as r x r matrices in basis
-    coordinates (row a is the image of the source's a-th basis vector), each
-    with its row space, the image of the restricted map."""
-    rr = range(chain.r)
-    out = []
-    for fp, gp in products:
-        lf, lg = fp.submatrix(rr, rr), gp.submatrix(rr, rr)
-        out.append((lf, lg, Subspace.from_matrix(lf), Subspace.from_matrix(lg)))
-    return out
+def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
+             last: bool = False) -> tuple:
+    """(A_{k+1}, dim K) for the state A_k = span ``basis`` across ``step``.
+
+    ``basis`` holds the canonical rows of A_k, the level-k maps that extend
+    back to a solution on levels 0..k, or is None when A_k is everything
+    (level 0).  K = ker [E_V B^T | E_W] pairs coefficients y of A_k with
+    level-(k+1) maps; A_{k+1}, its projection to the second block, is cut
+    out by the rows of RREF [E_V B^T | E_W] with no entry in the y columns.
+    At the ``last`` step only dim K is needed, and A_{k+1} is None.
+    """
+    p, re_ = chain.p, chain.r * (chain.d - chain.r)
+    if basis is None:
+        m, rows = re_, step.eqs
+    else:
+        m = len(basis)
+        rows = [tuple(sum(x * y for x, y in zip(row, b)) % p for b in basis)
+                + row[re_:] for row in step.eqs]
+    ech = rref(Matrix(chain.field, len(rows), m + re_,
+                      tuple(itertools.chain.from_iterable(rows))))
+    dim_k = m + re_ - ech.rank
+    if last:
+        return None, dim_k
+    cut = [ech.matrix.row(i)[m:] for i, pc in enumerate(ech.pivots) if pc >= m]
+    a_next = kernel(Matrix(chain.field, len(cut), re_,
+                           tuple(itertools.chain.from_iterable(cut))))
+    return tuple(a_next.basis_rows()), dim_k
 
 
-def _exact_from(restricted: list) -> bool:
-    """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}),
-    at every step; the kernel of a restricted map is the left kernel of its
-    matrix and its image the row space."""
-    return all(im_f.contains(kernel(lg.transpose()))
-               and im_g.contains(kernel(lf.transpose()))
-               for lf, lg, im_f, im_g in restricted)
+def _path_steps(chain: LinkedChain, pt: ChainPoint,
+                complements: Optional[Sequence[Matrix]] = None) -> list:
+    """The step data along the single path of ``pt``.  Every frame is built
+    first, so a bad complement raises ValueError ("does not complement")
+    before any linkage check; a non-linked step then raises ValueError."""
+    _check_point_shape(chain, pt)
+    frames = []
+    for i, sp in enumerate(pt):
+        comp = None if complements is None else complements[i]
+        frames.append(_frame(chain, sp, comp, i))
+    return [_step(chain, k, frames[k], frames[k + 1])
+            for k in range(chain.n - 1)]
 
 
-def _signature_from(chain: LinkedChain, products: list) -> SignatureReport:
-    restricted = _restricted(chain, products)
-    f_ranks = tuple(im_f.dim for _, _, im_f, _ in restricted)
-    g_ranks = tuple(im_g.dim for _, _, _, im_g in restricted)
-    exact = _exact_from(restricted)
+def _signature_of(chain: LinkedChain,
+                  steps: Sequence[_Step]) -> SignatureReport:
+    """The signature read off a point's steps.  When s = 0 the containment
+    definition of exactness must agree with the rank law (the two step
+    ranks sum to r) on the point; a disagreement raises RuntimeError."""
+    f_ranks = tuple(st.f_rank for st in steps)
+    g_ranks = tuple(st.g_rank for st in steps)
+    exact = all(st.exact for st in steps)
     if chain.s.is_zero():
-        by_ranks = all(rf + rg == chain.r for rf, rg in zip(f_ranks, g_ranks))
-        if by_ranks != exact:
-            raise RuntimeError(
-                "exactness rank law violated; the chain is not linked-valid")
+        _check_rank_law(all(rf + rg == chain.r
+                            for rf, rg in zip(f_ranks, g_ranks)), exact)
     return SignatureReport(f_ranks, g_ranks, exact)
+
+
+def _check_rank_law(by_ranks: bool, exact: bool) -> None:
+    if by_ranks != exact:
+        raise RuntimeError(
+            "exactness rank law violated; the chain is not linked-valid")
 
 
 def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
     """Per-step ranks of f and g restricted to the point, plus exactness.
 
-    Read off one pass of frame products (``_step_products``, shared with
-    ``tangent_dimension``) in r-dimensional basis coordinates; a non-linked
-    point raises ValueError.  When s = 0 the containment definition of
-    exactness must agree with the rank law (the two step ranks sum to r); a
-    disagreement raises RuntimeError, as it indicates a corrupted chain.
+    Read off the step data of the point's edges (``_step``, shared with
+    ``tangent_dimension`` and the census); a non-linked point raises
+    ValueError.  When s = 0 the containment definition of exactness must
+    agree with the rank law (the two step ranks sum to r); a disagreement
+    raises RuntimeError, as it indicates a corrupted chain.
     """
-    return _signature_from(chain, _step_products(chain, pt))
+    return _signature_of(chain, _path_steps(chain, pt))
 
 
 def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
     """ker g_i on V_{i+1} sits in f_i(V_i) and ker f_i on V_i in g_i(V_{i+1}),
     decided as in ``signature``; a non-linked point raises ValueError."""
-    return _exact_from(_restricted(chain, _step_products(chain, pt)))
-
-
-def _tangent_from(chain: LinkedChain, products: list) -> int:
-    p, r = chain.p, chain.r
-    e = chain.d - r
-    nunk = chain.n * r * e
-    eqs = []
-    for i, step in enumerate(products):
-        for coords, src, dst in zip(step, (i, i + 1), (i + 1, i)):
-            # unknown (level, a, c) sits at column (level * r + a) * e + c;
-            # coords rows 0..r-1 image the basis, the rest carry the complement
-            for a in range(r):
-                lam = coords.row(a)[:r]
-                for out_c in range(e):
-                    row = [0] * nunk
-                    for c in range(e):
-                        row[(src * r + a) * e + c] += coords.entry(r + c, r + out_c)
-                    for k in range(r):
-                        row[(dst * r + k) * e + out_c] -= lam[k]
-                    eqs.append([x % p for x in row])
-    return nunk - rref(Matrix.from_rows(chain.field, eqs)).rank
+    return all(st.exact for st in _path_steps(chain, pt))
 
 
 def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
@@ -504,12 +576,22 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
     """Dimension of the space of first-order deformations of a linked point.
 
     Unknowns are maps phi_i from V_i to E/V_i, one per level, written in the
-    complement coordinates; each step contributes the linearised linkage
-    conditions, read off the frame products ``signature`` uses (with the
-    supplied complements, if any; the answer does not depend on them).  A
-    bad complement or a non-linked point raises ValueError.
+    complement coordinates (the supplied ones, if any; the answer does not
+    depend on them).  The linearised linkage conditions couple consecutive
+    levels only, so the solutions are built up along the chain as in the
+    census: ``_advance`` carries the space A_k of level-k maps that extend
+    back, and the dimension D_k of the solutions vanishing at level k, over
+    each step.  A bad complement or a non-linked point raises ValueError.
     """
-    return _tangent_from(chain, _step_products(chain, pt, complements))
+    steps = _path_steps(chain, pt, complements)
+    if not steps:
+        return chain.r * (chain.d - chain.r)
+    basis, dim_d = None, 0
+    for st in steps[:-1]:
+        a_next, dim_k = _advance(chain, st, basis)
+        dim_d += dim_k - len(a_next)
+        basis = a_next
+    return dim_d + _advance(chain, steps[-1], basis, last=True)[1]
 
 
 def decompose(chain: LinkedChain, pt: ChainPoint, level: int,
@@ -573,9 +655,9 @@ def extend_truncation(chain: LinkedChain, partial: ChainPoint) -> ChainPoint:
     """Complete a linked point of a truncation to the full chain.
 
     The answer is the first completion in stream order: the first point of
-    ``enumerate_points(chain)`` whose first levels are ``partial``.  On a
-    chain that passes ``validate_chain`` no interval is empty (the preimage
-    has dimension at least r), so this takes the first subspace of each new
+    ``enumerate_points(chain)`` whose first levels are ``partial``.  An
+    interval is never empty (``_interval`` raises ValueError on a chain
+    violating the axioms), so this takes the first subspace of each new
     interval in turn.
     """
     n_prime = len(partial)
@@ -583,10 +665,7 @@ def extend_truncation(chain: LinkedChain, partial: ChainPoint) -> ChainPoint:
         raise ValueError("partial point length out of range")
     if not is_linked_point(chain.truncate(n_prime), partial):
         raise ValueError("partial point is not linked for the truncated chain")
-    point = next(_walk(chain, partial.spaces[:-1], partial.spaces[-1:]), None)
-    if point is None:
-        raise RuntimeError("no completion exists; chain axioms violated")
-    return point
+    return next(_walk(chain, partial.spaces[:-1], partial.spaces[-1:]))
 
 
 def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
@@ -696,30 +775,129 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
            experiments: bool = False) -> CensusReport:
     """Count points, exact points, exact signatures, and tangent dimensions.
 
-    One serial fold over ``enumerate_points``; every point is analysed from
-    one set of frame products.  With ``experiments`` set, a
-    signature-adjacency graph is attached (edges join the two exactified
-    signatures over each non-exact point); its connectivity is reported as
-    data, with nothing asserted.
+    One forward pass over the layered interval graph, whose nodes are
+    (level, V) and whose edges V -> W run over ``_interval``.  The tangent
+    equations couple consecutive levels only, so a linked prefix ending at
+    level k needs only the state (V_k, A_k) to finish its analysis: A_k,
+    held by its canonical echelon basis, is the space of level-k maps that
+    extend back to a solution on levels 0..k.  Prefixes with equal states
+    are merged, whatever path led to them.  A state counts its prefixes per
+    key: the f- and g-rank prefixes while every step is exact (an exact
+    point's signature; dropped at the first non-exact step), whether every
+    step so far obeys the rank law, and D_k, the dimension of the truncated
+    solutions vanishing at level k.  The rank law is checked at each leaf,
+    on the whole point, as in ``signature``.
+
+    Each edge reads its ranks, exactness and equations from step data
+    cached per (f_k, g_k, V, W), with frames cached per V and intervals per
+    (f_k, g_k, V), and moves every state at V by one ``_advance``; a leaf's
+    tangent dimension is D + dim K of its last step.  The budget counts the
+    candidates the point stream would take: the level-0 stream, then prefix
+    count times interval size at each node, raising the stream's
+    BudgetError once the running total passes ``budget``.
+
+    With ``experiments`` set, a signature-adjacency graph is attached (edges
+    join the two exactified signatures over each non-exact point); its
+    connectivity is reported as data, with nothing asserted.  Its edges
+    need an exact witness on each side of every non-exact point, so this
+    part walks the point stream (under the same budget, over the intervals
+    the pass above listed), reading each point's signature off the cached
+    step data by edge.
     """
     report = CensusReport(chain.as_dict(), chain.p)
+    r = chain.r
+    pairs = {}
+    kinds = [pairs.setdefault((f, g), len(pairs))
+             for f, g in zip(chain.fs, chain.gs)]
+    frames = {}
+    intervals = {}   # (f_k, g_k) index and V -> the interval of V
+    walked = {}      # (k, V) -> the interval, as ``_walk``'s memo holds it
+    steps = {}
+    spent = 0
+
+    def spend(count: int) -> None:
+        nonlocal spent
+        spent += count
+        if budget is not None and spent > budget:
+            raise BudgetError(
+                "enumeration examined more than %d candidate subspaces"
+                % budget, count=budget + 1)
+
+    def step(k: int, v: Subspace, w: Subspace) -> _Step:
+        key = (kinds[k], v, w)
+        st = steps.get(key)
+        if st is None:
+            for sp in (v, w):
+                if sp not in frames:
+                    frames[sp] = _frame(chain, sp)
+            st = steps[key] = _step(chain, k, frames[v], frames[w])
+        return st
+
+    def moved(key: tuple, st: _Step, grow: int) -> tuple:
+        sig, law, dim_d = key
+        if sig is not None:
+            sig = ((sig[0] + (st.f_rank,), sig[1] + (st.g_rank,)) if st.exact
+                   else None)
+        return sig, law and st.f_rank + st.g_rank == r, dim_d + grow
+
+    def leaf(key: tuple, count: int) -> None:
+        # the rank law holds on the whole point iff it holds at every step
+        sig, law, tdim = key
+        if chain.s.is_zero():
+            _check_rank_law(law, sig is not None)
+        report.points += count
+        report.tangent_histogram[tdim] = \
+            report.tangent_histogram.get(tdim, 0) + count
+        if sig is not None:
+            report.exact += count
+            report.signatures[sig] = report.signatures.get(sig, 0) + count
+
+    # states[V][A] counts prefixes by key (sig, law, D): sig is the pair of
+    # rank prefixes while every step is exact and None after, law whether
+    # every step's ranks sum to r; at a leaf D is the tangent dimension
+    start = (((), ()), True, 0)
+    states = {}
+    for v in enumerate_subspaces(chain.d, r, chain.p):
+        spend(1)
+        states[v] = {None: {start: 1}}
+    if chain.n == 1:
+        leaf(start[:2] + (r * (chain.d - r),), len(states))
+    for k in range(chain.n - 1):
+        last = k == chain.n - 2
+        nxt = {}
+        for v, by_a in states.items():
+            ikey = (kinds[k], v)
+            cands = intervals.get(ikey)
+            if cands is None:
+                cands = intervals[ikey] = tuple(_interval(chain, k, v))
+            walked[k, v] = cands
+            spend(len(cands) * sum(sum(c.values()) for c in by_a.values()))
+            for basis, counts in by_a.items():
+                for w in cands:
+                    st = step(k, v, w)
+                    a_next, dim_k = _advance(chain, st, basis, last)
+                    if last:
+                        for key, cnt in counts.items():
+                            leaf(moved(key, st, dim_k), cnt)
+                        continue
+                    vanish = dim_k - len(a_next)
+                    into = nxt.setdefault(w, {}).setdefault(a_next, {})
+                    for key, cnt in counts.items():
+                        nkey = moved(key, st, vanish)
+                        into[nkey] = into.get(nkey, 0) + cnt
+        states = nxt
     edges = set()
-    for pt in enumerate_points(chain, budget=budget):
-        report.points += 1
-        products = _step_products(chain, pt)
-        sig = _signature_from(chain, products)
-        tdim = _tangent_from(chain, products)
-        report.tangent_histogram[tdim] = report.tangent_histogram.get(tdim, 0) + 1
-        if sig.exact:
-            report.exact += 1
-            key = sig.key()
-            report.signatures[key] = report.signatures.get(key, 0) + 1
-        elif experiments and chain.s.is_zero():
+    if experiments and chain.s.is_zero():
+        stream = enumerate_subspaces(chain.d, r, chain.p)
+        for pt in _walk(chain, [], stream, budget=budget, memo=walked):
+            sig = _signature_of(chain, [step(k, pt[k], pt[k + 1])
+                                        for k in range(chain.n - 1)])
+            if sig.exact:
+                continue
             # _exactify raises unless both exact completions exist; the
             # forward one keeps f_ranks and the backward one g_ranks, and
             # exact steps have rank sum r, so their keys follow
             _exactify(chain, pt, sig)
-            r = chain.r
             a = (sig.f_ranks, tuple(r - x for x in sig.f_ranks))
             b = (tuple(r - x for x in sig.g_ranks), sig.g_ranks)
             edges.add(tuple(sorted((a, b))))

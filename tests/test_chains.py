@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from lgseries import chains as chains_module
-from lgseries.chains import (ChainPoint, LinkedChain, admissible_signatures_n2,
+from lgseries.chains import (CensusReport, ChainPoint, LinkedChain,
+                             admissible_signatures_n2,
                              census, decompose, enumerate_points, exactify,
                              expected_component_count_n2, extend_truncation,
                              is_exact, is_linked_point, make_standard_chain,
@@ -704,6 +705,158 @@ def test_census_graph_matches_exactify_outputs():
     for c in list(small_standard_chains()) + [cross_chain()]:
         graph = census(c, experiments=True).signature_graph
         assert graph == _graph_from_exactify_outputs(c)
+
+
+# --- the census against the whole-point tangent system ------------------
+
+def _whole_point_tangent(chain, pt):
+    """Tangent dimension as the nullity of one system in all n r (d-r)
+    unknowns: maps phi_i : V_i -> E/V_i in the coordinate complement of
+    each level, with the linearised linkage equations of every step."""
+    F, p, d, r = chain.field, chain.p, chain.d, chain.r
+    e = d - r
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    frames, inverses = [], []
+    for sp in pt:
+        pset = set(sp.pivots)
+        frame = [list(row) for row in sp.basis_rows()] + \
+            [unit[c] for c in range(d) if c not in pset]
+        ech = rref(Matrix.from_rows(F, [a + b for a, b in zip(frame, unit)]))
+        frames.append(Matrix.from_rows(F, frame))
+        inverses.append(ech.matrix.submatrix(range(d), range(d, 2 * d)))
+    nunk = chain.n * r * e
+    eqs = []
+    for i in range(chain.n - 1):
+        for mat, src, dst in ((chain.fs[i], i, i + 1), (chain.gs[i], i + 1, i)):
+            # row k: the map applied to frame row k of the source, in the
+            # target frame; unknown (level, a, c) at (level * r + a) * e + c
+            coords = frames[src] * mat.transpose() * inverses[dst]
+            for a in range(r):
+                for out_c in range(e):
+                    row = [0] * nunk
+                    for c in range(e):
+                        row[(src * r + a) * e + c] += coords.entry(r + c, r + out_c)
+                    for k in range(r):
+                        row[(dst * r + k) * e + out_c] -= coords.entry(a, k)
+                    eqs.append([x % p for x in row])
+    if not eqs:
+        return nunk
+    return nunk - rref(Matrix.from_rows(F, eqs)).rank
+
+
+def _census_point_by_point(chain):
+    """The census report and per-point (exact, tangent dimension) records,
+    from the point stream: ranks as dimensions of images, exactness by
+    containment, the tangent dimension from the whole-point system."""
+    rep = CensusReport(chain.as_dict(), chain.p)
+    records = []
+    for pt in enumerate_points(chain):
+        exact = _exact_by_containment(chain, pt)
+        tdim = _whole_point_tangent(chain, pt)
+        records.append((exact, tdim))
+        rep.points += 1
+        rep.tangent_histogram[tdim] = rep.tangent_histogram.get(tdim, 0) + 1
+        if exact:
+            key = (tuple(apply_map(f, pt[i]).dim
+                         for i, f in enumerate(chain.fs)),
+                   tuple(apply_map(g, pt[i + 1]).dim
+                         for i, g in enumerate(chain.gs)))
+            rep.exact += 1
+            rep.signatures[key] = rep.signatures.get(key, 0) + 1
+    return rep.as_dict(), records
+
+
+def _census_oracle_chains():
+    return ([build_section_chain(2, 2, 1), build_section_chain(3, 2, 2),
+             build_section_chain(3, 2, 3), build_section_chain(3, 3, 2),
+             make_standard_chain(2, 4, 2, 0, 2, 2),
+             make_standard_chain(3, 4, 2, 0, 2, 2),
+             make_standard_chain(3, 3, 1, 0, 2, 1),
+             make_standard_chain(2, 4, 2, 0, 3, 2),
+             make_standard_chain(3, 3, 1, 2, 3, 2),
+             conjugated_standard_chain(3, 3, 1, 3, 1, seed=5),
+             make_standard_chain(1, 3, 1, 0, 3, 1),
+             make_standard_chain(3, 3, 1, 0, 2, 0)]
+            + list(small_standard_chains()))
+
+
+@pytest.fixture(scope="module")
+def census_oracle():
+    return [(c,) + _census_point_by_point(c) for c in _census_oracle_chains()]
+
+
+def _stream_candidates(chain):
+    """Candidates the point stream spends: one per linked prefix of every
+    length, i.e. the points of every truncation."""
+    return sum(sum(1 for _ in enumerate_points(chain.truncate(k)))
+               for k in range(1, chain.n + 1))
+
+
+def test_census_matches_whole_point_systems(census_oracle):
+    for c, want, records in census_oracle:
+        assert census(c).as_dict() == want, c
+    # the per-point functions run the census's step along one path
+    per_point = (make_standard_chain(3, 3, 1, 2, 3, 2),
+                 conjugated_standard_chain(3, 3, 1, 3, 1, seed=5))
+    for c, _, records in (entry for entry in census_oracle
+                          if entry[0] in per_point):
+        for pt, (exact, tdim) in zip(enumerate_points(c), records):
+            assert tangent_dimension(c, pt) == tdim
+            assert is_exact(c, pt) == signature(c, pt).exact == exact
+
+
+def test_census_budget_is_the_stream_candidate_count(census_oracle):
+    for c, want, _ in census_oracle:
+        total = _stream_candidates(c)
+        with pytest.raises(BudgetError) as err:
+            list(enumerate_points(c, budget=total - 1))
+        assert err.value.count == total
+        assert len(list(enumerate_points(c, budget=total))) == want["points"]
+        for experiments in ([False, True] if c.s.is_zero() else [False]):
+            with pytest.raises(BudgetError) as err:
+                census(c, budget=total - 1, experiments=experiments)
+            assert err.value.count == total, c
+            rep = census(c, budget=total, experiments=experiments).as_dict()
+            rep.pop("signature_graph", None)
+            assert rep == want, c
+
+
+def test_tangent_dimension_meets_the_linked_grassmannian_bound(census_oracle):
+    # every component has dimension at least r(d-r), so every tangent space
+    # does; exact points have exactly that
+    checked = 0
+    for c, want, records in census_oracle:
+        if not c.s.is_zero():
+            continue
+        floor = c.r * (c.d - c.r)
+        assert min(dim for dim, _ in want["tangent_histogram"]) >= floor
+        for exact, tdim in records:
+            assert tdim >= floor
+            assert not exact or tdim == floor
+            checked += 1
+    assert checked > 2000
+
+
+def _axiom_violating_chain():
+    """n=3, d=2, r=1 over GF(2), f = id and g = the coordinate swap: g f is
+    no multiple of the identity, and f(<e1>) = <e1> is not inside
+    g^-1(<e1>) = <e2>."""
+    swap = Matrix.from_rows(GF2, [[0, 1], [1, 0]])
+    ident = Matrix.identity(GF2, 2)
+    return LinkedChain(GF2, 3, 2, 1, [ident] * 2, [swap] * 2, GF2(0))
+
+
+def test_axiom_violating_chain_names_the_step():
+    c = _axiom_violating_chain()
+    assert not validate_chain(c).ok
+    for run in (lambda: list(enumerate_points(c)), lambda: census(c),
+                lambda: census(c, experiments=True),
+                lambda: extend_truncation(c, ChainPoint([span2([[1, 0]])]))):
+        with pytest.raises(ValueError, match="step 0.*linked-chain axioms"):
+            run()
+    # the diagonal line has a nonempty interval at every step
+    full = extend_truncation(c, ChainPoint([span2([[1, 1]])]))
+    assert list(full) == [span2([[1, 1]])] * 3
 
 
 def test_closure_multiplicity_n2():
