@@ -7,11 +7,12 @@ report.  Identical inputs produce byte-identical reports.  Exit codes:
 command found a property violation.
 
 Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
-except the ``enum-lls`` listing: its points keep their ``Subspace`` objects,
-and the writer encodes each distinct subspace once and lays the report out
-around those fragments, byte for byte as ``json.dumps`` would.  Its
-``"count"`` sorts before ``"points"``, so the whole point stream is taken
-before anything is written; a budget exit writes no report.
+except the ``enum-lls`` listing.  Its points differ only in their spaces, so
+the writer renders one point whose spaces are placeholders, once, and writes
+each point as that template joined with the texts of its spaces, each
+distinct ``Subspace`` encoded once: byte for byte what ``json.dumps`` would
+write.  Its ``"count"`` sorts before ``"points"``, so the whole point stream
+is taken before anything is written; a budget exit writes no report.
 """
 
 from __future__ import annotations
@@ -42,48 +43,47 @@ def _json_text(report: dict) -> str:
 def _emit(report: dict, args, encode=_json_text) -> None:
     fmt = getattr(args, "format", "json") or "json"
     if fmt == "csv":
-        text = _to_csv(report)
+        text, end = _to_csv(report), ""
     else:
-        text = encode(report) + "\n"
+        # the newline goes out on its own, so no second copy of the text
+        text, end = encode(report), "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
-def _json_text_from_fragments(report: dict) -> str:
-    """``_json_text`` of ``report`` with each ``Subspace`` in it standing for
-    its ``as_dict()``.
-
-    Each distinct subspace is encoded once by ``json.dumps`` and re-indented
-    for the depth it sits at; the dicts (string keys only), lists and scalars
-    around the subspaces are laid out here the way ``json.dumps(...,
-    sort_keys=True, indent=2)`` lays them out, so the text is the same byte
-    for byte.
-    """
+def _lls_json_text(report: dict, points: list) -> str:
+    """``_json_text`` of ``report`` with "points" the ``as_dict()`` of
+    ``points``, limit series of one model: every point is the text of one
+    whose spaces are placeholders, joined with the texts of its own spaces,
+    and each distinct space is encoded once."""
+    if not points:
+        return _json_text(dict(report, points=[]))
+    mark = json.dumps("\0")  # stands for a point, then for each space
+    head, tail = _json_text(dict(report, points=["\0"])).split(mark)
+    pad = "\n" + head.rsplit("\n", 1)[1]
+    model, n = points[0].model, len(points[0].point.spaces)
+    first, *pieces = _json_text({"d": model.d, "p": model.p, "point": {
+        "spaces": ["\0"] * n}}).replace("\n", pad).split(mark)
+    space_pad = "\n" + first.rsplit("\n", 1)[1]
+    later = "," + pad + first
     fragments = {}
-
-    def encode(value, pad: str) -> str:
-        if isinstance(value, Subspace):
-            key = (value, pad)
-            text = fragments.get(key)
+    parts = [head]
+    for k, lsp in enumerate(points):
+        parts.append(later if k else first)
+        for sp, piece in zip(lsp.point.spaces, pieces):
+            text = fragments.get(sp)
             if text is None:
-                text = fragments[key] = _json_text(value.as_dict()).replace(
-                    "\n", "\n" + pad)
-            return text
-        inner = pad + "  "
-        if isinstance(value, dict) and value:
-            items = (inner + json.dumps(k) + ": " + encode(value[k], inner)
-                     for k in sorted(value))
-            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-        if isinstance(value, (list, tuple)) and value:
-            items = (inner + encode(v, inner) for v in value)
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        return json.dumps(value)
-
-    return encode(report, "")
+                text = fragments[sp] = _json_text(sp.as_dict()).replace(
+                    "\n", space_pad)
+            parts += (text, piece)
+    parts.append(tail)
+    return "".join(parts)
 
 
 def _to_csv(report: dict) -> str:
@@ -297,16 +297,12 @@ def cmd_components_n2(args) -> int:
 def cmd_enum_lls(args) -> int:
     constraints = (_parse_constraints(args.constraints, args.rank)
                    if args.constraints else None)
-    # LimitSeriesPoint.as_dict() with the Subspace objects left in place, so
-    # that the writer encodes each distinct subspace once
-    pts = [{"d": lsp.model.d, "p": lsp.model.p,
-            "point": {"spaces": lsp.point.spaces}}
-           for lsp in series.enumerate_limit_series(
-               args.degree, args.rank, args.p, constraints=constraints,
-               budget=args.budget)]
+    pts = list(series.enumerate_limit_series(
+        args.degree, args.rank, args.p, constraints=constraints,
+        budget=args.budget))
     report = {"schema_version": SCHEMA_VERSION, "d": args.degree,
-              "r": args.rank, "q": args.p, "count": len(pts), "points": pts}
-    _emit(report, args, encode=_json_text_from_fragments)
+              "r": args.rank, "q": args.p, "count": len(pts)}
+    _emit(report, args, encode=lambda rep: _lls_json_text(rep, pts))
     return EXIT_OK
 
 

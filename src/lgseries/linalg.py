@@ -30,19 +30,19 @@ unit-pivot rows) only when the pivot of t is not a unit pivot.  So equal
 modules have equal bases and hashes, and membership is membership in W.
 Rank counts unit pivots; ``unit_pivots`` is False when a torsion row is kept
 or a unit-pivot row has an eps entry left of its pivot.  Matrix products,
-sums, ``scale``, ``apply``, ``det``, ``kernel``, ``solve`` and
-``coords_in_rows`` require field coefficients and raise ValueError over the
-dual numbers.  Rank conditions that must hold on the whole ring (not just at
-the closed point) go through ``rank_everywhere_at_most``, which splits a
-dual matrix as A0 + eps A1 and decides the bound from the GF(p) rank of A0
-and, at the boundary rank, from whether A1 maps ker A0 into im A0.  No
-routine does arithmetic on ``Fp`` or ``Dual`` elements.
+sums, ``scale``, ``apply``, ``det``, ``kernel``, ``constraints``, ``solve``
+and ``coords_in_rows`` require field coefficients and raise ValueError over
+the dual numbers.  Rank conditions that must hold on the whole ring (not
+just at the closed point) go through ``rank_everywhere_at_most``, which
+splits a dual matrix as A0 + eps A1 and decides the bound from the GF(p)
+rank of A0 and, at the boundary rank, from whether A1 maps ker A0 into
+im A0.  No routine does arithmetic on ``Fp`` or ``Dual`` elements.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .fields import (Dual, DualNumbers, Fp, PrimeField, integer_determinant,
@@ -370,7 +370,8 @@ class Subspace:
     is the condition for being an honest rank-r sub-bundle.
     """
 
-    __slots__ = ("ring", "ambient_dim", "basis", "pivots", "unit_pivots")
+    __slots__ = ("ring", "ambient_dim", "basis", "pivots", "unit_pivots",
+                 "_hash")
 
     def __init__(self, ring, ambient_dim: int, basis: Matrix, pivots: tuple,
                  unit_pivots: bool):
@@ -379,6 +380,7 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self.unit_pivots = unit_pivots
+        self._hash = None
 
     @classmethod
     def from_rows(cls, ring, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
@@ -471,11 +473,23 @@ class Subspace:
     __and__ = intersect
 
     def constraints(self) -> Matrix:
-        """A matrix whose kernel is exactly this subspace (field rings only)."""
-        if self.dim == 0:
-            return Matrix.identity(self.ring, self.ambient_dim)
-        ann = kernel(self.basis)  # annihilator under the standard dot product
-        return ann.basis
+        """A matrix whose kernel is exactly this subspace (field rings only):
+        the annihilator read off the canonical basis b_i with pivots pc_i,
+        one row e_c - sum_i b_i[c] e_(pc_i) per non-pivot column c."""
+        p = _field_p(self.ring, "constraints")
+        d = self.ambient_dim
+        rows = self.basis_rows()
+        pset = set(self.pivots)
+        ents = []
+        for c in range(d):
+            if c in pset:
+                continue
+            v = [0] * d
+            v[c] = 1
+            for row, pc in zip(rows, self.pivots):
+                v[pc] = -row[c] % p
+            ents.extend(v)
+        return Matrix(self.ring, d - len(pset), d, tuple(ents))
 
     def mod_eps(self) -> "Subspace":
         return Subspace.from_matrix(self.basis.mod_eps())
@@ -489,11 +503,18 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.ring == other.ring and self.ambient_dim == other.ambient_dim
-                and self.basis.entries == other.basis.entries)
+        # entries first: they differ far more often than the rings do
+        return (self.basis.entries == other.basis.entries
+                and self.ambient_dim == other.ambient_dim
+                and self.ring == other.ring)
 
     def __hash__(self):
-        return hash((self.ring, self.ambient_dim, self.basis.entries))
+        # computed on first use: the canonical basis never changes
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ring, self.ambient_dim,
+                                   self.basis.entries))
+        return h
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d, basis=%s)" % (
@@ -691,8 +712,13 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     vectors, so lower's pivots are among upper's, and the rows of upper's
     canonical basis at the other pivots span a complement of lower: they are
     the quotient coordinates, read off the two echelon forms without
-    solving.  Deterministic order inherited from enumerate_subspaces.  Dual
-    coefficients, or lower not inside upper, raise ValueError.
+    solving.  The canonical basis of a candidate is built, not reduced: the
+    lifted rows are 1 at their own pivots and 0 at one another's and at
+    lower's, so it is lower's rows cleared at the lifted pivots plus the
+    lifted rows, sorted by pivot.  For r = dim lower or dim upper the one
+    candidate is lower or upper.  Deterministic order inherited from
+    enumerate_subspaces.  Dual coefficients, or lower not inside upper,
+    raise ValueError.
     """
     q = _field_p(lower.ring, "enumerate_between")
     if not upper.contains(lower):
@@ -700,21 +726,36 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     a, b = lower.dim, upper.dim
     if r < a or r > b:
         return
+    if r == a:
+        yield lower
+        return
+    if r == b:
+        yield upper
+        return
     lpiv = set(lower.pivots)
-    quotient = [row for row, pc in zip(upper.basis_rows(), upper.pivots)
+    quotient = [(pc, row) for row, pc in zip(upper.basis_rows(), upper.pivots)
                 if pc not in lpiv]
-    lower_rows = lower.basis_rows()
-    ambient = lower.ambient_dim
+    lower_rows = list(zip(lower.pivots, lower.basis_rows()))
+    ring, ambient = lower.ring, lower.ambient_dim
     for w in enumerate_subspaces(b - a, r - a, q):
-        rows = list(lower_rows)
-        for wrow in w.basis_rows():
+        lifted = []
+        for wrow, wpc in zip(w.basis_rows(), w.pivots):
             # lift through the complement coordinates back to ambient
             amb = [0] * ambient
-            for coeff, urow in zip(wrow, quotient):
+            for coeff, (_, urow) in zip(wrow, quotient):
                 if coeff:
                     amb = [x + coeff * y for x, y in zip(amb, urow)]
-            rows.append([x % q for x in amb])
-        yield Subspace._span(lower.ring, ambient, rows)
+            lifted.append((quotient[wpc][0], [x % q for x in amb]))
+        rows = lifted[:]
+        for pc, row in lower_rows:
+            for lpc, lrow in lifted:
+                c = row[lpc]
+                if c:
+                    row = [x - c * y for x, y in zip(row, lrow)]
+            rows.append((pc, [x % q for x in row]))
+        pivots, rows = zip(*sorted(rows, key=itemgetter(0)))
+        basis = Matrix(ring, r, ambient, tuple(chain.from_iterable(rows)))
+        yield Subspace(ring, ambient, basis, pivots, True)
 
 
 def rank_everywhere_at_most(m: Matrix, j: int) -> bool:

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgseries import cli
+from lgseries.chains import ChainPoint
 from lgseries.cli import main
 from lgseries.fields import PrimeField
 from lgseries.linalg import Subspace
-from lgseries.series import enumerate_limit_series
+from lgseries.series import (LimitSeriesPoint, NodalModel,
+                             enumerate_limit_series)
 
 
 def run(capsys, *argv):
@@ -278,24 +280,26 @@ def test_enum_lls_writer_matches_json_dumps(capsys, tmp_path):
 
 
 def test_fragment_writer_matches_json_dumps_on_mixed_values():
-    field = PrimeField(3)
-    line = Subspace.from_rows(field, 3, [[1, 2, 0]])
-    zero = Subspace.zero_space(field, 2)
-    value = {"b": [line, {"x": line, "y": [], "z": zero}, (zero, line)],
-             "a": {}, "s": "two\nlines", "t": [True, None, -1, 0.5],
-             "c": {"deep": [[line]]}}
-
-    def plain(v):
-        if isinstance(v, Subspace):
-            return v.as_dict()
-        if isinstance(v, dict):
-            return {k: plain(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [plain(x) for x in v]
-        return v
-
-    assert cli._json_text_from_fragments(value) == \
-        json.dumps(plain(value), sort_keys=True, indent=2)
+    # the enum-lls writer against json.dumps, around a report head of mixed
+    # values: rank 0 (one-dimensional spaces), rank 1, a two-level chain,
+    # count 0 (a constraint no point meets), and hand-made points whose
+    # spaces are zero-dimensional
+    unmet = [{"side": "Y", "point": -1, "min": [5]}]
+    cases = [((degree, rank, p), list(enumerate_limit_series(
+                 degree, rank, p, constraints=cons)))
+             for degree, rank, p, cons in ((2, 0, 2, None), (2, 1, 3, None),
+                                           (1, 0, 5, None), (2, 0, 2, unmet))]
+    zero = Subspace.zero_space(PrimeField(3), 2)
+    cases.append(((1, 0, 3), [LimitSeriesPoint(NodalModel(1, 3),
+                                                ChainPoint([zero, zero]))] * 2))
+    head = {"schema_version": 1, "s": "two\nlines", "a": {},
+            "t": [True, None, -1, 0.5], "c": {"deep": [[]]}}
+    for (degree, rank, p), pts in cases:
+        report = dict(head, d=degree, r=rank, q=p, count=len(pts))
+        want = json.dumps(dict(report, points=[lsp.as_dict() for lsp in pts]),
+                          sort_keys=True, indent=2)
+        assert cli._lls_json_text(report, pts) == want
+    assert [len(pts) for _, pts in cases][3] == 0
 
 
 def test_enum_lls_budget_boundary_writes_nothing(capsys, tmp_path):

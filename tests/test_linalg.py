@@ -270,6 +270,115 @@ def test_enumerate_between_rejects_uncontained_and_dual():
             list(enumerate_between(zero, full, r))
 
 
+def _between_by_span(lower, upper, r):
+    """The interval stream as it was first built: lift each quotient
+    subspace through upper's rows at the pivots lower lacks, then reduce
+    lower's rows and the lifted ones with ``Subspace._span``."""
+    q, a, b = lower.ring.p, lower.dim, upper.dim
+    if r < a or r > b:
+        return
+    lpiv = set(lower.pivots)
+    quotient = [row for row, pc in zip(upper.basis_rows(), upper.pivots)
+                if pc not in lpiv]
+    for w in enumerate_subspaces(b - a, r - a, q):
+        rows = [list(row) for row in lower.basis_rows()]
+        for wrow in w.basis_rows():
+            rows.append([sum(c * u[k] for c, u in zip(wrow, quotient)) % q
+                         for k in range(lower.ambient_dim)])
+        yield Subspace._span(lower.ring, lower.ambient_dim, rows)
+
+
+@pytest.mark.parametrize("d, q", [(4, 2), (3, 3), (3, 5)])
+def test_enumerate_between_builds_canonical_bases_in_oracle_order(d, q):
+    # every pair lower <= upper and every r: each candidate is already in
+    # canonical form, and the stream is the lift-and-reduce stream
+    spaces = list(all_subspaces(d, q))
+    seen = set()
+    for upper in spaces:
+        for lower in spaces:
+            if not upper.contains(lower):
+                continue
+            for r in range(lower.dim, upper.dim + 1):
+                got = list(enumerate_between(lower, upper, r))
+                assert got == list(_between_by_span(lower, upper, r))
+                for v in got:
+                    again = Subspace.from_matrix(v.basis)
+                    assert again == v and again.pivots == v.pivots
+                    assert v.unit_pivots and v.dim == r
+                    assert all(type(x) is int and 0 <= x < q
+                               for x in v.basis.entries)
+                seen.update(name for name, hit in (
+                    ("a == r", r == lower.dim), ("b == r", r == upper.dim),
+                    ("a == 0", lower.dim == 0), ("b == d", upper.dim == d),
+                    ("a < r < b", lower.dim < r < upper.dim)) if hit)
+    assert seen == {"a == r", "b == r", "a == 0", "b == d", "a < r < b"}
+
+
+@pytest.mark.parametrize("d, q", [(4, 2), (3, 3)])
+def test_constraints_are_the_annihilator(d, q):
+    dims = set()
+    for v in all_subspaces(d, q):
+        cons = v.constraints()
+        assert (cons.rows, cons.cols) == (d - v.dim, d)
+        assert kernel(cons) == v
+        dims.add(v.dim)
+    assert dims == set(range(d + 1))  # zero and full included
+
+
+def test_constraints_are_field_only():
+    D = DualNumbers(3)
+    for v in (Subspace.zero_space(D, 2), Subspace.from_rows(D, 2, [[1, 2]]),
+              Subspace.full_space(D, 2)):
+        with pytest.raises(ValueError):
+            v.constraints()
+
+
+def _vectors(d, q):
+    return list(itertools.product(range(q), repeat=d))
+
+
+@pytest.mark.parametrize("d, q", [(3, 2), (2, 3)])
+def test_intersect_and_preimage_match_brute_force(d, q):
+    field = PrimeField(q)
+    vectors = _vectors(d, q)
+    spaces = list(all_subspaces(d, q))
+
+    def members(v):
+        return {x for x in vectors if v.contains_vector(x)}
+
+    for u in spaces:
+        for w in spaces:
+            assert members(intersect(u, w)) == members(u) & members(w)
+    for ents in itertools.product(range(q), repeat=d * d):
+        m = Matrix(field, d, d, ents)
+        for w in spaces:
+            assert members(preimage(m, w)) == \
+                {x for x in vectors if w.contains_vector(m.apply(x))}
+
+
+def test_subspace_hash_is_cached_and_generating_set_free():
+    u = Subspace.from_rows(GF5, 3, [[1, 2, 0], [0, 1, 4]])
+    h = hash(u)
+    assert u._hash == h == hash(u)
+    again = Subspace.from_rows(GF5, 3, [[1, 3, 4], [2, 4, 0]])
+    assert again == u and hash(again) == h and {u: 1}[again] == 1
+    D = DualNumbers(3)
+    m = Subspace.from_rows(D, 2, [[D(1, 0), D(0, 1)]])
+    h = hash(m)
+    # a unit multiple of the generator, and its eps multiple
+    again = Subspace.from_rows(D, 2, [[D(2, 0), D(0, 2)], [D(0, 1), D(0, 0)]])
+    assert m._hash == h
+    assert again == m and hash(again) == h and {m: 1}[again] == 1
+
+
+def test_equal_entries_over_different_fields_compare_unequal():
+    a = Subspace.from_rows(GF2, 2, [[1, 1]])
+    b = Subspace.from_rows(GF3, 2, [[1, 1]])
+    assert a.basis.entries == b.basis.entries
+    assert a != b and len({a, b}) == 2
+    assert Subspace.zero_space(GF2, 2) != Subspace.zero_space(GF2, 3)
+
+
 def test_solve_and_apply():
     m = mat(GF5, [[1, 2], [3, 4]])
     x = solve(m, [Fp(1, 5), Fp(2, 5)])
