@@ -28,9 +28,10 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .fields import Fp, PrimeField
-from .linalg import (BudgetError, Matrix, Subspace, _require_dict, apply_map,
-                     contains, enumerate_between, enumerate_subspaces, image,
-                     intersect, kernel, preimage, rref)
+from .linalg import (BudgetError, Matrix, Subspace, _maps_into, _require_dict,
+                     apply_map, contains, enumerate_between,
+                     enumerate_subspaces, image, intersect, kernel, preimage,
+                     rref)
 
 
 class LinkedChain:
@@ -383,20 +384,31 @@ def _recorded(stream: Iterator[Subspace], memo: dict,
 def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
     """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order.
 
+    When f_i(v) already has rank r it is the whole interval, and g_i^{-1}(v)
+    is never built: g_i f_i(v) <= v is checked against v's basis instead.
     g_i^{-1}(v) has dimension at least r for any map, so the interval is
     empty only when f_i(v) is not inside g_i^{-1}(v).  The chain axioms rule
     that out (g_i f_i = s id); on a chain violating them the stream raises
     ValueError naming step i.
     """
-    lower, upper = apply_map(chain.fs[i], v), preimage(chain.gs[i], v)
+    lower = apply_map(chain.fs[i], v)
+    if lower.dim == chain.r:
+        if not _maps_into(chain.gs[i], lower, v):
+            raise _axiom_error(i)
+        yield lower
+        return
+    upper = preimage(chain.gs[i], v)
     try:
         yield from enumerate_between(lower, upper, chain.r)
     except ValueError:
         if upper.contains(lower):
             raise
-        raise ValueError("step %d: f_%d(V) is not inside g_%d^-1(V) for some "
-                         "V; the chain violates the linked-chain axioms"
-                         % (i, i, i)) from None
+        raise _axiom_error(i) from None
+
+
+def _axiom_error(i: int) -> ValueError:
+    return ValueError("step %d: f_%d(V) is not inside g_%d^-1(V) for some V; "
+                      "the chain violates the linked-chain axioms" % (i, i, i))
 
 
 def _frame(chain: LinkedChain, sp: Subspace,

@@ -19,6 +19,12 @@ values still hold.  ``Matrix.det`` returns an ``Fp``.  A field matrix
 never mixes ``Fp`` and int entries, because they hash differently and
 subspace hashing reads ``entries``.
 
+Kernels.  The field routines share one elimination on lists of int rows,
+``_reduce``, which ``rref`` wraps.  ``apply_map``, ``kernel`` and
+``preimage`` each reduce once and build no intermediate Matrix, Echelon or
+Subspace; the null spaces are reduced with pivots taken right to left, so
+their null vectors are already canonical.
+
 Dual numbers.  Over R = GF(p)[eps]/(eps^2) the entries are ``Dual`` values,
 and a submodule M of R^d is decided through the GF(p)-subspace
 W = {(x0 | x1) : x0 + eps x1 in M} of GF(p)^(2d), which is stable under
@@ -187,10 +193,7 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length %d does not match cols %d"
                              % (len(v), self.cols))
-        return self._apply(_entries(self.ring, v))
-
-    def _apply(self, v: Sequence) -> tuple:
-        # v already holds entries of this ring
+        v = _entries(self.ring, v)
         p = _field_p(self.ring, "applying a matrix")
         return tuple([sum(map(mul, r, v)) % p for r in self._rows()])
 
@@ -280,6 +283,41 @@ class Echelon(NamedTuple):
     unit_pivots: bool       # every surviving row is led by its unit pivot
 
 
+def _reduce(rows: list, cols, p: int) -> list:
+    """Row-reduce rows of ints in [0, p) in place, taking pivot columns in
+    the order ``cols``; return the pivots.  ``rows`` is left holding one row
+    per pivot, 1 there, 0 at the other pivots and at the columns before it
+    in ``cols``.  Rows are replaced, not mutated, so tuples may be passed."""
+    nrows = len(rows)
+    pivots = []
+    rank = 0
+    for col in cols:
+        if rank == nrows:
+            break
+        for sel in range(rank, nrows):
+            if rows[sel][col]:
+                break
+        else:
+            continue
+        prow = rows[sel]
+        rows[sel] = rows[rank]
+        lead = prow[col]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            prow = [inv * x % p for x in prow]
+        rows[rank] = prow
+        for i in range(nrows):
+            if i != rank:
+                row = rows[i]
+                c = row[col]
+                if c:
+                    rows[i] = [(a - c * b) % p for a, b in zip(row, prow)]
+        pivots.append(col)
+        rank += 1
+    del rows[rank:]
+    return pivots
+
+
 def rref(m: Matrix) -> Echelon:
     """Reduced row-echelon form, canonical over both rings.
 
@@ -290,38 +328,11 @@ def rref(m: Matrix) -> Echelon:
     """
     if m.ring.dual:
         return _rref_dual(m)
-    p = m.ring.p
-    work = [list(r) for r in m._rows()]
-    nrows = len(work)
-    pivots = []
-    rank = 0
-    for col in range(m.cols):
-        if rank == nrows:
-            break
-        sel = None
-        for i in range(rank, nrows):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        prow = work[sel]
-        work[sel] = work[rank]
-        lead = prow[col]
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            prow = [inv * x % p for x in prow]
-        work[rank] = prow
-        for i in range(nrows):
-            if i != rank:
-                row = work[i]
-                c = row[col]
-                if c:
-                    work[i] = [(a - c * b) % p for a, b in zip(row, prow)]
-        pivots.append(col)
-        rank += 1
-    flat = tuple(chain.from_iterable(work[:rank]))
-    return Echelon(Matrix(m.ring, rank, m.cols, flat), rank, tuple(pivots), True)
+    rows = m._rows()
+    pivots = _reduce(rows, range(m.cols), m.ring.p)
+    flat = tuple(chain.from_iterable(rows))
+    return Echelon(Matrix(m.ring, len(rows), m.cols, flat), len(rows),
+                   tuple(pivots), True)
 
 
 def _eps_stable(m: Matrix) -> Matrix:
@@ -410,8 +421,21 @@ class Subspace:
         # span of rows that already hold entries of ring
         if not rows:
             return cls.zero_space(ring, ambient_dim)
-        flat = tuple(chain.from_iterable(rows))
-        return cls.from_matrix(Matrix(ring, len(rows), ambient_dim, flat))
+        if ring.dual:
+            flat = tuple(chain.from_iterable(rows))
+            return cls.from_matrix(Matrix(ring, len(rows), ambient_dim, flat))
+        rows = list(rows)
+        pivots = _reduce(rows, range(ambient_dim), ring.p)
+        return cls._echelon(ring, ambient_dim, rows, pivots)
+
+    @classmethod
+    def _echelon(cls, ring, ambient_dim: int, rows: list,
+                 pivots: Sequence[int]) -> "Subspace":
+        # rows already in canonical form over a field, sorted by pivot
+        return cls(ring, ambient_dim,
+                   Matrix(ring, len(rows), ambient_dim,
+                          tuple(chain.from_iterable(rows))),
+                   tuple(pivots), True)
 
     @property
     def dim(self) -> int:
@@ -439,20 +463,31 @@ class Subspace:
         if self.ring.dual:
             w = Subspace.from_matrix(_eps_stable(self.basis))
             return w.contains_vector([x.a0 for x in v] + [x.a1 for x in v])
-        # pivot coordinates of v are never touched by the other basis rows,
-        # so reduction mod p can wait until the end
-        for row, pc in zip(self.basis._rows(), self.pivots):
-            c = v[pc]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
+        return self._holds((v,))
+
+    def _holds(self, vectors) -> bool:
+        # every vector of ints (any representatives mod p) lies in this
+        # subspace over a field, unchecked; pivot coordinates are never
+        # touched by the other basis rows, so reduction mod p can wait
+        # until the end
+        basis = list(zip(self.basis._rows(), self.pivots))
         p = self.ring.p
-        return not any(x % p for x in v)
+        for v in vectors:
+            for row, pc in basis:
+                c = v[pc]
+                if c:
+                    v = [a - c * b for a, b in zip(v, row)]
+            if any(x % p for x in v):
+                return False
+        return True
 
     def contains(self, other: "Subspace") -> bool:
         """True when ``other`` is a subspace of ``self``."""
         if other.ambient_dim != self.ambient_dim or other.ring != self.ring:
             raise ValueError("ambient mismatch in containment test")
-        return all(self.contains_vector(r) for r in other.basis_rows())
+        if self.ring.dual:
+            return all(self.contains_vector(r) for r in other.basis_rows())
+        return self._holds(other.basis_rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
         _check_ambient(self, other)
@@ -465,8 +500,6 @@ class Subspace:
         """Intersection via the kernel of the stacked dual constraints."""
         _check_ambient(self, other)
         a, b = self.constraints(), other.constraints()
-        if a.rows + b.rows == 0:
-            return Subspace.full_space(self.ring, self.ambient_dim)
         return kernel(Matrix(self.ring, a.rows + b.rows, self.ambient_dim,
                              a.entries + b.entries))
 
@@ -478,18 +511,26 @@ class Subspace:
         one row e_c - sum_i b_i[c] e_(pc_i) per non-pivot column c."""
         p = _field_p(self.ring, "constraints")
         d = self.ambient_dim
-        rows = self.basis_rows()
+        rows = self._annihilate(Matrix.identity(self.ring, d)._rows(), p)
+        return Matrix(self.ring, len(rows), d, tuple(chain.from_iterable(rows)))
+
+    def _annihilate(self, mrows: list, p: int) -> list:
+        # the rows a m, for m given by its rows and a over the annihilator
+        # rows of ``constraints``: row c of m minus the b_i[c] multiples of
+        # m's rows at the pivots, never a matrix product
+        basis = list(zip(self.basis_rows(), self.pivots))
         pset = set(self.pivots)
-        ents = []
-        for c in range(d):
+        rows = []
+        for c in range(self.ambient_dim):
             if c in pset:
                 continue
-            v = [0] * d
-            v[c] = 1
-            for row, pc in zip(rows, self.pivots):
-                v[pc] = -row[c] % p
-            ents.extend(v)
-        return Matrix(self.ring, d - len(pset), d, tuple(ents))
+            eq = mrows[c]
+            for b, pc in basis:
+                x = b[c]
+                if x:
+                    eq = [a - x * y for a, y in zip(eq, mrows[pc])]
+            rows.append([a % p for a in eq])
+        return rows
 
     def mod_eps(self) -> "Subspace":
         return Subspace.from_matrix(self.basis.mod_eps())
@@ -553,18 +594,30 @@ def _check_ambient(u: Subspace, w: Subspace) -> None:
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical Subspace (field coefficients)."""
     p = _field_p(m.ring, "kernel computation")
-    ech = rref(m)
-    pivots = set(ech.pivots)
-    rows = []
-    for fc in range(m.cols):
-        if fc in pivots:
-            continue
-        v = [0] * m.cols
-        v[fc] = 1
-        for i, pc in enumerate(ech.pivots):
-            v[pc] = -ech.matrix.entry(i, fc) % p
-        rows.append(v)
-    return Subspace._span(m.ring, m.cols, rows)
+    return _null_space(m.ring, m._rows(), m.cols, p)
+
+
+def _null_space(ring, rows: list, d: int, p: int) -> Subspace:
+    """{v : r . v = 0 for every row r}, by one elimination of ``rows``.
+
+    Pivots are taken right to left, so each reduced row is 0 right of its
+    pivot pc.  The null vector e_c - sum_i row_i[c] e_(pc_i) of a free
+    column c is then nonzero only at c and at pivots right of c: the null
+    vectors, by free column, are already the canonical basis.
+    """
+    pivots = _reduce(rows, range(d - 1, -1, -1), p)
+    pset = set(pivots)
+    free = [c for c in range(d) if c not in pset]
+    basis = []
+    for c in free:
+        v = [0] * d
+        v[c] = 1
+        for row, pc in zip(rows, pivots):
+            x = row[c]
+            if x:
+                v[pc] = p - x
+        basis.append(v)
+    return Subspace._echelon(ring, d, basis, free)
 
 
 def image(m: Matrix) -> Subspace:
@@ -577,18 +630,36 @@ def apply_map(m: Matrix, u: Subspace) -> Subspace:
     if m.cols != u.ambient_dim or m.ring != u.ring:
         raise ValueError("map domain %d over %r does not match ambient %d "
                          "over %r" % (m.cols, m.ring, u.ambient_dim, u.ring))
-    return Subspace._span(m.ring, m.rows, [m._apply(r) for r in u.basis_rows()])
+    basis = u.basis_rows()
+    if not basis:
+        return Subspace.zero_space(m.ring, m.rows)
+    p = _field_p(m.ring, "applying a matrix")
+    mrows = m._rows()
+    return Subspace._span(m.ring, m.rows,
+                          [[sum(map(mul, r, b)) % p for r in mrows]
+                           for b in basis])
+
+
+def _maps_into(m: Matrix, u: Subspace, w: Subspace) -> bool:
+    # m(u) <= w over a field, unchecked, without reducing m(u)
+    mrows = m._rows()
+    return w._holds([[sum(map(mul, r, b)) for r in mrows]
+                     for b in u.basis_rows()])
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:
-    """{v : m v in w}, computed as the kernel of (constraints of w) o m."""
-    if m.rows != w.ambient_dim:
-        raise ValueError("map codomain %d does not match ambient %d"
-                         % (m.rows, w.ambient_dim))
-    cons = w.constraints()
-    if cons.rows == 0:
-        return Subspace.full_space(m.ring, m.cols)
-    return kernel(cons * m)
+    """{v : m v in w} (field coefficients), by one elimination.
+
+    Its equations are the rows a m for the annihilator rows
+    a = e_c - sum_i b_i[c] e_(pc_i) of w (``constraints``), read off w's
+    basis and m's rows.  A full w has no equations, and its preimage is the
+    whole domain.
+    """
+    if m.rows != w.ambient_dim or m.ring != w.ring:
+        raise ValueError("map codomain %d over %r does not match ambient %d "
+                         "over %r" % (m.rows, m.ring, w.ambient_dim, w.ring))
+    p = _field_p(m.ring, "preimage")
+    return _null_space(m.ring, w._annihilate(m._rows(), p), m.cols, p)
 
 
 def sum_spaces(u: Subspace, w: Subspace) -> Subspace:

@@ -11,8 +11,9 @@ from lgseries.chains import (CensusReport, ChainPoint, LinkedChain,
                              signature, tangent_dimension, validate_chain)
 from lgseries.fields import Dual, DualNumbers, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
-                             enumerate_subspaces, gaussian_binomial,
-                             intersect, kernel, pivot_patterns, rref)
+                             enumerate_between, enumerate_subspaces,
+                             gaussian_binomial, intersect, kernel,
+                             pivot_patterns, preimage, rref)
 from lgseries.series import build_section_chain
 
 GF2 = PrimeField(2)
@@ -176,10 +177,48 @@ def test_enumerate_points_matches_fresh_interval_walk():
         assert list(enumerate_points(c)) == _points_walking_every_interval(c)
 
 
-def _count_enumerate_between(monkeypatch):
-    """Patch ``chains.enumerate_between`` to count its calls and yields."""
+def _interval_by_filter(chain, i, v, stream):
+    """The interval of v at step i by its definition: the W of the subspace
+    stream, given as (W, g_i(W)) pairs, with f_i(v) <= W and g_i(W) <= v."""
+    lower = apply_map(chain.fs[i], v)
+    return [w for w, gw in stream if w.contains(lower) and v.contains(gw)]
+
+
+def test_interval_matches_brute_force_filter():
+    # every V at every step, on both branches (f(V) already of rank r, or
+    # not): the interval is the filtered subspace stream, each W once, with
+    # the echelon cells in stream order, and it equals the interval walked
+    # from both ends by enumerate_between, whose quotient order inside a
+    # cell the point stream has always had
+    chains = [build_section_chain(2, 2, 1), build_section_chain(3, 2, 2),
+              build_section_chain(3, 3, 2)]
+    chains += list(small_standard_chains())
+    chains += [make_standard_chain(3, 3, 1, 1, 2, r=1),
+               make_standard_chain(2, 3, 2, 1, 2, r=2),
+               make_standard_chain(3, 3, 1, 2, 3, r=2),
+               conjugated_standard_chain(3, 3, 1, 3, 1, seed=5)]
+    branches = set()
+    for c in chains:
+        spaces = list(enumerate_subspaces(c.d, c.r, c.p))
+        for i in range(c.n - 1):
+            stream = [(w, apply_map(c.gs[i], w)) for w in spaces]
+            for v in spaces:
+                got = list(chains_module._interval(c, i, v))
+                want = _interval_by_filter(c, i, v, stream)
+                assert len(set(got)) == len(got)
+                assert set(got) == set(want)
+                assert [w.pivots for w in got] == [w.pivots for w in want]
+                lower = apply_map(c.fs[i], v)
+                assert got == list(enumerate_between(
+                    lower, preimage(c.gs[i], v), c.r))
+                branches.add(lower.dim == c.r)
+    assert branches == {True, False}
+
+
+def _count_interval(monkeypatch):
+    """Patch ``chains._interval`` to count its calls and yields."""
     counts = {"calls": 0, "yields": 0}
-    real = chains_module.enumerate_between
+    real = chains_module._interval
 
     def counting(*args):
         counts["calls"] += 1
@@ -187,12 +226,12 @@ def _count_enumerate_between(monkeypatch):
             counts["yields"] += 1
             yield item
 
-    monkeypatch.setattr(chains_module, "enumerate_between", counting)
+    monkeypatch.setattr(chains_module, "_interval", counting)
     return counts
 
 
 def test_enumerate_points_draws_no_candidate_ahead_of_budget(monkeypatch):
-    counts = _count_enumerate_between(monkeypatch)
+    counts = _count_interval(monkeypatch)
     c = make_standard_chain(2, 6, 3, 0, 2, r=3)
     with pytest.raises(BudgetError) as info:
         list(enumerate_points(c, budget=100, first_pivots=(3, 4, 5)))
@@ -203,7 +242,7 @@ def test_enumerate_points_draws_no_candidate_ahead_of_budget(monkeypatch):
 def test_enumerate_points_walks_each_interval_once(monkeypatch):
     # section (3, 3, 2): 1,119 prefixes below the last level, but only 390
     # distinct (level, subspace) pairs among them
-    counts = _count_enumerate_between(monkeypatch)
+    counts = _count_interval(monkeypatch)
     assert sum(1 for _ in enumerate_points(build_section_chain(3, 3, 2))) \
         == 1147
     assert counts["calls"] == 390
@@ -857,6 +896,42 @@ def test_axiom_violating_chain_names_the_step():
     # the diagonal line has a nonempty interval at every step
     full = extend_truncation(c, ChainPoint([span2([[1, 1]])]))
     assert list(full) == [span2([[1, 1]])] * 3
+
+
+def _axiom_violating_chain_off_the_kernel():
+    """n=3, d=3, r=2 over GF(2), s=0.  Step 0 (f_0 v = v1 e3, g_0 v = v1 e1)
+    has g_0 f_0 = 0, and every level-1 space it reaches contains e3 =
+    ker f_1, where f_1 = diag(1, 1, 0).  Step 1 has g_1 e1 = e2, so
+    g_1 f_1(<e1, e3>) = <e2> is not inside <e1, e3>: the fault lies only at
+    spaces on which f_1 is not injective."""
+    f0 = Matrix.from_rows(GF2, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    g0 = Matrix.from_rows(GF2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    f1 = Matrix.from_rows(GF2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    g1 = Matrix.from_rows(GF2, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    return LinkedChain(GF2, 3, 3, 2, [f0, f1], [g0, g1], GF2(0))
+
+
+def test_axiom_violation_at_a_space_where_f_is_not_injective():
+    c = _axiom_violating_chain_off_the_kernel()
+    assert not validate_chain(c).ok
+    reached = {w for v in enumerate_subspaces(3, 2, 2)
+               for w in chains_module._interval(c, 0, v)}
+    faulty = [v for v in reached
+              if not v.contains(apply_map(c.gs[1], apply_map(c.fs[1], v)))]
+    assert faulty
+    assert all(apply_map(c.fs[1], v).dim < c.r for v in reached)
+    for run in (lambda: list(enumerate_points(c)), lambda: census(c),
+                lambda: census(c, experiments=True)):
+        with pytest.raises(ValueError, match="step 1.*linked-chain axioms"):
+            run()
+    # the first step has no fault, and the axiom-violating chain above
+    # faults where f is injective
+    assert all(list(chains_module._interval(c, 0, v))
+               for v in enumerate_subspaces(3, 2, 2))
+    c0 = _axiom_violating_chain()
+    assert apply_map(c0.fs[0], span2([[1, 0]])).dim == c0.r
+    with pytest.raises(ValueError, match="step 0.*linked-chain axioms"):
+        list(chains_module._interval(c0, 0, span2([[1, 0]])))
 
 
 def test_closure_multiplicity_n2():

@@ -199,12 +199,32 @@ CENSUS_SHA256 = {
     "census --kind standard --n 2 --dim 4 --d1 2 --s 0 --p 3 --rank 2 "
     "--budget 1000000 --experiments":
         "89565e33620ca75842a802e31d3ab546f07074a2b94a98ca6873ec830ed573a5",
+    # taken before the interval nodes were built on int rows
+    "census --kind section --degree 3 --rank 2 --p 2 --budget 1000000000":
+        "eaf2a4d4b89bfb287fcb4a91a0bc809902044b36a044c3fed122d8f4a49c620b",
 }
 
 
 def test_census_bytes_pinned(capsys):
     for argv, digest in CENSUS_SHA256.items():
         code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of fr-image stdout (with --budget 1000000000), taken before the
+# interval nodes were built on int rows
+FR_IMAGE_SHA256 = {
+    ("--degree", "3", "--rank", "1", "--p", "2"):
+        "d65546ac8205f9bcbc013892e9e257421aba317257a99f813515424c44846c90",
+    ("--degree", "3", "--rank", "1", "--p", "3"):
+        "775967ae71d38c7ecf5a886156e6d8c2eaf00df05885c6c696bb9546a7e15443",
+}
+
+
+def test_fr_image_bytes_pinned(capsys):
+    for argv, digest in FR_IMAGE_SHA256.items():
+        code, out, _ = run(capsys, "fr-image", *argv, "--budget", "1000000000")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 

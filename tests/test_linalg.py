@@ -356,6 +356,67 @@ def test_intersect_and_preimage_match_brute_force(d, q):
                 {x for x in vectors if w.contains_vector(m.apply(x))}
 
 
+def _rectangular_maps(field, rows, cols):
+    """Every rows x cols matrix when there are at most 64, otherwise the
+    zero matrix, a full-rank one and 60 seeded random ones."""
+    q, size = field.p, rows * cols
+    if q ** size <= 64:
+        return [Matrix(field, rows, cols, ents)
+                for ents in itertools.product(range(q), repeat=size)]
+    rng = random.Random(q * 100 + rows * 10 + cols)
+    ents = [tuple(rng.randrange(q) for _ in range(size)) for _ in range(60)]
+    ents += [(0,) * size,
+             tuple(int(i == j) for i in range(rows) for j in range(cols))]
+    return [Matrix(field, rows, cols, e) for e in ents]
+
+
+def _canonical(field, d, vectors):
+    """The subspace spanned by ``vectors`` through the public RREF."""
+    return Subspace.from_rows(field, d, sorted(vectors))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kernel_apply_map_preimage_match_brute_force_on_rectangular_maps(q):
+    # 0-row and 0-column maps included; the zero and the full space are
+    # among the subspaces of each side
+    field = PrimeField(q)
+    for rows, cols in ((0, 0), (0, 2), (2, 0), (1, 3), (3, 1), (2, 3),
+                       (3, 2)):
+        domain, codomain = _vectors(cols, q), _vectors(rows, q)
+        sources = list(all_subspaces(cols, q))
+        targets = list(all_subspaces(rows, q))
+        assert {u.dim for u in sources} == set(range(cols + 1))
+        for m in _rectangular_maps(field, rows, cols):
+            zero = (0,) * rows
+            ker = {x for x in domain if m.apply(x) == zero}
+            got = kernel(m)
+            assert got == _canonical(field, cols, ker)
+            assert {x for x in domain if got.contains_vector(x)} == ker
+            for u in sources:
+                img = {m.apply(x) for x in domain if u.contains_vector(x)}
+                got = apply_map(m, u)
+                assert got == _canonical(field, rows, img)
+                assert got.pivots == _canonical(field, rows, img).pivots
+            for w in targets:
+                pre = {x for x in domain if w.contains_vector(m.apply(x))}
+                got = preimage(m, w)
+                assert got == _canonical(field, cols, pre)
+                assert got.pivots == _canonical(field, cols, pre).pivots
+                assert all(type(x) is int and 0 <= x < q
+                           for x in got.basis.entries)
+
+
+def test_preimage_rejects_a_ring_mismatch():
+    m = mat(GF3, [[1, 0], [0, 1]])
+    for w in (Subspace.full_space(GF2, 2), Subspace.zero_space(GF2, 2),
+              Subspace.from_rows(GF2, 2, [[1, 1]])):
+        with pytest.raises(ValueError,
+                           match=r"PrimeField\(3\).*PrimeField\(2\)"):
+            preimage(m, w)
+    with pytest.raises(ValueError, match="codomain 2"):
+        preimage(m, Subspace.full_space(GF3, 3))
+
+
 def test_subspace_hash_is_cached_and_generating_set_free():
     u = Subspace.from_rows(GF5, 3, [[1, 2, 0], [0, 1, 4]])
     h = hash(u)
