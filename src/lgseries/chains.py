@@ -12,26 +12,29 @@ The linked points are the paths through a layered graph: its nodes are
 (level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  Every
 analysis reads an edge through ``_step``: the ranks of f_i and g_i on the
 point, exactness at the step, and the step's block of the linearised
-linkage equations, which couple consecutive levels only.  ``signature``,
-``is_exact`` and ``tangent_dimension`` run it along one point's path; a
-census runs it once per edge of the whole graph and folds the tangent
-equations forward level by level (``_advance``), merging the prefixes that
-reach the same state.
+linkage equations, which couple consecutive levels only.  The step works in
+each space's frame (its echelon basis and the unit rows at its non-pivot
+columns), whose coordinates are read off the pivots and the annihilator
+rows, so no frame is built or inverted.  ``signature``, ``is_exact`` and
+``tangent_dimension`` run it along one point's path; a census runs it once
+per edge of the whole graph and folds the tangent equations forward level
+by level (``_advance``), merging the prefixes that reach the same state.
+All of it runs on int rows through ``linalg._reduce``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
+from operator import mul
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .fields import Fp, PrimeField
-from .linalg import (BudgetError, Matrix, Subspace, _maps_into, _require_dict,
-                     apply_map, contains, enumerate_between,
-                     enumerate_subspaces, image, intersect, kernel, preimage,
-                     rref)
+from .linalg import (BudgetError, Matrix, Subspace, _maps_into, _null_space,
+                     _reduce, _require_dict, apply_map, contains,
+                     enumerate_between, enumerate_subspaces, image, intersect,
+                     kernel, preimage)
 
 
 class LinkedChain:
@@ -298,20 +301,17 @@ def is_linked_point(chain: LinkedChain, pt: ChainPoint) -> bool:
     return True
 
 
-def enumerate_points(chain: LinkedChain, budget: Optional[int] = None,
-                     first_pivots: Optional[tuple] = None) -> Iterator[ChainPoint]:
+def enumerate_points(chain: LinkedChain,
+                     budget: Optional[int] = None) -> Iterator[ChainPoint]:
     """All linked points, each exactly once, in a fixed deterministic order.
 
     Level 0 runs over the subspace stream of GF(p)^d; each later level runs
     only over the interval f_i(V_i) <= V <= g_i^{-1}(V_i), so no candidate is
-    ever generated and then filtered for linkage.  ``first_pivots`` restricts
-    level 0 to one pivot pattern; these cells, taken in pattern order, make
-    up the whole stream.  The walk is ``_walk`` from the empty prefix, so
-    each interval is walked once per call, and BudgetError is raised once
-    more than ``budget`` candidates are spent.
+    ever generated and then filtered for linkage.  The walk is ``_walk``
+    from the empty prefix, so each interval is walked once per call, and
+    BudgetError is raised once more than ``budget`` candidates are spent.
     """
-    yield from _walk(chain, [], enumerate_subspaces(chain.d, chain.r, chain.p,
-                                                    pivots=first_pivots),
+    yield from _walk(chain, [], enumerate_subspaces(chain.d, chain.r, chain.p),
                      budget=budget)
 
 
@@ -411,36 +411,6 @@ def _axiom_error(i: int) -> ValueError:
                       "the chain violates the linked-chain axioms" % (i, i, i))
 
 
-def _frame(chain: LinkedChain, sp: Subspace,
-           comp: Optional[Matrix] = None, i: int = 0) -> tuple:
-    """(M, M^-1) for the frame M of V = sp: its basis over complement rows,
-    the rows of ``comp`` or the coordinate ones at the non-pivot columns.
-
-    M is inverted by one RREF of [M | I]; a ``comp`` that does not
-    complement V (level i) raises ValueError.
-    """
-    field_ = chain.field
-    d, r = chain.d, chain.r
-    if comp is not None:
-        if comp.rows != d - r or comp.cols != d:
-            raise ValueError("complement %d must be %dx%d" % (i, d - r, d))
-        if comp.ring != field_:
-            raise ValueError("complement %d must live over %r" % (i, field_))
-        rows = [comp.row(k) for k in range(comp.rows)]
-    else:
-        pset = set(sp.pivots)
-        rows = [tuple(int(j == c) for j in range(d))
-                for c in range(d) if c not in pset]
-    frame = sp.basis_rows() + rows
-    unit = [(0,) * k + (1,) + (0,) * (d - 1 - k) for k in range(d)]
-    ech = rref(Matrix.from_rows(field_,
-                                [row + e for row, e in zip(frame, unit)]))
-    if ech.pivots != tuple(range(d)):
-        raise ValueError("supplied complement does not complement V_%d" % i)
-    return (Matrix.from_rows(field_, frame),
-            ech.matrix.submatrix(range(d), range(d, 2 * d)))
-
-
 class _Step(NamedTuple):
     """What one edge V_k -> V_{k+1} of a linked point contributes."""
     f_rank: int      # rank of f_k on V_k
@@ -449,54 +419,65 @@ class _Step(NamedTuple):
     eqs: tuple       # rows of [E_V | E_W], the linearised linkage equations
 
 
-def _step(chain: LinkedChain, k: int, src: tuple, dst: tuple) -> _Step:
-    """The step data of the edge V_k -> V_{k+1}, from their frames.
+def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace) -> _Step:
+    """The step data of the edge V = V_k -> W = V_{k+1}, read off the two
+    echelon bases.
 
-    F = M_k f_k^T M_{k+1}^-1: row a holds f_k(row a of M_k) in frame
-    coordinates, the first r in V_{k+1} and the rest in the quotient.  Its
-    top-left r x r block is f_k on V_k in basis coordinates, and does not
-    depend on the complements; a nonzero top-right block raises ValueError
-    (non-linked point).  G = M_{k+1} g_k^T M_k^-1 likewise.  Exactness is
-    the containment definition: the kernel of each restricted map (the left
-    kernel of its block) lies in the image of the other (the row space).
+    Each space has its frame: its basis rows b_a, then the unit rows at its
+    non-pivot columns.  Frame coordinates need no inverse.  Every b_a is 1 at
+    its own pivot pc_a and 0 at the others, so the coordinate of y on b_a is
+    y[pc_a]; on the unit row at a non-pivot column c it is a_c . y, with
+    a_c = e_c - sum_a b_a[c] e_(pc_a) the annihilator row of
+    ``Subspace._annihilate``.  So L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on
+    V in basis coordinates, and the quotient rows a_c f_k, one per non-pivot
+    column c of W, give f_k into the quotient.  A quotient row that does not
+    vanish on V's basis raises ValueError (non-linked point); the entries of
+    the quotient rows at V's non-pivot columns form the e x e block Q_F.
+    g_k gives L_G and Q_G in the same way, with V and W swapped.  Exactness
+    is the containment definition: the kernel of each restricted map (the
+    left kernel of its L block) lies in the image of the other (the row
+    space).
 
-    The unknowns are the maps phi_k : V_k -> E/V_k in complement
-    coordinates, phi(b_a) = sum_c X[a][c] c_c, flattened as X[a][c] at a*e+c
-    with e = d - r.  Linkage to first order reads X_k Q_F = L_F X_{k+1} and
-    X_{k+1} Q_G = L_G X_k, with L the r x r and Q the e x e diagonal
-    blocks; ``eqs`` holds those 2re equations as rows over the unknowns of
-    level k, then those of level k+1.
+    The unknowns are the maps phi_k : V_k -> E/V_k in frame coordinates,
+    phi(b_a) = sum_c X[a][c] e_c over the non-pivot columns, flattened as
+    X[a][c] at a*e+c with e = d - r.  Linkage to first order reads
+    X_k Q_F = L_F X_{k+1} and X_{k+1} Q_G = L_G X_k; ``eqs`` holds those 2re
+    equations as rows over the unknowns of level k, then those of level k+1.
     """
-    p, d, r = chain.p, chain.d, chain.r
-    e = d - r
-    rr, ee = range(r), range(r, d)
+    ring, p, r = chain.field, chain.p, chain.r
+    e = chain.d - r
+    re_ = r * e
 
-    def product(name: str, mat: Matrix, from_frame: tuple, to_frame: tuple,
-                src_i: int, dst_i: int) -> Matrix:
-        coords = from_frame[0] * mat.transpose() * to_frame[1]
-        if not coords.submatrix(rr, ee).is_zero():
+    def blocks(name: str, mat: Matrix, src: Subspace, dst: Subspace,
+               src_i: int, dst_i: int) -> tuple:
+        mrows = mat._rows()
+        basis = src.basis_rows()
+        lam = [[sum(map(mul, mrows[pc], b)) % p for pc in dst.pivots]
+               for b in basis]
+        quot = dst._annihilate(mrows, p)
+        if any(sum(map(mul, q, b)) % p for q in quot for b in basis):
             raise ValueError("non-linked point: %s_%d(V_%d) is not in V_%d"
                              % (name, k, src_i, dst_i))
-        return coords
+        pset = set(src.pivots)
+        free = [c for c in range(chain.d) if c not in pset]
+        return lam, [[q[c] for c in free] for q in quot]
 
-    fc = product("f", chain.fs[k], src, dst, k, k + 1)
-    gc = product("g", chain.gs[k], dst, src, k + 1, k)
-    lf, lg = fc.submatrix(rr, rr), gc.submatrix(rr, rr)
-    im_f, im_g = Subspace.from_matrix(lf), Subspace.from_matrix(lg)
-    exact = (im_f.contains(kernel(lg.transpose()))
-             and im_g.contains(kernel(lf.transpose())))
-    re_ = r * e
+    lf, qf = blocks("f", chain.fs[k], v, w, k, k + 1)
+    lg, qg = blocks("g", chain.gs[k], w, v, k + 1, k)
+    im_f, im_g = Subspace._span(ring, r, lf), Subspace._span(ring, r, lg)
+    # the left kernel of an L block: its columns are the equations
+    ker_f = _null_space(ring, list(zip(*lf)), r, p)
+    ker_g = _null_space(ring, list(zip(*lg)), r, p)
+    exact = im_f.contains(ker_g) and im_g.contains(ker_f)
     eqs = []
-    for coords, forward in ((fc, True), (gc, False)):
-        for a in rr:
-            lam = coords.row(a)[:r]
+    for lam, quot, forward in ((lf, qf, True), (lg, qg, False)):
+        for a in range(r):
             for out_c in range(e):
                 own = [0] * re_      # X of the map's source level
                 other = [0] * re_    # X of its target level
-                for c in range(e):
-                    own[a * e + c] = coords.entry(r + c, r + out_c)
-                for kk in rr:
-                    other[kk * e + out_c] = -lam[kk] % p
+                own[a * e:(a + 1) * e] = quot[out_c]
+                for kk in range(r):
+                    other[kk * e + out_c] = -lam[a][kk] % p
                 eqs.append(tuple(own + other) if forward
                            else tuple(other + own))
     return _Step(im_f.dim, im_g.dim, exact, tuple(eqs))
@@ -509,40 +490,32 @@ def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
     ``basis`` holds the canonical rows of A_k, the level-k maps that extend
     back to a solution on levels 0..k, or is None when A_k is everything
     (level 0).  K = ker [E_V B^T | E_W] pairs coefficients y of A_k with
-    level-(k+1) maps; A_{k+1}, its projection to the second block, is cut
-    out by the rows of RREF [E_V B^T | E_W] with no entry in the y columns.
-    At the ``last`` step only dim K is needed, and A_{k+1} is None.
+    level-(k+1) maps.  One ``_reduce`` of [E_V B^T | E_W] gives dim K; its
+    reduced rows with no entry in the y columns cut out A_{k+1}, the
+    projection of K to the second block, and ``_null_space`` of them is its
+    canonical basis.  At the ``last`` step only dim K is needed, and A_{k+1}
+    is None.
     """
     p, re_ = chain.p, chain.r * (chain.d - chain.r)
     if basis is None:
-        m, rows = re_, step.eqs
+        m, rows = re_, list(step.eqs)
     else:
         m = len(basis)
-        rows = [tuple(sum(x * y for x, y in zip(row, b)) % p for b in basis)
-                + row[re_:] for row in step.eqs]
-    ech = rref(Matrix(chain.field, len(rows), m + re_,
-                      tuple(itertools.chain.from_iterable(rows))))
-    dim_k = m + re_ - ech.rank
+        rows = [tuple(sum(map(mul, row, b)) % p for b in basis) + row[re_:]
+                for row in step.eqs]
+    pivots = _reduce(rows, range(m + re_), p)
+    dim_k = m + re_ - len(pivots)
     if last:
         return None, dim_k
-    cut = [ech.matrix.row(i)[m:] for i, pc in enumerate(ech.pivots) if pc >= m]
-    a_next = kernel(Matrix(chain.field, len(cut), re_,
-                           tuple(itertools.chain.from_iterable(cut))))
-    return tuple(a_next.basis_rows()), dim_k
+    cut = [row[m:] for row, pc in zip(rows, pivots) if pc >= m]
+    return tuple(_null_space(chain.field, cut, re_, p).basis_rows()), dim_k
 
 
-def _path_steps(chain: LinkedChain, pt: ChainPoint,
-                complements: Optional[Sequence[Matrix]] = None) -> list:
-    """The step data along the single path of ``pt``.  Every frame is built
-    first, so a bad complement raises ValueError ("does not complement")
-    before any linkage check; a non-linked step then raises ValueError."""
+def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
+    """The step data along the single path of ``pt``; a non-linked step
+    raises ValueError."""
     _check_point_shape(chain, pt)
-    frames = []
-    for i, sp in enumerate(pt):
-        comp = None if complements is None else complements[i]
-        frames.append(_frame(chain, sp, comp, i))
-    return [_step(chain, k, frames[k], frames[k + 1])
-            for k in range(chain.n - 1)]
+    return [_step(chain, k, pt[k], pt[k + 1]) for k in range(chain.n - 1)]
 
 
 def _signature_of(chain: LinkedChain,
@@ -583,19 +556,20 @@ def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
     return all(st.exact for st in _path_steps(chain, pt))
 
 
-def tangent_dimension(chain: LinkedChain, pt: ChainPoint,
-                      complements: Optional[Sequence[Matrix]] = None) -> int:
+def tangent_dimension(chain: LinkedChain, pt: ChainPoint) -> int:
     """Dimension of the space of first-order deformations of a linked point.
 
-    Unknowns are maps phi_i from V_i to E/V_i, one per level, written in the
-    complement coordinates (the supplied ones, if any; the answer does not
-    depend on them).  The linearised linkage conditions couple consecutive
+    Unknowns are maps phi_i from V_i to E/V_i, one per level, written in
+    the coordinates of each level's frame (``_step``): the unit rows at V_i's
+    non-pivot columns span a complement, and the coordinates of a vector in
+    it are read off V_i's echelon basis.  The answer does not depend on the
+    complement.  The linearised linkage conditions couple consecutive
     levels only, so the solutions are built up along the chain as in the
     census: ``_advance`` carries the space A_k of level-k maps that extend
     back, and the dimension D_k of the solutions vanishing at level k, over
-    each step.  A bad complement or a non-linked point raises ValueError.
+    each step.  A non-linked point raises ValueError.
     """
-    steps = _path_steps(chain, pt, complements)
+    steps = _path_steps(chain, pt)
     if not steps:
         return chain.r * (chain.d - chain.r)
     basis, dim_d = None, 0
@@ -801,12 +775,13 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     on the whole point, as in ``signature``.
 
     Each edge reads its ranks, exactness and equations from step data
-    cached per (f_k, g_k, V, W), with frames cached per V and intervals per
-    (f_k, g_k, V), and moves every state at V by one ``_advance``; a leaf's
-    tangent dimension is D + dim K of its last step.  The budget counts the
-    candidates the point stream would take: the level-0 stream, then prefix
-    count times interval size at each node, raising the stream's
-    BudgetError once the running total passes ``budget``.
+    cached per (f_k, g_k, V, W), read off the echelon bases of V and W
+    (``_step``), with intervals cached per (f_k, g_k, V), and moves every
+    state at V by one ``_advance``; a leaf's tangent dimension is D + dim K
+    of its last step.  The budget counts the candidates the point stream
+    would take: the level-0 stream, then prefix count times interval size
+    at each node, raising the stream's BudgetError once the running total
+    passes ``budget``.
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
@@ -821,7 +796,6 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     pairs = {}
     kinds = [pairs.setdefault((f, g), len(pairs))
              for f, g in zip(chain.fs, chain.gs)]
-    frames = {}
     intervals = {}   # (f_k, g_k) index and V -> the interval of V
     walked = {}      # (k, V) -> the interval, as ``_walk``'s memo holds it
     steps = {}
@@ -839,10 +813,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
         key = (kinds[k], v, w)
         st = steps.get(key)
         if st is None:
-            for sp in (v, w):
-                if sp not in frames:
-                    frames[sp] = _frame(chain, sp)
-            st = steps[key] = _step(chain, k, frames[v], frames[w])
+            st = steps[key] = _step(chain, k, v, w)
         return st
 
     def moved(key: tuple, st: _Step, grow: int) -> tuple:

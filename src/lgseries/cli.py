@@ -511,12 +511,15 @@ def _check_config(command: argparse.ArgumentParser, config: dict) -> None:
 
 
 def _check_limits(args) -> None:
-    # flags and config values alike: a budget counts candidates; --workers
-    # has no effect (the census is serial) but keeps its K >= 1 check
-    budget = getattr(args, "budget", None)
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise _UsageError("--budget must be a nonnegative integer, got %r"
-                          % (budget,))
+    # flags and config values alike: a budget counts candidates, a point
+    # index counts points from 0; --workers has no effect (the census is
+    # serial) but keeps its K >= 1 check
+    for flag, dest in (("--budget", "budget"),
+                       ("--point-index", "point_index")):
+        value = getattr(args, dest, None)
+        if value is not None and (type(value) is not int or value < 0):
+            raise _UsageError("%s must be a nonnegative integer, got %r"
+                              % (flag, value))
     workers = getattr(args, "workers", None)
     if workers is not None and (type(workers) is not int or workers < 1):
         raise _UsageError("--workers must be a positive integer, got %r"

@@ -739,7 +739,7 @@ def pivot_patterns(d: int, r: int) -> Iterator[tuple]:
     return combinations(range(d), r)
 
 
-def enumerate_subspaces(d: int, r: int, q: int, budget: Optional[int] = None,
+def enumerate_subspaces(d: int, r: int, q: int,
                         pivots: Optional[tuple] = None) -> Iterator[Subspace]:
     """Yield every r-dimensional subspace of GF(q)^d exactly once.
 
@@ -751,13 +751,6 @@ def enumerate_subspaces(d: int, r: int, q: int, budget: Optional[int] = None,
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))
     ring = PrimeField(q)
-    if budget is not None:
-        total = (gaussian_binomial(d, r, q) if pivots is None
-                 else subspace_count_by_pivots(d, r, q, pivots))
-        if total > budget:
-            raise BudgetError(
-                "enumeration of %d subspaces exceeds budget %d" % (total, budget),
-                count=total)
     patterns = [tuple(pivots)] if pivots is not None else list(pivot_patterns(d, r))
     for pat in patterns:
         pset = set(pat)

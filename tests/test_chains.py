@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from lgseries import chains as chains_module
+from lgseries import linalg as linalg_module
 from lgseries.chains import (CensusReport, ChainPoint, LinkedChain,
                              admissible_signatures_n2,
                              census, decompose, enumerate_points, exactify,
@@ -12,8 +13,8 @@ from lgseries.chains import (CensusReport, ChainPoint, LinkedChain,
 from lgseries.fields import Dual, DualNumbers, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
                              enumerate_between, enumerate_subspaces,
-                             gaussian_binomial, intersect, kernel,
-                             pivot_patterns, preimage, rref)
+                             gaussian_binomial, image, intersect, kernel,
+                             preimage, rref)
 from lgseries.series import build_section_chain
 
 GF2 = PrimeField(2)
@@ -234,7 +235,7 @@ def test_enumerate_points_draws_no_candidate_ahead_of_budget(monkeypatch):
     counts = _count_interval(monkeypatch)
     c = make_standard_chain(2, 6, 3, 0, 2, r=3)
     with pytest.raises(BudgetError) as info:
-        list(enumerate_points(c, budget=100, first_pivots=(3, 4, 5)))
+        list(enumerate_points(c, budget=100))
     assert info.value.count == 101
     assert counts["yields"] <= 100
 
@@ -356,23 +357,20 @@ def test_tangent_s1_grassmannian():
 
 
 def test_tangent_complement_independence():
+    # the whole-point system in other complements gives the same dimension:
+    # span{(0,1)} and span{(1,0)} complemented by (1,1), and so on
     c = cross_chain()
-    # complement of span{(0,1)} by (1,1) instead of (1,0), etc.
-    comps = [Matrix.from_rows(GF2, [[1, 1]]), Matrix.from_rows(GF2, [[1, 1]])]
-    assert tangent_dimension(c, cross_node(), complements=comps) == 2
     exact_pt = ChainPoint([span2([[1, 0]]), span2([[1, 0]])])
-    comps = [Matrix.from_rows(GF2, [[1, 1]]), Matrix.from_rows(GF2, [[0, 1]])]
-    assert tangent_dimension(c, exact_pt, complements=comps) == 1
-    with pytest.raises(ValueError):
-        bad = [Matrix.from_rows(GF2, [[0, 1]]), Matrix.from_rows(GF2, [[0, 1]])]
-        tangent_dimension(c, cross_node(), complements=bad)
+    for pt, comps, want in ((cross_node(), [[[1, 1]], [[1, 1]]], 2),
+                            (exact_pt, [[[1, 1]], [[0, 1]]], 1)):
+        assert _whole_point_tangent(c, pt, comps) == \
+            tangent_dimension(c, pt) == want
 
 
 def test_tangent_complement_independence_random():
     import random
 
     rng = random.Random(2026)
-    F3 = PrimeField(3)
     chain = make_standard_chain(2, 3, 1, 0, 3, r=1)
     pts = list(enumerate_points(chain))
     for _ in range(12):
@@ -382,11 +380,11 @@ def test_tangent_complement_independence_random():
             while True:
                 rows = [[rng.randrange(3) for _ in range(3)] for _ in range(2)]
                 stacked = Matrix.from_rows(
-                    F3, [list(r) for r in sp.basis_rows()] + rows)
+                    chain.field, [list(r) for r in sp.basis_rows()] + rows)
                 if rref(stacked).rank == 3:
-                    comps.append(Matrix.from_rows(F3, rows))
+                    comps.append(rows)
                     break
-        assert tangent_dimension(chain, pt, complements=comps) == \
+        assert _whole_point_tangent(chain, pt, comps) == \
             tangent_dimension(chain, pt)
 
 
@@ -451,20 +449,45 @@ def test_tangent_dimension_counts_first_order_points(case):
 
 
 def test_tangent_rejects_point_unlinked_in_one_direction():
-    # f projects onto e1, e2 and g onto e3, e4
-    c = make_standard_chain(2, 4, 2, 0, 2, r=1)
+    # f and g project onto complementary planes, each the other's kernel:
+    # two lines in the image of f are linked by g (it kills both) but not by
+    # f, and two lines in the image of g the other way round
+    for c in (make_standard_chain(2, 4, 2, 0, 2, r=1),
+              conjugated_standard_chain(2, 4, 2, 2, 1, seed=3)):
+        for name, mat, src, dst in (("f", c.fs[0], 0, 1),
+                                    ("g", c.gs[0], 1, 0)):
+            x, y = image(mat).basis_rows()
+            pt = ChainPoint([Subspace.from_rows(c.field, 4, [x]),
+                             Subspace.from_rows(c.field, 4, [y])])
+            assert not is_linked_point(c, pt)
+            message = r"non-linked point: %s_0\(V_%d\) is not in V_%d" % (
+                name, src, dst)
+            for analysis in (tangent_dimension, signature, is_exact):
+                with pytest.raises(ValueError, match=message):
+                    analysis(c, pt)
 
-    def line(v):
-        return Subspace.from_rows(GF2, 4, [v])
 
-    e1, e2, e3, e4 = ([int(i == k) for i in range(4)] for k in range(4))
-    only_f = ChainPoint([line(e1), line(e2)])  # f(V_0) not in V_1, g(V_1) = 0
-    only_g = ChainPoint([line(e3), line(e4)])  # f(V_0) = 0, g(V_1) not in V_0
-    for pt in (only_f, only_g):
-        assert not is_linked_point(c, pt)
-        for analysis in (tangent_dimension, signature, is_exact):
-            with pytest.raises(ValueError, match="non-linked"):
-                analysis(c, pt)
+def test_step_runs_without_matrix_products_or_rref(monkeypatch):
+    # the census and the per-point analyses read every step off the
+    # echelon bases: no frame product, transpose or RREF is left
+    cases = [build_section_chain(3, 2, 2),
+             make_standard_chain(3, 3, 1, 2, 3, 2),
+             conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)]
+    points = [list(enumerate_points(c))[::5] for c in cases]
+
+    def forbidden(*args):
+        raise AssertionError("a Matrix product, transpose or rref was called")
+
+    monkeypatch.setattr(linalg_module, "rref", forbidden)
+    monkeypatch.setattr(Matrix, "__mul__", forbidden)
+    monkeypatch.setattr(Matrix, "transpose", forbidden)
+    with pytest.raises(AssertionError):
+        Matrix.identity(GF2, 2) * Matrix.identity(GF2, 2)
+    for c, pts in zip(cases, points):
+        assert census(c, experiments=c.s.is_zero()).points
+        for pt in pts:
+            tangent_dimension(c, pt)
+            signature(c, pt)
 
 
 def test_decompose_cross_node():
@@ -693,15 +716,19 @@ def test_census_rank_zero():
     assert rep.points == 1
 
 
-def test_point_stream_is_its_pivot_cells_in_pattern_order():
-    # the single stream a census folds over is the concatenation of the
-    # first_pivots cells, so splitting by cell neither loses nor reorders
-    for c in (make_standard_chain(2, 3, 1, 0, 2, r=1),
-              build_section_chain(3, 2, 2),
-              conjugated_standard_chain(3, 3, 1, 3, 1, seed=5)):
-        cells = [pt for pat in pivot_patterns(c.d, c.r)
-                 for pt in enumerate_points(c, first_pivots=pat)]
-        assert list(enumerate_points(c)) == cells
+def test_census_of_a_conjugated_chain_is_the_standard_census():
+    # P f P^-1 and P g P^-1 make an isomorphic chain with dense maps, so
+    # every step is read off echelon bases that are not coordinate planes
+    standard = make_standard_chain(3, 4, 2, 0, 2, 2)
+    for seed in (1, 2):
+        c = conjugated_standard_chain(3, 4, 2, 2, 2, seed=seed)
+        assert c != standard
+        for experiments in (False, True):
+            want = census(standard, experiments=experiments).as_dict()
+            got = census(c, experiments=experiments).as_dict()
+            want.pop("chain")
+            got.pop("chain")
+            assert got == want, (seed, experiments)
 
 
 def test_census_experiments_graph():
@@ -748,19 +775,23 @@ def test_census_graph_matches_exactify_outputs():
 
 # --- the census against the whole-point tangent system ------------------
 
-def _whole_point_tangent(chain, pt):
+def _whole_point_tangent(chain, pt, complements=None):
     """Tangent dimension as the nullity of one system in all n r (d-r)
-    unknowns: maps phi_i : V_i -> E/V_i in the coordinate complement of
-    each level, with the linearised linkage equations of every step."""
+    unknowns: maps phi_i : V_i -> E/V_i in a complement of each level (the
+    rows complements[i], or the unit rows at V_i's non-pivot columns), with
+    the linearised linkage equations of every step.  Each frame is inverted
+    by one RREF of [M | I]."""
     F, p, d, r = chain.field, chain.p, chain.d, chain.r
     e = d - r
     unit = [[int(i == j) for j in range(d)] for i in range(d)]
     frames, inverses = [], []
-    for sp in pt:
+    for i, sp in enumerate(pt):
         pset = set(sp.pivots)
-        frame = [list(row) for row in sp.basis_rows()] + \
-            [unit[c] for c in range(d) if c not in pset]
+        comp = ([unit[c] for c in range(d) if c not in pset]
+                if complements is None else complements[i])
+        frame = [list(row) for row in sp.basis_rows()] + comp
         ech = rref(Matrix.from_rows(F, [a + b for a, b in zip(frame, unit)]))
+        assert ech.pivots == tuple(range(d)), "not a complement of V_%d" % i
         frames.append(Matrix.from_rows(F, frame))
         inverses.append(ech.matrix.submatrix(range(d), range(d, 2 * d)))
     nunk = chain.n * r * e

@@ -564,6 +564,22 @@ def test_limits_from_config_are_checked(capsys, tmp_path):
     one_json_error(err)
 
 
+def test_negative_point_index_exit_code(capsys, tmp_path):
+    # rejected before the stream is walked, so a small budget cannot turn
+    # it into exit 3
+    tangent = ("tangent", "--kind", "section", "--degree", "3", "--rank",
+               "1", "--p", "3", "--budget", "100")
+    code, out, err = run(capsys, *tangent, "--point-index", "-1")
+    assert code == 2 and out == ""
+    assert "--point-index" in one_json_error(err)["error"]
+    cfg = tmp_path / "c.json"
+    for value in (-1, "-1"):
+        cfg.write_text(json.dumps({"point_index": value}))
+        code, out, err = run(capsys, "--config", str(cfg), *tangent)
+        assert code == 2 and out == ""
+        assert "--point-index" in one_json_error(err)["error"]
+
+
 def test_usage_errors_are_one_json_line(capsys):
     code, _, err = run(capsys, "census", "--kind", "standard")
     assert code == 2

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgseries.fields import DualNumbers, Fp, PrimeField
-from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
-                             contains, enumerate_between, enumerate_subspaces,
+from lgseries.linalg import (Matrix, Subspace, apply_map, contains,
+                             enumerate_between, enumerate_subspaces,
                              gaussian_binomial, image, intersect, kernel,
                              preimage, rank_everywhere_at_most, rref, solve,
                              sum_spaces)
@@ -189,12 +189,6 @@ def test_enumerate_distinct_and_deterministic():
     assert len(set(pts)) == len(pts)
     again = list(enumerate_subspaces(4, 2, 2))
     assert pts == again
-
-
-def test_enumerate_budget():
-    with pytest.raises(BudgetError) as err:
-        list(enumerate_subspaces(4, 2, 2, budget=10))
-    assert err.value.count == 35
 
 
 def test_enumerate_partition_by_pivots():
