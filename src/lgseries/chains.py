@@ -318,8 +318,7 @@ def enumerate_points(chain: LinkedChain,
 def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
           first: Iterable[Subspace],
           keep: Optional[Callable[[int, Subspace], bool]] = None,
-          budget: Optional[int] = None,
-          memo: Optional[dict] = None) -> Iterator[ChainPoint]:
+          budget: Optional[int] = None) -> Iterator[ChainPoint]:
     """The linked completions of ``prefix``, depth first, in stream order.
 
     ``first`` holds the candidates for level len(prefix); each later level
@@ -328,20 +327,17 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
     search runs on an explicit stack of candidate iterators, one per level,
     so chain length is not bounded by the recursion limit.
 
-    Many prefixes end in the same subspace, so each interval is walked once
-    per call: a memo maps (level, V) to the kept candidates of its interval
-    (private to the call unless ``memo`` passes one in that already holds
-    whole intervals, without ``keep``).  It is filled lazily, each candidate
-    recorded as the live stream yields it and the record kept once the
-    stream is exhausted; a later prefix ending in V replays the record.
-    Every candidate taken off the stack, replayed or not, spends one budget
-    unit, so the order of the points and the count at which the budget runs
-    out are those of walking every interval afresh, and no candidate is
-    drawn ahead of its spend.  BudgetError is raised once more than
-    ``budget`` candidates are spent.
+    Many prefixes end in the same subspace, so a memo maps (level, V) to
+    the kept candidates of its interval, filled lazily: each candidate is
+    recorded as the live stream yields it, and the record is kept once the
+    stream is exhausted, for later prefixes ending in V to replay.  Every
+    candidate taken off the stack, replayed or not, spends one budget unit,
+    so the order of the points and the count at which the budget runs out
+    are those of walking every interval afresh, and no candidate is drawn
+    ahead of its spend.  BudgetError is raised past ``budget`` candidates.
     """
     spent = 0
-    memo = {} if memo is None else memo
+    memo = {}
     prefix = list(prefix)
     stack = [iter(first)]
     while stack:
@@ -518,20 +514,6 @@ def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
     return [_step(chain, k, pt[k], pt[k + 1]) for k in range(chain.n - 1)]
 
 
-def _signature_of(chain: LinkedChain,
-                  steps: Sequence[_Step]) -> SignatureReport:
-    """The signature read off a point's steps.  When s = 0 the containment
-    definition of exactness must agree with the rank law (the two step
-    ranks sum to r) on the point; a disagreement raises RuntimeError."""
-    f_ranks = tuple(st.f_rank for st in steps)
-    g_ranks = tuple(st.g_rank for st in steps)
-    exact = all(st.exact for st in steps)
-    if chain.s.is_zero():
-        _check_rank_law(all(rf + rg == chain.r
-                            for rf, rg in zip(f_ranks, g_ranks)), exact)
-    return SignatureReport(f_ranks, g_ranks, exact)
-
-
 def _check_rank_law(by_ranks: bool, exact: bool) -> None:
     if by_ranks != exact:
         raise RuntimeError(
@@ -547,7 +529,14 @@ def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
     agree with the rank law (the two step ranks sum to r); a disagreement
     raises RuntimeError, as it indicates a corrupted chain.
     """
-    return _signature_of(chain, _path_steps(chain, pt))
+    steps = _path_steps(chain, pt)
+    f_ranks = tuple(st.f_rank for st in steps)
+    g_ranks = tuple(st.g_rank for st in steps)
+    exact = all(st.exact for st in steps)
+    if chain.s.is_zero():
+        _check_rank_law(all(rf + rg == chain.r
+                            for rf, rg in zip(f_ranks, g_ranks)), exact)
+    return SignatureReport(f_ranks, g_ranks, exact)
 
 
 def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
@@ -670,20 +659,10 @@ def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
     sig = signature(chain, pt)
     if sig.exact:
         raise ValueError("point is already exact")
-    return _exactify(chain, pt, sig)
-
-
-def _exactify(chain: LinkedChain, pt: ChainPoint,
-              sig: SignatureReport) -> tuple:
-    """``exactify`` of a non-exact point of an s = 0 chain, given its
-    signature."""
     f_point = _exactify_forward(chain, pt, sig.f_ranks, sig.g_ranks)
-    rev = chain.reverse()
-    rev_pt = ChainPoint(tuple(reversed(pt.spaces)))
-    g_fixed = _exactify_forward(rev, rev_pt, sig.g_ranks[::-1],
-                                sig.f_ranks[::-1])
-    g_point = ChainPoint(tuple(reversed(g_fixed.spaces)))
-    return f_point, g_point
+    g_fixed = _exactify_forward(chain.reverse(), ChainPoint(pt.spaces[::-1]),
+                                sig.g_ranks[::-1], sig.f_ranks[::-1])
+    return f_point, ChainPoint(g_fixed.spaces[::-1])
 
 
 def _exactify_forward(chain: LinkedChain, pt: ChainPoint, f_ranks: tuple,
@@ -785,11 +764,8 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
-    connectivity is reported as data, with nothing asserted.  Its edges
-    need an exact witness on each side of every non-exact point, so this
-    part walks the point stream (under the same budget, over the intervals
-    the pass above listed), reading each point's signature off the cached
-    step data by edge.
+    connectivity is reported as data, with nothing asserted.  It is read off
+    the graph and step data above, listing no point (``_witnessed_edges``).
     """
     report = CensusReport(chain.as_dict(), chain.p)
     r = chain.r
@@ -797,7 +773,6 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     kinds = [pairs.setdefault((f, g), len(pairs))
              for f, g in zip(chain.fs, chain.gs)]
     intervals = {}   # (f_k, g_k) index and V -> the interval of V
-    walked = {}      # (k, V) -> the interval, as ``_walk``'s memo holds it
     steps = {}
     spent = 0
 
@@ -843,6 +818,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     for v in enumerate_subspaces(chain.d, r, chain.p):
         spend(1)
         states[v] = {None: {start: 1}}
+    roots = tuple(states)
     if chain.n == 1:
         leaf(start[:2] + (r * (chain.d - r),), len(states))
     for k in range(chain.n - 1):
@@ -853,7 +829,6 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
             cands = intervals.get(ikey)
             if cands is None:
                 cands = intervals[ikey] = tuple(_interval(chain, k, v))
-            walked[k, v] = cands
             spend(len(cands) * sum(sum(c.values()) for c in by_a.values()))
             for basis, counts in by_a.items():
                 for w in cands:
@@ -869,22 +844,9 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
                         nkey = moved(key, st, vanish)
                         into[nkey] = into.get(nkey, 0) + cnt
         states = nxt
-    edges = set()
-    if experiments and chain.s.is_zero():
-        stream = enumerate_subspaces(chain.d, r, chain.p)
-        for pt in _walk(chain, [], stream, budget=budget, memo=walked):
-            sig = _signature_of(chain, [step(k, pt[k], pt[k + 1])
-                                        for k in range(chain.n - 1)])
-            if sig.exact:
-                continue
-            # _exactify raises unless both exact completions exist; the
-            # forward one keeps f_ranks and the backward one g_ranks, and
-            # exact steps have rank sum r, so their keys follow
-            _exactify(chain, pt, sig)
-            a = (sig.f_ranks, tuple(r - x for x in sig.f_ranks))
-            b = (tuple(r - x for x in sig.g_ranks), sig.g_ranks)
-            edges.add(tuple(sorted((a, b))))
     if experiments:
+        edges = (_witnessed_edges(chain, roots, kinds, intervals, steps)
+                 if chain.s.is_zero() else set())
         nodes = sorted(report.signatures)
         adj = {node: set() for node in nodes}
         for a, b in edges:
@@ -911,3 +873,54 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
             "connected_components": components,
         }
     return report
+
+
+def _witnessed_edges(chain: LinkedChain, roots: Sequence[Subspace],
+                     kinds: list, intervals: dict, steps: dict) -> set:
+    """The signature-graph edges of an s = 0 chain, read off the graph that
+    ``census`` built from the level-0 ``roots``: ``intervals`` and ``steps``.
+
+    A set pass carries V_k, the f- and g-rank prefixes, and (i, V_i) and
+    (j, V_{j+1}) for the first and last steps off the rank law (the
+    non-exact steps: the census has checked the law).  A leaf with such a
+    step joins (f, r - f) to (r - g, g).  Its forward ``exactify`` witness
+    exists iff a path from V_i has ranks (f_ranks[k], r - f_ranks[k]) at
+    each step k >= i, its backward one iff a path from V_{j+1} back to
+    level 0 has (r - g_ranks[k], g_ranks[k]) at each k <= j; each key
+    (i, V_i, f_ranks[i:]) or (j, V_{j+1}, g_ranks[:j+1]) is checked once.
+    """
+    n, r = chain.n, chain.r
+    ahead, back = {}, {}   # (k, V_k) or (k, V_{k+1}) -> [(other end, ranks)]
+    states = {v: {((), (), None, None)} for v in roots}
+    for k in range(n - 1):
+        nxt = {}
+        for v, keys in states.items():
+            for w in intervals[kinds[k], v]:
+                st = steps[kinds[k], v, w]
+                ahead.setdefault((k, v), []).append((w, st[:2]))
+                back.setdefault((k, w), []).append((v, st[:2]))
+                into = nxt.setdefault(w, set())
+                for fr, gr, first, last in keys:
+                    if st.f_rank + st.g_rank != r:
+                        first, last = first or (k, v), (k, w)
+                    into.add((fr + (st.f_rank,), gr + (st.g_rank,), first,
+                              last))
+        states = nxt
+    edges, walks = set(), set()
+    for fr, gr, first, last in set().union(*states.values()):
+        if first is not None:
+            edges.add(tuple(sorted(((fr, tuple(r - x for x in fr)),
+                                    (tuple(r - x for x in gr), gr)))))
+            walks.add((True, first, tuple((f, r - f) for f in fr[first[0]:])))
+            walks.add((False, last,
+                       tuple((r - g, g) for g in gr[last[0]::-1])))
+    for forward, (level, start), wants in walks:
+        adj, front = ahead if forward else back, {start}
+        levels = range(level, n - 1) if forward else range(level, -1, -1)
+        for k, want in zip(levels, wants):
+            front = {y for x in front for y, ranks in adj[k, x]
+                     if ranks == want}
+        if not front:
+            raise RuntimeError(
+                "no exact completion preserving the forward ranks exists")
+    return edges

@@ -767,10 +767,76 @@ def _graph_from_exactify_outputs(c):
             "connected_components": len({find(x) for x in nodes})}
 
 
+def _off_law_steps(c):
+    """(i, j) for every non-exact point: its first and last steps whose two
+    ranks do not sum to r."""
+    found = set()
+    for pt in enumerate_points(c):
+        sig = signature(c, pt)
+        off = [k for k, (rf, rg) in enumerate(zip(sig.f_ranks, sig.g_ranks))
+               if rf + rg != c.r]
+        if off:
+            found.add((off[0], off[-1]))
+    return found
+
+
 def test_census_graph_matches_exactify_outputs():
-    for c in list(small_standard_chains()) + [cross_chain()]:
+    deeper = [conjugated_standard_chain(3, 4, 2, 2, 2, seed=1),
+              conjugated_standard_chain(3, 4, 2, 2, 2, seed=2),
+              build_section_chain(3, 2, 2),
+              make_standard_chain(4, 4, 2, 0, 2, 2)]
+    for c in list(small_standard_chains()) + [cross_chain()] + deeper:
         graph = census(c, experiments=True).signature_graph
         assert graph == _graph_from_exactify_outputs(c)
+    # witness searches that start past level 0, and whose forward and
+    # backward starts differ
+    off = set().union(*map(_off_law_steps, deeper))
+    assert any(i > 0 for i, _ in off)
+    assert any(i != j for i, j in off)
+
+
+def test_census_experiments_adds_no_interval_or_point_work(monkeypatch):
+    # the signature graph is read off the intervals and step data that the
+    # counting pass built; no point is listed
+    cases = (build_section_chain(3, 3, 2), make_standard_chain(4, 4, 2, 0, 3, 2))
+    want = [census(c, experiments=True).as_dict() for c in cases]
+    calls = {}
+    for name in ("_interval", "_step", "apply_map"):
+        real = getattr(chains_module, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(chains_module, name, counting)
+    for c in cases:
+        reads = []
+        for experiments in (False, True):
+            calls.clear()
+            census(c, experiments=experiments)
+            reads.append(dict(calls))
+        assert reads[0] == reads[1] and reads[0]["_interval"] > 0, c
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the census walked the point stream")
+
+    monkeypatch.setattr(chains_module, "_walk", no_walk)
+    assert [census(c, experiments=True).as_dict() for c in cases] == want
+
+
+def test_census_experiments_raises_when_a_witness_is_missing():
+    # an axiom-violating chain (g f != 0) whose non-exact point has no
+    # exact completion keeping its forward ranks
+    f = Matrix.from_rows(GF2, [[1, 1], [1, 1]])
+    g = Matrix.from_rows(GF2, [[1, 1], [0, 0]])
+    c = LinkedChain(GF2, 2, 2, 1, [f], [g], GF2(0))
+    assert not validate_chain(c).ok
+    assert census(c).points == 3
+    with pytest.raises(RuntimeError, match="no exact completion"):
+        census(c, experiments=True)
+    [pt] = [pt for pt in enumerate_points(c) if not signature(c, pt).exact]
+    with pytest.raises(RuntimeError, match="no exact completion"):
+        exactify(c, pt)
 
 
 # --- the census against the whole-point tangent system ------------------

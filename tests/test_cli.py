@@ -202,6 +202,10 @@ CENSUS_SHA256 = {
     # taken before the interval nodes were built on int rows
     "census --kind section --degree 3 --rank 2 --p 2 --budget 1000000000":
         "eaf2a4d4b89bfb287fcb4a91a0bc809902044b36a044c3fed122d8f4a49c620b",
+    # taken while the signature graph still walked the point stream
+    "census --kind standard --n 8 --dim 4 --d1 2 --s 0 --p 3 --rank 2 "
+    "--budget 1000000000 --experiments":
+        "64fa66b0cd63091a684a2326e912eb3b2f5536123d00e3b74a8ad77b98bdc22a",
 }
 
 
