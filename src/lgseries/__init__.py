@@ -8,11 +8,11 @@ from .linalg import (BudgetError, Matrix, Subspace, apply_map, contains,
                      image, intersect, kernel, preimage, rank_everywhere_at_most,
                      rref, sum_spaces)
 from .chains import (CensusReport, ChainPoint, LinkedChain, SignatureReport,
-                     ValidationReport, admissible_signatures_n2, census,
-                     decompose, enumerate_points, exactify,
-                     expected_component_count_n2, extend_truncation, is_exact,
-                     is_linked_point, make_standard_chain, signature,
-                     tangent_dimension, validate_chain)
+                     ValidationReport, admissible_signatures_n2,
+                     boundary_counts, census, decompose, enumerate_points,
+                     exactify, expected_component_count_n2, extend_truncation,
+                     is_exact, is_linked_point, make_standard_chain,
+                     signature, tangent_dimension, validate_chain)
 from .ramification import (INFINITY, PluckerCertificate, RamificationData,
                            is_separable, plucker_check, rho, vanishing_sequence,
                            wronskian)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
@@ -315,6 +316,52 @@ def enumerate_points(chain: LinkedChain,
                      budget=budget)
 
 
+def boundary_counts(chain: LinkedChain,
+                    budget: Optional[int] = None) -> dict:
+    """{(V_0, V_{n-1}): number of linked points with these end levels}.
+
+    Counts the paths through the interval graph and lists no point: for each
+    level-0 space, in stream order, a forward pass carries {V_k: paths to
+    it}, every interval memoised per (f_k, g_k, V) as in ``census``.  The
+    budget is spent as the point stream spends it: one per level-0 space,
+    then paths times interval size at each (source, node).  An interval is
+    drawn only as far as the budget has room for, so an over-budget one is
+    never listed whole.
+    """
+    pairs, memo, nodes, counts = {}, {}, {}, {}
+    kinds = [pairs.setdefault((f, g), len(pairs))
+             for f, g in zip(chain.fs, chain.gs)]
+    spent, limit = 0, float("inf") if budget is None else budget
+    for source in enumerate_subspaces(chain.d, chain.r, chain.p):
+        spent += 1
+        if spent > limit:
+            raise _budget_error(budget)
+        front = {source: 1}
+        for k, kind in enumerate(kinds):
+            nxt = {}
+            for v, paths in front.items():
+                cands = memo.get((kind, v))
+                if cands is None:  # one object per node: lookups by identity
+                    stop = None if budget is None else (
+                        (limit - spent) // paths + 1)
+                    cands = memo[kind, v] = tuple(
+                        nodes.setdefault(w, w)
+                        for w in islice(_interval(chain, k, v), stop))
+                spent += paths * len(cands)
+                if spent > limit:
+                    raise _budget_error(budget)
+                for w in cands:
+                    nxt[w] = nxt.get(w, 0) + paths
+            front = nxt
+        counts.update(((source, v), paths) for v, paths in front.items())
+    return counts
+
+
+def _budget_error(budget: int) -> BudgetError:
+    return BudgetError("enumeration examined more than %d candidate subspaces"
+                       % budget, count=budget + 1)
+
+
 def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
           first: Iterable[Subspace],
           keep: Optional[Callable[[int, Subspace], bool]] = None,
@@ -349,9 +396,7 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
             continue
         spent += 1
         if budget is not None and spent > budget:
-            raise BudgetError(
-                "enumeration examined more than %d candidate subspaces"
-                % budget, count=spent)
+            raise _budget_error(budget)
         level = len(prefix)
         if level == chain.n - 1:
             yield ChainPoint(prefix + [cand])
@@ -390,7 +435,7 @@ def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
     lower = apply_map(chain.fs[i], v)
     if lower.dim == chain.r:
         if not _maps_into(chain.gs[i], lower, v):
-            raise _axiom_error(i)
+            raise _AxiomError(i)
         yield lower
         return
     upper = preimage(chain.gs[i], v)
@@ -399,12 +444,15 @@ def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
     except ValueError:
         if upper.contains(lower):
             raise
-        raise _axiom_error(i) from None
+        raise _AxiomError(i) from None
 
 
-def _axiom_error(i: int) -> ValueError:
-    return ValueError("step %d: f_%d(V) is not inside g_%d^-1(V) for some V; "
-                      "the chain violates the linked-chain axioms" % (i, i, i))
+class _AxiomError(ValueError):
+    def __init__(self, step: int, f: str = "f", g: str = "g"):
+        super().__init__(
+            "step %d: %s_%d(V) is not inside %s_%d^-1(V) for some V; the chain "
+            "violates the linked-chain axioms" % (step, f, step, g, step))
+        self.step = step
 
 
 class _Step(NamedTuple):
@@ -652,7 +700,8 @@ def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
     levels are rebuilt as the lexicographically least completion that is
     linked, preserves the forward ranks, and is exact at every step (the
     backward output is the mirrored run on the reversed chain, whose ranks
-    are the input's with f and g swapped and both tuples reversed).
+    are the input's with f and g swapped and both tuples reversed; its
+    axiom ValueError is renamed to the chain's own step).
     """
     if not chain.s.is_zero():
         raise ValueError("exactify requires s = 0")
@@ -660,8 +709,12 @@ def exactify(chain: LinkedChain, pt: ChainPoint) -> tuple:
     if sig.exact:
         raise ValueError("point is already exact")
     f_point = _exactify_forward(chain, pt, sig.f_ranks, sig.g_ranks)
-    g_fixed = _exactify_forward(chain.reverse(), ChainPoint(pt.spaces[::-1]),
-                                sig.g_ranks[::-1], sig.f_ranks[::-1])
+    try:
+        g_fixed = _exactify_forward(chain.reverse(),
+                                    ChainPoint(pt.spaces[::-1]),
+                                    sig.g_ranks[::-1], sig.f_ranks[::-1])
+    except _AxiomError as exc:  # reversed step i is n - 2 - i, f and g swapped
+        raise _AxiomError(chain.n - 2 - exc.step, "g", "f") from None
     return f_point, ChainPoint(g_fixed.spaces[::-1])
 
 
@@ -780,9 +833,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
         nonlocal spent
         spent += count
         if budget is not None and spent > budget:
-            raise BudgetError(
-                "enumeration examined more than %d candidate subspaces"
-                % budget, count=budget + 1)
+            raise _budget_error(budget)
 
     def step(k: int, v: Subspace, w: Subspace) -> _Step:
         key = (kinds[k], v, w)

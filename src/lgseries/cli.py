@@ -7,18 +7,19 @@ report.  Identical inputs produce byte-identical reports.  Exit codes:
 command found a property violation.
 
 Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
-except the ``enum-lls`` listing.  Its points differ only in their spaces, so
-the writer renders one point whose spaces are placeholders, once, and writes
-each point as that template joined with the texts of its spaces, each
-distinct ``Subspace`` encoded once: byte for byte what ``json.dumps`` would
-write.  Its ``"count"`` sorts before ``"points"``, so the whole point stream
-is taken before anything is written; a budget exit writes no report.
+except the long listings of ``enum-lls`` (points) and ``fr-image``
+(preimage counts): ``_listing_json_text`` renders one entry with placeholder
+values once, and writes each entry as that template joined with the texts
+of its values, each distinct value encoded once, byte for byte what
+``json.dumps`` would write.  ``enum-lls`` takes its whole point stream
+before writing anything, so a budget exit writes no report.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -57,30 +58,31 @@ def _emit(report: dict, args, encode=_json_text) -> None:
         sys.stdout.write(end)
 
 
-def _lls_json_text(report: dict, points: list) -> str:
-    """``_json_text`` of ``report`` with "points" the ``as_dict()`` of
-    ``points``, limit series of one model: every point is the text of one
-    whose spaces are placeholders, joined with the texts of its own spaces,
-    and each distinct space is encoded once."""
-    if not points:
-        return _json_text(dict(report, points=[]))
-    mark = json.dumps("\0")  # stands for a point, then for each space
-    head, tail = _json_text(dict(report, points=["\0"])).split(mark)
+def _listing_json_text(report: dict, name: str, template, rows) -> str:
+    """``_json_text`` of ``report`` with ``report[name]`` a list of copies of
+    ``template``, its list items "\\0" filled, in order, with the values of
+    one of ``rows`` (written by their ``as_dict`` if they have one).  The
+    template is encoded once; each distinct value once per indentation."""
+    if not rows:
+        return _json_text(dict(report, **{name: []}))
+    mark = json.dumps("\0")  # stands for a row, then for each value
+    head, tail = _json_text(dict(report, **{name: ["\0"]})).split(mark)
     pad = "\n" + head.rsplit("\n", 1)[1]
-    model, n = points[0].model, len(points[0].point.spaces)
-    first, *pieces = _json_text({"d": model.d, "p": model.p, "point": {
-        "spaces": ["\0"] * n}}).replace("\n", pad).split(mark)
-    space_pad = "\n" + first.rsplit("\n", 1)[1]
+    first, *pieces = _json_text(template).replace("\n", pad).split(mark)
+    slots, by_pad = [], {}
+    for before, piece in zip([first] + pieces, pieces):
+        slot_pad = "\n" + before.rsplit("\n", 1)[1]
+        slots.append((by_pad.setdefault(slot_pad, {}), slot_pad, piece))
     later = "," + pad + first
-    fragments = {}
     parts = [head]
-    for k, lsp in enumerate(points):
+    for k, row in enumerate(rows):
         parts.append(later if k else first)
-        for sp, piece in zip(lsp.point.spaces, pieces):
-            text = fragments.get(sp)
+        for value, (texts, slot_pad, piece) in zip(row, slots):
+            text = texts.get(value)
             if text is None:
-                text = fragments[sp] = _json_text(sp.as_dict()).replace(
-                    "\n", space_pad)
+                text = texts[value] = json.dumps(
+                    value, sort_keys=True, indent=2,
+                    default=lambda v: v.as_dict()).replace("\n", slot_pad)
             parts += (text, piece)
     parts.append(tail)
     return "".join(parts)
@@ -302,14 +304,21 @@ def cmd_enum_lls(args) -> int:
         budget=args.budget))
     report = {"schema_version": SCHEMA_VERSION, "d": args.degree,
               "r": args.rank, "q": args.p, "count": len(pts)}
-    _emit(report, args, encode=lambda rep: _lls_json_text(rep, pts))
+    point = {"d": args.degree, "p": args.p,
+             "point": {"spaces": ["\0"] * (args.degree + 1)}}
+    _emit(report, args, encode=lambda rep: _listing_json_text(
+        rep, "points", point, [lsp.point.spaces for lsp in pts]))
     return EXIT_OK
 
 
 def cmd_fr_image(args) -> int:
     rep = series.fr_image_report(args.degree, args.rank, args.p,
                                  budget=args.budget)
-    _emit(rep.as_dict(), args)
+    rows = [(ky, kz, cnt) for (ky, kz), cnt
+            in sorted(rep.preimage_counts.items())]
+    _emit(dataclasses.replace(rep, preimage_counts={}).as_dict(), args,
+          encode=lambda head: _listing_json_text(
+              head, "preimage_counts", [["\0", "\0"], "\0"], rows))
     return EXIT_OK if rep.equal else EXIT_VIOLATION
 
 

@@ -47,6 +47,7 @@ im A0.  No routine does arithmetic on ``Fp`` or ``Dual`` elements.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -768,6 +769,18 @@ def enumerate_subspaces(d: int, r: int, q: int,
             yield Subspace(ring, d, Matrix(ring, r, d, tuple(ents)), pat, True)
 
 
+def _quotient_cells(d: int, r: int, q: int) -> Iterator[tuple]:
+    """(basis rows, pivots) of each space of ``enumerate_subspaces(d, r, q)``,
+    in stream order, for ``enumerate_between`` to lift."""
+    return ((tuple(w.basis_rows()), w.pivots)
+            for w in enumerate_subspaces(d, r, q))
+
+
+@lru_cache(maxsize=64)
+def _cached_cells(d: int, r: int, q: int) -> tuple:
+    return tuple(_quotient_cells(d, r, q))
+
+
 def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subspace]:
     """All r-dimensional subspaces V with lower <= V <= upper, each once.
 
@@ -781,8 +794,9 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     lower's, so it is lower's rows cleared at the lifted pivots plus the
     lifted rows, sorted by pivot.  For r = dim lower or dim upper the one
     candidate is lower or upper.  Deterministic order inherited from
-    enumerate_subspaces.  Dual coefficients, or lower not inside upper,
-    raise ValueError.
+    enumerate_subspaces, whose quotient spaces are cached per
+    (dim upper - dim lower, r - dim lower, q) up to 1024 of them.  Dual
+    coefficients, or lower not inside upper, raise ValueError.
     """
     q = _field_p(lower.ring, "enumerate_between")
     if not upper.contains(lower):
@@ -801,9 +815,14 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
                 if pc not in lpiv]
     lower_rows = list(zip(lower.pivots, lower.basis_rows()))
     ring, ambient = lower.ring, lower.ambient_dim
-    for w in enumerate_subspaces(b - a, r - a, q):
+    # a shape of at most 1024 spaces is listed once and kept; a larger one
+    # is streamed, so a lazy walk draws no cell ahead of its spend
+    shape = (b - a, r - a, q)
+    for wrows, wpivots in (_cached_cells(*shape)
+                           if gaussian_binomial(*shape) <= 1024
+                           else _quotient_cells(*shape)):
         lifted = []
-        for wrow, wpc in zip(w.basis_rows(), w.pivots):
+        for wrow, wpc in zip(wrows, wpivots):
             # lift through the complement coordinates back to ambient
             amb = [0] * ambient
             for coeff, (_, urow) in zip(wrow, quotient):

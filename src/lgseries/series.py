@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .chains import ChainPoint, LinkedChain, enumerate_points, is_linked_point
+from .chains import (ChainPoint, LinkedChain, boundary_counts,
+                     enumerate_points, is_linked_point)
 from .fields import Dual, DualNumbers, PrimeField
 from .linalg import (Matrix, Subspace, apply_map, enumerate_subspaces,
                      intersect, pivot_patterns, preimage,
@@ -498,43 +499,41 @@ def fr_image_report(d: int, r: int, q: int,
                     budget: Optional[int] = None) -> ImageReport:
     """Exhaustively compare the forgetful image with the crude locus.
 
-    The image comes from the point stream, one forgetful pair per point.  The
-    crude and refined loci are counted by echelon cells: the node orders of
-    an aspect are its pivot columns, so both conditions depend only on the
-    pair of pivot patterns, and a cell pair holds q^(free entries) pairs.
-    The image equals the crude locus exactly when every image pair is crude
-    and the counts agree; crude pairs are listed only to name the missing
-    ones when they do not.
+    A linked point maps to its boundary pair (V_0, V_d), so the image and
+    its preimage counts are the path counts of ``boundary_counts``, with no
+    point listed.  The crude and refined loci are counted by echelon cells:
+    the node orders of an aspect are its pivot columns, so both conditions
+    depend only on the pair of pivot patterns, and a cell pair holds
+    q^(free entries) pairs.  The image equals the crude locus exactly when
+    every image pair is crude and the counts agree; crude pairs are listed
+    only to name the missing ones when they do not.
 
-    ``budget`` caps the candidates of the point stream.  Its level 0 alone
-    spends one unit on each of the G(d+1, r+1, q) subspaces, so a run that
-    finishes the stream has spent at least G, and no separate check on the
-    aspect space is needed.
+    ``budget`` caps the candidates the point stream would take, counted by
+    ``boundary_counts``.  Its level 0 alone spends one unit on each of the
+    G(d+1, r+1, q) subspaces, so a run that finishes has spent at least G,
+    and no separate check on the aspect space is needed.
     """
-    model = NodalModel(d, q)
+    _require_series_rank(r)
     report = ImageReport(d, r, q)
-    preimages = {}
-    image_pairs = {}
-    for lsp in enumerate_limit_series(d, r, q, budget=budget):
-        report.points += 1
-        pair = forgetful_map(model, lsp.point)
-        key = pair.key()
-        preimages[key] = preimages.get(key, 0) + 1
-        image_pairs[key] = pair
+    counts = boundary_counts(build_section_chain(d, q, r + 1), budget)
+    preimages = {(vy.key(), vz.key()): cnt for (vy, vz), cnt in counts.items()}
+    not_crude = [(vy.key(), vz.key()) for vy, vz in counts
+                 if not crude_orders(vy.pivots, vz.pivots, d)]
+    refined = [(vy.key(), vz.key()) for vy, vz in counts
+               if refined_orders(vy.pivots, vz.pivots, d)]
+    report.points = sum(preimages.values())
     report.image_size = len(preimages)
     report.crude_pairs = _cell_pair_count(
         d, r, q, _pattern_pairs(d, r, crude_orders))
     report.refined_pairs = _cell_pair_count(
         d, r, q, _pattern_pairs(d, r, refined_orders))
-    not_crude = [k for k, pair in image_pairs.items() if not is_crude(pair)]
-    refined = [k for k, pair in image_pairs.items() if is_refined(pair)]
     report.refined_points = sum(preimages[k] for k in refined)
     crude_in_image = report.image_size - len(not_crude)
     report.equal = not not_crude and crude_in_image == report.crude_pairs
     report.fr_not_crude = [list(map(list, k)) for k in sorted(not_crude)]
     if crude_in_image != report.crude_pairs:
         report.crude_not_fr = [list(map(list, k)) for k in
-                               missing_crude_pairs(d, r, q, image_pairs)]
+                               missing_crude_pairs(d, r, q, preimages)]
     report.preimage_counts = preimages
     report.refined_preimages_all_unique = (
         len(refined) == report.refined_pairs

@@ -5,7 +5,7 @@ import pytest
 from lgseries import chains as chains_module
 from lgseries import linalg as linalg_module
 from lgseries.chains import (CensusReport, ChainPoint, LinkedChain,
-                             admissible_signatures_n2,
+                             admissible_signatures_n2, boundary_counts,
                              census, decompose, enumerate_points, exactify,
                              expected_component_count_n2, extend_truncation,
                              is_exact, is_linked_point, make_standard_chain,
@@ -238,6 +238,46 @@ def test_enumerate_points_draws_no_candidate_ahead_of_budget(monkeypatch):
         list(enumerate_points(c, budget=100))
     assert info.value.count == 101
     assert counts["yields"] <= 100
+
+
+def _projection_chain(d, r, p):
+    """An s = 0 chain with n = 2: f projects onto the last d - r coordinates
+    and g onto the first r, so the interval of the first level-0 space,
+    span(e_0, ..., e_{r-1}), is all of G(d, r, p)."""
+    field_ = PrimeField(p)
+    f = Matrix.from_rows(field_, [[int(i == j >= r) for j in range(d)]
+                                  for i in range(d)])
+    g = Matrix.from_rows(field_, [[int(i == j < r) for j in range(d)]
+                                  for i in range(d)])
+    return LinkedChain(field_, 2, d, r, [f], [g], field_(0))
+
+
+def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
+    # G(10, 5, 2) has about 10^8 spaces: listing it before the budget is
+    # checked, or caching its quotient cells, would not finish
+    c = _projection_chain(10, 5, 2)
+    first = next(enumerate_subspaces(10, 5, 2))
+    assert gaussian_binomial(10, 5, 2) > 10 ** 8
+    assert validate_chain(c).ok
+    counts = {"yields": 0}
+    real = linalg_module.enumerate_subspaces
+
+    def counting(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            counts["yields"] += 1
+            yield item
+
+    monkeypatch.setattr(linalg_module, "enumerate_subspaces", counting)
+    for run in (lambda: list(enumerate_points(c, budget=100)),
+                lambda: boundary_counts(c, budget=100)):
+        counts["yields"] = 0
+        with pytest.raises(BudgetError) as info:
+            run()
+        assert info.value.count == 101
+        assert counts["yields"] <= 100
+    counts["yields"] = 0
+    assert extend_truncation(c, ChainPoint([first])).spaces[1] == first
+    assert counts["yields"] == 1
 
 
 def test_enumerate_points_walks_each_interval_once(monkeypatch):
@@ -1029,6 +1069,85 @@ def test_axiom_violation_at_a_space_where_f_is_not_injective():
     assert apply_map(c0.fs[0], span2([[1, 0]])).dim == c0.r
     with pytest.raises(ValueError, match="step 0.*linked-chain axioms"):
         list(chains_module._interval(c0, 0, span2([[1, 0]])))
+
+
+def _chain_faulty_at_step_0(seed):
+    """n=4, d=3, r=1 over GF(2), s=0: steps 1 and 2 are a standard chain's
+    coordinate projections, step 0 a random pair of matrices."""
+    import random
+
+    rng = random.Random(seed)
+    std = make_standard_chain(4, 3, rng.choice((1, 2)), 0, 2, r=1)
+
+    def rand():
+        return Matrix.from_rows(GF2, [[rng.randrange(2) for _ in range(3)]
+                                      for _ in range(3)])
+    return LinkedChain(GF2, 4, 3, 1, (rand(),) + std.fs[1:],
+                       (rand(),) + std.gs[1:], GF2(0))
+
+
+def test_exactify_names_the_chain_step_on_the_backward_run():
+    # the backward completion walks the reversed chain, whose step 2 is the
+    # chain's step 0: its axiom error must name step 0, with f and g swapped
+    c = _chain_faulty_at_step_0(889)
+    report = validate_chain(c)
+    assert report.violations
+    assert {v["index"] for v in report.violations} == {0}
+    errors = []
+    for pt in enumerate_points(c):
+        if signature(c, pt).exact:
+            continue
+        try:
+            exactify(c, pt)
+        except ValueError as exc:
+            errors.append(str(exc))
+        except RuntimeError:
+            pass   # no exact completion: the other outcome on a faulty chain
+    assert len(errors) == 2
+    for message in errors:
+        assert message.startswith(
+            "step 0: g_0(V) is not inside f_0^-1(V) for some V; ")
+        assert message.endswith("linked-chain axioms")
+
+
+def listed_boundary_counts(chain):
+    """Points per (V_0, V_{n-1}), by listing the point stream."""
+    counts = {}
+    for pt in enumerate_points(chain):
+        counts[pt[0], pt[-1]] = counts.get((pt[0], pt[-1]), 0) + 1
+    return counts
+
+
+def stream_candidates(chain):
+    """What the point stream spends: every linked prefix is a candidate."""
+    return sum(sum(1 for _ in enumerate_points(chain.truncate(m)))
+               for m in range(1, chain.n + 1))
+
+
+BOUNDARY_CHAINS = ([build_section_chain(d, p, r + 1) for d, r, p in
+                    ((2, 1, 3), (3, 0, 3), (3, 1, 2), (3, 2, 2), (4, 1, 2))]
+                   + [make_standard_chain(3, 4, 2, 0, 2, r=2),
+                      make_standard_chain(1, 3, 1, 0, 2, r=1),
+                      conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)])
+
+
+@pytest.mark.parametrize("chain", BOUNDARY_CHAINS, ids=repr)
+def test_boundary_counts_match_the_listing(chain):
+    assert boundary_counts(chain) == listed_boundary_counts(chain)
+
+
+def test_boundary_counts_spend_the_stream_budget():
+    sized = [(build_section_chain(3, 2, 2), 592),
+             (build_section_chain(2, 3, 2), 84),
+             (conjugated_standard_chain(3, 4, 2, 2, 2, seed=1), None)]
+    for chain, want in sized:
+        total = stream_candidates(chain)
+        assert want is None or total == want
+        with pytest.raises(BudgetError) as err:
+            boundary_counts(chain, budget=total - 1)
+        assert err.value.count == total
+        assert boundary_counts(chain, budget=total) == \
+            boundary_counts(chain)
 
 
 def test_closure_multiplicity_n2():

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgseries import cli
+from lgseries import cli, series
 from lgseries.chains import ChainPoint
 from lgseries.cli import main
 from lgseries.fields import PrimeField
@@ -233,6 +233,31 @@ def test_fr_image_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_fr_image_bytes_pinned_without_a_point_walk(capsys, monkeypatch):
+    from lgseries import chains
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fr-image walked a point")
+    monkeypatch.setattr(chains, "_walk", forbidden)
+    monkeypatch.setattr(series, "forgetful_map", forbidden)
+    test_fr_image_bytes_pinned(capsys)
+
+
+def test_fr_image_writer_matches_json_dumps(capsys):
+    # rank 0, the top rank r = d - 1 (r = d has no series and exits 2), and
+    # the pinned cases, against json.dumps of the report's as_dict
+    for d, r, p in ((2, 0, 2), (3, 0, 2), (1, 0, 3), (2, 1, 3), (3, 2, 2),
+                    (3, 1, 2), (3, 1, 3)):
+        want = cli._json_text(series.fr_image_report(d, r, p).as_dict())
+        code, out, err = run(capsys, "fr-image", "--degree", str(d),
+                             "--rank", str(r), "--p", str(p),
+                             "--budget", "1000000000")
+        assert code == 0 and err == "" and out == want + "\n", (d, r, p)
+    code, out, _ = run(capsys, "fr-image", "--degree", "2", "--rank", "2",
+                       "--p", "2", "--budget", "1000")
+    assert code == 2 and out == ""
+
+
 def test_chain_longer_than_recursion_limit(capsys):
     flags = ("--kind", "standard", "--n", "1500", "--dim", "2", "--d1", "1",
              "--s", "1", "--p", "2", "--rank", "0", "--budget", "10000")
@@ -304,7 +329,7 @@ def test_enum_lls_writer_matches_json_dumps(capsys, tmp_path):
 
 
 def test_fragment_writer_matches_json_dumps_on_mixed_values():
-    # the enum-lls writer against json.dumps, around a report head of mixed
+    # the listing writer, with the enum-lls point template, against json.dumps, around a report head of mixed
     # values: rank 0 (one-dimensional spaces), rank 1, a two-level chain,
     # count 0 (a constraint no point meets), and hand-made points whose
     # spaces are zero-dimensional
@@ -322,7 +347,10 @@ def test_fragment_writer_matches_json_dumps_on_mixed_values():
         report = dict(head, d=degree, r=rank, q=p, count=len(pts))
         want = json.dumps(dict(report, points=[lsp.as_dict() for lsp in pts]),
                           sort_keys=True, indent=2)
-        assert cli._lls_json_text(report, pts) == want
+        point = {"d": degree, "p": p,
+                 "point": {"spaces": ["\0"] * (degree + 1)}}
+        assert cli._listing_json_text(
+            report, "points", point, [lsp.point.spaces for lsp in pts]) == want
     assert [len(pts) for _, pts in cases][3] == 0
 
 

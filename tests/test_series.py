@@ -403,6 +403,22 @@ def test_fr_image_report_matches_listing(d, r, q):
     assert fr_image_report(d, r, q).as_dict() == listing_report(d, r, q)
 
 
+@pytest.mark.parametrize("d,r,q", [(2, 0, 3), (2, 1, 2), (3, 0, 2),
+                                   (3, 2, 2), (2, 1, 5)])
+def test_fr_image_report_walks_no_point(monkeypatch, d, r, q):
+    # the counts come from the interval graph: no point walk, no forgetful
+    # pair per point
+    from lgseries import chains, series
+
+    want = listing_report(d, r, q)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fr_image_report walked a point")
+    monkeypatch.setattr(chains, "_walk", forbidden)
+    monkeypatch.setattr(series, "forgetful_map", forbidden)
+    assert fr_image_report(d, r, q).as_dict() == want
+
+
 @pytest.mark.parametrize("d,r,q", [(2, 0, 3), (2, 1, 2)])
 def test_missing_crude_pairs_matches_listing(d, r, q):
     image = set(image_preimages(d, r, q))
