@@ -9,9 +9,13 @@ and chains and points are immutable; enumeration order is fixed, so censuses
 are byte-reproducible.
 
 The linked points are the paths through a layered graph: its nodes are
-(level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  Every
-analysis reads an edge through ``_step``: the ranks of f_i and g_i on the
-point, exactness at the step, and the step's block of the linearised
+(level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  The
+point stream walks it depth first and lazily (``_walk``), so it can stop
+early; the counting passes (``census``, its signature graph, and
+``boundary_counts``) read one copy of it, built level by level by
+``_interval_graph``, which alone spends their budget.  Every analysis
+reads an edge through ``_step``: the ranks of f_i and g_i on the point,
+exactness at the step, and the step's block of the linearised
 linkage equations, which couple consecutive levels only.  The step works in
 each space's frame (its echelon basis and the unit rows at its non-pivot
 columns), whose coordinates are read off the pivots and the annihilator
@@ -320,41 +324,74 @@ def boundary_counts(chain: LinkedChain,
                     budget: Optional[int] = None) -> dict:
     """{(V_0, V_{n-1}): number of linked points with these end levels}.
 
-    Counts the paths through the interval graph and lists no point: for each
-    level-0 space, in stream order, a forward pass carries {V_k: paths to
-    it}, every interval memoised per (f_k, g_k, V) as in ``census``.  The
-    budget is spent as the point stream spends it: one per level-0 space,
-    then paths times interval size at each (source, node).  An interval is
-    drawn only as far as the budget has room for, so an over-budget one is
-    never listed whole.
+    Counts the paths through the interval graph of ``_interval_graph``,
+    which also spends the budget, and lists no point: for each level-0
+    space, in stream order, a forward pass over the graph's layers carries
+    {V_k: paths to it}.
     """
-    pairs, memo, nodes, counts = {}, {}, {}, {}
-    kinds = [pairs.setdefault((f, g), len(pairs))
-             for f, g in zip(chain.fs, chain.gs)]
-    spent, limit = 0, float("inf") if budget is None else budget
-    for source in enumerate_subspaces(chain.d, chain.r, chain.p):
-        spent += 1
-        if spent > limit:
-            raise _budget_error(budget)
+    graph = _interval_graph(chain, budget)
+    counts = {}
+    for source in graph.roots:
         front = {source: 1}
-        for k, kind in enumerate(kinds):
+        for layer in graph.layers:
             nxt = {}
             for v, paths in front.items():
-                cands = memo.get((kind, v))
-                if cands is None:  # one object per node: lookups by identity
-                    stop = None if budget is None else (
-                        (limit - spent) // paths + 1)
-                    cands = memo[kind, v] = tuple(
-                        nodes.setdefault(w, w)
-                        for w in islice(_interval(chain, k, v), stop))
-                spent += paths * len(cands)
-                if spent > limit:
-                    raise _budget_error(budget)
-                for w in cands:
+                for w in layer[v]:
                     nxt[w] = nxt.get(w, 0) + paths
             front = nxt
         counts.update(((source, v), paths) for v, paths in front.items())
     return counts
+
+
+class _Graph(NamedTuple):
+    """The interval graph of a chain, as built by ``_interval_graph``."""
+    roots: tuple     # the level-0 spaces, in stream order
+    kinds: tuple     # per step, an index shared by steps with equal (f_k, g_k)
+    layers: tuple    # per step k, {V_k: the interval of V_k}
+
+
+def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
+    """The layered graph whose nodes are (level, V) and whose edges V -> W
+    run over ``_interval``, built level by level from the level-0 stream.
+
+    Each interval is drawn once per (f_k, g_k, V), and every node is one
+    object, so later lookups go by identity.  The budget is spent as the
+    point stream spends it: one unit per level-0 space, then prefix count
+    times interval size at each node, where the prefix count is the number
+    of paths from level 0.  An interval is drawn only as far as the budget
+    has room for, so an over-budget one is never listed whole, and the
+    stream's BudgetError is raised once the total passes ``budget``.
+    """
+    spent, nodes = 0, {}
+    for v in enumerate_subspaces(chain.d, chain.r, chain.p):
+        spent += 1
+        if budget is not None and spent > budget:
+            raise _budget_error(budget)
+        nodes[v] = v
+    roots = tuple(nodes)
+    pairs, memo, layers = {}, {}, []
+    kinds = tuple(pairs.setdefault((f, g), len(pairs))
+                  for f, g in zip(chain.fs, chain.gs))
+    front = dict.fromkeys(roots, 1)
+    for k, kind in enumerate(kinds):
+        layer, nxt = {}, {}
+        for v, paths in front.items():
+            cands = memo.get((kind, v))
+            if cands is None:
+                stop = (None if budget is None
+                        else (budget - spent) // paths + 1)
+                cands = memo[kind, v] = tuple(
+                    nodes.setdefault(w, w)
+                    for w in islice(_interval(chain, k, v), stop))
+            spent += paths * len(cands)
+            if budget is not None and spent > budget:
+                raise _budget_error(budget)
+            layer[v] = cands
+            for w in cands:
+                nxt[w] = nxt.get(w, 0) + paths
+        layers.append(layer)
+        front = nxt
+    return _Graph(roots, kinds, tuple(layers))
 
 
 def _budget_error(budget: int) -> BudgetError:
@@ -793,7 +830,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
            experiments: bool = False) -> CensusReport:
     """Count points, exact points, exact signatures, and tangent dimensions.
 
-    One forward pass over the layered interval graph, whose nodes are
+    One forward pass over the layers of ``_interval_graph``, whose nodes are
     (level, V) and whose edges V -> W run over ``_interval``.  The tangent
     equations couple consecutive levels only, so a linked prefix ending at
     level k needs only the state (V_k, A_k) to finish its analysis: A_k,
@@ -808,12 +845,9 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
 
     Each edge reads its ranks, exactness and equations from step data
     cached per (f_k, g_k, V, W), read off the echelon bases of V and W
-    (``_step``), with intervals cached per (f_k, g_k, V), and moves every
-    state at V by one ``_advance``; a leaf's tangent dimension is D + dim K
-    of its last step.  The budget counts the candidates the point stream
-    would take: the level-0 stream, then prefix count times interval size
-    at each node, raising the stream's BudgetError once the running total
-    passes ``budget``.
+    (``_step``), and moves every state at V by one ``_advance``; a leaf's
+    tangent dimension is D + dim K of its last step.  The budget is spent
+    by ``_interval_graph`` as it builds the graph, before any state moves.
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
@@ -822,21 +856,11 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     """
     report = CensusReport(chain.as_dict(), chain.p)
     r = chain.r
-    pairs = {}
-    kinds = [pairs.setdefault((f, g), len(pairs))
-             for f, g in zip(chain.fs, chain.gs)]
-    intervals = {}   # (f_k, g_k) index and V -> the interval of V
+    graph = _interval_graph(chain, budget)
     steps = {}
-    spent = 0
-
-    def spend(count: int) -> None:
-        nonlocal spent
-        spent += count
-        if budget is not None and spent > budget:
-            raise _budget_error(budget)
 
     def step(k: int, v: Subspace, w: Subspace) -> _Step:
-        key = (kinds[k], v, w)
+        key = (graph.kinds[k], v, w)
         st = steps.get(key)
         if st is None:
             st = steps[key] = _step(chain, k, v, w)
@@ -865,24 +889,15 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     # rank prefixes while every step is exact and None after, law whether
     # every step's ranks sum to r; at a leaf D is the tangent dimension
     start = (((), ()), True, 0)
-    states = {}
-    for v in enumerate_subspaces(chain.d, r, chain.p):
-        spend(1)
-        states[v] = {None: {start: 1}}
-    roots = tuple(states)
+    states = {v: {None: {start: 1}} for v in graph.roots}
     if chain.n == 1:
         leaf(start[:2] + (r * (chain.d - r),), len(states))
-    for k in range(chain.n - 1):
+    for k, layer in enumerate(graph.layers):
         last = k == chain.n - 2
         nxt = {}
         for v, by_a in states.items():
-            ikey = (kinds[k], v)
-            cands = intervals.get(ikey)
-            if cands is None:
-                cands = intervals[ikey] = tuple(_interval(chain, k, v))
-            spend(len(cands) * sum(sum(c.values()) for c in by_a.values()))
             for basis, counts in by_a.items():
-                for w in cands:
+                for w in layer[v]:
                     st = step(k, v, w)
                     a_next, dim_k = _advance(chain, st, basis, last)
                     if last:
@@ -896,7 +911,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
                         into[nkey] = into.get(nkey, 0) + cnt
         states = nxt
     if experiments:
-        edges = (_witnessed_edges(chain, roots, kinds, intervals, steps)
+        edges = (_witnessed_edges(chain, graph, steps)
                  if chain.s.is_zero() else set())
         nodes = sorted(report.signatures)
         adj = {node: set() for node in nodes}
@@ -926,10 +941,9 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     return report
 
 
-def _witnessed_edges(chain: LinkedChain, roots: Sequence[Subspace],
-                     kinds: list, intervals: dict, steps: dict) -> set:
-    """The signature-graph edges of an s = 0 chain, read off the graph that
-    ``census`` built from the level-0 ``roots``: ``intervals`` and ``steps``.
+def _witnessed_edges(chain: LinkedChain, graph: _Graph, steps: dict) -> set:
+    """The signature-graph edges of an s = 0 chain, read off the census's
+    interval ``graph`` and its step data ``steps``, keyed by (kind, V, W).
 
     A set pass carries V_k, the f- and g-rank prefixes, and (i, V_i) and
     (j, V_{j+1}) for the first and last steps off the rank law (the
@@ -942,12 +956,12 @@ def _witnessed_edges(chain: LinkedChain, roots: Sequence[Subspace],
     """
     n, r = chain.n, chain.r
     ahead, back = {}, {}   # (k, V_k) or (k, V_{k+1}) -> [(other end, ranks)]
-    states = {v: {((), (), None, None)} for v in roots}
-    for k in range(n - 1):
+    states = {v: {((), (), None, None)} for v in graph.roots}
+    for k, (kind, layer) in enumerate(zip(graph.kinds, graph.layers)):
         nxt = {}
         for v, keys in states.items():
-            for w in intervals[kinds[k], v]:
-                st = steps[kinds[k], v, w]
+            for w in layer[v]:
+                st = steps[kind, v, w]
                 ahead.setdefault((k, v), []).append((w, st[:2]))
                 back.setdefault((k, w), []).append((v, st[:2]))
                 into = nxt.setdefault(w, set())

@@ -11,13 +11,13 @@ Entries.  Over GF(p) a Matrix or Subspace holds its entries as plain ints in
 arithmetic reduced mod p.  ``Fp`` and ``Dual`` are the boundary types:
 ``Matrix.from_rows``, ``Subspace.from_rows`` and the ``from_dict`` readers
 accept ints, or ``Fp`` of the same p, and reduce them (vectors passed to
-``apply``, ``contains_vector``, ``solve`` and ``coords_in_rows`` are reduced
-the same way); floats, strings and bools raise ValueError.  Entry accessors
-(``entry``, ``row``, ``row_list``, ``basis_rows``, ``apply``, ``solve``)
-return ints over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp``
-values still hold.  ``Matrix.det`` returns an ``Fp``.  A field matrix
-never mixes ``Fp`` and int entries, because they hash differently and
-subspace hashing reads ``entries``.
+``apply``, ``contains_vector`` and ``coords_in_rows`` are reduced the same
+way); floats, strings and bools raise ValueError.  Entry accessors
+(``entry``, ``row``, ``row_list``, ``basis_rows``, ``apply``) return ints
+over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp`` values
+still hold.  ``Matrix.det`` returns an ``Fp``.  A field matrix never mixes
+``Fp`` and int entries, because they hash differently and subspace hashing
+reads ``entries``.
 
 Kernels.  The field routines share one elimination on lists of int rows,
 ``_reduce``, which ``rref`` wraps.  ``apply_map``, ``kernel`` and
@@ -36,9 +36,9 @@ unit-pivot rows) only when the pivot of t is not a unit pivot.  So equal
 modules have equal bases and hashes, and membership is membership in W.
 Rank counts unit pivots; ``unit_pivots`` is False when a torsion row is kept
 or a unit-pivot row has an eps entry left of its pivot.  Matrix products,
-sums, ``scale``, ``apply``, ``det``, ``kernel``, ``constraints``, ``solve``
-and ``coords_in_rows`` require field coefficients and raise ValueError over
-the dual numbers.  Rank conditions that must hold on the whole ring (not
+sums, ``scale``, ``apply``, ``det``, ``kernel``, ``constraints`` and
+``coords_in_rows`` require field coefficients and raise ValueError over the
+dual numbers.  Rank conditions that must hold on the whole ring (not
 just at the closed point) go through ``rank_everywhere_at_most``, which
 splits a dual matrix as A0 + eps A1 and decides the bound from the GF(p)
 rank of A0 and, at the boundary rank, from whether A1 maps ker A0 into
@@ -675,30 +675,6 @@ def contains(u: Subspace, w: Subspace) -> bool:
     return u.contains(w)
 
 
-def solve(m: Matrix, v: Sequence):
-    """One solution x of m x = v over a field, or None if inconsistent."""
-    _field_p(m.ring, "solve")
-    if len(v) != m.rows:
-        raise ValueError("right-hand side length %d does not match rows %d"
-                         % (len(v), m.rows))
-    if m.rows == 0:
-        return (0,) * m.cols
-    v = _entries(m.ring, v)
-    return _solve_augmented(m.ring, m.rows, m.cols,
-                            chain.from_iterable(r + (b,) for r, b in zip(m._rows(), v)))
-
-
-def _solve_augmented(ring, rows: int, cols: int, aug) -> Optional[tuple]:
-    # aug: the rows x (cols + 1) augmented system [m | v], flattened
-    ech = rref(Matrix(ring, rows, cols + 1, tuple(aug)))
-    x = [0] * cols
-    for i, pc in enumerate(ech.pivots):
-        if pc == cols:
-            return None  # pivot in the augmented column: inconsistent
-        x[pc] = ech.matrix.entry(i, cols)
-    return tuple(x)
-
-
 def coords_in_rows(rows: Sequence[Sequence], v: Sequence, ring):
     """Coefficients expressing v as a combination of the given rows, or None."""
     _field_p(ring, "coords_in_rows")
@@ -708,9 +684,16 @@ def coords_in_rows(rows: Sequence[Sequence], v: Sequence, ring):
     if len(v) != m.cols:
         raise ValueError("vector length %d does not match row length %d"
                          % (len(v), m.cols))
-    # the system sum_i c_i rows[i] = v has the rows as its columns
-    return _solve_augmented(ring, m.cols, m.rows,
-                            chain.from_iterable(zip(*m._rows(), _entries(ring, v))))
+    # the system sum_i c_i rows[i] = v has the rows as its columns: reduce
+    # the augmented [rows^T | v]
+    aug = chain.from_iterable(zip(*m._rows(), _entries(ring, v)))
+    ech = rref(Matrix(ring, m.cols, m.rows + 1, tuple(aug)))
+    x = [0] * m.rows
+    for i, pc in enumerate(ech.pivots):
+        if pc == m.rows:
+            return None  # pivot in the augmented column: inconsistent
+        x[pc] = ech.matrix.entry(i, m.rows)
+    return tuple(x)
 
 
 def gaussian_binomial(d: int, r: int, q: int) -> int:

@@ -252,13 +252,10 @@ def _projection_chain(d, r, p):
     return LinkedChain(field_, 2, d, r, [f], [g], field_(0))
 
 
-def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
-    # G(10, 5, 2) has about 10^8 spaces: listing it before the budget is
-    # checked, or caching its quotient cells, would not finish
-    c = _projection_chain(10, 5, 2)
-    first = next(enumerate_subspaces(10, 5, 2))
-    assert gaussian_binomial(10, 5, 2) > 10 ** 8
-    assert validate_chain(c).ok
+def _count_subspace_draws(monkeypatch):
+    """Patch ``linalg.enumerate_subspaces`` to count its yields.  The
+    quotient spaces of a large interval are drawn through it; the chains
+    module's own level-0 stream is not counted."""
     counts = {"yields": 0}
     real = linalg_module.enumerate_subspaces
 
@@ -268,6 +265,17 @@ def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
             yield item
 
     monkeypatch.setattr(linalg_module, "enumerate_subspaces", counting)
+    return counts
+
+
+def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
+    # G(10, 5, 2) has about 10^8 spaces: listing it before the budget is
+    # checked, or caching its quotient cells, would not finish
+    c = _projection_chain(10, 5, 2)
+    first = next(enumerate_subspaces(10, 5, 2))
+    assert gaussian_binomial(10, 5, 2) > 10 ** 8
+    assert validate_chain(c).ok
+    counts = _count_subspace_draws(monkeypatch)
     for run in (lambda: list(enumerate_points(c, budget=100)),
                 lambda: boundary_counts(c, budget=100)):
         counts["yields"] = 0
@@ -278,6 +286,23 @@ def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
     counts["yields"] = 0
     assert extend_truncation(c, ChainPoint([first])).spaces[1] == first
     assert counts["yields"] == 1
+
+
+def test_counting_passes_draw_an_interval_only_as_far_as_the_budget(
+        monkeypatch):
+    # the level-0 stream is all of G(6, 3, 2), and so is the interval of
+    # its first space: after the stream, 10 units are left, so the census
+    # and the path count draw 11 spaces of that interval and then raise
+    c = _projection_chain(6, 3, 2)
+    total = gaussian_binomial(6, 3, 2)
+    assert total == 1395 and validate_chain(c).ok
+    counts = _count_subspace_draws(monkeypatch)
+    for run in (census, boundary_counts):
+        counts["yields"] = 0
+        with pytest.raises(BudgetError) as info:
+            run(c, budget=total + 10)
+        assert info.value.count == total + 11
+        assert counts["yields"] <= 11, run
 
 
 def test_enumerate_points_walks_each_interval_once(monkeypatch):
@@ -1137,17 +1162,18 @@ def test_boundary_counts_match_the_listing(chain):
 
 
 def test_boundary_counts_spend_the_stream_budget():
+    # one ledger: the census and the path count raise at the same budget
     sized = [(build_section_chain(3, 2, 2), 592),
              (build_section_chain(2, 3, 2), 84),
              (conjugated_standard_chain(3, 4, 2, 2, 2, seed=1), None)]
     for chain, want in sized:
         total = stream_candidates(chain)
         assert want is None or total == want
-        with pytest.raises(BudgetError) as err:
-            boundary_counts(chain, budget=total - 1)
-        assert err.value.count == total
-        assert boundary_counts(chain, budget=total) == \
-            boundary_counts(chain)
+        for run in (boundary_counts, census):
+            with pytest.raises(BudgetError) as err:
+                run(chain, budget=total - 1)
+            assert err.value.count == total
+            assert run(chain, budget=total) == run(chain)
 
 
 def test_closure_multiplicity_n2():

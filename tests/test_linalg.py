@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from lgseries.fields import DualNumbers, Fp, PrimeField
 from lgseries.linalg import (Matrix, Subspace, apply_map, contains,
-                             enumerate_between, enumerate_subspaces,
-                             gaussian_binomial, image, intersect, kernel,
-                             preimage, rank_everywhere_at_most, rref, solve,
-                             sum_spaces)
+                             coords_in_rows, enumerate_between,
+                             enumerate_subspaces, gaussian_binomial, image,
+                             intersect, kernel, preimage,
+                             rank_everywhere_at_most, rref, sum_spaces)
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -434,12 +434,26 @@ def test_equal_entries_over_different_fields_compare_unequal():
     assert Subspace.zero_space(GF2, 2) != Subspace.zero_space(GF2, 3)
 
 
-def test_solve_and_apply():
+def test_apply_of_an_fp_vector():
     m = mat(GF5, [[1, 2], [3, 4]])
-    x = solve(m, [Fp(1, 5), Fp(2, 5)])
-    assert m.apply(x) == (Fp(1, 5), Fp(2, 5))
-    bad = mat(GF5, [[1, 2], [2, 4]])
-    assert solve(bad, [Fp(0, 5), Fp(1, 5)]) is None
+    assert m.apply([Fp(0, 5), Fp(3, 5)]) == (Fp(1, 5), Fp(2, 5))
+
+
+def test_coords_in_rows():
+    rows = [[1, 2, 3], [0, 1, 4], [1, 3, 2]]   # the third is the sum
+    for v in ([2, 2, 3], [Fp(1, 5), Fp(3, 5), Fp(2, 5)], [0, 0, 0]):
+        c = coords_in_rows(rows, v, GF5)
+        assert len(c) == len(rows)
+        assert [sum(ci * row[j] for ci, row in zip(c, rows)) % 5
+                for j in range(3)] == list(v)
+    assert coords_in_rows(rows, [0, 0, 1], GF5) is None
+    assert coords_in_rows([], [0, 0], GF5) == ()
+    assert coords_in_rows([], [0, 1], GF5) is None
+    with pytest.raises(ValueError, match="vector length"):
+        coords_in_rows(rows, [1, 2], GF5)
+    D = DualNumbers(3)
+    with pytest.raises(ValueError, match="requires field coefficients"):
+        coords_in_rows([[D(1, 0), D(0, 0)]], [D(1, 0), D(0, 0)], D)
 
 
 def test_rank_everywhere_examples():
