@@ -13,7 +13,9 @@ The linked points are the paths through a layered graph: its nodes are
 point stream walks it depth first and lazily (``_walk``), so it can stop
 early; the counting passes (``census``, its signature graph, and
 ``boundary_counts``) read one copy of it, built level by level by
-``_interval_graph``, which alone spends their budget.  Every analysis
+``_interval_graph``, which alone spends their budget.  Either pass lists
+the spaces between each distinct pair (f_i(V), g_i^{-1}(V)) once and
+holds each distinct space as one object.  Every analysis
 reads an edge through ``_step``: the ranks of f_i and g_i on the point,
 exactness at the step, and the step's block of the linearised
 linkage equations, which couple consecutive levels only.  The step works in
@@ -109,8 +111,10 @@ class LinkedChain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkedChain":
-        d = _require_dict(d, "a chain")
-        field_ = PrimeField(_require_dict(d["ring"], "a chain ring")["p"])
+        d = _require_dict(d, "a chain",
+                          ("ring", "n", "d", "r", "s", "fs", "gs"))
+        ring = _require_dict(d["ring"], "a chain ring", ("p",))
+        field_ = PrimeField(ring["p"])
         for key in ("n", "d", "r", "s"):
             if type(d[key]) is not int:
                 raise ValueError("chain %r must be an integer, got %r"
@@ -160,7 +164,7 @@ class ChainPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainPoint":
-        spaces = _require_dict(d, "a chain point")["spaces"]
+        spaces = _require_dict(d, "a chain point", ("spaces",))["spaces"]
         if not isinstance(spaces, list):
             raise ValueError("chain point 'spaces' must be a JSON list")
         return cls([Subspace.from_dict(s) for s in spaces])
@@ -354,8 +358,10 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
     """The layered graph whose nodes are (level, V) and whose edges V -> W
     run over ``_interval``, built level by level from the level-0 stream.
 
-    Each interval is drawn once per (f_k, g_k, V), and every node is one
-    object, so later lookups go by identity.  The budget is spent as the
+    Each interval is drawn once per (f_k, g_k, V), and the spaces between
+    f_k(V) and g_k^{-1}(V) are listed once per distinct pair of the two,
+    through a pair memo shared by all steps (``_interval``).  Every node is
+    one object, so later lookups go by identity.  The budget is spent as the
     point stream spends it: one unit per level-0 space, then prefix count
     times interval size at each node, where the prefix count is the number
     of paths from level 0.  An interval is drawn only as far as the budget
@@ -369,8 +375,8 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
             raise _budget_error(budget)
         nodes[v] = v
     roots = tuple(nodes)
-    pairs, memo, layers = {}, {}, []
-    kinds = tuple(pairs.setdefault((f, g), len(pairs))
+    maps, memo, pairs, layers = {}, {}, {}, []
+    kinds = tuple(maps.setdefault((f, g), len(maps))
                   for f, g in zip(chain.fs, chain.gs))
     front = dict.fromkeys(roots, 1)
     for k, kind in enumerate(kinds):
@@ -380,9 +386,8 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
             if cands is None:
                 stop = (None if budget is None
                         else (budget - spent) // paths + 1)
-                cands = memo[kind, v] = tuple(
-                    nodes.setdefault(w, w)
-                    for w in islice(_interval(chain, k, v), stop))
+                cands = memo[kind, v] = tuple(islice(
+                    _interned(_interval(chain, k, v, pairs), nodes), stop))
             spent += paths * len(cands)
             if budget is not None and spent > budget:
                 raise _budget_error(budget)
@@ -414,16 +419,22 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
     Many prefixes end in the same subspace, so a memo maps (level, V) to
     the kept candidates of its interval, filled lazily: each candidate is
     recorded as the live stream yields it, and the record is kept once the
-    stream is exhausted, for later prefixes ending in V to replay.  Every
-    candidate taken off the stack, replayed or not, spends one budget unit,
-    so the order of the points and the count at which the budget runs out
-    are those of walking every interval afresh, and no candidate is drawn
-    ahead of its spend.  BudgetError is raised past ``budget`` candidates.
+    stream is exhausted, for later prefixes ending in V to replay.  Many
+    nodes share their pair (f_i(V), g_i^{-1}(V)), so ``_interval`` keeps
+    the spaces between each pair in a second memo, recorded the same way: a
+    pair met again while its first stream is still open is drawn afresh.
+    Every candidate, ``first`` included, is interned in a per-call dict, so
+    each distinct space is one object and the memo keys and the callers'
+    lookups hit by identity.  Every candidate taken off the stack, replayed
+    or not, spends one budget unit, so the order of the points and the
+    count at which the budget runs out are those of walking every interval
+    afresh, and no candidate is drawn ahead of its spend.  BudgetError is
+    raised past ``budget`` candidates.
     """
     spent = 0
-    memo = {}
+    memo, pairs, nodes = {}, {}, {}
     prefix = list(prefix)
-    stack = [iter(first)]
+    stack = [_interned(first, nodes)]
     while stack:
         cand = next(stack[-1], None)
         if cand is None:
@@ -441,7 +452,7 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
         key = (level, cand)
         seen = memo.get(key)
         if seen is None:
-            seen = _interval(chain, level, cand)
+            seen = _interned(_interval(chain, level, cand, pairs), nodes)
             if keep is not None:
                 seen = filter(functools.partial(keep, level + 1), seen)
             seen = _recorded(seen, memo, key)
@@ -459,7 +470,14 @@ def _recorded(stream: Iterator[Subspace], memo: dict,
     memo[key] = tuple(seen)
 
 
-def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
+def _interned(stream: Iterable[Subspace], nodes: dict) -> Iterator[Subspace]:
+    """Yield each item of ``stream`` as the first equal item in ``nodes``."""
+    for item in stream:
+        yield nodes.setdefault(item, item)
+
+
+def _interval(chain: LinkedChain, i: int, v: Subspace,
+              pairs: Optional[dict] = None) -> Iterator[Subspace]:
     """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order.
 
     When f_i(v) already has rank r it is the whole interval, and g_i^{-1}(v)
@@ -468,6 +486,12 @@ def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
     empty only when f_i(v) is not inside g_i^{-1}(v).  The chain axioms rule
     that out (g_i f_i = s id); on a chain violating them the stream raises
     ValueError naming step i.
+
+    ``pairs``, one pass's memo (a fresh one when omitted), maps the echelon
+    entries of (f_i(v), g_i^{-1}(v)) to the spaces between them (on one
+    chain the entries name the space): a stream is stored once exhausted
+    (``_recorded``) and replayed for every later node with the same pair,
+    so ``enumerate_between`` runs once per distinct pair.
     """
     lower = apply_map(chain.fs[i], v)
     if lower.dim == chain.r:
@@ -476,8 +500,15 @@ def _interval(chain: LinkedChain, i: int, v: Subspace) -> Iterator[Subspace]:
         yield lower
         return
     upper = preimage(chain.gs[i], v)
+    pairs = {} if pairs is None else pairs
+    key = (lower.basis.entries, upper.basis.entries)
+    seen = pairs.get(key)
+    if seen is not None:
+        yield from seen
+        return
     try:
-        yield from enumerate_between(lower, upper, chain.r)
+        yield from _recorded(enumerate_between(lower, upper, chain.r),
+                             pairs, key)
     except ValueError:
         if upper.contains(lower):
             raise

@@ -98,15 +98,19 @@ def _field_p(ring, what: str) -> int:
     return ring.p
 
 
-def _require_dict(d, what: str) -> dict:
+def _require_dict(d, what: str, keys: Sequence[str] = ()) -> dict:
+    """``d``, checked to be a JSON object holding every one of ``keys``."""
     if not isinstance(d, dict):
         raise ValueError("%s must be a JSON object, got %s"
                          % (what, type(d).__name__))
+    for key in keys:
+        if key not in d:
+            raise ValueError("%s is missing key %r" % (what, key))
     return d
 
 
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_row_tuples")
 
     def __init__(self, ring, rows: int, cols: int, entries: tuple):
         if len(entries) != rows * cols:
@@ -116,6 +120,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._row_tuples = None
 
     @classmethod
     def from_rows(cls, ring, rows: Sequence[Sequence]) -> "Matrix":
@@ -144,8 +149,14 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def _rows(self) -> list:
-        c, e = self.cols, self.entries
-        return [e[i * c:(i + 1) * c] for i in range(self.rows)]
+        # a new list each call, of row tuples sliced once per matrix (the
+        # entries never change), so a caller may replace its items
+        rows = self._row_tuples
+        if rows is None:
+            c, e = self.cols, self.entries
+            rows = self._row_tuples = tuple([e[i * c:(i + 1) * c]
+                                             for i in range(self.rows)])
+        return list(rows)
 
     def column(self, j: int) -> tuple:
         return self.entries[j::self.cols]
@@ -248,8 +259,8 @@ class Matrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Matrix":
-        d = _require_dict(d, "a matrix")
-        ring = ring_from_dict(_require_dict(d["ring"], "a matrix ring"))
+        d = _require_dict(d, "a matrix", ("ring", "rows", "cols", "entries"))
+        ring = ring_from_dict(_require_dict(d["ring"], "a matrix ring", ("p",)))
         rows, cols, ents = d["rows"], d["cols"], d["entries"]
         if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
             raise ValueError("matrix rows and cols must be nonnegative integers")
@@ -570,8 +581,9 @@ class Subspace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
-        d = _require_dict(d, "a subspace")
-        ring = ring_from_dict(_require_dict(d["ring"], "a subspace ring"))
+        d = _require_dict(d, "a subspace",
+                          ("ring", "ambient_dim", "rank", "basis"))
+        ring = ring_from_dict(_require_dict(d["ring"], "a subspace ring", ("p",)))
         ambient, rank, basis = d["ambient_dim"], d["rank"], d["basis"]
         if type(ambient) is not int or ambient < 0:
             raise ValueError("subspace ambient_dim must be a nonnegative integer")
@@ -735,7 +747,7 @@ def enumerate_subspaces(d: int, r: int, q: int,
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))
     ring = PrimeField(q)
-    patterns = [tuple(pivots)] if pivots is not None else list(pivot_patterns(d, r))
+    patterns = [tuple(pivots)] if pivots is not None else pivot_patterns(d, r)
     for pat in patterns:
         pset = set(pat)
         # flat row-major positions of the free entries, and the cell's
@@ -775,7 +787,10 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     solving.  The canonical basis of a candidate is built, not reduced: the
     lifted rows are 1 at their own pivots and 0 at one another's and at
     lower's, so it is lower's rows cleared at the lifted pivots plus the
-    lifted rows, sorted by pivot.  For r = dim lower or dim upper the one
+    lifted rows, sorted by pivot.  Quotient spaces share rows, so each
+    quotient row is lifted once per call and its lift kept for the rest of
+    the stream; the interval passes of ``chains`` call this once per
+    distinct (lower, upper) pair.  For r = dim lower or dim upper the one
     candidate is lower or upper.  Deterministic order inherited from
     enumerate_subspaces, whose quotient spaces are cached per
     (dim upper - dim lower, r - dim lower, q) up to 1024 of them.  Dual
@@ -801,17 +816,21 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     # a shape of at most 1024 spaces is listed once and kept; a larger one
     # is streamed, so a lazy walk draws no cell ahead of its spend
     shape = (b - a, r - a, q)
+    lifts = {}
     for wrows, wpivots in (_cached_cells(*shape)
                            if gaussian_binomial(*shape) <= 1024
                            else _quotient_cells(*shape)):
         lifted = []
         for wrow, wpc in zip(wrows, wpivots):
-            # lift through the complement coordinates back to ambient
-            amb = [0] * ambient
-            for coeff, (_, urow) in zip(wrow, quotient):
-                if coeff:
-                    amb = [x + coeff * y for x, y in zip(amb, urow)]
-            lifted.append((quotient[wpc][0], [x % q for x in amb]))
+            lift = lifts.get(wrow)
+            if lift is None:
+                # lift through the complement coordinates back to ambient
+                amb = [0] * ambient
+                for coeff, (_, urow) in zip(wrow, quotient):
+                    if coeff:
+                        amb = [x + coeff * y for x, y in zip(amb, urow)]
+                lift = lifts[wrow] = (quotient[wpc][0], [x % q for x in amb])
+            lifted.append(lift)
         rows = lifted[:]
         for pc, row in lower_rows:
             for lpc, lrow in lifted:

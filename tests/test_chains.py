@@ -314,6 +314,61 @@ def test_enumerate_points_walks_each_interval_once(monkeypatch):
     assert counts["calls"] == 390
 
 
+def test_interval_passes_list_each_pair_once(monkeypatch):
+    # section (3, 3, 2): of the 390 interval nodes, 192 have f_k(V) of rank
+    # below r, and those share only 56 pairs (f_k(V), g_k^{-1}(V))
+    c = build_section_chain(3, 3, 2)
+    pts = list(enumerate_points(c))
+    nodes = {(k, pt[k]) for pt in pts for k in range(c.n - 1)}
+    lowers = {(k, v): apply_map(c.fs[k], v) for k, v in nodes}
+    between = [(lowers[k, v], preimage(c.gs[k], v)) for k, v in nodes
+               if lowers[k, v].dim < c.r]
+    assert (len(nodes), len(between), len(set(between))) == (390, 192, 56)
+    calls = []
+    real = chains_module.enumerate_between
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chains_module, "enumerate_between", counting)
+    for run in (lambda: list(enumerate_points(c)),
+                lambda: boundary_counts(c)):
+        calls.clear()
+        run()
+        assert len(calls) == 56
+
+
+def test_enumerate_points_lists_each_space_as_one_object():
+    pts = list(enumerate_points(build_section_chain(3, 3, 2)))
+    spaces = [w for pt in pts for w in pt]
+    assert len(spaces) == 1147 * 4
+    assert len({id(w) for w in spaces}) == len(set(spaces)) == 130
+
+
+def test_a_pair_met_again_while_its_stream_is_open(monkeypatch):
+    # V = span(e_0, e_2) lies in its own interval [span(e_0),
+    # span(e_0, e_1, e_2)], so the walk meets that pair one level down while
+    # V's stream is still being drawn; it must be drawn afresh there, and
+    # the points are those of walking every interval afresh
+    c = make_standard_chain(3, 4, 2, 0, 2, r=2)
+    want = _points_walking_every_interval(c)
+    live, reopened = [], []
+    real = chains_module.enumerate_between
+
+    def tracking(lower, upper, r):
+        key = (lower, upper)
+        if key in live:
+            reopened.append(key)
+        live.append(key)
+        yield from real(lower, upper, r)
+        live.remove(key)
+
+    monkeypatch.setattr(chains_module, "enumerate_between", tracking)
+    assert list(enumerate_points(c)) == want
+    assert reopened and not live
+
+
 def test_exactness_cross_chain_examples():
     c = cross_chain()
     node = cross_node()

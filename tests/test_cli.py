@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgseries import cli, series
+from lgseries import cli, linalg, series
 from lgseries.chains import ChainPoint
 from lgseries.cli import main
 from lgseries.fields import PrimeField
@@ -522,6 +523,54 @@ def test_chain_file_top_level_list_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "census", "--kind", "file", "--chain-file",
                        str(path), "--budget", "100")
     assert code == 2
+    one_json_error(err)
+
+
+def test_a_missing_key_is_named_with_its_object(capsys, tmp_path):
+    ring = {"p": 2, "dual": False}
+    no_entries = chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1])
+    del no_entries["fs"][0]["entries"]
+    level = {"ring": ring, "ambient_dim": 2, "basis": [[0, 1]]}
+    path = tmp_path / "in.json"
+    std = ["--kind", "standard", "--n", "2", "--dim", "2", "--d1", "1",
+           "--rank", "1", "--p", "2", "--budget", "1000"]
+    for doc, argv, message in (
+            ({"n": 2}, ["census", "--kind", "file", "--budget", "100"],
+             "a chain is missing key 'ring'"),
+            (no_entries, ["census", "--kind", "file", "--budget", "100"],
+             "a matrix is missing key 'entries'"),
+            (dict(chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1]), ring={}),
+             ["census", "--kind", "file", "--budget", "100"],
+             "a chain ring is missing key 'p'"),
+            ({"spaces": [level, level]},
+             ["tangent"] + std + ["--point-file", str(path)],
+             "a subspace is missing key 'rank'"),
+            ({}, ["tangent"] + std + ["--point-file", str(path)],
+             "a chain point is missing key 'spaces'")):
+        path.write_text(json.dumps(doc))
+        if argv[0] == "census":
+            argv = argv + ["--chain-file", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert one_json_error(err)["error"] == message
+
+
+def test_a_huge_grassmannian_is_streamed_pattern_by_pattern(capsys,
+                                                            monkeypatch):
+    # C(40, 20) pivot patterns: listing them before the first space would
+    # not finish, so a third pattern drawn fails the test at once
+    real = linalg.pivot_patterns
+
+    def two_patterns(d, r):
+        yield from itertools.islice(real(d, r), 2)
+        raise AssertionError("a third pivot pattern was drawn")
+
+    monkeypatch.setattr(linalg, "pivot_patterns", two_patterns)
+    first = next(linalg.enumerate_subspaces(22, 11, 2))
+    assert first.pivots == tuple(range(11))
+    code, out, err = run(capsys, "components-n2", "--dim", "40", "--rank",
+                         "20", "--d1", "20", "--p", "2", "--budget", "5")
+    assert code == 3 and out == ""
     one_json_error(err)
 
 

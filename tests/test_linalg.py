@@ -426,6 +426,17 @@ def test_subspace_hash_is_cached_and_generating_set_free():
     assert again == m and hash(again) == h and {m: 1}[again] == 1
 
 
+def test_matrix_rows_are_sliced_once_and_handed_out_in_new_lists():
+    m = mat(GF5, [[1, 2, 0], [3, 4, 1]])
+    rows = m._rows()
+    assert rows == [(1, 2, 0), (3, 4, 1)]
+    assert all(a is b for a, b in zip(rows, m._rows()))
+    rows[0] = (0, 0, 0)
+    assert rref(m).rank == 2 and m._rows() == [(1, 2, 0), (3, 4, 1)]
+    assert kernel(m) == kernel(mat(GF5, [[1, 2, 0], [3, 4, 1]]))
+    assert m._rows() == [(1, 2, 0), (3, 4, 1)]
+
+
 def test_equal_entries_over_different_fields_compare_unequal():
     a = Subspace.from_rows(GF2, 2, [[1, 1]])
     b = Subspace.from_rows(GF3, 2, [[1, 1]])
