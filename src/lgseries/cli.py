@@ -4,7 +4,11 @@ Every subcommand reads flags (optionally seeded from a JSON config file;
 flags win), runs one experiment, and writes a schema-versioned JSON or CSV
 report.  Identical inputs produce byte-identical reports.  Exit codes:
 0 success, 2 invalid input, 3 enumeration budget exceeded, 4 a verification
-command found a property violation.
+command found a property violation.  A call builds only its own command's
+parser, the command being the first token left after any ``--config``; when
+that token names no command (top-level help, a missing or unknown command, a
+stray flag), every command's parser is built, so help and usage errors read
+the same.
 
 Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
 except the long listings of ``enum-lls`` (points) and ``fr-image``
@@ -149,32 +153,6 @@ def _chain_from_args(args, validate: bool = True) -> chains.LinkedChain:
     raise ValueError("unknown chain kind %r" % kind)
 
 
-def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=["standard", "section", "file"],
-                   default="standard",
-                   help="standard projection chain, nodal-curve section "
-                        "chain, or a chain serialized to JSON")
-    p.add_argument("--n", type=int, default=2, help="levels (standard kind)")
-    p.add_argument("--dim", type=int, default=2, help="ambient dimension "
-                   "(standard kind)")
-    p.add_argument("--d1", type=int, default=1,
-                   help="forward projection rank (standard kind, s = 0)")
-    p.add_argument("--s", type=int, default=0, help="the chain scalar")
-    p.add_argument("--p", type=int, default=2, help="field characteristic")
-    p.add_argument("--degree", type=int, default=2,
-                   help="curve degree (section kind)")
-    p.add_argument("--rank", type=int, default=1,
-                   help="subspace dimension (standard kind) or series "
-                        "projective dimension r (section kind)")
-    p.add_argument("--chain-file", help="JSON chain (file kind)")
-
-
-def _add_output_flags(p: argparse.ArgumentParser, csv_ok: bool = False) -> None:
-    p.add_argument("--out", help="write the report here instead of stdout")
-    if csv_ok:
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-
-
 def _parse_subspace(text: str, p: int, ambient: int) -> Subspace:
     rows = json.loads(text)
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -231,6 +209,9 @@ def cmd_validate_chain(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.experiments and args.format == "csv":
+        raise ValueError("--format csv has no column for the signature graph "
+                         "that --experiments attaches; use --format json")
     chain = _chain_from_args(args)
     rep = chains.census(chain, budget=args.budget,
                         experiments=args.experiments)
@@ -350,7 +331,9 @@ def cmd_lift_crude(args) -> int:
 def cmd_plucker(args) -> int:
     v = _parse_subspace(args.basis, args.p, args.degree + 1)
     points = None
-    if args.points:
+    if args.points is not None:
+        if not args.points:
+            raise ValueError("--points must name at least one point")
         points = [p if p == "inf" else int(p) for p in args.points.split(",")]
     cert = ramification.plucker_check(v, genus=args.genus, points=points)
     _emit(cert.as_dict(), args)
@@ -383,7 +366,76 @@ def cmd_dual_probe(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+# The flags each command takes, in help order: (flag, add_argument keywords).
+_INT = dict(type=int, required=True)
+_CHAIN = (
+    ("--kind", dict(choices=["standard", "section", "file"],
+                    default="standard",
+                    help="standard projection chain, nodal-curve section "
+                         "chain, or a chain serialized to JSON")),
+    ("--n", dict(type=int, default=2, help="levels (standard kind)")),
+    ("--dim", dict(type=int, default=2, help="ambient dimension "
+                   "(standard kind)")),
+    ("--d1", dict(type=int, default=1,
+                  help="forward projection rank (standard kind, s = 0)")),
+    ("--s", dict(type=int, default=0, help="the chain scalar")),
+    ("--p", dict(type=int, default=2, help="field characteristic")),
+    ("--degree", dict(type=int, default=2,
+                      help="curve degree (section kind)")),
+    ("--rank", dict(type=int, default=1,
+                    help="subspace dimension (standard kind) or series "
+                         "projective dimension r (section kind)")),
+    ("--chain-file", dict(help="JSON chain (file kind)")))
+_BUDGET = (("--budget", dict(type=int, required=True,
+                             help="max candidate subspaces to examine")),)
+_OUT = (("--out", dict(help="write the report here instead of stdout")),)
+_FORMAT = (("--format", dict(choices=["json", "csv"], default="json")),)
+_PAIR = (("--degree", _INT), ("--p", _INT),
+         ("--vy", dict(required=True, help="JSON rows of the y-aspect basis")),
+         ("--vz", dict(required=True, help="JSON rows of the z-aspect basis")))
+
+# name -> (the function that runs the command, its flags)
+_COMMANDS = {
+    "validate-chain": (cmd_validate_chain, _CHAIN + _OUT),
+    "census": (cmd_census, _CHAIN + _BUDGET + _OUT + _FORMAT + (
+        ("--workers", dict(type=int, default=1, help="accepted for "
+                           "compatibility; the census is serial")),
+        ("--experiments", dict(action="store_true",
+                               help="attach the signature-adjacency graph")))),
+    "tangent": (cmd_tangent, _CHAIN + _BUDGET + _OUT + (
+        ("--point-index", dict(type=int, default=0, help="index into the "
+                               "deterministic point stream")),
+        ("--point-file", dict(help="JSON chain point")))),
+    "components-n2": (cmd_components_n2, _BUDGET + _OUT + (
+        ("--dim", _INT), ("--rank", _INT), ("--d1", _INT),
+        ("--p", dict(type=int, default=2)))),
+    "enum-lls": (cmd_enum_lls, _BUDGET + _OUT + (
+        ("--degree", _INT), ("--rank", _INT), ("--p", _INT),
+        ("--constraints", dict(help="JSON list of vanishing bounds")))),
+    "fr-image": (cmd_fr_image, _BUDGET + _OUT + (
+        ("--degree", _INT), ("--rank", _INT), ("--p", _INT))),
+    "reconstruct": (cmd_reconstruct, _OUT + _PAIR),
+    "lift-crude": (cmd_lift_crude, _OUT + _PAIR),
+    "plucker": (cmd_plucker, _OUT + (
+        ("--degree", _INT), ("--genus", dict(type=int, default=0)),
+        ("--p", _INT), ("--basis", dict(required=True,
+                                        help="JSON coefficient rows")),
+        ("--points", dict(help="comma list of points, e.g. 0,1,inf "
+                          "(default: all rational points and inf)")))),
+    "vanishing": (cmd_vanishing, _OUT + _FORMAT + (
+        ("--degree", _INT), ("--p", _INT), ("--basis", dict(required=True)),
+        ("--point", dict(required=True, help="a field value or inf")))),
+    "rho": (cmd_rho, _OUT + (
+        ("--genus", _INT), ("--rank", _INT), ("--degree", _INT),
+        ("--alphas", dict(help="JSON list of ramification sequences")))),
+    "dual-probe": (cmd_dual_probe, _OUT + (("--p", _INT),)),
+}
+
+
+def _build_parser(config: Optional[dict] = None,
+                  command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone if it names one
+    (a call parses with one subparser, so it builds only that one)."""
     parser = _Parser(
         prog="lgseries",
         description="Deterministic censuses and certificates for linked "
@@ -391,100 +443,32 @@ def _build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of flag defaults "
                         "(explicit flags override it)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, chain_flags=False, budget=False, csv_ok=False):
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        func, flags = _COMMANDS[name]
         p = sub.add_parser(name)
-        if chain_flags:
-            _add_chain_flags(p)
-        if budget:
-            p.add_argument("--budget", type=int, required=True,
-                           help="max candidate subspaces to examine")
-        _add_output_flags(p, csv_ok=csv_ok)
-        p.set_defaults(func=fn)
-        return p
-
-    add("validate-chain", cmd_validate_chain, chain_flags=True)
-
-    p = add("census", cmd_census, chain_flags=True, budget=True, csv_ok=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the census is serial")
-    p.add_argument("--experiments", action="store_true",
-                   help="attach the signature-adjacency graph")
-
-    p = add("tangent", cmd_tangent, chain_flags=True, budget=True)
-    p.add_argument("--point-index", type=int, default=0,
-                   help="index into the deterministic point stream")
-    p.add_argument("--point-file", help="JSON chain point")
-
-    p = add("components-n2", cmd_components_n2, budget=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
-
-    p = add("enum-lls", cmd_enum_lls, budget=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--constraints", help="JSON list of vanishing bounds")
-
-    p = add("fr-image", cmd_fr_image, budget=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    for name, fn in (("reconstruct", cmd_reconstruct),
-                     ("lift-crude", cmd_lift_crude)):
-        p = add(name, fn)
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--vy", required=True,
-                       help="JSON rows of the y-aspect basis")
-        p.add_argument("--vz", required=True,
-                       help="JSON rows of the z-aspect basis")
-
-    p = add("plucker", cmd_plucker)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--basis", required=True, help="JSON coefficient rows")
-    p.add_argument("--points", help="comma list of points, e.g. 0,1,inf "
-                   "(default: all rational points and inf)")
-
-    p = add("vanishing", cmd_vanishing, csv_ok=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--point", required=True, help="a field value or inf")
-
-    p = add("rho", cmd_rho)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--alphas", help="JSON list of ramification sequences")
-
-    p = add("dual-probe", cmd_dual_probe)
-    p.add_argument("--p", type=int, required=True)
-
-    parser.commands = sub.choices
-    if config:
-        for action_parser in sub.choices.values():
-            known = {a.dest for a in action_parser._actions}
-            action_parser.set_defaults(
-                **{k: v for k, v in config.items() if k in known})
-            for action in action_parser._actions:
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+        if config:
+            p.set_defaults(**{a.dest: config[a.dest] for a in p._actions
+                              if a.dest in config})
+            for action in p._actions:
                 if action.dest in config:
                     action.required = False
+    parser.commands = sub.choices
     return parser
 
 
-def _load_config(argv: list) -> Optional[dict]:
-    """The flag defaults named by ``--config FILE`` or ``--config=FILE``."""
+def _load_config(argv: list) -> tuple[Optional[dict], Optional[str]]:
+    """The flag defaults named by ``--config FILE`` or ``--config=FILE``, and
+    the command: the first token left after that flag, if it names one."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    known, rest = pre.parse_known_args(argv)
+    command = rest[0] if rest and rest[0] in _COMMANDS else None
+    path = known.config
     if path is None:
-        return None
+        return None, command
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -492,7 +476,7 @@ def _load_config(argv: list) -> Optional[dict]:
         raise _UsageError("cannot read config: %s" % exc)
     if not isinstance(config, dict):
         raise _UsageError("cannot read config: %s is not a JSON object" % path)
-    return config
+    return config, command
 
 
 def _check_config(command: argparse.ArgumentParser, config: dict) -> None:
@@ -538,8 +522,8 @@ def _check_limits(args) -> None:
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _load_config(argv)
-        parser = _build_parser(config)
+        config, command = _load_config(argv)
+        parser = _build_parser(config, command)
         args = parser.parse_args(argv)
         if config:
             _check_config(parser.commands[args.command], config)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import itertools
@@ -785,6 +786,94 @@ def test_config_string_values_still_work(capsys, tmp_path):
                                "format": "csv", "experiments": False}))
     code, out, _ = run(capsys, "--config", str(cfg), "census")
     assert code == 0 and out.startswith("f_ranks,g_ranks,count")
+
+def test_plucker_empty_points_exit_code(capsys):
+    code, out, err = run(capsys, *PLUCKER, "--points", "")
+    assert code == 2 and out == ""
+    assert ("--points must name at least one point"
+            in one_json_error(err)["error"])
+
+
+SECTION_CENSUS = ("census", "--kind", "section", "--degree", "2", "--rank",
+                  "0", "--p", "3", "--budget", "10000")
+
+
+def test_census_csv_rows_are_the_json_signatures(capsys):
+    code, out, _ = run(capsys, *SECTION_CENSUS, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows == ["f_ranks,g_ranks,count", "0 0,1 1,9", "0 1,1 0,11",
+                    "1 1,0 0,9"]
+    code, out, _ = run(capsys, *SECTION_CENSUS)
+    assert code == 0
+    assert rows[1:] == ["%s,%s,%d" % (" ".join(map(str, f)),
+                                      " ".join(map(str, g)), count)
+                        for (f, g), count in json.loads(out)["signatures"]]
+
+
+def test_census_csv_refuses_experiments(capsys, tmp_path):
+    # CSV has no column for the signature graph, so the pair is refused
+    # rather than the graph dropped, whichever side names each flag
+    cfg = tmp_path / "c.json"
+    for config, extra in (({}, ("--format", "csv", "--experiments")),
+                          ({"format": "csv"}, ("--experiments",)),
+                          ({"experiments": True}, ("--format", "csv")),
+                          ({"format": "csv", "experiments": True}, ())):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(cfg), *SECTION_CENSUS,
+                             *extra)
+        assert code == 2 and out == "", config
+        error = one_json_error(err)["error"]
+        assert "--format csv" in error and "--experiments" in error
+
+
+# --- the front end builds only the called command's parser -----------------
+
+COMMANDS = ("validate-chain", "census", "tangent", "components-n2",
+            "enum-lls", "fr-image", "reconstruct", "lift-crude", "plucker",
+            "vanishing", "rho", "dual-probe")
+
+
+def test_command_help_is_the_full_parsers(capsys):
+    full = cli._build_parser().commands
+    assert tuple(full) == COMMANDS
+    for command in COMMANDS:
+        assert run(capsys, command, "--help") == (
+            0, full[command].format_help(), ""), command
+
+
+def test_front_end_matches_a_parser_of_every_command(capsys, tmp_path,
+                                                     monkeypatch):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "section", "degree": 2, "rank": 0,
+                               "p": 3, "budget": 10000}))
+    calls = (["--help"], [], ["bogus"], ["--", "census"],
+             ["--config", str(cfg), "census"], ["--config=%s" % cfg, "census"])
+    got = [run(capsys, *argv) for argv in calls]
+    assert "{validate-chain,census," in got[0][1]
+    assert [code for code, _, _ in got] == [0, 2, 2, 2, 0, 0]
+    assert "'dual-probe')" in one_json_error(got[3][2])["error"]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda config, command=None: build(config))
+    assert got == [run(capsys, *argv) for argv in calls]
+
+
+def test_a_call_builds_only_its_own_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(capsys, *SECTION_CENSUS)[0] == 0
+    assert built == ["census"]
+    built.clear()
+    assert run(capsys, "--help")[0] == 0
+    assert built == list(COMMANDS)
+
 
 # --- fuzzing the JSON-valued flags ------------------------------------------
 
