@@ -373,8 +373,8 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
         spent += 1
         if budget is not None and spent > budget:
             raise _budget_error(budget)
-        nodes[v] = v
-    roots = tuple(nodes)
+        nodes[v.basis.entries] = v
+    roots = tuple(nodes.values())
     maps, memo, pairs, layers = {}, {}, {}, []
     kinds = tuple(maps.setdefault((f, g), len(maps))
                   for f, g in zip(chain.fs, chain.gs))
@@ -387,7 +387,7 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
                 stop = (None if budget is None
                         else (budget - spent) // paths + 1)
                 cands = memo[kind, v] = tuple(islice(
-                    _interned(_interval(chain, k, v, pairs), nodes), stop))
+                    _interval(chain, k, v, pairs, nodes), stop))
             spent += paths * len(cands)
             if budget is not None and spent > budget:
                 raise _budget_error(budget)
@@ -452,7 +452,7 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
         key = (level, cand)
         seen = memo.get(key)
         if seen is None:
-            seen = _interned(_interval(chain, level, cand, pairs), nodes)
+            seen = _interval(chain, level, cand, pairs, nodes)
             if keep is not None:
                 seen = filter(functools.partial(keep, level + 1), seen)
             seen = _recorded(seen, memo, key)
@@ -471,13 +471,16 @@ def _recorded(stream: Iterator[Subspace], memo: dict,
 
 
 def _interned(stream: Iterable[Subspace], nodes: dict) -> Iterator[Subspace]:
-    """Yield each item of ``stream`` as the first equal item in ``nodes``."""
+    """Yield each item of ``stream`` as the first equal item in ``nodes``,
+    which is keyed by echelon entries (on one chain they name the space), so
+    interning compares entry tuples and never calls ``Subspace.__eq__``."""
     for item in stream:
-        yield nodes.setdefault(item, item)
+        yield nodes.setdefault(item.basis.entries, item)
 
 
 def _interval(chain: LinkedChain, i: int, v: Subspace,
-              pairs: Optional[dict] = None) -> Iterator[Subspace]:
+              pairs: Optional[dict] = None,
+              nodes: Optional[dict] = None) -> Iterator[Subspace]:
     """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order.
 
     When f_i(v) already has rank r it is the whole interval, and g_i^{-1}(v)
@@ -491,13 +494,17 @@ def _interval(chain: LinkedChain, i: int, v: Subspace,
     entries of (f_i(v), g_i^{-1}(v)) to the spaces between them (on one
     chain the entries name the space): a stream is stored once exhausted
     (``_recorded``) and replayed for every later node with the same pair,
-    so ``enumerate_between`` runs once per distinct pair.
+    so ``enumerate_between`` runs once per distinct pair.  Every space is
+    yielded interned in ``nodes`` (``_interned``; a fresh dict when omitted),
+    and the memo holds the interned objects, so a replay yields each as the
+    one object already in ``nodes``.
     """
+    nodes = {} if nodes is None else nodes
     lower = apply_map(chain.fs[i], v)
     if lower.dim == chain.r:
         if not _maps_into(chain.gs[i], lower, v):
             raise _AxiomError(i)
-        yield lower
+        yield nodes.setdefault(lower.basis.entries, lower)
         return
     upper = preimage(chain.gs[i], v)
     pairs = {} if pairs is None else pairs
@@ -507,8 +514,9 @@ def _interval(chain: LinkedChain, i: int, v: Subspace,
         yield from seen
         return
     try:
-        yield from _recorded(enumerate_between(lower, upper, chain.r),
-                             pairs, key)
+        yield from _recorded(
+            _interned(enumerate_between(lower, upper, chain.r), nodes),
+            pairs, key)
     except ValueError:
         if upper.contains(lower):
             raise

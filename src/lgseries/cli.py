@@ -14,9 +14,13 @@ Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
 except the long listings of ``enum-lls`` (points) and ``fr-image``
 (preimage counts): ``_listing_json_text`` renders one entry with placeholder
 values once, and writes each entry as that template joined with the texts
-of its values, each distinct value encoded once, byte for byte what
-``json.dumps`` would write.  ``enum-lls`` takes its whole point stream
-before writing anything, so a budget exit writes no report.
+of its values, byte for byte what ``json.dumps`` would write.  Each distinct
+value is written once, filled into one template per shape: a subspace over
+a prime field per (ring, ambient dimension, rank), a flat tuple of ints per
+length; any other value is encoded by ``json.dumps``.  ``enum-lls`` takes
+its whole point stream before writing anything, so a budget exit writes no
+report.  A call runs with the collector's generation-0 threshold at 100,000
+(``main``), since it frees little before it exits.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import sys
@@ -62,18 +67,23 @@ def _emit(report: dict, args, encode=_json_text) -> None:
         sys.stdout.write(end)
 
 
+_MARK = "\0"  # stands for a row, then for each value
+_QUOTED = '"\\u0000"'  # json.dumps(_MARK)
+
+
 def _listing_json_text(report: dict, name: str, template, rows) -> str:
     """``_json_text`` of ``report`` with ``report[name]`` a list of copies of
     ``template``, its list items "\\0" filled, in order, with the values of
     one of ``rows`` (written by their ``as_dict`` if they have one).  The
-    template is encoded once; each distinct value once per indentation."""
+    template is encoded once, and each distinct value is written once per
+    indentation (``_value_text``); a value must be hashable or a list of
+    hashable items, and equal values of one type must write the same JSON."""
     if not rows:
         return _json_text(dict(report, **{name: []}))
-    mark = json.dumps("\0")  # stands for a row, then for each value
-    head, tail = _json_text(dict(report, **{name: ["\0"]})).split(mark)
+    head, tail = _json_text(dict(report, **{name: [_MARK]})).split(_QUOTED)
     pad = "\n" + head.rsplit("\n", 1)[1]
-    first, *pieces = _json_text(template).replace("\n", pad).split(mark)
-    slots, by_pad = [], {}
+    first, *pieces = _json_text(template).replace("\n", pad).split(_QUOTED)
+    slots, by_pad, shapes = [], {}, {}
     for before, piece in zip([first] + pieces, pieces):
         slot_pad = "\n" + before.rsplit("\n", 1)[1]
         slots.append((by_pad.setdefault(slot_pad, {}), slot_pad, piece))
@@ -82,14 +92,51 @@ def _listing_json_text(report: dict, name: str, template, rows) -> str:
     for k, row in enumerate(rows):
         parts.append(later if k else first)
         for value, (texts, slot_pad, piece) in zip(row, slots):
-            text = texts.get(value)
+            # by type too, since True == 1 writes "true" and 1 writes "1"
+            cls = value.__class__
+            key = value if cls is Subspace else (
+                cls, tuple(value) if cls is list else value)
+            text = texts.get(key)
             if text is None:
-                text = texts[value] = json.dumps(
-                    value, sort_keys=True, indent=2,
-                    default=lambda v: v.as_dict()).replace("\n", slot_pad)
+                text = texts[key] = _value_text(value, slot_pad, shapes)
             parts += (text, piece)
     parts.append(tail)
     return "".join(parts)
+
+
+def _value_text(value, pad: str, shapes: dict) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, with ``default``
+    ``as_dict``, each line after the first led by ``pad``.
+
+    Two shapes are filled into a %-format cached in ``shapes`` per (pad,
+    shape), the entries as ints: a subspace over a prime field, per (ring,
+    ambient dimension, rank), and a flat tuple or list of ints (``bool``
+    excluded), per length.  Any other value is encoded by ``json.dumps``.
+    """
+    cls = value.__class__
+    if cls is Subspace and not value.ring.dual:
+        shape = (pad, value.ring, value.ambient_dim, value.dim)
+        form = shapes.get(shape)
+        if form is None:
+            spec = value.as_dict()
+            spec["basis"] = [[_MARK] * value.ambient_dim] * value.dim
+            form = shapes[shape] = _format(spec, pad)
+        return form % value.basis.entries
+    if (cls is tuple or cls is list) and all(type(x) is int for x in value):
+        shape = (pad, len(value))
+        form = shapes.get(shape)
+        if form is None:
+            form = shapes[shape] = _format([_MARK] * len(value), pad)
+        return form % tuple(value)
+    return json.dumps(value, sort_keys=True, indent=2,
+                      default=lambda v: v.as_dict()).replace("\n", pad)
+
+
+def _format(spec, pad: str) -> str:
+    """The %-format of ``spec`` written as ``_value_text`` writes it, with
+    one %d for each "\\0" string."""
+    text = json.dumps(spec, sort_keys=True, indent=2).replace("\n", pad)
+    return "%d".join(text.replace("%", "%%").split(_QUOTED))
 
 
 def _to_csv(report: dict) -> str:
@@ -520,7 +567,18 @@ def _check_limits(args) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call allocates many objects and frees few before it exits, so a
+    # generation-0 collection every few hundred allocations mostly rescans
+    # live objects; the caller's thresholds are back when main returns
+    thresholds = gc.get_threshold()
+    gc.set_threshold(100_000, *thresholds[1:])
+    try:
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        gc.set_threshold(*thresholds)
+
+
+def _run(argv: list) -> int:
     try:
         config, command = _load_config(argv)
         parser = _build_parser(config, command)

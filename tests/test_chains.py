@@ -15,7 +15,7 @@ from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
                              enumerate_between, enumerate_subspaces,
                              gaussian_binomial, image, intersect, kernel,
                              preimage, rref)
-from lgseries.series import build_section_chain
+from lgseries.series import build_section_chain, enumerate_limit_series
 
 GF2 = PrimeField(2)
 
@@ -344,6 +344,22 @@ def test_enumerate_points_lists_each_space_as_one_object():
     spaces = [w for pt in pts for w in pt]
     assert len(spaces) == 1147 * 4
     assert len({id(w) for w in spaces}) == len(set(spaces)) == 130
+
+
+def test_interning_compares_no_subspaces(monkeypatch):
+    # the enum-lls walk of d=3 r=1 p=3: interning by echelon entries, with
+    # the pair memo holding interned objects, calls Subspace.__eq__ never
+    # (895 times when the memo held the objects enumerate_between made)
+    calls = []
+    real = Subspace.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Subspace, "__eq__", counting)
+    assert sum(1 for _ in enumerate_limit_series(3, 1, 3)) == 1147
+    assert calls == []
 
 
 def test_a_pair_met_again_while_its_stream_is_open(monkeypatch):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import io
 import itertools
@@ -225,6 +226,8 @@ FR_IMAGE_SHA256 = {
         "d65546ac8205f9bcbc013892e9e257421aba317257a99f813515424c44846c90",
     ("--degree", "3", "--rank", "1", "--p", "3"):
         "775967ae71d38c7ecf5a886156e6d8c2eaf00df05885c6c696bb9546a7e15443",
+    ("--degree", "2", "--rank", "0", "--p", "11"):  # two-digit entries
+        "be47a1629bfab45fb1181d1b76febb16672d087c4e865c4bd98520fe7300b533",
 }
 
 
@@ -286,6 +289,8 @@ ENUM_LLS_SHA256 = {
         "8d34c3e78f854e7ef16c7c1f654272be981d485eeb08bb5016531ed4d82d844a",
     ("--degree", "2", "--rank", "1", "--p", "5"):  # 116 points
         "1802d28cc84a03dedeb70a3b06a55c3dd11bf97d92ec53cd8bc116ebfc64435b",
+    ("--degree", "2", "--rank", "0", "--p", "11"):  # 397 points, entries to 10
+        "2cba6adce08bf4da94df518486bb6784a7bd19077cc2913077a6ab16b9949667",
     ("--degree", "3", "--rank", "0", "--p", "2", "--constraints",
      '[{"side":"Y","point":0,"min":[1]},{"side":"Z","point":"inf","min":[1]}]'):
         "d8e0c834e6b790b06be9d96915683fbc11af74cee1fcb6ca3384de3c1b0dd59b",
@@ -369,6 +374,32 @@ def test_enum_lls_budget_boundary_writes_nothing(capsys, tmp_path):
     code, out, err = run(capsys, *base, "--budget", "2266")
     assert code == 0 and err == ""
     assert json.loads(out)["count"] == 1147
+
+
+def test_main_restores_the_gc_thresholds(capsys, monkeypatch):
+    # a command runs with a generation-0 threshold of 100,000; the caller's
+    # thresholds are back after main returns, whatever its exit code
+    before = gc.get_threshold()
+    during = []
+    real = cli._emit
+
+    def recording(*args, **kwargs):
+        during.append(gc.get_threshold())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    gc.set_threshold(500, 7, 9)
+    try:
+        for argv, want in (
+                (("rho", "--genus", "0", "--rank", "1", "--degree", "2"), 0),
+                (("rho", "--genus", "x"), 2),
+                (("enum-lls", "--degree", "3", "--rank", "1", "--p", "3",
+                  "--budget", "2265"), 3)):
+            code, _, _ = run(capsys, *argv)
+            assert code == want and gc.get_threshold() == (500, 7, 9), argv
+    finally:
+        gc.set_threshold(*before)
+    assert during == [(100_000, 7, 9)]
 
 
 def test_negative_series_rank_exit_code(capsys):
@@ -989,6 +1020,79 @@ def evenly(*strategies):
     """Draw from each strategy with equal chance, however many branches it
     has (``a | b`` weighs each flattened branch alike)."""
     return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+@st.composite
+def field_subspaces(draw):
+    """A subspace of GF(p)^n, 1 <= n <= 5, of any rank, built from its
+    canonical basis: pivot columns, then free entries right of each pivot."""
+    p = draw(st.sampled_from([2, 3, 11, 101]))
+    n = draw(st.integers(1, 5))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    rows = []
+    for pc in pivots:
+        row = [0] * n
+        row[pc] = 1
+        for c in range(pc + 1, n):
+            if c not in pivots:
+                row[c] = draw(st.integers(0, p - 1))
+        rows.append(row)
+    return Subspace.from_rows(PrimeField(p), n, rows)
+
+
+LISTING_VALUES = evenly(
+    field_subspaces(),
+    st.lists(st.integers(), max_size=9).map(tuple),
+    # a bool among ints: json.dumps writes true; ten items, and no other
+    # int below 2, so no such tuple equals one with another text
+    st.tuples(st.booleans(), *[st.integers(2, 99)] * 9),
+    field_subspaces().map(Subspace.to_dual),
+    st.sampled_from([True, False, None, 0, 1, "", "two\nlines"]),
+    st.integers() | st.text(max_size=3))
+# one row template each for enum-lls, fr-image, and slots at three depths
+LISTING_TEMPLATES = (
+    {"d": 2, "p": 3, "point": {"spaces": ["\0"] * 3}},
+    [["\0", "\0"], "\0"],
+    {"z": ["\0"], "a": ["\0", {"b": ["\0", "\0"], "c": [["\0"]]}]})
+
+
+def _filled(template, values):
+    """``template`` with its "\\0" items replaced, in the order json.dumps
+    writes them (keys sorted), by the items of the iterator ``values``."""
+    if template == "\0":
+        return next(values)
+    if isinstance(template, dict):
+        return {k: _filled(template[k], values) for k in sorted(template)}
+    if isinstance(template, list):
+        return [_filled(item, values) for item in template]
+    return template
+
+
+@FUZZ
+@given(st.sampled_from(LISTING_TEMPLATES),
+       st.lists(LISTING_VALUES, min_size=1, max_size=6), st.data())
+def test_listing_writer_matches_json_dumps(template, pool, data):
+    # rows drawn from a small pool, so that values repeat across rows and
+    # slots, and template shapes meet json.dumps values in one slot
+    width = json.dumps(template).count("\\u0000")
+    rows = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=width,
+                                       max_size=width), max_size=8))
+    report = {"schema_version": 1, "s": "two\nlines", "count": len(rows)}
+    want = json.dumps(
+        dict(report, listing=[_filled(template, iter(row)) for row in rows]),
+        sort_keys=True, indent=2, default=lambda v: v.as_dict())
+    assert cli._listing_json_text(report, "listing", template, rows) == want
+
+
+def test_listing_writer_tells_equal_values_of_two_types_apart():
+    # True == 1 == 1.0 and False == 0, but json.dumps writes each its own
+    # way; a bool among ints takes json.dumps, and a list the tuple's way
+    rows = [(v,) for v in (1, True, 1.0, 0, False, (True, 2), [3, 4], (3, 4),
+                           [], ())]
+    report = {"count": len(rows)}
+    want = json.dumps(dict(report, listing=[[v] for (v,) in rows]),
+                      sort_keys=True, indent=2)
+    assert cli._listing_json_text(report, "listing", ["\0"], rows) == want
 
 
 # degree-2 bases: lists of rows of three small ints
