@@ -9,13 +9,14 @@ and chains and points are immutable; enumeration order is fixed, so censuses
 are byte-reproducible.
 
 The linked points are the paths through a layered graph: its nodes are
-(level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  The
-point stream walks it depth first and lazily (``_walk``), so it can stop
-early; the counting passes (``census``, its signature graph, and
+(level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  Each pass
+reads the intervals from one table of its own (``_Intervals``), which draws
+each node's interval once, lists the spaces between each distinct pair
+(f_i(V), g_i^{-1}(V)) once and holds each distinct space as one object.
+The point stream walks the graph depth first and lazily (``_walk``), so it
+can stop early; the counting passes (``census``, its signature graph, and
 ``boundary_counts``) read one copy of it, built level by level by
-``_interval_graph``, which alone spends their budget.  Either pass lists
-the spaces between each distinct pair (f_i(V), g_i^{-1}(V)) once and
-holds each distinct space as one object.  Every analysis
+``_interval_graph``, which alone spends their budget.  Every analysis
 reads an edge through ``_step``: the ranks of f_i and g_i on the point,
 exactness at the step, and the step's block of the linearised
 linkage equations, which couple consecutive levels only.  The step works in
@@ -356,38 +357,31 @@ class _Graph(NamedTuple):
 
 def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
     """The layered graph whose nodes are (level, V) and whose edges V -> W
-    run over ``_interval``, built level by level from the level-0 stream.
+    run over the intervals of one ``_Intervals`` table, built level by level
+    from the level-0 stream.
 
-    Each interval is drawn once per (f_k, g_k, V), and the spaces between
-    f_k(V) and g_k^{-1}(V) are listed once per distinct pair of the two,
-    through a pair memo shared by all steps (``_interval``).  Every node is
-    one object, so later lookups go by identity.  The budget is spent as the
-    point stream spends it: one unit per level-0 space, then prefix count
-    times interval size at each node, where the prefix count is the number
-    of paths from level 0.  An interval is drawn only as far as the budget
-    has room for, so an over-budget one is never listed whole, and the
-    stream's BudgetError is raised once the total passes ``budget``.
+    The budget is spent as the point stream spends it: one unit per level-0
+    space, then prefix count times interval size at each node, where the
+    prefix count is the number of paths from level 0.  An interval not yet
+    in the table is drawn only as far as the budget has room for, so an
+    over-budget one is never listed whole, and the stream's BudgetError is
+    raised once the total passes ``budget``.
     """
-    spent, nodes = 0, {}
+    table, spent, roots = _Intervals(chain), 0, []
     for v in enumerate_subspaces(chain.d, chain.r, chain.p):
         spent += 1
         if budget is not None and spent > budget:
             raise _budget_error(budget)
-        nodes[v.basis.entries] = v
-    roots = tuple(nodes.values())
-    maps, memo, pairs, layers = {}, {}, {}, []
-    kinds = tuple(maps.setdefault((f, g), len(maps))
-                  for f, g in zip(chain.fs, chain.gs))
-    front = dict.fromkeys(roots, 1)
-    for k, kind in enumerate(kinds):
+        roots.append(table.space(v))
+    front, layers = dict.fromkeys(roots, 1), []
+    for k in range(chain.n - 1):
         layer, nxt = {}, {}
         for v, paths in front.items():
-            cands = memo.get((kind, v))
-            if cands is None:
+            cands = table.of(k, v)
+            if not isinstance(cands, tuple):
                 stop = (None if budget is None
                         else (budget - spent) // paths + 1)
-                cands = memo[kind, v] = tuple(islice(
-                    _interval(chain, k, v, pairs, nodes), stop))
+                cands = tuple(islice(cands, stop))
             spent += paths * len(cands)
             if budget is not None and spent > budget:
                 raise _budget_error(budget)
@@ -396,7 +390,7 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
                 nxt[w] = nxt.get(w, 0) + paths
         layers.append(layer)
         front = nxt
-    return _Graph(roots, kinds, tuple(layers))
+    return _Graph(tuple(roots), table.kinds, tuple(layers))
 
 
 def _budget_error(budget: int) -> BudgetError:
@@ -412,29 +406,17 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
 
     ``first`` holds the candidates for level len(prefix); each later level
     runs over the interval f_i(V) <= W <= g_i^{-1}(V) of the level before,
-    restricted to the W with keep(level, W) when ``keep`` is given.  The
-    search runs on an explicit stack of candidate iterators, one per level,
-    so chain length is not bounded by the recursion limit.
-
-    Many prefixes end in the same subspace, so a memo maps (level, V) to
-    the kept candidates of its interval, filled lazily: each candidate is
-    recorded as the live stream yields it, and the record is kept once the
-    stream is exhausted, for later prefixes ending in V to replay.  Many
-    nodes share their pair (f_i(V), g_i^{-1}(V)), so ``_interval`` keeps
-    the spaces between each pair in a second memo, recorded the same way: a
-    pair met again while its first stream is still open is drawn afresh.
-    Every candidate, ``first`` included, is interned in a per-call dict, so
-    each distinct space is one object and the memo keys and the callers'
-    lookups hit by identity.  Every candidate taken off the stack, replayed
-    or not, spends one budget unit, so the order of the points and the
-    count at which the budget runs out are those of walking every interval
-    afresh, and no candidate is drawn ahead of its spend.  BudgetError is
-    raised past ``budget`` candidates.
+    read from one ``_Intervals`` table and restricted to the W with
+    keep(level, W) when ``keep`` is given.  The search runs on an explicit
+    stack of candidate iterators, one per level, so chain length is not
+    bounded by the recursion limit.  Every candidate taken off the stack,
+    replayed or not, spends one budget unit, so the order of the points and
+    the count at which the budget runs out are those of walking every
+    interval afresh, and no candidate is drawn ahead of its spend.
+    BudgetError is raised past ``budget`` candidates.
     """
-    spent = 0
-    memo, pairs, nodes = {}, {}, {}
-    prefix = list(prefix)
-    stack = [_interned(first, nodes)]
+    table, spent, prefix = _Intervals(chain), 0, list(prefix)
+    stack = [map(table.space, first)]
     while stack:
         cand = next(stack[-1], None)
         if cand is None:
@@ -449,15 +431,84 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
         if level == chain.n - 1:
             yield ChainPoint(prefix + [cand])
             continue
-        key = (level, cand)
-        seen = memo.get(key)
-        if seen is None:
-            seen = _interval(chain, level, cand, pairs, nodes)
-            if keep is not None:
-                seen = filter(functools.partial(keep, level + 1), seen)
-            seen = _recorded(seen, memo, key)
-        stack.append(iter(seen))
+        cands = table.of(level, cand)
+        if keep is not None:
+            cands = filter(functools.partial(keep, level + 1), cands)
+        stack.append(iter(cands))
         prefix.append(cand)
+
+
+class _Intervals:
+    """The intervals f_k(V) <= W <= g_k^{-1}(V) of one pass over a chain.
+
+    Three dicts, none of which outlives the pass.  ``spaces`` interns every
+    space by its echelon entries (on one chain they name the space), so each
+    distinct space is one object, interning never calls ``Subspace.__eq__``,
+    and the other two dicts and the callers' lookups hit by identity.
+    ``nodes`` maps (kind, V) to the interval of V, where steps with equal
+    (f_k, g_k) share a kind, so each node's interval is drawn once.
+    ``pairs`` maps the entries of (f_k(V), g_k^{-1}(V)) to the spaces
+    between the two, so ``enumerate_between`` runs once per distinct pair.
+    Both memos are filled lazily through ``_recorded``: a stream is stored
+    once it is exhausted, so one cut short by a budget, or met again while
+    it is still open deeper in a walk, is drawn afresh, never replayed
+    part-way.
+    """
+
+    __slots__ = ("chain", "kinds", "spaces", "nodes", "pairs")
+
+    def __init__(self, chain: LinkedChain):
+        maps = {}
+        self.chain = chain
+        self.kinds = tuple(maps.setdefault((f, g), len(maps))
+                           for f, g in zip(chain.fs, chain.gs))
+        self.spaces, self.nodes, self.pairs = {}, {}, {}
+
+    def space(self, v: Subspace) -> Subspace:
+        """The one object of the pass equal to ``v``."""
+        return self.spaces.setdefault(v.basis.entries, v)
+
+    def of(self, k: int, v: Subspace) -> Iterable[Subspace]:
+        """The interval of v at step k: the stored tuple, or a stream that
+        stores it once exhausted."""
+        key = (self.kinds[k], v)
+        seen = self.nodes.get(key)
+        if seen is None:
+            return _recorded(self.draw(k, v), self.nodes, key)
+        return seen
+
+    def draw(self, k: int, v: Subspace) -> Iterator[Subspace]:
+        """The rank-r spaces W with f_k(v) <= W <= g_k^{-1}(v), in stream
+        order, interned.
+
+        When f_k(v) already has rank r it is the whole interval, and
+        g_k^{-1}(v) is never built: g_k f_k(v) <= v is checked against v's
+        basis instead.  g_k^{-1}(v) has dimension at least r for any map,
+        so the interval is empty only when f_k(v) is not inside
+        g_k^{-1}(v).  The chain axioms rule that out (g_k f_k = s id); on a
+        chain violating them the stream raises ValueError naming step k.
+        """
+        chain = self.chain
+        lower = apply_map(chain.fs[k], v)
+        if lower.dim == chain.r:
+            if not _maps_into(chain.gs[k], lower, v):
+                raise _AxiomError(k)
+            yield self.space(lower)
+            return
+        upper = preimage(chain.gs[k], v)
+        key = (lower.basis.entries, upper.basis.entries)
+        seen = self.pairs.get(key)
+        if seen is not None:
+            yield from seen
+            return
+        try:
+            yield from _recorded(
+                map(self.space, enumerate_between(lower, upper, chain.r)),
+                self.pairs, key)
+        except ValueError:
+            if upper.contains(lower):
+                raise
+            raise _AxiomError(k) from None
 
 
 def _recorded(stream: Iterator[Subspace], memo: dict,
@@ -468,59 +519,6 @@ def _recorded(stream: Iterator[Subspace], memo: dict,
         seen.append(item)
         yield item
     memo[key] = tuple(seen)
-
-
-def _interned(stream: Iterable[Subspace], nodes: dict) -> Iterator[Subspace]:
-    """Yield each item of ``stream`` as the first equal item in ``nodes``,
-    which is keyed by echelon entries (on one chain they name the space), so
-    interning compares entry tuples and never calls ``Subspace.__eq__``."""
-    for item in stream:
-        yield nodes.setdefault(item.basis.entries, item)
-
-
-def _interval(chain: LinkedChain, i: int, v: Subspace,
-              pairs: Optional[dict] = None,
-              nodes: Optional[dict] = None) -> Iterator[Subspace]:
-    """The rank-r spaces W with f_i(v) <= W <= g_i^{-1}(v), in stream order.
-
-    When f_i(v) already has rank r it is the whole interval, and g_i^{-1}(v)
-    is never built: g_i f_i(v) <= v is checked against v's basis instead.
-    g_i^{-1}(v) has dimension at least r for any map, so the interval is
-    empty only when f_i(v) is not inside g_i^{-1}(v).  The chain axioms rule
-    that out (g_i f_i = s id); on a chain violating them the stream raises
-    ValueError naming step i.
-
-    ``pairs``, one pass's memo (a fresh one when omitted), maps the echelon
-    entries of (f_i(v), g_i^{-1}(v)) to the spaces between them (on one
-    chain the entries name the space): a stream is stored once exhausted
-    (``_recorded``) and replayed for every later node with the same pair,
-    so ``enumerate_between`` runs once per distinct pair.  Every space is
-    yielded interned in ``nodes`` (``_interned``; a fresh dict when omitted),
-    and the memo holds the interned objects, so a replay yields each as the
-    one object already in ``nodes``.
-    """
-    nodes = {} if nodes is None else nodes
-    lower = apply_map(chain.fs[i], v)
-    if lower.dim == chain.r:
-        if not _maps_into(chain.gs[i], lower, v):
-            raise _AxiomError(i)
-        yield nodes.setdefault(lower.basis.entries, lower)
-        return
-    upper = preimage(chain.gs[i], v)
-    pairs = {} if pairs is None else pairs
-    key = (lower.basis.entries, upper.basis.entries)
-    seen = pairs.get(key)
-    if seen is not None:
-        yield from seen
-        return
-    try:
-        yield from _recorded(
-            _interned(enumerate_between(lower, upper, chain.r), nodes),
-            pairs, key)
-    except ValueError:
-        if upper.contains(lower):
-            raise
-        raise _AxiomError(i) from None
 
 
 class _AxiomError(ValueError):
@@ -755,7 +753,7 @@ def extend_truncation(chain: LinkedChain, partial: ChainPoint) -> ChainPoint:
 
     The answer is the first completion in stream order: the first point of
     ``enumerate_points(chain)`` whose first levels are ``partial``.  An
-    interval is never empty (``_interval`` raises ValueError on a chain
+    interval is never empty (``_Intervals.draw`` raises ValueError on a chain
     violating the axioms), so this takes the first subspace of each new
     interval in turn.
     """
@@ -870,7 +868,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     """Count points, exact points, exact signatures, and tangent dimensions.
 
     One forward pass over the layers of ``_interval_graph``, whose nodes are
-    (level, V) and whose edges V -> W run over ``_interval``.  The tangent
+    (level, V) and whose edges V -> W run over its intervals.  The tangent
     equations couple consecutive levels only, so a linked prefix ending at
     level k needs only the state (V_k, A_k) to finish its analysis: A_k,
     held by its canonical echelon basis, is the space of level-k maps that

@@ -32,6 +32,7 @@ import gc
 import io
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import chains, ramification, series
@@ -77,7 +78,9 @@ def _listing_json_text(report: dict, name: str, template, rows) -> str:
     one of ``rows`` (written by their ``as_dict`` if they have one).  The
     template is encoded once, and each distinct value is written once per
     indentation (``_value_text``); a value must be hashable or a list of
-    hashable items, and equal values of one type must write the same JSON."""
+    hashable items, and equal values of one type must write the same JSON.
+    A mark with other text before it on its line (a dict value, say) raises
+    ValueError, since a value's lines are indented as far as its mark's."""
     if not rows:
         return _json_text(dict(report, **{name: []}))
     head, tail = _json_text(dict(report, **{name: [_MARK]})).split(_QUOTED)
@@ -86,6 +89,9 @@ def _listing_json_text(report: dict, name: str, template, rows) -> str:
     slots, by_pad, shapes = [], {}, {}
     for before, piece in zip([first] + pieces, pieces):
         slot_pad = "\n" + before.rsplit("\n", 1)[1]
+        if not slot_pad.isspace():
+            raise ValueError("a template mark must be a list item, not %r"
+                             % (slot_pad[1:] + _QUOTED))
         slots.append((by_pad.setdefault(slot_pad, {}), slot_pad, piece))
     later = "," + pad + first
     parts = [head]
@@ -288,11 +294,7 @@ def cmd_tangent(args) -> int:
         pt = _point_from_file(args.point_file, chain)
     else:
         pts = chains.enumerate_points(chain, budget=args.budget)
-        pt = None
-        for idx, cand in enumerate(pts):
-            if idx == args.point_index:
-                pt = cand
-                break
+        pt = next(islice(pts, args.point_index, None), None)
         if pt is None:
             raise ValueError("point index %d out of range" % args.point_index)
     sig = chains.signature(chain, pt)

@@ -1,17 +1,24 @@
-"""The benchmark's span tracer still finds what it traces.
+"""The benchmark still finds what it uses of the program.
 
 ``bench/spans.py`` looks its targets up by name and wraps each generator
 function in a per-resume wrapper, so renaming a traced function, or turning
 a generator into a plain function that returns an iterator, would silently
-zero its metrics.  This checks both without running the benchmark.
+zero its metrics.  ``bench/run.py`` passes fixed command lines to the CLI,
+so deleting or renaming a flag they use would fail every sample.  This
+checks all three without running the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+from lgseries import cli
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+SPANS = os.path.join(BENCH, "spans.py")
+RUN = os.path.join(BENCH, "run.py")
 
 
 def _spans_module():
@@ -42,3 +49,29 @@ def test_traced_generators_are_generator_functions():
     assert set(spans.GENERATORS) <= set(by_name)
     for name in spans.GENERATORS:
         assert inspect.isgeneratorfunction(_resolve(*by_name[name])), name
+
+
+def _run_constants(*names):
+    """The values of the named top-level literals of ``bench/run.py``, read
+    from its syntax tree, so nothing of the benchmark runs."""
+    with open(RUN) as fh:
+        tree = ast.parse(fh.read())
+    values = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in names}
+    return [values[name] for name in names]
+
+
+def test_every_workload_command_line_parses():
+    # as bench/run.py builds it: the workload's argv, the chain file of a
+    # seeded workload, the budget and the report path
+    workloads, smoke, budget = _run_constants("WORKLOADS", "SMOKE", "BUDGET")
+    for name, wl in list(workloads.items()) + list(smoke.items()):
+        argv = list(wl["argv"])
+        if "conj" in wl:
+            argv += ["--chain-file", "chain.json"]
+        argv += ["--budget", budget, "--out", "report.json"]
+        args = cli._build_parser(None, argv[0]).parse_args(argv)
+        cli._check_limits(args)
+        assert args.command == argv[0] and args.budget == int(budget), name

@@ -152,15 +152,17 @@ def test_enumerate_points_budget():
 
 
 def _points_walking_every_interval(chain):
-    """The point stream by plain recursion, calling ``_interval`` afresh at
-    every tree node (the oracle for the memo in ``enumerate_points``)."""
+    """The point stream by plain recursion, drawing each interval afresh
+    from a new ``_Intervals`` table at every tree node (the oracle for the
+    table's memos in ``enumerate_points``)."""
     out = []
 
     def walk(prefix):
         if len(prefix) == chain.n:
             out.append(ChainPoint(prefix))
             return
-        for w in chains_module._interval(chain, len(prefix) - 1, prefix[-1]):
+        table = chains_module._Intervals(chain)
+        for w in table.draw(len(prefix) - 1, prefix[-1]):
             walk(prefix + [w])
 
     for v in enumerate_subspaces(chain.d, chain.r, chain.p):
@@ -190,7 +192,8 @@ def test_interval_matches_brute_force_filter():
     # not): the interval is the filtered subspace stream, each W once, with
     # the echelon cells in stream order, and it equals the interval walked
     # from both ends by enumerate_between, whose quotient order inside a
-    # cell the point stream has always had
+    # cell the point stream has always had; one table per chain, so later
+    # nodes replay stored nodes and pairs
     chains = [build_section_chain(2, 2, 1), build_section_chain(3, 2, 2),
               build_section_chain(3, 3, 2)]
     chains += list(small_standard_chains())
@@ -201,10 +204,11 @@ def test_interval_matches_brute_force_filter():
     branches = set()
     for c in chains:
         spaces = list(enumerate_subspaces(c.d, c.r, c.p))
+        table = chains_module._Intervals(c)
         for i in range(c.n - 1):
             stream = [(w, apply_map(c.gs[i], w)) for w in spaces]
             for v in spaces:
-                got = list(chains_module._interval(c, i, v))
+                got = list(table.of(i, v))
                 want = _interval_by_filter(c, i, v, stream)
                 assert len(set(got)) == len(got)
                 assert set(got) == set(want)
@@ -216,10 +220,11 @@ def test_interval_matches_brute_force_filter():
     assert branches == {True, False}
 
 
-def _count_interval(monkeypatch):
-    """Patch ``chains._interval`` to count its calls and yields."""
+def _count_draws(monkeypatch):
+    """Patch ``chains._Intervals.draw`` to count its calls (node draws) and
+    yields."""
     counts = {"calls": 0, "yields": 0}
-    real = chains_module._interval
+    real = chains_module._Intervals.draw
 
     def counting(*args):
         counts["calls"] += 1
@@ -227,12 +232,12 @@ def _count_interval(monkeypatch):
             counts["yields"] += 1
             yield item
 
-    monkeypatch.setattr(chains_module, "_interval", counting)
+    monkeypatch.setattr(chains_module._Intervals, "draw", counting)
     return counts
 
 
 def test_enumerate_points_draws_no_candidate_ahead_of_budget(monkeypatch):
-    counts = _count_interval(monkeypatch)
+    counts = _count_draws(monkeypatch)
     c = make_standard_chain(2, 6, 3, 0, 2, r=3)
     with pytest.raises(BudgetError) as info:
         list(enumerate_points(c, budget=100))
@@ -307,11 +312,19 @@ def test_counting_passes_draw_an_interval_only_as_far_as_the_budget(
 
 def test_enumerate_points_walks_each_interval_once(monkeypatch):
     # section (3, 3, 2): 1,119 prefixes below the last level, but only 390
-    # distinct (level, subspace) pairs among them
-    counts = _count_interval(monkeypatch)
-    assert sum(1 for _ in enumerate_points(build_section_chain(3, 3, 2))) \
-        == 1147
-    assert counts["calls"] == 390
+    # distinct (level, subspace) pairs among them.  Every step of a standard
+    # chain has the same (f, g), so a node (k, V) shares its interval with
+    # (j, V) at every other step: keyed by (level, V), the walks of the two
+    # standard chains drew 390 and 70 intervals
+    cases = ((build_section_chain(3, 3, 2), 1147, 390),
+             (make_standard_chain(4, 4, 2, 0, 3, 2), 1381, 166),
+             (make_standard_chain(3, 4, 2, 0, 2, 2), 211, 46))
+    counts = _count_draws(monkeypatch)
+    for c, points, draws in cases:
+        want = _points_walking_every_interval(c)
+        counts["calls"] = 0
+        assert list(enumerate_points(c)) == want and len(want) == points
+        assert counts["calls"] == draws, c
 
 
 def test_interval_passes_list_each_pair_once(monkeypatch):
@@ -476,6 +489,37 @@ def test_exactness_matches_containment_oracle():
         assert not is_exact(c, p)
         with pytest.raises(RuntimeError, match="rank law"):
             signature(c, p)
+
+
+def _gf2_matrix_3x3(entries):
+    return Matrix.from_rows(GF2, [list(entries[i:i + 3]) for i in (0, 3, 6)])
+
+
+@pytest.mark.parametrize("f, g, v, w, fails", [
+    # ker g|W = span{(1,0,0)} is not in f(V) = span{(1,1,1)}
+    ((0, 1, 0, 0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 0),
+     [[1, 0, 0], [0, 1, 1]], [[1, 0, 0], [0, 1, 1]], "ker g"),
+    # ker f|V = span{(1,0,0)} is not in g(W) = span{(0,0,1)}
+    ((0, 0, 1, 0, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 1),
+     [[1, 0, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 1]], "ker f"),
+], ids=["ker-g", "ker-f"])
+def test_exactness_fails_on_one_containment_alone(f, g, v, w, fails):
+    # two GF(2) chains (n = 2, d = 3, r = 2) violating the axioms, on each
+    # of which exactly one of the two containments of _step fails, so
+    # dropping either check makes a point exact that is not
+    f, g = _gf2_matrix_3x3(f), _gf2_matrix_3x3(g)
+    c = LinkedChain(GF2, 2, 3, 2, [f], [g], GF2(0))
+    pt = ChainPoint([Subspace.from_rows(GF2, 3, v),
+                     Subspace.from_rows(GF2, 3, w)])
+    assert not validate_chain(c).ok and is_linked_point(c, pt)
+    holds = {"ker g": apply_map(f, pt[0]).contains(
+                 intersect(pt[1], kernel(g))),
+             "ker f": apply_map(g, pt[1]).contains(
+                 intersect(pt[0], kernel(f)))}
+    assert [k for k, ok in holds.items() if not ok] == [fails]
+    assert is_exact(c, pt) is False
+    with pytest.raises(RuntimeError, match="rank law"):
+        signature(c, pt)
 
 
 def test_tangent_cross_chain_values():
@@ -937,21 +981,22 @@ def test_census_experiments_adds_no_interval_or_point_work(monkeypatch):
     cases = (build_section_chain(3, 3, 2), make_standard_chain(4, 4, 2, 0, 3, 2))
     want = [census(c, experiments=True).as_dict() for c in cases]
     calls = {}
-    for name in ("_interval", "_step", "apply_map"):
-        real = getattr(chains_module, name)
+    for owner, name in ((chains_module._Intervals, "draw"),
+                        (chains_module, "_step"), (chains_module, "apply_map")):
+        real = getattr(owner, name)
 
         def counting(*args, _name=name, _real=real):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args)
 
-        monkeypatch.setattr(chains_module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     for c in cases:
         reads = []
         for experiments in (False, True):
             calls.clear()
             census(c, experiments=experiments)
             reads.append(dict(calls))
-        assert reads[0] == reads[1] and reads[0]["_interval"] > 0, c
+        assert reads[0] == reads[1] and reads[0]["draw"] > 0, c
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the census walked the point stream")
@@ -1148,7 +1193,7 @@ def test_axiom_violation_at_a_space_where_f_is_not_injective():
     c = _axiom_violating_chain_off_the_kernel()
     assert not validate_chain(c).ok
     reached = {w for v in enumerate_subspaces(3, 2, 2)
-               for w in chains_module._interval(c, 0, v)}
+               for w in chains_module._Intervals(c).draw(0, v)}
     faulty = [v for v in reached
               if not v.contains(apply_map(c.gs[1], apply_map(c.fs[1], v)))]
     assert faulty
@@ -1159,12 +1204,12 @@ def test_axiom_violation_at_a_space_where_f_is_not_injective():
             run()
     # the first step has no fault, and the axiom-violating chain above
     # faults where f is injective
-    assert all(list(chains_module._interval(c, 0, v))
+    assert all(list(chains_module._Intervals(c).draw(0, v))
                for v in enumerate_subspaces(3, 2, 2))
     c0 = _axiom_violating_chain()
     assert apply_map(c0.fs[0], span2([[1, 0]])).dim == c0.r
     with pytest.raises(ValueError, match="step 0.*linked-chain axioms"):
-        list(chains_module._interval(c0, 0, span2([[1, 0]])))
+        list(chains_module._Intervals(c0).draw(0, span2([[1, 0]])))
 
 
 def _chain_faulty_at_step_0(seed):

@@ -8,6 +8,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1093,6 +1094,12 @@ def test_listing_writer_tells_equal_values_of_two_types_apart():
     want = json.dumps(dict(report, listing=[[v] for (v,) in rows]),
                       sort_keys=True, indent=2)
     assert cli._listing_json_text(report, "listing", ["\0"], rows) == want
+
+
+def test_listing_writer_rejects_a_mark_under_a_key():
+    # a dict value would be written with its key text as indentation
+    with pytest.raises(ValueError, match="list item"):
+        cli._listing_json_text({"count": 1}, "listing", {"z": "\0"}, [(1,)])
 
 
 # degree-2 bases: lists of rows of three small ints
