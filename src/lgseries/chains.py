@@ -19,19 +19,20 @@ can stop early; the counting passes (``census``, its signature graph, and
 ``_interval_graph``, which alone spends their budget.  Every analysis
 reads an edge through ``_step``: the ranks of f_i and g_i on the point,
 exactness at the step, and the step's block of the linearised
-linkage equations, which couple consecutive levels only.  The step works in
-each space's frame (its echelon basis and the unit rows at its non-pivot
-columns), whose coordinates are read off the pivots and the annihilator
-rows, so no frame is built or inverted.  ``signature``, ``is_exact`` and
-``tangent_dimension`` run it along one point's path; a census runs it once
-per edge of the whole graph and folds the tangent equations forward level
-by level (``_advance``), merging the prefixes that reach the same state.
+linkage equations, which couple consecutive levels only.  It joins two
+node halves, each built once per (kind, node, map) in a memo of the pass
+and read off echelon bases, pivots and annihilator rows, so no frame is
+built or inverted.  ``signature``, ``is_exact`` and ``tangent_dimension``
+run it along one point's path; a census runs it once per edge of the whole
+graph and folds the tangent equations forward level by level
+(``_advance``), merging the prefixes that reach the same state.
 All of it runs on int rows through ``linalg._reduce``.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import mul
@@ -537,24 +538,52 @@ class _Step(NamedTuple):
     eqs: tuple       # rows of [E_V | E_W], the linearised linkage equations
 
 
-def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace) -> _Step:
-    """The step data of the edge V = V_k -> W = V_{k+1}, read off the two
-    echelon bases.
+def _half(chain: LinkedChain, k: int, u: Subspace, forward: bool) -> tuple:
+    """What the edges at step k read of their end U: (images, span, kernel,
+    free, ann) for M = f_k at a source (``forward``), g_k at a target, and
+    M' the other map.  These are the rows M b_a; M(U) and ker(M|U) in
+    ambient coordinates, canonical, from one elimination of the rows
+    [M b_a | b_a]; U's non-pivot columns; and the rows a_c M'."""
+    p, d = chain.p, chain.d
+    mat, partner = ((chain.fs[k], chain.gs[k]) if forward
+                    else (chain.gs[k], chain.fs[k]))
+    pset, basis = set(u.pivots), u.basis_rows()
+    free = [c for c in range(d) if c not in pset]
+    cols = [mat.column(j) for j in range(d)]
+    images = []
+    for b, pc in zip(basis, u.pivots):
+        # b is 1 at pc, 0 at U's other pivots
+        img = cols[pc]
+        for c in free:
+            x = b[c]
+            if x:
+                img = [a + x * y for a, y in zip(img, cols[c])]
+        images.append([a % p for a in img])
+    rows = [img + list(b) for img, b in zip(images, basis)]
+    pivots = _reduce(rows, range(2 * d), p)
+    rank = bisect_left(pivots, d)
+    span = Subspace._echelon(chain.field, d, [row[:d] for row in rows[:rank]],
+                             pivots[:rank])
+    return (images, span, [row[d:] for row in rows[rank:]], free,
+            u._annihilate(partner._rows(), p))
+
+
+def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace,
+          halves: dict, kind: int) -> _Step:
+    """The step data of the edge V = V_k -> W = V_{k+1}, joined from the
+    halves (``_half``) of its ends, kept in ``halves`` per (kind, node, map).
 
     Each space has its frame: its basis rows b_a, then the unit rows at its
-    non-pivot columns.  Frame coordinates need no inverse.  Every b_a is 1 at
-    its own pivot pc_a and 0 at the others, so the coordinate of y on b_a is
-    y[pc_a]; on the unit row at a non-pivot column c it is a_c . y, with
-    a_c = e_c - sum_a b_a[c] e_(pc_a) the annihilator row of
-    ``Subspace._annihilate``.  So L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on
-    V in basis coordinates, and the quotient rows a_c f_k, one per non-pivot
-    column c of W, give f_k into the quotient.  A quotient row that does not
-    vanish on V's basis raises ValueError (non-linked point); the entries of
-    the quotient rows at V's non-pivot columns form the e x e block Q_F.
-    g_k gives L_G and Q_G in the same way, with V and W swapped.  Exactness
-    is the containment definition: the kernel of each restricted map (the
-    left kernel of its L block) lies in the image of the other (the row
-    space).
+    non-pivot columns.  Every b_a is 1 at its own pivot pc_a and 0 at the
+    others, so the coordinate of y on b_a is y[pc_a]; on the unit row at a
+    non-pivot column c it is a_c . y, with a_c = e_c - sum_a b_a[c] e_(pc_a)
+    the annihilator row of ``Subspace._annihilate``.  So L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on
+    V in basis coordinates, and the rows a_c f_k of W's half give f_k into
+    the quotient.  One that does not vanish on V's basis raises ValueError
+    (non-linked point); their entries at V's non-pivot columns form the
+    e x e block Q_F.  g_k gives L_G and Q_G in the same way, with V and W
+    swapped.  Exactness is the containment definition, by reduction against
+    the halves' spans: ker g_k|W lies in f_k(V) and ker f_k|V in g_k(W).
 
     The unknowns are the maps phi_k : V_k -> E/V_k in frame coordinates,
     phi(b_a) = sum_c X[a][c] e_c over the non-pivot columns, flattened as
@@ -562,43 +591,36 @@ def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace) -> _Step:
     X_k Q_F = L_F X_{k+1} and X_{k+1} Q_G = L_G X_k; ``eqs`` holds those 2re
     equations as rows over the unknowns of level k, then those of level k+1.
     """
-    ring, p, r = chain.field, chain.p, chain.r
+    hv, hw = halves.get((kind, v, True)), halves.get((kind, w, False))
+    if hv is None:
+        hv = halves[kind, v, True] = _half(chain, k, v, True)
+    if hw is None:
+        hw = halves[kind, w, False] = _half(chain, k, w, False)
+    (f_img, f_span, f_ker, v_free, v_ann), \
+        (g_img, g_span, g_ker, w_free, w_ann) = hv, hw
+    p, r = chain.p, chain.r
     e = chain.d - r
     re_ = r * e
-
-    def blocks(name: str, mat: Matrix, src: Subspace, dst: Subspace,
-               src_i: int, dst_i: int) -> tuple:
-        mrows = mat._rows()
-        basis = src.basis_rows()
-        lam = [[sum(map(mul, mrows[pc], b)) % p for pc in dst.pivots]
-               for b in basis]
-        quot = dst._annihilate(mrows, p)
-        if any(sum(map(mul, q, b)) % p for q in quot for b in basis):
-            raise ValueError("non-linked point: %s_%d(V_%d) is not in V_%d"
-                             % (name, k, src_i, dst_i))
-        pset = set(src.pivots)
-        free = [c for c in range(chain.d) if c not in pset]
-        return lam, [[q[c] for c in free] for q in quot]
-
-    lf, qf = blocks("f", chain.fs[k], v, w, k, k + 1)
-    lg, qg = blocks("g", chain.gs[k], w, v, k + 1, k)
-    im_f, im_g = Subspace._span(ring, r, lf), Subspace._span(ring, r, lg)
-    # the left kernel of an L block: its columns are the equations
-    ker_f = _null_space(ring, list(zip(*lf)), r, p)
-    ker_g = _null_space(ring, list(zip(*lg)), r, p)
-    exact = im_f.contains(ker_g) and im_g.contains(ker_f)
     eqs = []
-    for lam, quot, forward in ((lf, qf, True), (lg, qg, False)):
-        for a in range(r):
+    for name, i, src, dst, imgs, ann, free, forward in (
+            ("f", k, v, w, f_img, w_ann, v_free, True),
+            ("g", k + 1, w, v, g_img, v_ann, w_free, False)):
+        basis = src.basis_rows()
+        if any(sum(map(mul, q, b)) % p for q in ann for b in basis):
+            raise ValueError("non-linked point: %s_%d(V_%d) is not in V_%d"
+                             % (name, k, i, 2 * k + 1 - i))
+        quot = [[q[c] for c in free] for q in ann]
+        for a, img in enumerate(imgs):
+            lam = [-img[pc] % p for pc in dst.pivots]
             for out_c in range(e):
                 own = [0] * re_      # X of the map's source level
                 other = [0] * re_    # X of its target level
                 own[a * e:(a + 1) * e] = quot[out_c]
-                for kk in range(r):
-                    other[kk * e + out_c] = -lam[a][kk] % p
+                other[out_c::e] = lam
                 eqs.append(tuple(own + other) if forward
                            else tuple(other + own))
-    return _Step(im_f.dim, im_g.dim, exact, tuple(eqs))
+    exact = f_span._holds(g_ker) and g_span._holds(f_ker)
+    return _Step(f_span.dim, g_span.dim, exact, tuple(eqs))
 
 
 def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
@@ -633,7 +655,9 @@ def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
     """The step data along the single path of ``pt``; a non-linked step
     raises ValueError."""
     _check_point_shape(chain, pt)
-    return [_step(chain, k, pt[k], pt[k + 1]) for k in range(chain.n - 1)]
+    halves = {}
+    return [_step(chain, k, pt[k], pt[k + 1], halves, k)
+            for k in range(chain.n - 1)]
 
 
 def _check_rank_law(by_ranks: bool, exact: bool) -> None:
@@ -881,10 +905,11 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     on the whole point, as in ``signature``.
 
     Each edge reads its ranks, exactness and equations from step data
-    cached per (f_k, g_k, V, W), read off the echelon bases of V and W
-    (``_step``), and moves every state at V by one ``_advance``; a leaf's
-    tangent dimension is D + dim K of its last step.  The budget is spent
-    by ``_interval_graph`` as it builds the graph, before any state moves.
+    cached per (f_k, g_k, V, W), joined from halves of V and W that one
+    memo keeps for the whole pass (``_step``), and moves every state at V
+    by one ``_advance``; a leaf's tangent dimension is D + dim K of its
+    last step.  The budget is spent by ``_interval_graph`` as it builds the
+    graph, before any state moves.
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
@@ -894,13 +919,13 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     report = CensusReport(chain.as_dict(), chain.p)
     r = chain.r
     graph = _interval_graph(chain, budget)
-    steps = {}
+    steps, halves = {}, {}
 
     def step(k: int, v: Subspace, w: Subspace) -> _Step:
         key = (graph.kinds[k], v, w)
         st = steps.get(key)
         if st is None:
-            st = steps[key] = _step(chain, k, v, w)
+            st = steps[key] = _step(chain, k, v, w, halves, key[0])
         return st
 
     def moved(key: tuple, st: _Step, grow: int) -> tuple:

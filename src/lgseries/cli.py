@@ -15,9 +15,10 @@ except the long listings of ``enum-lls`` (points) and ``fr-image``
 (preimage counts): ``_listing_json_text`` renders one entry with placeholder
 values once, and writes each entry as that template joined with the texts
 of its values, byte for byte what ``json.dumps`` would write.  Each distinct
-value is written once, filled into one template per shape: a subspace over
-a prime field per (ring, ambient dimension, rank), a flat tuple of ints per
-length; any other value is encoded by ``json.dumps``.  ``enum-lls`` takes
+value (for a subspace, each object) is written once, filled into one
+template per shape: a subspace over a prime field per (ring, ambient
+dimension, rank), a flat tuple of ints per length; any other value is
+encoded by ``json.dumps``.  ``enum-lls`` takes
 its whole point stream before writing anything, so a budget exit writes no
 report.  A call runs with the collector's generation-0 threshold at 100,000
 (``main``), since it frees little before it exits.
@@ -79,6 +80,7 @@ def _listing_json_text(report: dict, name: str, template, rows) -> str:
     template is encoded once, and each distinct value is written once per
     indentation (``_value_text``); a value must be hashable or a list of
     hashable items, and equal values of one type must write the same JSON.
+    A subspace is keyed by identity (``rows`` keeps it alive).
     A mark with other text before it on its line (a dict value, say) raises
     ValueError, since a value's lines are indented as far as its mark's."""
     if not rows:
@@ -100,7 +102,7 @@ def _listing_json_text(report: dict, name: str, template, rows) -> str:
         for value, (texts, slot_pad, piece) in zip(row, slots):
             # by type too, since True == 1 writes "true" and 1 writes "1"
             cls = value.__class__
-            key = value if cls is Subspace else (
+            key = id(value) if cls is Subspace else (
                 cls, tuple(value) if cls is list else value)
             text = texts.get(key)
             if text is None:

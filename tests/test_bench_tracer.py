@@ -5,16 +5,20 @@ function in a per-resume wrapper, so renaming a traced function, or turning
 a generator into a plain function that returns an iterator, would silently
 zero its metrics.  ``bench/run.py`` passes fixed command lines to the CLI,
 so deleting or renaming a flag they use would fail every sample.  This
-checks all three without running the benchmark.
+checks all three without running the benchmark, and runs the seeded census
+workload's command line in process against its pinned report digest.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 from lgseries import cli
+from test_chains import conjugated_standard_chain
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 SPANS = os.path.join(BENCH, "spans.py")
@@ -75,3 +79,25 @@ def test_every_workload_command_line_parses():
         args = cli._build_parser(None, argv[0]).parse_args(argv)
         cli._check_limits(args)
         assert args.command == argv[0] and args.budget == int(budget), name
+
+
+def test_seeded_census_workload_gives_the_pinned_report(tmp_path):
+    # the census-conj-w2 command line on the conjugated chain of three
+    # seeds; conjugation is an isomorphism, so without its chain every
+    # report re-serializes, as bench/run.py report_digest does, to the one
+    # full pin of bench/digests.json
+    [workloads, budget] = _run_constants("WORKLOADS", "BUDGET")
+    wl = workloads["census-conj-w2"]
+    with open(os.path.join(BENCH, "digests.json")) as fh:
+        pinned = json.load(fh)["full"]["census-conj-w2"]
+    for seed in (1, 2, 3):
+        chain_file, out = tmp_path / "chain.json", tmp_path / "report.json"
+        chain_file.write_text(json.dumps(
+            conjugated_standard_chain(*wl["conj"], seed=seed).as_dict()))
+        argv = list(wl["argv"]) + ["--chain-file", str(chain_file),
+                                   "--budget", budget, "--out", str(out)]
+        assert cli.main(argv) == 0, seed
+        report = json.loads(out.read_bytes())
+        del report["chain"]
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned, seed

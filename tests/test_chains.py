@@ -670,6 +670,69 @@ def test_step_runs_without_matrix_products_or_rref(monkeypatch):
             signature(c, pt)
 
 
+@pytest.mark.parametrize("c", [
+    build_section_chain(3, 2, 3), build_section_chain(3, 3, 2),
+    make_standard_chain(3, 4, 2, 0, 3, 2),
+    make_standard_chain(3, 3, 1, 2, 3, 2),
+    conjugated_standard_chain(2, 4, 2, 2, 2, seed=1),
+    conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)], ids=repr)
+def test_census_steps_from_shared_halves_equal_fresh_steps(c, monkeypatch):
+    # the census joins every edge from node halves kept in one memo for the
+    # whole pass; each of its steps equals the step built from nothing
+    real, seen, memos = chains_module._step, {}, set()
+
+    def recording(chain, k, v, w, halves, kind):
+        memos.add(id(halves))
+        st = real(chain, k, v, w, halves, kind)
+        seen[kind, v, w] = (k, st)
+        return st
+
+    monkeypatch.setattr(chains_module, "_step", recording)
+    census(c)
+    graph = chains_module._interval_graph(c, None)
+    edges = {(graph.kinds[k], v, w) for k, layer in enumerate(graph.layers)
+             for v, ws in layer.items() for w in ws}
+    assert len(memos) == 1 and set(seen) == edges
+    for (_kind, v, w), (k, st) in seen.items():
+        assert st == real(c, k, v, w, {}, k)
+
+
+def test_shared_halves_keep_one_containment_failures():
+    # the chains of test_exactness_fails_on_one_containment_alone, every
+    # linked pair read through one memo: the point's step is still not exact
+    [mark] = test_exactness_fails_on_one_containment_alone.pytestmark
+    for f, g, v, w, _fails in mark.args[1]:
+        c = LinkedChain(GF2, 2, 3, 2, [_gf2_matrix_3x3(f)],
+                        [_gf2_matrix_3x3(g)], GF2(0))
+        halves, steps = {}, {}
+        spaces = list(enumerate_subspaces(3, 2, 2))
+        for a, b in itertools.product(spaces, repeat=2):
+            if is_linked_point(c, ChainPoint([a, b])):
+                steps[a, b] = chains_module._step(c, 0, a, b, halves, 0)
+                assert steps[a, b] == chains_module._step(c, 0, a, b, {}, 0)
+        step = steps[Subspace.from_rows(GF2, 3, v),
+                      Subspace.from_rows(GF2, 3, w)]
+        assert len(steps) > 1 and not step.exact
+        assert step.f_rank + step.g_rank == c.r
+
+
+@pytest.mark.parametrize("c, calls", [
+    (conjugated_standard_chain(2, 4, 2, 2, 2, seed=1), 89),
+    (build_section_chain(3, 2, 3), 127)], ids=repr)
+def test_census_annihilates_once_per_node_half(c, calls, monkeypatch):
+    # Subspace._annihilate runs once per preimage an interval draw builds
+    # and once per node half, not once per end of every edge
+    real, count = Subspace._annihilate, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(Subspace, "_annihilate", counting)
+    census(c)
+    assert count[0] == calls
+
+
 def test_decompose_cross_node():
     c = cross_chain()
     rep = decompose(c, cross_node(), 1)
