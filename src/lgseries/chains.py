@@ -13,6 +13,9 @@ The linked points are the paths through a layered graph: its nodes are
 reads the intervals from one table of its own (``_Intervals``), which draws
 each node's interval once, lists the spaces between each distinct pair
 (f_i(V), g_i^{-1}(V)) once and holds each distinct space as one object.
+A draw is one kernel on int rows: axiom (I) is decided once per step kind,
+and a space is interned by its echelon entries before any ``Subspace`` is
+built, so the passes key spaces by identity and hash none.
 The point stream walks the graph depth first and lazily (``_walk``), so it
 can stop early; the counting passes (``census``, its signature graph, and
 ``boundary_counts``) read one copy of it, built level by level by
@@ -34,16 +37,16 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain as concat
+from itertools import islice, starmap
 from operator import mul
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .fields import Fp, PrimeField
-from .linalg import (BudgetError, Matrix, Subspace, _maps_into, _null_space,
-                     _reduce, _require_dict, apply_map, contains,
-                     enumerate_between, enumerate_subspaces, image, intersect,
-                     kernel, preimage)
+from .linalg import (BudgetError, Matrix, Subspace, _between, _null_basis,
+                     _null_space, _reduce, _require_dict, apply_map, contains,
+                     enumerate_subspaces, image, intersect, kernel)
 
 
 class LinkedChain:
@@ -333,19 +336,23 @@ def boundary_counts(chain: LinkedChain,
     Counts the paths through the interval graph of ``_interval_graph``,
     which also spends the budget, and lists no point: for each level-0
     space, in stream order, a forward pass over the graph's layers carries
-    {V_k: paths to it}.
+    {id(V_k): [V_k, paths to it]}.
     """
     graph = _interval_graph(chain, budget)
     counts = {}
     for source in graph.roots:
-        front = {source: 1}
+        front = {id(source): [source, 1]}
         for layer in graph.layers:
             nxt = {}
-            for v, paths in front.items():
-                for w in layer[v]:
-                    nxt[w] = nxt.get(w, 0) + paths
+            for key, (_, paths) in front.items():
+                for w in layer[key]:
+                    slot = nxt.get(id(w))
+                    if slot is None:
+                        nxt[id(w)] = [w, paths]
+                    else:
+                        slot[1] += paths
             front = nxt
-        counts.update(((source, v), paths) for v, paths in front.items())
+        counts.update(((source, v), paths) for v, paths in front.values())
     return counts
 
 
@@ -353,7 +360,7 @@ class _Graph(NamedTuple):
     """The interval graph of a chain, as built by ``_interval_graph``."""
     roots: tuple     # the level-0 spaces, in stream order
     kinds: tuple     # per step, an index shared by steps with equal (f_k, g_k)
-    layers: tuple    # per step k, {V_k: the interval of V_k}
+    layers: tuple    # per step k, {id(V_k): the interval of V_k}
 
 
 def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
@@ -366,7 +373,9 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
     prefix count is the number of paths from level 0.  An interval not yet
     in the table is drawn only as far as the budget has room for, so an
     over-budget one is never listed whole, and the stream's BudgetError is
-    raised once the total passes ``budget``.
+    raised once the total passes ``budget``.  Every space of the graph is
+    one object of the table, which holds it, so the layers and the front
+    {id(V_k): [V_k, paths]} key spaces by identity.
     """
     table, spent, roots = _Intervals(chain), 0, []
     for v in enumerate_subspaces(chain.d, chain.r, chain.p):
@@ -374,10 +383,10 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
         if budget is not None and spent > budget:
             raise _budget_error(budget)
         roots.append(table.space(v))
-    front, layers = dict.fromkeys(roots, 1), []
+    front, layers = {id(v): [v, 1] for v in roots}, []
     for k in range(chain.n - 1):
         layer, nxt = {}, {}
-        for v, paths in front.items():
+        for key, (v, paths) in front.items():
             cands = table.of(k, v)
             if not isinstance(cands, tuple):
                 stop = (None if budget is None
@@ -386,9 +395,13 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
             spent += paths * len(cands)
             if budget is not None and spent > budget:
                 raise _budget_error(budget)
-            layer[v] = cands
+            layer[key] = cands
             for w in cands:
-                nxt[w] = nxt.get(w, 0) + paths
+                slot = nxt.get(id(w))
+                if slot is None:
+                    nxt[id(w)] = [w, paths]
+                else:
+                    slot[1] += paths
         layers.append(layer)
         front = nxt
     return _Graph(tuple(roots), table.kinds, tuple(layers))
@@ -442,37 +455,58 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
 class _Intervals:
     """The intervals f_k(V) <= W <= g_k^{-1}(V) of one pass over a chain.
 
-    Three dicts, none of which outlives the pass.  ``spaces`` interns every
-    space by its echelon entries (on one chain they name the space), so each
-    distinct space is one object, interning never calls ``Subspace.__eq__``,
-    and the other two dicts and the callers' lookups hit by identity.
-    ``nodes`` maps (kind, V) to the interval of V, where steps with equal
-    (f_k, g_k) share a kind, so each node's interval is drawn once.
-    ``pairs`` maps the entries of (f_k(V), g_k^{-1}(V)) to the spaces
-    between the two, so ``enumerate_between`` runs once per distinct pair.
-    Both memos are filled lazily through ``_recorded``: a stream is stored
-    once it is exhausted, so one cut short by a budget, or met again while
-    it is still open deeper in a walk, is drawn afresh, never replayed
-    part-way.
+    ``maps`` holds, per kind, the rows of f_k and g_k and whether
+    g_k f_k = s id (axiom (I)), read once; steps with equal (f_k, g_k) share
+    a kind.  Three dicts, none of which outlives the pass.  ``spaces``
+    interns every space by its echelon entries (on one chain they name the
+    space) before any ``Subspace`` is built, so each distinct space is one
+    object and interning calls no ``Subspace`` method.  ``nodes`` maps
+    (kind, id(V)) to the interval of V, so each node's interval is drawn
+    once and no lookup hashes a space; V is held by the caller, as every
+    space the table hands out is held in ``spaces``.  ``pairs`` maps the
+    entries of (f_k(V), g_k^{-1}(V)) to the spaces between the two, so
+    ``linalg._between`` runs once per distinct pair.  Both memos are filled
+    lazily through ``_recorded``: a stream is stored once it is exhausted,
+    so one cut short by a budget, or met again while it is still open
+    deeper in a walk, is drawn afresh, never replayed part-way.
     """
 
-    __slots__ = ("chain", "kinds", "spaces", "nodes", "pairs")
+    __slots__ = ("chain", "kinds", "maps", "spaces", "nodes", "pairs")
 
     def __init__(self, chain: LinkedChain):
-        maps = {}
+        maps, p, s = {}, chain.p, chain.s.v
         self.chain = chain
         self.kinds = tuple(maps.setdefault((f, g), len(maps))
                            for f, g in zip(chain.fs, chain.gs))
+        self.maps = []
+        for f, g in maps:
+            frows, grows = f._rows(), g._rows()
+            fcols = list(zip(*frows))
+            lawful = all(sum(map(mul, grow, col)) % p == (s if i == j else 0)
+                         for i, grow in enumerate(grows)
+                         for j, col in enumerate(fcols))
+            self.maps.append((frows, grows, lawful))
         self.spaces, self.nodes, self.pairs = {}, {}, {}
 
     def space(self, v: Subspace) -> Subspace:
         """The one object of the pass equal to ``v``."""
         return self.spaces.setdefault(v.basis.entries, v)
 
+    def _space(self, ents: tuple, pivots: Sequence[int]) -> Subspace:
+        """The one object of the pass with echelon entries ``ents``, built
+        only if it is new."""
+        sp = self.spaces.get(ents)
+        if sp is None:
+            ring, d = self.chain.field, self.chain.d
+            sp = self.spaces[ents] = Subspace(
+                ring, d, Matrix(ring, len(pivots), d, ents), tuple(pivots),
+                True)
+        return sp
+
     def of(self, k: int, v: Subspace) -> Iterable[Subspace]:
         """The interval of v at step k: the stored tuple, or a stream that
         stores it once exhausted."""
-        key = (self.kinds[k], v)
+        key = (self.kinds[k], id(v))
         seen = self.nodes.get(key)
         if seen is None:
             return _recorded(self.draw(k, v), self.nodes, key)
@@ -482,34 +516,39 @@ class _Intervals:
         """The rank-r spaces W with f_k(v) <= W <= g_k^{-1}(v), in stream
         order, interned.
 
-        When f_k(v) already has rank r it is the whole interval, and
-        g_k^{-1}(v) is never built: g_k f_k(v) <= v is checked against v's
-        basis instead.  g_k^{-1}(v) has dimension at least r for any map,
-        so the interval is empty only when f_k(v) is not inside
-        g_k^{-1}(v).  The chain axioms rule that out (g_k f_k = s id); on a
-        chain violating them the stream raises ValueError naming step k.
+        f_k(v) is one ``_reduce`` of the images of v's basis rows.  When it
+        has rank r it is the whole interval, and g_k^{-1}(v) is never built;
+        otherwise g_k^{-1}(v) is the null space of the rows a g_k for the
+        annihilator rows a of v, and the spaces between the two come from
+        ``linalg._between``, the kernels of ``apply_map``, ``preimage`` and
+        ``enumerate_between`` without their checks.  g_k^{-1}(v) has
+        dimension at least r for any map, so the interval is empty only when
+        f_k(v) is not inside g_k^{-1}(v), that is, when g_k f_k(v) is not
+        inside v.  Axiom (I), g_k f_k = s id, rules that out, so v is checked
+        only at a step kind that fails it; there a faulty v raises
+        ValueError naming step k before anything is yielded.
         """
         chain = self.chain
-        lower = apply_map(chain.fs[k], v)
-        if lower.dim == chain.r:
-            if not _maps_into(chain.gs[k], lower, v):
-                raise _AxiomError(k)
-            yield self.space(lower)
+        p, d, r = chain.p, chain.d, chain.r
+        frows, grows, lawful = self.maps[self.kinds[k]]
+        lower = [[sum(map(mul, row, b)) % p for row in frows]
+                 for b in v.basis_rows()]
+        if not lawful and not v._holds([[sum(map(mul, row, y))
+                                         for row in grows] for y in lower]):
+            raise _AxiomError(k)
+        pivots = _reduce(lower, range(d), p)
+        ents = tuple(concat.from_iterable(lower))
+        if len(pivots) == r:
+            yield self._space(ents, pivots)
             return
-        upper = preimage(chain.gs[k], v)
-        key = (lower.basis.entries, upper.basis.entries)
+        upper = _null_basis(v._annihilate(grows, p), d, p)
+        key = (ents, tuple(concat.from_iterable(upper[0])))
         seen = self.pairs.get(key)
-        if seen is not None:
-            yield from seen
-            return
-        try:
-            yield from _recorded(
-                map(self.space, enumerate_between(lower, upper, chain.r)),
-                self.pairs, key)
-        except ValueError:
-            if upper.contains(lower):
-                raise
-            raise _AxiomError(k) from None
+        if seen is None:
+            seen = _recorded(starmap(self._space,
+                                     _between((lower, pivots), upper, r, p)),
+                             self.pairs, key)
+        yield from seen
 
 
 def _recorded(stream: Iterator[Subspace], memo: dict,
@@ -571,7 +610,8 @@ def _half(chain: LinkedChain, k: int, u: Subspace, forward: bool) -> tuple:
 def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace,
           halves: dict, kind: int) -> _Step:
     """The step data of the edge V = V_k -> W = V_{k+1}, joined from the
-    halves (``_half``) of its ends, kept in ``halves`` per (kind, node, map).
+    halves (``_half``) of its ends, kept in ``halves`` per (kind, id(node),
+    map): the caller holds the spaces while the memo lives.
 
     Each space has its frame: its basis rows b_a, then the unit rows at its
     non-pivot columns.  Every b_a is 1 at its own pivot pc_a and 0 at the
@@ -591,11 +631,11 @@ def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace,
     X_k Q_F = L_F X_{k+1} and X_{k+1} Q_G = L_G X_k; ``eqs`` holds those 2re
     equations as rows over the unknowns of level k, then those of level k+1.
     """
-    hv, hw = halves.get((kind, v, True)), halves.get((kind, w, False))
+    hv, hw = halves.get((kind, id(v), True)), halves.get((kind, id(w), False))
     if hv is None:
-        hv = halves[kind, v, True] = _half(chain, k, v, True)
+        hv = halves[kind, id(v), True] = _half(chain, k, v, True)
     if hw is None:
-        hw = halves[kind, w, False] = _half(chain, k, w, False)
+        hw = halves[kind, id(w), False] = _half(chain, k, w, False)
     (f_img, f_span, f_ker, v_free, v_ann), \
         (g_img, g_span, g_ker, w_free, w_ann) = hv, hw
     p, r = chain.p, chain.r
@@ -905,7 +945,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     on the whole point, as in ``signature``.
 
     Each edge reads its ranks, exactness and equations from step data
-    cached per (f_k, g_k, V, W), joined from halves of V and W that one
+    cached per (kind, id(V), id(W)), joined from halves of V and W that one
     memo keeps for the whole pass (``_step``), and moves every state at V
     by one ``_advance``; a leaf's tangent dimension is D + dim K of its
     last step.  The budget is spent by ``_interval_graph`` as it builds the
@@ -922,7 +962,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     steps, halves = {}, {}
 
     def step(k: int, v: Subspace, w: Subspace) -> _Step:
-        key = (graph.kinds[k], v, w)
+        key = (graph.kinds[k], id(v), id(w))
         st = steps.get(key)
         if st is None:
             st = steps[key] = _step(chain, k, v, w, halves, key[0])
@@ -947,19 +987,20 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
             report.exact += count
             report.signatures[sig] = report.signatures.get(sig, 0) + count
 
-    # states[V][A] counts prefixes by key (sig, law, D): sig is the pair of
-    # rank prefixes while every step is exact and None after, law whether
-    # every step's ranks sum to r; at a leaf D is the tangent dimension
+    # states[id(V)] = (V, {A: counts}), and counts holds prefixes by key
+    # (sig, law, D): sig is the pair of rank prefixes while every step is
+    # exact and None after, law whether every step's ranks sum to r; at a
+    # leaf D is the tangent dimension
     start = (((), ()), True, 0)
-    states = {v: {None: {start: 1}} for v in graph.roots}
+    states = {id(v): (v, {None: {start: 1}}) for v in graph.roots}
     if chain.n == 1:
         leaf(start[:2] + (r * (chain.d - r),), len(states))
     for k, layer in enumerate(graph.layers):
         last = k == chain.n - 2
         nxt = {}
-        for v, by_a in states.items():
+        for key_v, (v, by_a) in states.items():
             for basis, counts in by_a.items():
-                for w in layer[v]:
+                for w in layer[key_v]:
                     st = step(k, v, w)
                     a_next, dim_k = _advance(chain, st, basis, last)
                     if last:
@@ -967,7 +1008,10 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
                             leaf(moved(key, st, dim_k), cnt)
                         continue
                     vanish = dim_k - len(a_next)
-                    into = nxt.setdefault(w, {}).setdefault(a_next, {})
+                    slot = nxt.get(id(w))
+                    if slot is None:
+                        slot = nxt[id(w)] = (w, {})
+                    into = slot[1].setdefault(a_next, {})
                     for key, cnt in counts.items():
                         nkey = moved(key, st, vanish)
                         into[nkey] = into.get(nkey, 0) + cnt
@@ -1005,7 +1049,8 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
 
 def _witnessed_edges(chain: LinkedChain, graph: _Graph, steps: dict) -> set:
     """The signature-graph edges of an s = 0 chain, read off the census's
-    interval ``graph`` and its step data ``steps``, keyed by (kind, V, W).
+    interval ``graph`` and its step data ``steps``, keyed by (kind, id(V),
+    id(W)); the pass holds every space by its id.
 
     A set pass carries V_k, the f- and g-rank prefixes, and (i, V_i) and
     (j, V_{j+1}) for the first and last steps off the rank law (the
@@ -1018,11 +1063,11 @@ def _witnessed_edges(chain: LinkedChain, graph: _Graph, steps: dict) -> set:
     """
     n, r = chain.n, chain.r
     ahead, back = {}, {}   # (k, V_k) or (k, V_{k+1}) -> [(other end, ranks)]
-    states = {v: {((), (), None, None)} for v in graph.roots}
+    states = {id(v): {((), (), None, None)} for v in graph.roots}
     for k, (kind, layer) in enumerate(zip(graph.kinds, graph.layers)):
         nxt = {}
         for v, keys in states.items():
-            for w in layer[v]:
+            for w in map(id, layer[v]):
                 st = steps[kind, v, w]
                 ahead.setdefault((k, v), []).append((w, st[:2]))
                 back.setdefault((k, w), []).append((v, st[:2]))

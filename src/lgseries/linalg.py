@@ -23,7 +23,9 @@ Kernels.  The field routines share one elimination on lists of int rows,
 ``_reduce``, which ``rref`` wraps.  ``apply_map``, ``kernel`` and
 ``preimage`` each reduce once and build no intermediate Matrix, Echelon or
 Subspace; the null spaces are reduced with pivots taken right to left, so
-their null vectors are already canonical.
+their null vectors are already canonical (``_null_basis``).  The interval
+stream ``_between`` yields echelon entries, not subspaces, so a caller can
+intern a space before building it.
 
 Dual numbers.  Over R = GF(p)[eps]/(eps^2) the entries are ``Dual`` values,
 and a submodule M of R^d is decided through the GF(p)-subspace
@@ -611,7 +613,12 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def _null_space(ring, rows: list, d: int, p: int) -> Subspace:
-    """{v : r . v = 0 for every row r}, by one elimination of ``rows``.
+    """{v : r . v = 0 for every row r}, by one elimination of ``rows``."""
+    return Subspace._echelon(ring, d, *_null_basis(rows, d, p))
+
+
+def _null_basis(rows: list, d: int, p: int) -> tuple:
+    """(basis rows, pivots) of the canonical basis of ``_null_space``.
 
     Pivots are taken right to left, so each reduced row is 0 right of its
     pivot pc.  The null vector e_c - sum_i row_i[c] e_(pc_i) of a free
@@ -630,7 +637,7 @@ def _null_space(ring, rows: list, d: int, p: int) -> Subspace:
             if x:
                 v[pc] = p - x
         basis.append(v)
-    return Subspace._echelon(ring, d, basis, free)
+    return basis, tuple(free)
 
 
 def image(m: Matrix) -> Subspace:
@@ -651,13 +658,6 @@ def apply_map(m: Matrix, u: Subspace) -> Subspace:
     return Subspace._span(m.ring, m.rows,
                           [[sum(map(mul, r, b)) % p for r in mrows]
                            for b in basis])
-
-
-def _maps_into(m: Matrix, u: Subspace, w: Subspace) -> bool:
-    # m(u) <= w over a field, unchecked, without reducing m(u)
-    mrows = m._rows()
-    return w._holds([[sum(map(mul, r, b)) for r in mrows]
-                     for b in u.basis_rows()])
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:
@@ -766,7 +766,7 @@ def enumerate_subspaces(d: int, r: int, q: int,
 
 def _quotient_cells(d: int, r: int, q: int) -> Iterator[tuple]:
     """(basis rows, pivots) of each space of ``enumerate_subspaces(d, r, q)``,
-    in stream order, for ``enumerate_between`` to lift."""
+    in stream order, for ``_between`` to lift."""
     return ((tuple(w.basis_rows()), w.pivots)
             for w in enumerate_subspaces(d, r, q))
 
@@ -779,6 +779,27 @@ def _cached_cells(d: int, r: int, q: int) -> tuple:
 def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subspace]:
     """All r-dimensional subspaces V with lower <= V <= upper, each once.
 
+    A thin wrapper over the private entry stream ``_between``, which the
+    interval passes of ``chains`` read directly: it checks the coefficients
+    and the containment (dual coefficients, or lower not inside upper, raise
+    ValueError) and builds a ``Subspace`` for each space the stream yields.
+    Deterministic order inherited from enumerate_subspaces.
+    """
+    q = _field_p(lower.ring, "enumerate_between")
+    if not upper.contains(lower):
+        raise ValueError("lower is not contained in upper")
+    ring, ambient = lower.ring, lower.ambient_dim
+    for ents, pivots in _between((lower.basis_rows(), lower.pivots),
+                                 (upper.basis_rows(), upper.pivots), r, q):
+        yield Subspace(ring, ambient, Matrix(ring, r, ambient, ents), pivots,
+                       True)
+
+
+def _between(lower: tuple, upper: tuple, r: int, q: int) -> Iterator[tuple]:
+    """(entries, pivots) of the canonical basis of each r-dimensional space
+    between lower and upper, which are given by their canonical (rows,
+    pivots) over GF(q), with lower inside upper (unchecked).
+
     Works in quotient coordinates of upper/lower so candidates are generated,
     never filtered.  The pivots of a subspace are the leading columns of its
     vectors, so lower's pivots are among upper's, and the rows of upper's
@@ -789,30 +810,23 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     lower's, so it is lower's rows cleared at the lifted pivots plus the
     lifted rows, sorted by pivot.  Quotient spaces share rows, so each
     quotient row is lifted once per call and its lift kept for the rest of
-    the stream; the interval passes of ``chains`` call this once per
-    distinct (lower, upper) pair.  For r = dim lower or dim upper the one
-    candidate is lower or upper.  Deterministic order inherited from
-    enumerate_subspaces, whose quotient spaces are cached per
-    (dim upper - dim lower, r - dim lower, q) up to 1024 of them.  Dual
-    coefficients, or lower not inside upper, raise ValueError.
+    the stream.  For r = dim lower or dim upper the one candidate is lower or
+    upper.  The order is that of the quotient spaces in
+    ``enumerate_subspaces(dim upper - dim lower, r - dim lower, q)``, which
+    are cached per shape up to 1024 of them.
     """
-    q = _field_p(lower.ring, "enumerate_between")
-    if not upper.contains(lower):
-        raise ValueError("lower is not contained in upper")
-    a, b = lower.dim, upper.dim
+    (lrows, lpivots), (urows, upivots) = lower, upper
+    a, b = len(lrows), len(urows)
     if r < a or r > b:
         return
-    if r == a:
-        yield lower
+    if r == a or r == b:
+        rows, pivots = (lrows, lpivots) if r == a else (urows, upivots)
+        yield tuple(chain.from_iterable(rows)), tuple(pivots)
         return
-    if r == b:
-        yield upper
-        return
-    lpiv = set(lower.pivots)
-    quotient = [(pc, row) for row, pc in zip(upper.basis_rows(), upper.pivots)
-                if pc not in lpiv]
-    lower_rows = list(zip(lower.pivots, lower.basis_rows()))
-    ring, ambient = lower.ring, lower.ambient_dim
+    lpiv = set(lpivots)
+    quotient = [(pc, row) for row, pc in zip(urows, upivots) if pc not in lpiv]
+    lower_rows = list(zip(lpivots, lrows))
+    ambient = len(urows[0])
     # a shape of at most 1024 spaces is listed once and kept; a larger one
     # is streamed, so a lazy walk draws no cell ahead of its spend
     shape = (b - a, r - a, q)
@@ -839,8 +853,7 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
                     row = [x - c * y for x, y in zip(row, lrow)]
             rows.append((pc, [x % q for x in row]))
         pivots, rows = zip(*sorted(rows, key=itemgetter(0)))
-        basis = Matrix(ring, r, ambient, tuple(chain.from_iterable(rows)))
-        yield Subspace(ring, ambient, basis, pivots, True)
+        yield tuple(chain.from_iterable(rows)), pivots
 
 
 def rank_everywhere_at_most(m: Matrix, j: int) -> bool:

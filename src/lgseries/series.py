@@ -406,10 +406,11 @@ def enumerate_limit_series(d: int, r: int, q: int,
             raise ValueError("constraint side must be Y or Z, got %r"
                              % (c["side"],))
         sides[c["side"]].append(c)
-    y_cons, z_cons = sides["Y"], sides["Z"]
+    # (level, constraint): the y-aspect is level 0, the z-aspect level d
+    checks = [(0, c) for c in sides["Y"]] + [(d, c) for c in sides["Z"]]
     for pt in enumerate_points(chain, budget=budget):
-        if all(_meets_bound(pt[0], c) for c in y_cons) and \
-                all(_meets_bound(pt[d], c) for c in z_cons):
+        if not checks or all(_meets_bound(pt[level], c)
+                             for level, c in checks):
             yield LimitSeriesPoint(model, pt)
 
 

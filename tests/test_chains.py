@@ -338,13 +338,13 @@ def test_interval_passes_list_each_pair_once(monkeypatch):
                if lowers[k, v].dim < c.r]
     assert (len(nodes), len(between), len(set(between))) == (390, 192, 56)
     calls = []
-    real = chains_module.enumerate_between
+    real = chains_module._between
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(chains_module, "enumerate_between", counting)
+    monkeypatch.setattr(chains_module, "_between", counting)
     for run in (lambda: list(enumerate_points(c)),
                 lambda: boundary_counts(c)):
         calls.clear()
@@ -383,17 +383,17 @@ def test_a_pair_met_again_while_its_stream_is_open(monkeypatch):
     c = make_standard_chain(3, 4, 2, 0, 2, r=2)
     want = _points_walking_every_interval(c)
     live, reopened = [], []
-    real = chains_module.enumerate_between
+    real = chains_module._between
 
-    def tracking(lower, upper, r):
+    def tracking(lower, upper, r, q):
         key = (lower, upper)
         if key in live:
             reopened.append(key)
         live.append(key)
-        yield from real(lower, upper, r)
+        yield from real(lower, upper, r, q)
         live.remove(key)
 
-    monkeypatch.setattr(chains_module, "enumerate_between", tracking)
+    monkeypatch.setattr(chains_module, "_between", tracking)
     assert list(enumerate_points(c)) == want
     assert reopened and not live
 
@@ -457,6 +457,28 @@ def conjugated_standard_chain(n, d, d1, p, r, seed):
     base = make_standard_chain(n, d, d1, 0, p, r=r)
     return LinkedChain(F, n, d, r, [P * f * P_inv for f in base.fs],
                        [P * g * P_inv for g in base.gs], F(0))
+
+
+@pytest.mark.parametrize("c", [
+    build_section_chain(3, 3, 2), build_section_chain(3, 2, 3),
+    make_standard_chain(3, 3, 1, 2, 3, 2),
+    conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)], ids=repr)
+def test_draw_equals_the_checked_interval_stream(c):
+    # the node kernel on int rows against the public routines it bypasses,
+    # in order, at every node the walk reaches; one table per chain, so
+    # later nodes replay stored pairs, and what it yields is interned
+    nodes = {(k, pt[k]) for pt in enumerate_points(c) for k in range(c.n - 1)}
+    table = chains_module._Intervals(c)
+    assert all(lawful for _, _, lawful in table.maps)
+    branches = set()
+    for k, v in nodes:
+        lower = apply_map(c.fs[k], v)
+        got = tuple(table.draw(k, v))
+        assert got == tuple(enumerate_between(lower, preimage(c.gs[k], v),
+                                              c.r))
+        assert all(table.space(w) is w for w in got)
+        branches.add(lower.dim == c.r)
+    assert branches == ({True} if c.s.v else {True, False})
 
 
 def test_exactness_matches_containment_oracle():
@@ -690,7 +712,12 @@ def test_census_steps_from_shared_halves_equal_fresh_steps(c, monkeypatch):
     monkeypatch.setattr(chains_module, "_step", recording)
     census(c)
     graph = chains_module._interval_graph(c, None)
-    edges = {(graph.kinds[k], v, w) for k, layer in enumerate(graph.layers)
+    # the layers key each node by the id of its space
+    space = {id(w): w for layer in graph.layers for ws in layer.values()
+             for w in ws}
+    space.update((id(v), v) for v in graph.roots)
+    edges = {(graph.kinds[k], space[v], w)
+             for k, layer in enumerate(graph.layers)
              for v, ws in layer.items() for w in ws}
     assert len(memos) == 1 and set(seen) == edges
     for (_kind, v, w), (k, st) in seen.items():
@@ -1273,6 +1300,56 @@ def test_axiom_violation_at_a_space_where_f_is_not_injective():
     assert apply_map(c0.fs[0], span2([[1, 0]])).dim == c0.r
     with pytest.raises(ValueError, match="step 0.*linked-chain axioms"):
         list(chains_module._Intervals(c0).draw(0, span2([[1, 0]])))
+
+
+def test_draw_raises_exactly_where_the_checked_stream_does():
+    # axiom (I) is decided once per step kind, and a node is checked only
+    # at a kind that fails it: at every space of every step the draw equals
+    # the checked stream, or raises naming the step where f_k(V) is not
+    # inside g_k^{-1}(V); the walks still stop at steps 0 and 1
+    for c, lawful, faulty, first in (
+            (_axiom_violating_chain(), [False], {0, 1}, 0),
+            (_axiom_violating_chain_off_the_kernel(), [True, False], {1}, 1)):
+        table = chains_module._Intervals(c)
+        assert [m[2] for m in table.maps] == lawful
+        steps = set()
+        for k in range(c.n - 1):
+            for v in enumerate_subspaces(c.d, c.r, c.p):
+                lower, upper = apply_map(c.fs[k], v), preimage(c.gs[k], v)
+                if upper.contains(lower):
+                    assert tuple(table.draw(k, v)) == tuple(
+                        enumerate_between(lower, upper, c.r))
+                    continue
+                with pytest.raises(ValueError,
+                                   match="step %d.*linked-chain axioms" % k):
+                    next(table.draw(k, v))
+                steps.add(k)
+        assert steps == faulty
+        with pytest.raises(ValueError,
+                           match="step %d.*linked-chain axioms" % first):
+            list(enumerate_points(c))
+
+
+def test_the_walk_and_the_census_hash_no_subspace(monkeypatch):
+    # every space of a pass is one object, so the node memo, the interval
+    # graph and the census memos key spaces by id.  The walk of section
+    # (3, 3, 2) made 1,509 Subspace.__hash__ calls and 254 Subspace._holds
+    # calls (an axiom check at each of its 198 full-rank nodes and a
+    # containment check at each of its 56 pairs); the census of the
+    # conjugated chain with its witness pass made 2,043 __hash__ calls
+    calls = {"__hash__": 0, "_holds": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(Subspace, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(Subspace, name, counting)
+    assert sum(1 for _ in enumerate_points(build_section_chain(3, 3, 2))) \
+        == 1147
+    assert calls["__hash__"] == 0 and calls["_holds"] <= 56
+    report = census(conjugated_standard_chain(2, 4, 2, 2, 2, seed=1),
+                    experiments=True)
+    assert report.signature_graph is not None
+    assert calls["__hash__"] == 0
 
 
 def _chain_faulty_at_step_0(seed):
