@@ -23,13 +23,14 @@ can stop early; the counting passes (``census``, its signature graph, and
 reads an edge through ``_step``: the ranks of f_i and g_i on the point,
 exactness at the step, and the step's block of the linearised
 linkage equations, which couple consecutive levels only.  It joins two
-node halves, each built once per (kind, node, map) in a memo of the pass
-and read off echelon bases, pivots and annihilator rows, so no frame is
-built or inverted.  ``signature``, ``is_exact`` and ``tangent_dimension``
-run it along one point's path; a census runs it once per edge of the whole
-graph and folds the tangent equations forward level by level
-(``_advance``), merging the prefixes that reach the same state.
-All of it runs on int rows through ``linalg._reduce``.
+node halves, each built once per (kind, node, map) and read off echelon
+bases, pivots and annihilator rows, so no frame is built or inverted.
+``signature``, ``is_exact`` and ``tangent_dimension`` run it along one
+point's path; a census runs it once per edge of the whole graph and folds
+the tangent equations forward level by level (``_advance``), merging the
+prefixes that reach the same state.  The table keeps every cache of its
+pass, so no call depends on what ran before.  All of it runs on int rows
+through ``linalg._reduce``.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .fields import Fp, PrimeField
-from .linalg import (BudgetError, Matrix, Subspace, _between, _null_basis,
-                     _null_space, _reduce, _require_dict, apply_map, contains,
-                     enumerate_subspaces, image, intersect, kernel)
+from .linalg import (BudgetError, Matrix, Subspace, _between, _cells,
+                     _null_basis, _null_space, _reduce, _require_dict,
+                     apply_map, contains, enumerate_subspaces, image,
+                     intersect, kernel)
 
 
 class LinkedChain:
@@ -359,7 +361,7 @@ def boundary_counts(chain: LinkedChain,
 class _Graph(NamedTuple):
     """The interval graph of a chain, as built by ``_interval_graph``."""
     roots: tuple     # the level-0 spaces, in stream order
-    kinds: tuple     # per step, an index shared by steps with equal (f_k, g_k)
+    table: _Intervals  # the pass's table, which holds every space
     layers: tuple    # per step k, {id(V_k): the interval of V_k}
 
 
@@ -404,7 +406,7 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
                     slot[1] += paths
         layers.append(layer)
         front = nxt
-    return _Graph(tuple(roots), table.kinds, tuple(layers))
+    return _Graph(tuple(roots), table, tuple(layers))
 
 
 def _budget_error(budget: int) -> BudgetError:
@@ -453,25 +455,26 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
 
 
 class _Intervals:
-    """The intervals f_k(V) <= W <= g_k^{-1}(V) of one pass over a chain.
+    """The intervals f_k(V) <= W <= g_k^{-1}(V) of one pass over a chain,
+    and every other cache of the pass, in six dicts that die with it.
 
-    ``maps`` holds, per kind, the rows of f_k and g_k and whether
-    g_k f_k = s id (axiom (I)), read once; steps with equal (f_k, g_k) share
-    a kind.  Three dicts, none of which outlives the pass.  ``spaces``
-    interns every space by its echelon entries (on one chain they name the
-    space) before any ``Subspace`` is built, so each distinct space is one
-    object and interning calls no ``Subspace`` method.  ``nodes`` maps
-    (kind, id(V)) to the interval of V, so each node's interval is drawn
-    once and no lookup hashes a space; V is held by the caller, as every
-    space the table hands out is held in ``spaces``.  ``pairs`` maps the
-    entries of (f_k(V), g_k^{-1}(V)) to the spaces between the two, so
-    ``linalg._between`` runs once per distinct pair.  Both memos are filled
-    lazily through ``_recorded``: a stream is stored once it is exhausted,
-    so one cut short by a budget, or met again while it is still open
-    deeper in a walk, is drawn afresh, never replayed part-way.
+    ``maps`` holds, per kind, the rows and the columns of f_k and g_k and
+    whether g_k f_k = s id (axiom (I)), read once; steps with equal
+    (f_k, g_k) share a kind.  ``spaces`` interns every space by its
+    echelon entries before any ``Subspace`` is built, so each distinct
+    space is one object, held here, and no dict hashes a ``Subspace``.
+    ``nodes`` maps (kind, id(V)) to the interval of V; ``pairs`` maps the
+    entries of (f_k(V), g_k^{-1}(V)) to the spaces between them, so
+    ``linalg._between`` runs once per distinct pair; ``cells`` maps a
+    quotient shape to its ``linalg._cells`` list.  These three are filled
+    through ``_recorded``, which stores a stream once it is exhausted, so
+    one cut short by a budget, or met again while still open deeper in a
+    walk, is drawn afresh and never listed ahead of its spend.  ``halves``
+    and ``steps`` hold the step data of ``_half`` and ``_step``.
     """
 
-    __slots__ = ("chain", "kinds", "maps", "spaces", "nodes", "pairs")
+    __slots__ = ("chain", "kinds", "maps", "spaces", "nodes", "pairs",
+                 "cells", "halves", "steps")
 
     def __init__(self, chain: LinkedChain):
         maps, p, s = {}, chain.p, chain.s.v
@@ -481,12 +484,13 @@ class _Intervals:
         self.maps = []
         for f, g in maps:
             frows, grows = f._rows(), g._rows()
-            fcols = list(zip(*frows))
+            fcols, gcols = list(zip(*frows)), list(zip(*grows))
             lawful = all(sum(map(mul, grow, col)) % p == (s if i == j else 0)
                          for i, grow in enumerate(grows)
                          for j, col in enumerate(fcols))
-            self.maps.append((frows, grows, lawful))
-        self.spaces, self.nodes, self.pairs = {}, {}, {}
+            self.maps.append((frows, grows, fcols, gcols, lawful))
+        self.spaces, self.nodes, self.pairs, self.cells = {}, {}, {}, {}
+        self.halves, self.steps = {}, {}
 
     def space(self, v: Subspace) -> Subspace:
         """The one object of the pass equal to ``v``."""
@@ -520,17 +524,18 @@ class _Intervals:
         has rank r it is the whole interval, and g_k^{-1}(v) is never built;
         otherwise g_k^{-1}(v) is the null space of the rows a g_k for the
         annihilator rows a of v, and the spaces between the two come from
-        ``linalg._between``, the kernels of ``apply_map``, ``preimage`` and
-        ``enumerate_between`` without their checks.  g_k^{-1}(v) has
-        dimension at least r for any map, so the interval is empty only when
-        f_k(v) is not inside g_k^{-1}(v), that is, when g_k f_k(v) is not
-        inside v.  Axiom (I), g_k f_k = s id, rules that out, so v is checked
-        only at a step kind that fails it; there a faulty v raises
-        ValueError naming step k before anything is yielded.
+        ``linalg._between`` over the table's quotient stream, the kernels of
+        ``apply_map``, ``preimage`` and ``enumerate_between`` without their
+        checks.  g_k^{-1}(v) has dimension at least r for any map, so the
+        interval is empty only when f_k(v) is not inside g_k^{-1}(v), that
+        is, when g_k f_k(v) is not inside v.  Axiom (I), g_k f_k = s id,
+        rules that out, so v is checked only at a step kind that fails it;
+        there a faulty v raises ValueError naming step k before anything is
+        yielded.
         """
         chain = self.chain
         p, d, r = chain.p, chain.d, chain.r
-        frows, grows, lawful = self.maps[self.kinds[k]]
+        frows, grows, _, _, lawful = self.maps[self.kinds[k]]
         lower = [[sum(map(mul, row, b)) % p for row in frows]
                  for b in v.basis_rows()]
         if not lawful and not v._holds([[sum(map(mul, row, y))
@@ -538,21 +543,24 @@ class _Intervals:
             raise _AxiomError(k)
         pivots = _reduce(lower, range(d), p)
         ents = tuple(concat.from_iterable(lower))
-        if len(pivots) == r:
+        a = len(pivots)
+        if a == r:
             yield self._space(ents, pivots)
             return
         upper = _null_basis(v._annihilate(grows, p), d, p)
         key = (ents, tuple(concat.from_iterable(upper[0])))
         seen = self.pairs.get(key)
         if seen is None:
-            seen = _recorded(starmap(self._space,
-                                     _between((lower, pivots), upper, r, p)),
-                             self.pairs, key)
+            shape = (len(upper[0]) - a, r - a)
+            cells = self.cells.get(shape)
+            if cells is None:
+                cells = _recorded(_cells(*shape, p), self.cells, shape)
+            seen = _recorded(starmap(self._space, _between(
+                (lower, pivots), upper, r, p, cells)), self.pairs, key)
         yield from seen
 
 
-def _recorded(stream: Iterator[Subspace], memo: dict,
-              key: tuple) -> Iterator[Subspace]:
+def _recorded(stream: Iterator, memo: dict, key: tuple) -> Iterator:
     """Yield ``stream``; once it is exhausted, store its items at memo[key]."""
     seen = []
     for item in stream:
@@ -577,18 +585,22 @@ class _Step(NamedTuple):
     eqs: tuple       # rows of [E_V | E_W], the linearised linkage equations
 
 
-def _half(chain: LinkedChain, k: int, u: Subspace, forward: bool) -> tuple:
+def _half(table: _Intervals, k: int, u: Subspace, forward: bool) -> tuple:
     """What the edges at step k read of their end U: (images, span, kernel,
     free, ann) for M = f_k at a source (``forward``), g_k at a target, and
-    M' the other map.  These are the rows M b_a; M(U) and ker(M|U) in
-    ambient coordinates, canonical, from one elimination of the rows
-    [M b_a | b_a]; U's non-pivot columns; and the rows a_c M'."""
+    M' the other map, kept in ``table.halves`` per (kind, id(U), forward).
+    These are the rows M b_a; M(U) and ker(M|U) in ambient coordinates,
+    canonical, from one elimination of the rows [M b_a | b_a]; U's
+    non-pivot columns; and the rows a_c M'."""
+    key = (table.kinds[k], id(u), forward)
+    half = table.halves.get(key)
+    if half is not None:
+        return half
+    chain, (frows, grows, fcols, gcols, _) = table.chain, table.maps[key[0]]
     p, d = chain.p, chain.d
-    mat, partner = ((chain.fs[k], chain.gs[k]) if forward
-                    else (chain.gs[k], chain.fs[k]))
+    cols, partner = (fcols, grows) if forward else (gcols, frows)
     pset, basis = set(u.pivots), u.basis_rows()
     free = [c for c in range(d) if c not in pset]
-    cols = [mat.column(j) for j in range(d)]
     images = []
     for b, pc in zip(basis, u.pivots):
         # b is 1 at pc, 0 at U's other pivots
@@ -603,15 +615,16 @@ def _half(chain: LinkedChain, k: int, u: Subspace, forward: bool) -> tuple:
     rank = bisect_left(pivots, d)
     span = Subspace._echelon(chain.field, d, [row[:d] for row in rows[:rank]],
                              pivots[:rank])
-    return (images, span, [row[d:] for row in rows[rank:]], free,
-            u._annihilate(partner._rows(), p))
+    half = table.halves[key] = (images, span, [row[d:] for row in rows[rank:]],
+                                free, u._annihilate(partner, p))
+    return half
 
 
-def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace,
-          halves: dict, kind: int) -> _Step:
-    """The step data of the edge V = V_k -> W = V_{k+1}, joined from the
-    halves (``_half``) of its ends, kept in ``halves`` per (kind, id(node),
-    map): the caller holds the spaces while the memo lives.
+def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
+    """The step data of the edge V = V_k -> W = V_{k+1}, kept in
+    ``table.steps`` per (kind, id(V), id(W)) and joined from the halves
+    (``_half``) of its ends: the caller holds the spaces while the table
+    lives.
 
     Each space has its frame: its basis rows b_a, then the unit rows at its
     non-pivot columns.  Every b_a is 1 at its own pivot pc_a and 0 at the
@@ -631,15 +644,15 @@ def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace,
     X_k Q_F = L_F X_{k+1} and X_{k+1} Q_G = L_G X_k; ``eqs`` holds those 2re
     equations as rows over the unknowns of level k, then those of level k+1.
     """
-    hv, hw = halves.get((kind, id(v), True)), halves.get((kind, id(w), False))
-    if hv is None:
-        hv = halves[kind, id(v), True] = _half(chain, k, v, True)
-    if hw is None:
-        hw = halves[kind, id(w), False] = _half(chain, k, w, False)
+    key = (table.kinds[k], id(v), id(w))
+    st = table.steps.get(key)
+    if st is not None:
+        return st
     (f_img, f_span, f_ker, v_free, v_ann), \
-        (g_img, g_span, g_ker, w_free, w_ann) = hv, hw
-    p, r = chain.p, chain.r
-    e = chain.d - r
+        (g_img, g_span, g_ker, w_free, w_ann) = \
+        _half(table, k, v, True), _half(table, k, w, False)
+    p, r = table.chain.p, table.chain.r
+    e = table.chain.d - r
     re_ = r * e
     eqs = []
     for name, i, src, dst, imgs, ann, free, forward in (
@@ -660,7 +673,8 @@ def _step(chain: LinkedChain, k: int, v: Subspace, w: Subspace,
                 eqs.append(tuple(own + other) if forward
                            else tuple(other + own))
     exact = f_span._holds(g_ker) and g_span._holds(f_ker)
-    return _Step(f_span.dim, g_span.dim, exact, tuple(eqs))
+    st = table.steps[key] = _Step(f_span.dim, g_span.dim, exact, tuple(eqs))
+    return st
 
 
 def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
@@ -695,9 +709,8 @@ def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
     """The step data along the single path of ``pt``; a non-linked step
     raises ValueError."""
     _check_point_shape(chain, pt)
-    halves = {}
-    return [_step(chain, k, pt[k], pt[k + 1], halves, k)
-            for k in range(chain.n - 1)]
+    table = _Intervals(chain)
+    return [_step(table, k, pt[k], pt[k + 1]) for k in range(chain.n - 1)]
 
 
 def _check_rank_law(by_ranks: bool, exact: bool) -> None:
@@ -944,12 +957,12 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     solutions vanishing at level k.  The rank law is checked at each leaf,
     on the whole point, as in ``signature``.
 
-    Each edge reads its ranks, exactness and equations from step data
-    cached per (kind, id(V), id(W)), joined from halves of V and W that one
-    memo keeps for the whole pass (``_step``), and moves every state at V
-    by one ``_advance``; a leaf's tangent dimension is D + dim K of its
-    last step.  The budget is spent by ``_interval_graph`` as it builds the
-    graph, before any state moves.
+    Each edge reads its ranks, exactness and equations from ``_step``,
+    which the graph's table keeps per (kind, id(V), id(W)), joined from
+    halves of V and W that the table keeps for the whole pass, and moves
+    every state at V by one ``_advance``; a leaf's tangent dimension is
+    D + dim K of its last step.  The budget is spent by ``_interval_graph``
+    as it builds the graph, before any state moves.
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
@@ -959,14 +972,6 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     report = CensusReport(chain.as_dict(), chain.p)
     r = chain.r
     graph = _interval_graph(chain, budget)
-    steps, halves = {}, {}
-
-    def step(k: int, v: Subspace, w: Subspace) -> _Step:
-        key = (graph.kinds[k], id(v), id(w))
-        st = steps.get(key)
-        if st is None:
-            st = steps[key] = _step(chain, k, v, w, halves, key[0])
-        return st
 
     def moved(key: tuple, st: _Step, grow: int) -> tuple:
         sig, law, dim_d = key
@@ -1001,7 +1006,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
         for key_v, (v, by_a) in states.items():
             for basis, counts in by_a.items():
                 for w in layer[key_v]:
-                    st = step(k, v, w)
+                    st = _step(graph.table, k, v, w)
                     a_next, dim_k = _advance(chain, st, basis, last)
                     if last:
                         for key, cnt in counts.items():
@@ -1017,7 +1022,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
                         into[nkey] = into.get(nkey, 0) + cnt
         states = nxt
     if experiments:
-        edges = (_witnessed_edges(chain, graph, steps)
+        edges = (_witnessed_edges(chain, graph)
                  if chain.s.is_zero() else set())
         nodes = sorted(report.signatures)
         adj = {node: set() for node in nodes}
@@ -1047,10 +1052,10 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     return report
 
 
-def _witnessed_edges(chain: LinkedChain, graph: _Graph, steps: dict) -> set:
+def _witnessed_edges(chain: LinkedChain, graph: _Graph) -> set:
     """The signature-graph edges of an s = 0 chain, read off the census's
-    interval ``graph`` and its step data ``steps``, keyed by (kind, id(V),
-    id(W)); the pass holds every space by its id.
+    interval ``graph`` and the step data its table holds for every edge,
+    keyed by (kind, id(V), id(W)); the table holds every space by its id.
 
     A set pass carries V_k, the f- and g-rank prefixes, and (i, V_i) and
     (j, V_{j+1}) for the first and last steps off the rank law (the
@@ -1063,8 +1068,9 @@ def _witnessed_edges(chain: LinkedChain, graph: _Graph, steps: dict) -> set:
     """
     n, r = chain.n, chain.r
     ahead, back = {}, {}   # (k, V_k) or (k, V_{k+1}) -> [(other end, ranks)]
+    steps = graph.table.steps
     states = {id(v): {((), (), None, None)} for v in graph.roots}
-    for k, (kind, layer) in enumerate(zip(graph.kinds, graph.layers)):
+    for k, (kind, layer) in enumerate(zip(graph.table.kinds, graph.layers)):
         nxt = {}
         for v, keys in states.items():
             for w in map(id, layer[v]):

@@ -33,6 +33,7 @@ import gc
 import io
 import json
 import sys
+from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -361,20 +362,13 @@ def _pair_from_args(args) -> series.EHPair:
     return series.EHPair.from_subspaces(vy, vz)
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_pair(lift, args) -> int:
+    """The point that ``lift`` (``series.reconstruct_refined`` for
+    ``reconstruct``, ``series.lift_crude`` for ``lift-crude``) builds over
+    the pair of the flags."""
     pair = _pair_from_args(args)
-    lsp = series.reconstruct_refined(pair)
     report = {"schema_version": SCHEMA_VERSION, "pair": pair.as_dict(),
-              "point": lsp.as_dict()}
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_lift_crude(args) -> int:
-    pair = _pair_from_args(args)
-    lsp = series.lift_crude(pair)
-    report = {"schema_version": SCHEMA_VERSION, "pair": pair.as_dict(),
-              "point": lsp.as_dict()}
+              "point": lift(pair).as_dict()}
     _emit(report, args)
     return EXIT_OK
 
@@ -465,8 +459,9 @@ _COMMANDS = {
         ("--constraints", dict(help="JSON list of vanishing bounds")))),
     "fr-image": (cmd_fr_image, _BUDGET + _OUT + (
         ("--degree", _INT), ("--rank", _INT), ("--p", _INT))),
-    "reconstruct": (cmd_reconstruct, _OUT + _PAIR),
-    "lift-crude": (cmd_lift_crude, _OUT + _PAIR),
+    "reconstruct": (partial(cmd_pair, series.reconstruct_refined),
+                    _OUT + _PAIR),
+    "lift-crude": (partial(cmd_pair, series.lift_crude), _OUT + _PAIR),
     "plucker": (cmd_plucker, _OUT + (
         ("--degree", _INT), ("--genus", dict(type=int, default=0)),
         ("--p", _INT), ("--basis", dict(required=True,

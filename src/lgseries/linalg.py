@@ -23,9 +23,10 @@ Kernels.  The field routines share one elimination on lists of int rows,
 ``_reduce``, which ``rref`` wraps.  ``apply_map``, ``kernel`` and
 ``preimage`` each reduce once and build no intermediate Matrix, Echelon or
 Subspace; the null spaces are reduced with pivots taken right to left, so
-their null vectors are already canonical (``_null_basis``).  The interval
-stream ``_between`` yields echelon entries, not subspaces, so a caller can
-intern a space before building it.
+their null vectors are already canonical (``_null_basis``).  The streams
+``_cells`` (behind ``enumerate_subspaces``) and ``_between`` (over a
+``_cells`` stream its caller passes) yield echelon entries, not subspaces,
+so a caller can intern a space before building it.  Nothing is cached.
 
 Dual numbers.  Over R = GF(p)[eps]/(eps^2) the entries are ``Dual`` values,
 and a submodule M of R^d is decided through the GF(p)-subspace
@@ -49,10 +50,9 @@ im A0.  No routine does arithmetic on ``Fp`` or ``Dual`` elements.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import itemgetter, mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .fields import (Dual, DualNumbers, Fp, PrimeField, integer_determinant,
                      ring_from_dict)
@@ -742,11 +742,20 @@ def enumerate_subspaces(d: int, r: int, q: int,
     Deterministic order: pivot patterns lexicographically, then free entries
     lexicographically (row-major positions, last position varying fastest).
     Restricting ``pivots`` to one pattern yields a single echelon cell, so an
-    exhaustive search splits into disjoint cells.
+    exhaustive search splits into disjoint cells.  The spaces are those of
+    the entry stream ``_cells``, each built as a ``Subspace``.
     """
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))
     ring = PrimeField(q)
+    for ents, pat in _cells(d, r, q, pivots):
+        yield Subspace(ring, d, Matrix(ring, r, d, ents), pat, True)
+
+
+def _cells(d: int, r: int, q: int,
+           pivots: Optional[tuple] = None) -> Iterator[tuple]:
+    """(echelon entries, pivots) of each space of ``enumerate_subspaces``,
+    in its order, with no ``Subspace`` built (0 <= r <= d unchecked)."""
     patterns = [tuple(pivots)] if pivots is not None else pivot_patterns(d, r)
     for pat in patterns:
         pset = set(pat)
@@ -761,19 +770,7 @@ def enumerate_subspaces(d: int, r: int, q: int,
             ents = template[:]
             for pos, val in zip(free_pos, values):
                 ents[pos] = val
-            yield Subspace(ring, d, Matrix(ring, r, d, tuple(ents)), pat, True)
-
-
-def _quotient_cells(d: int, r: int, q: int) -> Iterator[tuple]:
-    """(basis rows, pivots) of each space of ``enumerate_subspaces(d, r, q)``,
-    in stream order, for ``_between`` to lift."""
-    return ((tuple(w.basis_rows()), w.pivots)
-            for w in enumerate_subspaces(d, r, q))
-
-
-@lru_cache(maxsize=64)
-def _cached_cells(d: int, r: int, q: int) -> tuple:
-    return tuple(_quotient_cells(d, r, q))
+            yield tuple(ents), pat
 
 
 def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subspace]:
@@ -782,20 +779,24 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     A thin wrapper over the private entry stream ``_between``, which the
     interval passes of ``chains`` read directly: it checks the coefficients
     and the containment (dual coefficients, or lower not inside upper, raise
-    ValueError) and builds a ``Subspace`` for each space the stream yields.
-    Deterministic order inherited from enumerate_subspaces.
+    ValueError), passes a fresh quotient stream ``_cells`` and builds a
+    ``Subspace`` for each space the stream yields.  Deterministic order
+    inherited from enumerate_subspaces.
     """
     q = _field_p(lower.ring, "enumerate_between")
     if not upper.contains(lower):
         raise ValueError("lower is not contained in upper")
     ring, ambient = lower.ring, lower.ambient_dim
+    cells = _cells(upper.dim - lower.dim, r - lower.dim, q)
     for ents, pivots in _between((lower.basis_rows(), lower.pivots),
-                                 (upper.basis_rows(), upper.pivots), r, q):
+                                 (upper.basis_rows(), upper.pivots), r, q,
+                                 cells):
         yield Subspace(ring, ambient, Matrix(ring, r, ambient, ents), pivots,
                        True)
 
 
-def _between(lower: tuple, upper: tuple, r: int, q: int) -> Iterator[tuple]:
+def _between(lower: tuple, upper: tuple, r: int, q: int,
+             cells: Iterable[tuple]) -> Iterator[tuple]:
     """(entries, pivots) of the canonical basis of each r-dimensional space
     between lower and upper, which are given by their canonical (rows,
     pivots) over GF(q), with lower inside upper (unchecked).
@@ -805,15 +806,15 @@ def _between(lower: tuple, upper: tuple, r: int, q: int) -> Iterator[tuple]:
     vectors, so lower's pivots are among upper's, and the rows of upper's
     canonical basis at the other pivots span a complement of lower: they are
     the quotient coordinates, read off the two echelon forms without
-    solving.  The canonical basis of a candidate is built, not reduced: the
-    lifted rows are 1 at their own pivots and 0 at one another's and at
-    lower's, so it is lower's rows cleared at the lifted pivots plus the
-    lifted rows, sorted by pivot.  Quotient spaces share rows, so each
-    quotient row is lifted once per call and its lift kept for the rest of
-    the stream.  For r = dim lower or dim upper the one candidate is lower or
-    upper.  The order is that of the quotient spaces in
-    ``enumerate_subspaces(dim upper - dim lower, r - dim lower, q)``, which
-    are cached per shape up to 1024 of them.
+    solving.  The quotient spaces are read from ``cells``, the caller's
+    stream (or replay) of ``_cells(dim upper - dim lower, r - dim lower,
+    q)``, only as far as this stream runs; for r = dim lower or dim upper
+    the one candidate is lower or upper, and ``cells`` is not read.  The
+    canonical basis of a candidate is built, not reduced: the lifted
+    rows are 1 at their own pivots and 0 at one another's and at lower's,
+    so it is lower's rows cleared at the lifted pivots plus the lifted rows,
+    sorted by pivot.  Quotient spaces share rows, so each quotient row is
+    lifted once per call and its lift kept for the rest of the stream.
     """
     (lrows, lpivots), (urows, upivots) = lower, upper
     a, b = len(lrows), len(urows)
@@ -826,16 +827,12 @@ def _between(lower: tuple, upper: tuple, r: int, q: int) -> Iterator[tuple]:
     lpiv = set(lpivots)
     quotient = [(pc, row) for row, pc in zip(urows, upivots) if pc not in lpiv]
     lower_rows = list(zip(lpivots, lrows))
-    ambient = len(urows[0])
-    # a shape of at most 1024 spaces is listed once and kept; a larger one
-    # is streamed, so a lazy walk draws no cell ahead of its spend
-    shape = (b - a, r - a, q)
+    ambient, m = len(urows[0]), b - a
     lifts = {}
-    for wrows, wpivots in (_cached_cells(*shape)
-                           if gaussian_binomial(*shape) <= 1024
-                           else _quotient_cells(*shape)):
+    for wents, wpivots in cells:
         lifted = []
-        for wrow, wpc in zip(wrows, wpivots):
+        for i, wpc in zip(range(0, len(wents), m), wpivots):
+            wrow = wents[i:i + m]
             lift = lifts.get(wrow)
             if lift is None:
                 # lift through the complement coordinates back to ambient

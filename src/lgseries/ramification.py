@@ -238,9 +238,9 @@ def plucker_check(v: Subspace, genus: int = 0,
 
 def rho(genus: int, r: int, d: int, alphas: Sequence[Sequence[int]] = ()) -> int:
     """Expected dimension (r+1)(d-r) - r*genus - sum of all ramification."""
-    if genus < 0 or r < 0:
-        raise ValueError("need genus >= 0 and r >= 0, got genus=%d r=%d"
-                         % (genus, r))
+    if genus < 0 or r < 0 or d < 0:
+        raise ValueError("need genus >= 0, r >= 0 and d >= 0, got genus=%d "
+                         "r=%d d=%d" % (genus, r, d))
     total = 0
     for alpha in alphas:
         alpha = list(alpha)

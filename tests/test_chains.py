@@ -15,7 +15,8 @@ from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
                              enumerate_between, enumerate_subspaces,
                              gaussian_binomial, image, intersect, kernel,
                              preimage, rref)
-from lgseries.series import build_section_chain, enumerate_limit_series
+from lgseries.series import (build_section_chain, enumerate_limit_series,
+                             fr_image_report)
 
 GF2 = PrimeField(2)
 
@@ -257,19 +258,20 @@ def _projection_chain(d, r, p):
     return LinkedChain(field_, 2, d, r, [f], [g], field_(0))
 
 
-def _count_subspace_draws(monkeypatch):
-    """Patch ``linalg.enumerate_subspaces`` to count its yields.  The
-    quotient spaces of a large interval are drawn through it; the chains
-    module's own level-0 stream is not counted."""
+def _count_cell_draws(monkeypatch):
+    """Patch the quotient stream ``linalg._cells`` where the interval table
+    reads it (``chains._cells``) to count its yields.  The quotient spaces
+    of every interval are drawn through it; the level-0 stream, which runs
+    through ``enumerate_subspaces``, is not counted."""
     counts = {"yields": 0}
-    real = linalg_module.enumerate_subspaces
+    real = chains_module._cells
 
     def counting(*args, **kwargs):
         for item in real(*args, **kwargs):
             counts["yields"] += 1
             yield item
 
-    monkeypatch.setattr(linalg_module, "enumerate_subspaces", counting)
+    monkeypatch.setattr(chains_module, "_cells", counting)
     return counts
 
 
@@ -280,7 +282,7 @@ def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
     first = next(enumerate_subspaces(10, 5, 2))
     assert gaussian_binomial(10, 5, 2) > 10 ** 8
     assert validate_chain(c).ok
-    counts = _count_subspace_draws(monkeypatch)
+    counts, drawn = _count_cell_draws(monkeypatch), []
     for run in (lambda: list(enumerate_points(c, budget=100)),
                 lambda: boundary_counts(c, budget=100)):
         counts["yields"] = 0
@@ -288,6 +290,10 @@ def test_a_huge_interval_is_drawn_no_further_than_needed(monkeypatch):
             run()
         assert info.value.count == 101
         assert counts["yields"] <= 100
+        drawn.append(counts["yields"])
+    # the walk reaches the huge interval at once; the path count spends the
+    # whole budget on the level-0 stream before it draws any interval
+    assert drawn == [100, 0]
     counts["yields"] = 0
     assert extend_truncation(c, ChainPoint([first])).spaces[1] == first
     assert counts["yields"] == 1
@@ -301,13 +307,27 @@ def test_counting_passes_draw_an_interval_only_as_far_as_the_budget(
     c = _projection_chain(6, 3, 2)
     total = gaussian_binomial(6, 3, 2)
     assert total == 1395 and validate_chain(c).ok
-    counts = _count_subspace_draws(monkeypatch)
+    counts = _count_cell_draws(monkeypatch)
     for run in (census, boundary_counts):
         counts["yields"] = 0
         with pytest.raises(BudgetError) as info:
             run(c, budget=total + 10)
         assert info.value.count == total + 11
-        assert counts["yields"] <= 11, run
+        assert 1 <= counts["yields"] <= 11, run
+
+
+def test_no_cache_outlives_a_pass(monkeypatch):
+    # every cache of a pass lives in its own interval table, so a second
+    # identical call in one process draws as many quotient spaces as the
+    # first, whatever ran before it
+    counts = _count_cell_draws(monkeypatch)
+    section = build_section_chain(3, 3, 2)
+    for run, drawn in ((lambda: fr_image_report(3, 1, 2), 52),
+                       (lambda: list(enumerate_points(section)), 160)):
+        for _ in range(2):
+            counts["yields"] = 0
+            run()
+            assert counts["yields"] == drawn
 
 
 def test_enumerate_points_walks_each_interval_once(monkeypatch):
@@ -385,12 +405,12 @@ def test_a_pair_met_again_while_its_stream_is_open(monkeypatch):
     live, reopened = [], []
     real = chains_module._between
 
-    def tracking(lower, upper, r, q):
+    def tracking(lower, upper, r, q, cells):
         key = (lower, upper)
         if key in live:
             reopened.append(key)
         live.append(key)
-        yield from real(lower, upper, r, q)
+        yield from real(lower, upper, r, q, cells)
         live.remove(key)
 
     monkeypatch.setattr(chains_module, "_between", tracking)
@@ -469,7 +489,7 @@ def test_draw_equals_the_checked_interval_stream(c):
     # later nodes replay stored pairs, and what it yields is interned
     nodes = {(k, pt[k]) for pt in enumerate_points(c) for k in range(c.n - 1)}
     table = chains_module._Intervals(c)
-    assert all(lawful for _, _, lawful in table.maps)
+    assert all(lawful for *_, lawful in table.maps)
     branches = set()
     for k, v in nodes:
         lower = apply_map(c.fs[k], v)
@@ -699,14 +719,14 @@ def test_step_runs_without_matrix_products_or_rref(monkeypatch):
     conjugated_standard_chain(2, 4, 2, 2, 2, seed=1),
     conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)], ids=repr)
 def test_census_steps_from_shared_halves_equal_fresh_steps(c, monkeypatch):
-    # the census joins every edge from node halves kept in one memo for the
-    # whole pass; each of its steps equals the step built from nothing
+    # the census joins every edge from node halves kept in one table for
+    # the whole pass; each of its steps equals the step built from nothing
     real, seen, memos = chains_module._step, {}, set()
 
-    def recording(chain, k, v, w, halves, kind):
-        memos.add(id(halves))
-        st = real(chain, k, v, w, halves, kind)
-        seen[kind, v, w] = (k, st)
+    def recording(table, k, v, w):
+        memos.add(id(table))
+        st = real(table, k, v, w)
+        seen[table.kinds[k], v, w] = (k, st)
         return st
 
     monkeypatch.setattr(chains_module, "_step", recording)
@@ -716,12 +736,12 @@ def test_census_steps_from_shared_halves_equal_fresh_steps(c, monkeypatch):
     space = {id(w): w for layer in graph.layers for ws in layer.values()
              for w in ws}
     space.update((id(v), v) for v in graph.roots)
-    edges = {(graph.kinds[k], space[v], w)
+    edges = {(graph.table.kinds[k], space[v], w)
              for k, layer in enumerate(graph.layers)
              for v, ws in layer.items() for w in ws}
     assert len(memos) == 1 and set(seen) == edges
     for (_kind, v, w), (k, st) in seen.items():
-        assert st == real(c, k, v, w, {}, k)
+        assert st == real(chains_module._Intervals(c), k, v, w)
 
 
 def test_shared_halves_keep_one_containment_failures():
@@ -731,12 +751,13 @@ def test_shared_halves_keep_one_containment_failures():
     for f, g, v, w, _fails in mark.args[1]:
         c = LinkedChain(GF2, 2, 3, 2, [_gf2_matrix_3x3(f)],
                         [_gf2_matrix_3x3(g)], GF2(0))
-        halves, steps = {}, {}
+        table, steps = chains_module._Intervals(c), {}
         spaces = list(enumerate_subspaces(3, 2, 2))
         for a, b in itertools.product(spaces, repeat=2):
             if is_linked_point(c, ChainPoint([a, b])):
-                steps[a, b] = chains_module._step(c, 0, a, b, halves, 0)
-                assert steps[a, b] == chains_module._step(c, 0, a, b, {}, 0)
+                steps[a, b] = chains_module._step(table, 0, a, b)
+                assert steps[a, b] == chains_module._step(
+                    chains_module._Intervals(c), 0, a, b)
         step = steps[Subspace.from_rows(GF2, 3, v),
                       Subspace.from_rows(GF2, 3, w)]
         assert len(steps) > 1 and not step.exact
@@ -1311,7 +1332,7 @@ def test_draw_raises_exactly_where_the_checked_stream_does():
             (_axiom_violating_chain(), [False], {0, 1}, 0),
             (_axiom_violating_chain_off_the_kernel(), [True, False], {1}, 1)):
         table = chains_module._Intervals(c)
-        assert [m[2] for m in table.maps] == lawful
+        assert [m[-1] for m in table.maps] == lawful
         steps = set()
         for k in range(c.n - 1):
             for v in enumerate_subspaces(c.d, c.r, c.p):

@@ -779,6 +779,13 @@ def test_rho_negative_genus_or_rank_exit_code(capsys):
         one_json_error(err)
 
 
+def test_rho_negative_degree_exit_code(capsys):
+    code, out, err = run(capsys, "rho", "--genus", "0", "--rank", "1",
+                         "--degree", "-3")
+    assert code == 2 and out == ""
+    assert "d >= 0" in one_json_error(err)["error"]
+
+
 
 PLUCKER = ("plucker", "--degree", "2", "--p", "5", "--basis",
            "[[0,0,1],[1,0,0]]")

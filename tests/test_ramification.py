@@ -187,6 +187,8 @@ def test_rho_validation():
         rho(-1, 1, 2)                # negative genus
     with pytest.raises(ValueError):
         rho(0, -1, 2)                # negative rank
+    with pytest.raises(ValueError):
+        rho(0, 1, -3)                # negative degree
 
 
 def test_vanishing_rejects_dual():

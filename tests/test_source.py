@@ -1,0 +1,56 @@
+"""Checks on the package source itself.
+
+Every operation is a pure function (README): a call's work and result never
+depend on what ran before it in the process.  A memoising decorator would
+keep a cache across calls, so none may appear; a pass keeps its caches in
+a table of its own (``chains._Intervals``) that dies with it.
+"""
+
+import ast
+import os
+
+import lgseries
+
+PACKAGE = os.path.dirname(lgseries.__file__)
+CACHES = {"lru_cache", "cache"}
+
+
+def _decorator_name(node: ast.expr) -> str:
+    """The last name of a decorator: ``lru_cache`` for ``@lru_cache``,
+    ``@lru_cache(maxsize=64)`` and ``@functools.lru_cache``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _cached(source: str) -> list:
+    """(line, name) of each memoising decorator, and each import of one
+    from functools, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, node.name)
+                      for dec in node.decorator_list
+                      if _decorator_name(dec) in CACHES]
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in CACHES]
+    return sorted(found)
+
+
+def test_the_checker_finds_memoising_decorators():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "@lru_cache(maxsize=64)\ndef a(): pass\n"
+              "@functools.cache\ndef b(): pass\n"
+              "@staticmethod\ndef c(): pass\n")
+    assert _cached(source) == [(2, "lru_cache"), (4, "a"), (6, "b")]
+
+
+def test_no_function_keeps_a_cache_across_calls():
+    names = sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py"))
+    assert "linalg.py" in names and "chains.py" in names
+    for name in names:
+        with open(os.path.join(PACKAGE, name)) as fh:
+            assert _cached(fh.read()) == [], name
