@@ -44,11 +44,10 @@ from operator import mul
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
-from .fields import Fp, PrimeField
+from .fields import Fp, PrimeField, ring_from_dict
 from .linalg import (BudgetError, Matrix, Subspace, _between, _cells,
-                     _null_basis, _null_space, _reduce, _require_dict,
-                     apply_map, contains, enumerate_subspaces, image,
-                     intersect, kernel)
+                     _null_basis, _reduce, _require_dict, apply_map,
+                     contains, enumerate_subspaces, image, intersect, kernel)
 
 
 class LinkedChain:
@@ -120,8 +119,11 @@ class LinkedChain:
     def from_dict(cls, d: dict) -> "LinkedChain":
         d = _require_dict(d, "a chain",
                           ("ring", "n", "d", "r", "s", "fs", "gs"))
-        ring = _require_dict(d["ring"], "a chain ring", ("p",))
-        field_ = PrimeField(ring["p"])
+        field_ = ring_from_dict(_require_dict(d["ring"], "a chain ring",
+                                              ("p",)))
+        if field_.dual:
+            raise ValueError("a chain ring must be a prime field, got %r"
+                             % (field_,))
         for key in ("n", "d", "r", "s"):
             if type(d[key]) is not int:
                 raise ValueError("chain %r must be an integer, got %r"
@@ -296,9 +298,14 @@ def make_standard_chain(n: int, d: int, d1: int, s, p: int, r: int) -> LinkedCha
 
 
 def _check_point_shape(chain: LinkedChain, pt: ChainPoint) -> None:
+    """ValueError unless ``pt`` has the chain's length and each level the
+    chain's field (checked first), ambient dimension and rank."""
     if len(pt) != chain.n:
         raise ValueError("point has %d levels, chain has %d" % (len(pt), chain.n))
     for i, sp in enumerate(pt):
+        if sp.ring != chain.field:
+            raise ValueError("level %d is over %r, the chain over %r"
+                             % (i, sp.ring, chain.field))
         if sp.ambient_dim != chain.d:
             raise ValueError("level %d ambient %d != %d" % (i, sp.ambient_dim, chain.d))
         if sp.dim != chain.r:
@@ -686,7 +693,7 @@ def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
     (level 0).  K = ker [E_V B^T | E_W] pairs coefficients y of A_k with
     level-(k+1) maps.  One ``_reduce`` of [E_V B^T | E_W] gives dim K; its
     reduced rows with no entry in the y columns cut out A_{k+1}, the
-    projection of K to the second block, and ``_null_space`` of them is its
+    projection of K to the second block, and ``_null_basis`` of them is its
     canonical basis.  At the ``last`` step only dim K is needed, and A_{k+1}
     is None.
     """
@@ -702,7 +709,7 @@ def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
     if last:
         return None, dim_k
     cut = [row[m:] for row, pc in zip(rows, pivots) if pc >= m]
-    return tuple(_null_space(chain.field, cut, re_, p).basis_rows()), dim_k
+    return tuple(map(tuple, _null_basis(cut, re_, p)[0])), dim_k
 
 
 def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
@@ -1025,29 +1032,21 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
         edges = (_witnessed_edges(chain, graph)
                  if chain.s.is_zero() else set())
         nodes = sorted(report.signatures)
-        adj = {node: set() for node in nodes}
+        root = {node: node for node in nodes}   # union-find, one root each
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
         for a, b in edges:
-            if a in adj and b in adj:
-                adj[a].add(b)
-                adj[b].add(a)
-        components = 0
-        seen = set()
-        for node in nodes:
-            if node in seen:
-                continue
-            components += 1
-            stack = [node]
-            while stack:
-                cur = stack.pop()
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                stack.extend(adj[cur] - seen)
+            if a in root and b in root:
+                root[find(a)] = find(b)
         report.signature_graph = {
             "nodes": [[list(a), list(b)] for a, b in nodes],
             "edges": [[[list(x[0]), list(x[1])] for x in e]
                       for e in sorted(edges)],
-            "connected_components": components,
+            "connected_components": sum(x == y for x, y in root.items()),
         }
     return report
 

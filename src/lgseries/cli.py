@@ -10,6 +10,12 @@ that token names no command (top-level help, a missing or unknown command, a
 stray flag), every command's parser is built, so help and usage errors read
 the same.
 
+The CLI checks its flags' types and limits, but not the shape of an input
+the library reads: it only decodes the JSON-valued flags (``--constraints``,
+``--alphas``, ``--basis``, ``--vy``, ``--vz``) and the chain and point
+files, and passes them on.  The library function that reads each one checks
+it and raises ValueError, which exits 2.
+
 Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
 except the long listings of ``enum-lls`` (points) and ``fr-image``
 (preimage counts): ``_listing_json_text`` renders one entry with placeholder
@@ -210,49 +216,7 @@ def _chain_from_args(args, validate: bool = True) -> chains.LinkedChain:
 
 
 def _parse_subspace(text: str, p: int, ambient: int) -> Subspace:
-    rows = json.loads(text)
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError("a basis must be a JSON list of rows, got %r" % (text,))
-    return Subspace.from_rows(PrimeField(p), ambient, rows)
-
-
-def _is_int(x) -> bool:
-    return type(x) is int
-
-
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(map(_is_int, x))
-
-
-def _parse_constraints(text: str, r: int) -> list:
-    """The --constraints JSON: a list of {"side": "Y"|"Z", "point": int or
-    "inf", "min": [r+1 ints]} objects."""
-    cons = json.loads(text)
-    if not isinstance(cons, list):
-        raise ValueError("--constraints must be a JSON list, got %r" % (text,))
-    for c in cons:
-        if not isinstance(c, dict) or set(c) != {"side", "point", "min"}:
-            raise ValueError("a constraint must be an object with exactly the "
-                             "keys side, point and min, got %r" % (c,))
-        if c["side"] not in ("Y", "Z"):
-            raise ValueError("constraint side must be Y or Z, got %r"
-                             % (c["side"],))
-        if not (_is_int(c["point"]) or c["point"] == "inf"):
-            raise ValueError('constraint point must be an integer or "inf", '
-                             "got %r" % (c["point"],))
-        if not _is_int_list(c["min"]) or len(c["min"]) != r + 1:
-            raise ValueError("constraint min must be a list of %d integers, "
-                             "got %r" % (r + 1, c["min"]))
-    return cons
-
-
-def _parse_alphas(text: str) -> list:
-    """The --alphas JSON: a list of ramification sequences (int lists)."""
-    alphas = json.loads(text)
-    if not isinstance(alphas, list) or not all(map(_is_int_list, alphas)):
-        raise ValueError("--alphas must be a JSON list of integer lists, "
-                         "got %r" % (text,))
-    return alphas
+    return Subspace.from_rows(PrimeField(p), ambient, json.loads(text))
 
 
 def cmd_validate_chain(args) -> int:
@@ -276,15 +240,11 @@ def cmd_census(args) -> int:
 
 
 def _point_from_file(path: str, chain: chains.LinkedChain) -> chains.ChainPoint:
-    """A point read from JSON, checked against the chain before analysis:
-    each level over the chain's field and of its ambient dimension and rank,
-    and the point linked."""
+    """A point read from JSON and checked to be linked before analysis;
+    ``is_linked_point`` checks each level's field, ambient dimension and rank
+    against the chain first."""
     with open(path) as fh:
         pt = chains.ChainPoint.from_dict(json.load(fh))
-    for i, sp in enumerate(pt):
-        if sp.ring != chain.field:
-            raise ValueError("level %d is over %r, the chain over %r"
-                             % (i, sp.ring, chain.field))
     if not chains.is_linked_point(chain, pt):
         raise ValueError("the point is not linked: some f_i(V_i) is not in "
                          "V_(i+1) or some g_i(V_(i+1)) is not in V_i")
@@ -330,8 +290,7 @@ def cmd_components_n2(args) -> int:
 
 
 def cmd_enum_lls(args) -> int:
-    constraints = (_parse_constraints(args.constraints, args.rank)
-                   if args.constraints else None)
+    constraints = json.loads(args.constraints) if args.constraints else None
     pts = list(series.enumerate_limit_series(
         args.degree, args.rank, args.p, constraints=constraints,
         budget=args.budget))
@@ -396,7 +355,7 @@ def cmd_vanishing(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    alphas = _parse_alphas(args.alphas) if args.alphas else []
+    alphas = json.loads(args.alphas) if args.alphas else []
     value = ramification.rho(args.genus, args.rank, args.degree, alphas)
     report = {"schema_version": SCHEMA_VERSION, "genus": args.genus,
               "r": args.rank, "d": args.degree, "alphas": alphas, "rho": value}

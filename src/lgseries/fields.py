@@ -243,7 +243,11 @@ class DualNumbers:
 
 
 def ring_from_dict(d: dict):
-    return DualNumbers(d["p"]) if d.get("dual") else PrimeField(d["p"])
+    """The ring of ``as_dict``; ``dual``, when present, must be a bool."""
+    dual = d.get("dual", False)
+    if type(dual) is not bool:
+        raise ValueError("ring 'dual' must be a JSON boolean, got %r" % (dual,))
+    return DualNumbers(d["p"]) if dual else PrimeField(d["p"])
 
 
 def integer_determinant(m: list) -> int:

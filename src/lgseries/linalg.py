@@ -126,6 +126,11 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ring, rows: Sequence[Sequence]) -> "Matrix":
+        """The matrix of ``rows``, a list or tuple of equally long lists or
+        tuples of entries; any other shape raises ValueError."""
+        if not isinstance(rows, (list, tuple)) or \
+                not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("rows must be a list of lists, got %r" % (rows,))
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         ents = []
@@ -409,9 +414,10 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ring, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        if not rows:
-            return cls.zero_space(ring, ambient_dim)
+        """The span of ``rows``, checked as ``Matrix.from_rows`` checks them."""
         m = Matrix.from_rows(ring, rows)
+        if not m.rows:
+            return cls.zero_space(ring, ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("row length %d does not match ambient %d"
                              % (m.cols, ambient_dim))

@@ -237,13 +237,24 @@ def plucker_check(v: Subspace, genus: int = 0,
 
 
 def rho(genus: int, r: int, d: int, alphas: Sequence[Sequence[int]] = ()) -> int:
-    """Expected dimension (r+1)(d-r) - r*genus - sum of all ramification."""
+    """Expected dimension (r+1)(d-r) - r*genus - sum of all ramification.
+
+    ValueError unless genus, r and d are nonnegative ints (not bools) and
+    ``alphas`` a list or tuple of non-decreasing lists or tuples of r+1
+    nonnegative ints."""
+    if not all(type(x) is int for x in (genus, r, d)):
+        raise ValueError("genus, r and d must be integers, got %r"
+                         % ((genus, r, d),))
     if genus < 0 or r < 0 or d < 0:
         raise ValueError("need genus >= 0, r >= 0 and d >= 0, got genus=%d "
                          "r=%d d=%d" % (genus, r, d))
+    if not isinstance(alphas, (list, tuple)) or not all(
+            isinstance(alpha, (list, tuple))
+            and all(type(a) is int for a in alpha) for alpha in alphas):
+        raise ValueError("alphas must be a list of integer lists, got %r"
+                         % (alphas,))
     total = 0
     for alpha in alphas:
-        alpha = list(alpha)
         if len(alpha) != r + 1:
             raise ValueError("ramification sequence must have length r+1")
         if any(a < 0 for a in alpha):

@@ -392,35 +392,52 @@ def enumerate_limit_series(d: int, r: int, q: int,
                            budget: Optional[int] = None) -> Iterator[LimitSeriesPoint]:
     """All linked points of the degree-d section chain with rank r+1 spaces.
 
-    ``constraints`` is a list of {"side": "Y"|"Z", "point": value-or-"inf",
-    "min": [a_0..a_r]} lower bounds on vanishing sequences, imposed on the
-    y-aspect of level 0 for Y-points and the z-aspect of level d for
-    Z-points.  Order is deterministic.  A negative r raises ValueError.
+    ``constraints`` is a list (or tuple) of {"side": "Y"|"Z", "point": int
+    or "inf", "min": [a_0..a_r]} lower bounds on vanishing sequences,
+    imposed on the y-aspect of level 0 for Y-points and the z-aspect of
+    level d for Z-points.  Order is deterministic.  A negative r, or
+    constraints of any other shape (other keys, a bool for an int, a "min"
+    not of r+1 ints), raise ValueError before any budget is spent.
     """
     _require_series_rank(r)
+    checks = _bound_checks(constraints, d, r)
     model = NodalModel(d, q)
-    chain = model.chain(r + 1)
-    sides = {"Y": [], "Z": []}
-    for c in constraints or ():
-        if c["side"] not in sides:
-            raise ValueError("constraint side must be Y or Z, got %r"
-                             % (c["side"],))
-        sides[c["side"]].append(c)
-    # (level, constraint): the y-aspect is level 0, the z-aspect level d
-    checks = [(0, c) for c in sides["Y"]] + [(d, c) for c in sides["Z"]]
-    for pt in enumerate_points(chain, budget=budget):
-        if not checks or all(_meets_bound(pt[level], c)
-                             for level, c in checks):
+    for pt in enumerate_points(model.chain(r + 1), budget=budget):
+        if not checks or all(_meets_bound(pt[level], point, bound)
+                             for level, point, bound in checks):
             yield LimitSeriesPoint(model, pt)
 
 
-def _meets_bound(aspect: Subspace, constraint: dict) -> bool:
-    point = constraint["point"]
-    data = vanishing_sequence(aspect, INFINITY if point == "inf" else point)
-    bound = list(constraint["min"])
-    if len(bound) != len(data.vanishing):
-        raise ValueError("constraint length must be r+1")
-    return all(a >= b for a, b in zip(data.vanishing, bound))
+def _bound_checks(constraints: Optional[Sequence[dict]], d: int,
+                  r: int) -> list:
+    """(level, point, min) for each constraint, checked for shape: the
+    y-aspect is level 0, the z-aspect level d."""
+    if constraints is None:
+        return []
+    if not isinstance(constraints, (list, tuple)):
+        raise ValueError("constraints must be a list, got %r" % (constraints,))
+    checks = []
+    for c in constraints:
+        if not isinstance(c, dict) or set(c) != {"side", "point", "min"}:
+            raise ValueError("a constraint must be an object with exactly the "
+                             "keys side, point and min, got %r" % (c,))
+        side, point, bound = c["side"], c["point"], c["min"]
+        if side not in ("Y", "Z"):
+            raise ValueError("constraint side must be Y or Z, got %r" % (side,))
+        if not (type(point) is int or point == INFINITY):
+            raise ValueError('constraint point must be an integer or "inf", '
+                             "got %r" % (point,))
+        if not isinstance(bound, (list, tuple)) or len(bound) != r + 1 or \
+                not all(type(b) is int for b in bound):
+            raise ValueError("constraint min must be a list of %d integers, "
+                             "got %r" % (r + 1, bound))
+        checks.append((0 if side == "Y" else d, point, bound))
+    return checks
+
+
+def _meets_bound(aspect: Subspace, point, bound: Sequence[int]) -> bool:
+    vanishing = vanishing_sequence(aspect, point).vanishing
+    return all(a >= b for a, b in zip(vanishing, bound))
 
 
 @dataclass

@@ -1494,6 +1494,27 @@ def test_chain_serialization_roundtrip():
     assert ChainPoint.from_dict(pt.as_dict()) == pt
 
 
+def test_a_chain_ring_must_be_a_prime_field():
+    spec = cross_chain().as_dict()
+    for ring in ({"p": 2, "dual": True}, {"p": 2, "dual": "no"}):
+        with pytest.raises(ValueError):
+            LinkedChain.from_dict(dict(spec, ring=ring))
+
+
+def test_every_analysis_rejects_a_point_over_another_ring():
+    # the node of the cross chain over GF(2), written over GF(3) and over
+    # GF(2)[eps]
+    c = cross_chain()
+    for ring in (PrimeField(3), DualNumbers(2)):
+        pt = ChainPoint([Subspace.from_rows(ring, 2, [[0, 1]]),
+                         Subspace.from_rows(ring, 2, [[1, 0]])])
+        for analysis in (signature, is_exact, tangent_dimension,
+                         is_linked_point, extend_truncation, exactify,
+                         lambda chain, point: decompose(chain, point, 0)):
+            with pytest.raises(ValueError, match="level 0 is over"):
+                analysis(c, pt)
+
+
 def test_census_report_roundtrip_jsonable():
     import json
 

@@ -559,6 +559,19 @@ def test_chain_file_top_level_list_exit_code(capsys, tmp_path):
     one_json_error(err)
 
 
+def test_chain_file_ring_must_be_a_prime_field(capsys, tmp_path):
+    # "dual" is a JSON boolean, and a chain's ring is a prime field
+    path = tmp_path / "chain.json"
+    for dual in (True, "no", [0]):
+        chain = chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1])
+        chain["ring"] = {"p": 2, "dual": dual}
+        path.write_text(json.dumps(chain))
+        code, out, err = run(capsys, "census", "--kind", "file",
+                             "--chain-file", str(path), "--budget", "100")
+        assert code == 2 and out == "", dual
+        one_json_error(err)
+
+
 def test_a_missing_key_is_named_with_its_object(capsys, tmp_path):
     ring = {"p": 2, "dual": False}
     no_entries = chain_dict(2, [1, 0, 0, 0], [0, 0, 0, 1])

@@ -5,7 +5,7 @@ import pytest
 
 from lgseries.fields import (Dual, DualNumbers, Fp, PrimeField,
                              binomial_matrix, integer_determinant, is_prime,
-                             is_tame, tameness_determinant)
+                             is_tame, ring_from_dict, tameness_determinant)
 
 PRIMES_SMALL = [2, 3, 5, 7, 11, 13]
 
@@ -24,6 +24,16 @@ def test_prime_field_rejects_bad_moduli():
         PrimeField(2**31 + 11)
     with pytest.raises(ValueError):
         PrimeField(2**61 - 1)  # prime; trial division of it would not end
+
+
+def test_ring_dual_flag_must_be_a_bool():
+    assert ring_from_dict({"p": 3}) == PrimeField(3)
+    assert ring_from_dict({"p": 3, "dual": False}) == PrimeField(3)
+    assert ring_from_dict({"p": 3, "dual": True}) == DualNumbers(3)
+    # read by truthiness, "no" and [0] would both be the dual numbers
+    for bad in ("no", [0], 1, 0, None, "false"):
+        with pytest.raises(ValueError, match="dual"):
+            ring_from_dict({"p": 2, "dual": bad})
 
 
 def test_field_inverse_examples():

@@ -670,6 +670,18 @@ def test_entries_are_ints_and_boundary_rejects_non_integers():
     assert isinstance(m.det(), Fp)
 
 
+def test_rows_must_be_a_list_of_lists():
+    # checked before the empty-rows shortcut: "" and 0 are falsy as well
+    for bad in ("", 0, None, "ab", [1], [[1, 0], 2], [{0: 1, 1: 0}]):
+        with pytest.raises(ValueError, match="list of lists"):
+            Matrix.from_rows(GF2, bad)
+        with pytest.raises(ValueError, match="list of lists"):
+            Subspace.from_rows(GF2, 2, bad)
+    assert Subspace.from_rows(GF2, 2, ()) == Subspace.zero_space(GF2, 2)
+    assert Subspace.from_rows(GF2, 2, ((1, 1),)) == \
+        Subspace.from_rows(GF2, 2, [[1, 1]])
+
+
 # --- dual-number modules as eps-stable GF(p)-subspaces -----------------------
 
 def test_dual_canonical_form_depends_only_on_module():

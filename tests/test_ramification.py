@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from test_cli import FUZZ, JSON_VALUES
 
 from lgseries.fields import PrimeField
 from lgseries.linalg import Subspace, enumerate_subspaces
@@ -189,6 +191,23 @@ def test_rho_validation():
         rho(0, -1, 2)                # negative rank
     with pytest.raises(ValueError):
         rho(0, 1, -3)                # negative degree
+    for args in ((0.5, 1, 2), (True, 1, 2), (0, 1.0, 2), (0, 1, "2")):
+        with pytest.raises(ValueError, match="integers"):
+            rho(*args)               # not an int, or a bool
+    for alphas in ([[0.5, 1.5]], [[True, 1]], [1], "ab", [[0, 1], None],
+                   {"a": [0, 1]}, [(0, 1), "01"]):
+        with pytest.raises(ValueError, match="alphas"):
+            rho(0, 1, 2, alphas)     # not a list of integer lists
+    assert rho(0, 1, 3, ((0, 1),)) == rho(0, 1, 3, [[0, 1]]) == 3
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_fuzz_rho_alphas_raise_only_value_errors(value):
+    try:
+        rho(0, 1, 2, value)
+    except ValueError:
+        pass
 
 
 def test_vanishing_rejects_dual():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from test_cli import FUZZ, JSON_VALUES
 
 from lgseries.chains import (census, enumerate_points, is_exact,
                              is_linked_point, validate_chain)
@@ -259,6 +261,29 @@ def test_enumerate_limit_series_with_constraints():
         from lgseries.ramification import INFINITY, vanishing_sequence
 
         assert vanishing_sequence(vz, INFINITY).vanishing[0] >= 1
+
+
+def test_enumerate_limit_series_checks_constraints_first():
+    # each of these spends no budget: a budget of 0 would raise BudgetError
+    good = {"side": "Y", "point": 0, "min": [1]}
+    for bad in ({"a": 1}, "Y", [1], [good, 1], [{"side": "Y", "point": 1}],
+                [dict(good, side="Q")], [dict(good, point=1.5)],
+                [dict(good, point=True)], [dict(good, point=None)],
+                [dict(good, min=[True])], [dict(good, min=[1, 2])],
+                [dict(good, min=1)], [dict(good, x=0)]):
+        with pytest.raises(ValueError, match="constraint"):
+            next(enumerate_limit_series(2, 0, 2, constraints=bad, budget=0))
+    assert list(enumerate_limit_series(2, 0, 2, constraints=(good,))) == \
+        list(enumerate_limit_series(2, 0, 2, constraints=[good]))
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_fuzz_constraints_raise_only_value_errors(value):
+    try:
+        list(enumerate_limit_series(2, 0, 2, constraints=value))
+    except ValueError:
+        pass
 
 
 def test_fr_image_small_cases():
