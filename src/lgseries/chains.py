@@ -26,7 +26,8 @@ linkage equations, which couple consecutive levels only.  It joins two
 node halves, each built once per (kind, node, map) and read off echelon
 bases, pivots and annihilator rows, so no frame is built or inverted.
 ``signature``, ``is_exact`` and ``tangent_dimension`` run it along one
-point's path; a census runs it once per edge of the whole graph and folds
+point's path, which ``_path_steps`` checks to be linked (a graph edge is
+by construction); a census runs it once per edge of the graph and folds
 the tangent equations forward level by level (``_advance``), merging the
 prefixes that reach the same state.  The table keeps every cache of its
 pass, so no call depends on what ran before.  All of it runs on int rows
@@ -386,6 +387,7 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
     one object of the table, which holds it, so the layers and the front
     {id(V_k): [V_k, paths]} key spaces by identity.
     """
+    _check_budget(budget)
     table, spent, roots = _Intervals(chain), 0, []
     for v in enumerate_subspaces(chain.d, chain.r, chain.p):
         spent += 1
@@ -416,6 +418,13 @@ def _interval_graph(chain: LinkedChain, budget: Optional[int]) -> _Graph:
     return _Graph(tuple(roots), table, tuple(layers))
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    """ValueError unless ``budget`` is None or an int (not a bool) >= 0."""
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError("budget must be a nonnegative integer, got %r"
+                         % (budget,))
+
+
 def _budget_error(budget: int) -> BudgetError:
     return BudgetError("enumeration examined more than %d candidate subspaces"
                        % budget, count=budget + 1)
@@ -438,6 +447,7 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
     interval afresh, and no candidate is drawn ahead of its spend.
     BudgetError is raised past ``budget`` candidates.
     """
+    _check_budget(budget)
     table, spent, prefix = _Intervals(chain), 0, list(prefix)
     stack = [map(table.space, first)]
     while stack:
@@ -465,8 +475,8 @@ class _Intervals:
     """The intervals f_k(V) <= W <= g_k^{-1}(V) of one pass over a chain,
     and every other cache of the pass, in six dicts that die with it.
 
-    ``maps`` holds, per kind, the rows and the columns of f_k and g_k and
-    whether g_k f_k = s id (axiom (I)), read once; steps with equal
+    ``maps`` holds, per kind, the rows of f_k and g_k and whether
+    g_k f_k = s id (axiom (I)), read once; steps with equal
     (f_k, g_k) share a kind.  ``spaces`` interns every space by its
     echelon entries before any ``Subspace`` is built, so each distinct
     space is one object, held here, and no dict hashes a ``Subspace``.
@@ -491,11 +501,11 @@ class _Intervals:
         self.maps = []
         for f, g in maps:
             frows, grows = f._rows(), g._rows()
-            fcols, gcols = list(zip(*frows)), list(zip(*grows))
+            fcols = list(zip(*frows))
             lawful = all(sum(map(mul, grow, col)) % p == (s if i == j else 0)
                          for i, grow in enumerate(grows)
                          for j, col in enumerate(fcols))
-            self.maps.append((frows, grows, fcols, gcols, lawful))
+            self.maps.append((frows, grows, lawful))
         self.spaces, self.nodes, self.pairs, self.cells = {}, {}, {}, {}
         self.halves, self.steps = {}, {}
 
@@ -542,7 +552,7 @@ class _Intervals:
         """
         chain = self.chain
         p, d, r = chain.p, chain.d, chain.r
-        frows, grows, _, _, lawful = self.maps[self.kinds[k]]
+        frows, grows, lawful = self.maps[self.kinds[k]]
         lower = [[sum(map(mul, row, b)) % p for row in frows]
                  for b in v.basis_rows()]
         if not lawful and not v._holds([[sum(map(mul, row, y))
@@ -596,27 +606,20 @@ def _half(table: _Intervals, k: int, u: Subspace, forward: bool) -> tuple:
     """What the edges at step k read of their end U: (images, span, kernel,
     free, ann) for M = f_k at a source (``forward``), g_k at a target, and
     M' the other map, kept in ``table.halves`` per (kind, id(U), forward).
-    These are the rows M b_a; M(U) and ker(M|U) in ambient coordinates,
-    canonical, from one elimination of the rows [M b_a | b_a]; U's
-    non-pivot columns; and the rows a_c M'."""
+    These are the rows M b_a, each entry a row of M times b_a as in the
+    draw; M(U) and ker(M|U) in ambient coordinates, canonical, from one
+    elimination of the rows [M b_a | b_a]; U's non-pivot columns; and the
+    rows a_c M', on which ``_path_steps`` checks linkage."""
     key = (table.kinds[k], id(u), forward)
     half = table.halves.get(key)
     if half is not None:
         return half
-    chain, (frows, grows, fcols, gcols, _) = table.chain, table.maps[key[0]]
+    chain, (frows, grows, _) = table.chain, table.maps[key[0]]
     p, d = chain.p, chain.d
-    cols, partner = (fcols, grows) if forward else (gcols, frows)
+    mrows, partner = (frows, grows) if forward else (grows, frows)
     pset, basis = set(u.pivots), u.basis_rows()
     free = [c for c in range(d) if c not in pset]
-    images = []
-    for b, pc in zip(basis, u.pivots):
-        # b is 1 at pc, 0 at U's other pivots
-        img = cols[pc]
-        for c in free:
-            x = b[c]
-            if x:
-                img = [a + x * y for a, y in zip(img, cols[c])]
-        images.append([a % p for a in img])
+    images = [[sum(map(mul, row, b)) % p for row in mrows] for b in basis]
     rows = [img + list(b) for img, b in zip(images, basis)]
     pivots = _reduce(rows, range(2 * d), p)
     rank = bisect_left(pivots, d)
@@ -639,9 +642,9 @@ def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
     non-pivot column c it is a_c . y, with a_c = e_c - sum_a b_a[c] e_(pc_a)
     the annihilator row of ``Subspace._annihilate``.  So L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on
     V in basis coordinates, and the rows a_c f_k of W's half give f_k into
-    the quotient.  One that does not vanish on V's basis raises ValueError
-    (non-linked point); their entries at V's non-pivot columns form the
-    e x e block Q_F.  g_k gives L_G and Q_G in the same way, with V and W
+    the quotient (the edge is linked, so they vanish on V's basis; see
+    ``_path_steps``); their entries at V's non-pivot columns form the e x e
+    block Q_F.  g_k gives L_G and Q_G in the same way, with V and W
     swapped.  Exactness is the containment definition, by reduction against
     the halves' spans: ker g_k|W lies in f_k(V) and ker f_k|V in g_k(W).
 
@@ -662,13 +665,8 @@ def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
     e = table.chain.d - r
     re_ = r * e
     eqs = []
-    for name, i, src, dst, imgs, ann, free, forward in (
-            ("f", k, v, w, f_img, w_ann, v_free, True),
-            ("g", k + 1, w, v, g_img, v_ann, w_free, False)):
-        basis = src.basis_rows()
-        if any(sum(map(mul, q, b)) % p for q in ann for b in basis):
-            raise ValueError("non-linked point: %s_%d(V_%d) is not in V_%d"
-                             % (name, k, i, 2 * k + 1 - i))
+    for dst, imgs, ann, free, forward in ((w, f_img, w_ann, v_free, True),
+                                          (v, g_img, v_ann, w_free, False)):
         quot = [[q[c] for c in free] for q in ann]
         for a, img in enumerate(imgs):
             lam = [-img[pc] % p for pc in dst.pivots]
@@ -713,11 +711,22 @@ def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
 
 
 def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
-    """The step data along the single path of ``pt``; a non-linked step
-    raises ValueError."""
+    """The step data along the path of ``pt``, a point from outside the
+    graph: step by step, f before g, a row a_c f_k of V_{k+1}'s half that
+    is not zero on V_k (or a_c g_k of V_k's on V_{k+1}) raises ValueError."""
     _check_point_shape(chain, pt)
-    table = _Intervals(chain)
-    return [_step(table, k, pt[k], pt[k + 1]) for k in range(chain.n - 1)]
+    table, p, steps = _Intervals(chain), chain.p, []
+    for k in range(chain.n - 1):
+        v, w = pt[k], pt[k + 1]
+        for name, i, src, dst, at_source in (("f", k, v, w, False),
+                                             ("g", k + 1, w, v, True)):
+            ann = _half(table, k, dst, at_source)[4]
+            if any(sum(map(mul, q, b)) % p for b in src.basis_rows()
+                   for q in ann):
+                raise ValueError("non-linked point: %s_%d(V_%d) is not in "
+                                 "V_%d" % (name, k, i, 2 * k + 1 - i))
+        steps.append(_step(table, k, v, w))
+    return steps
 
 
 def _check_rank_law(by_ranks: bool, exact: bool) -> None:
@@ -811,8 +820,7 @@ def decompose(chain: LinkedChain, pt: ChainPoint, level: int,
         seed_rows = [list(rw) for rw in c_prime.basis_rows()]
     acc_rows = ([list(rw) for rw in img_block.basis_rows()]
                 + [list(rw) for rw in ker_block.basis_rows()] + seed_rows)
-    acc = Subspace.from_rows(chain.field, chain.d, acc_rows) if acc_rows \
-        else Subspace.zero_space(chain.field, chain.d)
+    acc = Subspace.from_rows(chain.field, chain.d, acc_rows)
     if acc.dim != img_block.dim + ker_block.dim + len(seed_rows):
         raise ValueError("supplied C' is not independent from the blocks")
     comp_rows = list(seed_rows)
@@ -964,12 +972,11 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     solutions vanishing at level k.  The rank law is checked at each leaf,
     on the whole point, as in ``signature``.
 
-    Each edge reads its ranks, exactness and equations from ``_step``,
-    which the graph's table keeps per (kind, id(V), id(W)), joined from
-    halves of V and W that the table keeps for the whole pass, and moves
-    every state at V by one ``_advance``; a leaf's tangent dimension is
-    D + dim K of its last step.  The budget is spent by ``_interval_graph``
-    as it builds the graph, before any state moves.
+    Each edge reads its ranks, exactness and equations from ``_step`` once,
+    joined from halves of V and W that the graph's table keeps for the
+    pass, then moves every state at V by one ``_advance``; a leaf's tangent
+    dimension is D + dim K of its last step.  The budget is spent by
+    ``_interval_graph`` as it builds the graph, before any state moves.
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
@@ -1011,9 +1018,9 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
         last = k == chain.n - 2
         nxt = {}
         for key_v, (v, by_a) in states.items():
-            for basis, counts in by_a.items():
-                for w in layer[key_v]:
-                    st = _step(graph.table, k, v, w)
+            for w in layer[key_v]:
+                st = _step(graph.table, k, v, w)
+                for basis, counts in by_a.items():
                     a_next, dim_k = _advance(chain, st, basis, last)
                     if last:
                         for key, cnt in counts.items():

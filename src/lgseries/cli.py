@@ -10,11 +10,12 @@ that token names no command (top-level help, a missing or unknown command, a
 stray flag), every command's parser is built, so help and usage errors read
 the same.
 
-The CLI checks its flags' types and limits, but not the shape of an input
-the library reads: it only decodes the JSON-valued flags (``--constraints``,
-``--alphas``, ``--basis``, ``--vy``, ``--vz``) and the chain and point
-files, and passes them on.  The library function that reads each one checks
-it and raises ValueError, which exits 2.
+The CLI checks its flags' types and the limits of ``--point-index`` and
+``--workers``, but not a budget or the shape of an input the library reads:
+it only decodes the JSON-valued flags (``--constraints``, ``--alphas``,
+``--basis``, ``--vy``, ``--vz``) and the chain and point files, and passes
+them on.  The library function that reads each one checks it and raises
+ValueError, which exits 2.
 
 Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
 except the long listings of ``enum-lls`` (points) and ``fr-image``
@@ -509,15 +510,13 @@ def _check_config(command: argparse.ArgumentParser, config: dict) -> None:
 
 
 def _check_limits(args) -> None:
-    # flags and config values alike: a budget counts candidates, a point
-    # index counts points from 0; --workers has no effect (the census is
-    # serial) but keeps its K >= 1 check
-    for flag, dest in (("--budget", "budget"),
-                       ("--point-index", "point_index")):
-        value = getattr(args, dest, None)
-        if value is not None and (type(value) is not int or value < 0):
-            raise _UsageError("%s must be a nonnegative integer, got %r"
-                              % (flag, value))
+    # flags and config values alike: a point index counts points from 0;
+    # --workers has no effect (the census is serial) but keeps its K >= 1
+    # check; the library checks a budget where it reads one
+    index = getattr(args, "point_index", None)
+    if index is not None and (type(index) is not int or index < 0):
+        raise _UsageError("--point-index must be a nonnegative integer, "
+                          "got %r" % (index,))
     workers = getattr(args, "workers", None)
     if workers is not None and (type(workers) is not int or workers < 1):
         raise _UsageError("--workers must be a positive integer, got %r"

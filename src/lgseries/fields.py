@@ -6,6 +6,10 @@ arithmetic below.  Moduli are capped at 2^31 so that all intermediate
 products stay comfortably inside machine integers on any platform;
 determinants are computed over unbounded integers first and only reduced
 at the end.
+
+``_residue`` is the one way a scalar enters GF(p), for ring calls and
+matrix entries (``linalg._entries``) alike: an int, or an ``Fp`` of the
+same p, is reduced, and anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +33,17 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _residue(x, p: int) -> int:
+    """One GF(p) entry as an int in [0, p): an int, or an Fp over the same p."""
+    if isinstance(x, Fp):
+        if x.p != p:
+            raise ValueError("element of GF(%d) used in GF(%d)" % (x.p, p))
+        return x.v
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x) % p
+    raise ValueError("entries over GF(%d) must be integers, got %r" % (p, x))
 
 
 class Fp:
@@ -156,7 +171,7 @@ class Dual:
 
 
 class PrimeField:
-    """Ring descriptor for GF(p).  Calling it coerces ints/elements."""
+    """Ring descriptor for GF(p).  Calling it coerces through ``_residue``."""
 
     __slots__ = ("p",)
     dual = False
@@ -170,13 +185,9 @@ class PrimeField:
         self.p = p
 
     def __call__(self, v) -> Fp:
-        if isinstance(v, Fp):
-            if v.p != self.p:
-                raise ValueError("element of GF(%d) used in GF(%d)" % (v.p, self.p))
+        if isinstance(v, Fp) and v.p == self.p:
             return v
-        if isinstance(v, int):
-            return Fp(v, self.p)
-        raise TypeError("cannot coerce %r into GF(%d)" % (v, self.p))
+        return Fp(_residue(v, self.p), self.p)
 
     def zero(self) -> Fp:
         return Fp(0, self.p)
@@ -208,17 +219,10 @@ class DualNumbers:
         self.p = p
 
     def __call__(self, a0, a1: int = 0) -> Dual:
-        if isinstance(a0, Dual):
-            if a0.p != self.p:
-                raise ValueError("mixed moduli: %d vs %d" % (a0.p, self.p))
+        if isinstance(a0, Dual) and a0.p == self.p:
             return a0
-        if isinstance(a0, Fp):
-            if a0.p != self.p:
-                raise ValueError("mixed moduli: %d vs %d" % (a0.p, self.p))
-            return Dual(a0.v, a1, self.p)
-        if isinstance(a0, int):
-            return Dual(a0, a1, self.p)
-        raise TypeError("cannot coerce %r into dual numbers mod %d" % (a0, self.p))
+        p = self.p
+        return Dual(_residue(a0, p), _residue(a1, p), p)
 
     def zero(self) -> Dual:
         return Dual(0, 0, self.p)

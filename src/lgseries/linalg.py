@@ -10,11 +10,11 @@ Entries.  Over GF(p) a Matrix or Subspace holds its entries as plain ints in
 [0, p), with p read from ``ring.p``, and every routine works on them with int
 arithmetic reduced mod p.  ``Fp`` and ``Dual`` are the boundary types:
 ``Matrix.from_rows``, ``Subspace.from_rows`` and the ``from_dict`` readers
-accept ints, or ``Fp`` of the same p, and reduce them (vectors passed to
-``apply``, ``contains_vector`` and ``coords_in_rows`` are reduced the same
-way); floats, strings and bools raise ValueError.  Entry accessors
-(``entry``, ``row``, ``row_list``, ``basis_rows``, ``apply``) return ints
-over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp`` values
+accept ints, or ``Fp`` of the same p, and reduce them through
+``fields._residue``, as the ring calls do (vectors passed to ``apply``,
+``contains_vector`` and ``coords_in_rows`` too); anything else raises
+ValueError.  Entry accessors (``entry``, ``row``, ``row_list``,
+``basis_rows``, ``apply``) return ints over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp`` values
 still hold.  ``Matrix.det`` returns an ``Fp``.  A field matrix never mixes
 ``Fp`` and int entries, because they hash differently and subspace hashing
 reads ``entries``.
@@ -54,8 +54,8 @@ from itertools import chain, combinations, product
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .fields import (Dual, DualNumbers, Fp, PrimeField, integer_determinant,
-                     ring_from_dict)
+from .fields import (Dual, DualNumbers, Fp, PrimeField, _residue,
+                     integer_determinant, ring_from_dict)
 
 
 class BudgetError(RuntimeError):
@@ -66,29 +66,11 @@ class BudgetError(RuntimeError):
         self.count = count
 
 
-def _residue(x, p: int) -> int:
-    """One GF(p) entry as an int in [0, p): an int, or an Fp over the same p."""
-    if type(x) is int:
-        return x % p
-    if isinstance(x, Fp):
-        if x.p != p:
-            raise ValueError("element of GF(%d) used in GF(%d)" % (x.p, p))
-        return x.v
-    if isinstance(x, int) and not isinstance(x, bool):
-        return int(x) % p
-    raise ValueError("entries over GF(%d) must be integers, got %r" % (p, x))
-
-
-def _dual_entry(ring, x) -> Dual:
-    if isinstance(x, (Dual, Fp)):
-        return ring(x)
-    return Dual(_residue(x, ring.p), 0, ring.p)
-
-
 def _entries(ring, xs) -> tuple:
-    """The coercion point: ints mod p over a field, Dual over the dual numbers."""
+    """A row through ``fields._residue``: ints mod p over a field, the ring's
+    own ``Dual`` values over the dual numbers."""
     if ring.dual:
-        return tuple(_dual_entry(ring, x) for x in xs)
+        return tuple(map(ring, xs))
     p = ring.p
     return tuple([x % p if type(x) is int else _residue(x, p) for x in xs])
 
@@ -292,7 +274,7 @@ def _entry_from_json(ring, e):
     if not isinstance(e, list) or len(e) != 2:
         raise ValueError("dual-number entries must be [a0, a1] pairs, got %r"
                          % (e,))
-    return Dual(_residue(e[0], ring.p), _residue(e[1], ring.p), ring.p)
+    return ring(*e)
 
 
 class Echelon(NamedTuple):

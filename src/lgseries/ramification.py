@@ -10,7 +10,9 @@ characteristic.
 
 Polynomials are tuples of ints in [0, p); ``hasse_derivative`` and
 ``poly_order_at`` reduce their input (ints, or ``Fp`` of the same p) and,
-like ``wronskian``, raise ValueError over the dual numbers.
+like ``wronskian``, raise ValueError over the dual numbers.  A point is
+INFINITY or a field value read by the ring call (``fields._residue``), so
+any other point, a float, a bool or None, raises ValueError.
 """
 
 from __future__ import annotations
@@ -201,13 +203,17 @@ def plucker_check(v: Subspace, genus: int = 0,
 
     Inspect at least every rational point plus infinity (the default) to
     account for all ramification of a series whose Wronskian splits over the
-    base field.  A negative genus, or a point inspected twice (points are
-    read mod p), raises ValueError.  A separable series exceeding the bound
-    is impossible; it is reported as a hard error rather than a certificate.
+    base field.  A genus that is not a nonnegative int (a bool is not one),
+    a point that is not an int or INFINITY, or a point inspected twice
+    (points are read mod p), raises ValueError.  A separable series
+    exceeding the bound is impossible; it is reported as a hard error
+    rather than a certificate.
     """
     ring = v.ring
     m = v.ambient_dim - 1
     r = v.dim - 1
+    if type(genus) is not int:
+        raise ValueError("genus must be an integer, got %r" % (genus,))
     if genus < 0:
         raise ValueError("genus must be nonnegative, got %d" % genus)
     separable = is_separable(v)

@@ -167,6 +167,8 @@ class EHPair:
 
     @classmethod
     def from_subspaces(cls, vy: Subspace, vz: Subspace) -> "EHPair":
+        if vy.ring != vz.ring:
+            raise ValueError("aspects must share the ring")
         if vy.ambient_dim != vz.ambient_dim:
             raise ValueError("aspects must share the degree bound")
         if vy.dim != vz.dim:
@@ -280,11 +282,9 @@ def reconstruct_refined(pair: EHPair) -> LimitSeriesPoint:
     spaces = []
     for i in range(d + 1):
         a_rows = _node_filtration_rows(pair.vy, i, i, d - i + 1)
-        a_div = Subspace.from_rows(model.field, d - i + 1, a_rows) if a_rows \
-            else Subspace.zero_space(model.field, d - i + 1)
+        a_div = Subspace.from_rows(model.field, d - i + 1, a_rows)
         b_rows = _node_filtration_rows(pair.vz, d - i, d - i, i + 1)
-        b_div = Subspace.from_rows(model.field, i + 1, b_rows) if b_rows \
-            else Subspace.zero_space(model.field, i + 1)
+        b_div = Subspace.from_rows(model.field, i + 1, b_rows)
         v_i = intersect(preimage(model.y_aspect_matrix(i), a_div),
                         preimage(model.z_aspect_matrix(i), b_div))
         if v_i.dim != r + 1:
@@ -316,12 +316,7 @@ def lift_crude(pair: EHPair) -> LimitSeriesPoint:
         raise ValueError("lifting requires a crude pair")
     model = NodalModel(d, pair.vy.ring.p)
     r = pair.r
-    field_ = model.field
-    v0 = Subspace.from_rows(field_, d + 1,
-                            [list(row) for row in pair.vy.basis_rows()])
-    vd = Subspace.from_rows(field_, d + 1,
-                            [list(row) for row in pair.vz.basis_rows()])
-    spaces = [v0]
+    spaces = [pair.vy]
     for i in range(1, d):
         prev = spaces[-1]
         image_block = apply_map(model.forward_matrix(i - 1), prev)
@@ -335,7 +330,7 @@ def lift_crude(pair: EHPair) -> LimitSeriesPoint:
             raise RuntimeError(
                 "crude lifting produced dimension %d at level %d" % (w.dim, i))
         spaces.append(w)
-    spaces.append(vd)
+    spaces.append(pair.vz)
     point = ChainPoint(spaces)
     chain = model.chain(r + 1)
     if not is_linked_point(chain, point):

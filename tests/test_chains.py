@@ -152,6 +152,22 @@ def test_enumerate_points_budget():
                               budget=3))
 
 
+@pytest.mark.parametrize("budget", [-1, 1.5, "5", True], ids=repr)
+def test_every_budgeted_function_rejects_a_budget_that_is_no_count(budget):
+    # a budget is None or an int >= 0, checked where it is first read,
+    # before any candidate is spent; 0 and None keep their meaning
+    c = make_standard_chain(2, 3, 1, 0, 2, r=1)
+    for run in (lambda b: list(enumerate_points(c, b)),
+                lambda b: census(c, b), lambda b: boundary_counts(c, b),
+                lambda b: fr_image_report(2, 1, 2, b),
+                lambda b: list(enumerate_limit_series(2, 1, 2, budget=b))):
+        with pytest.raises(ValueError, match="budget"):
+            run(budget)
+        with pytest.raises(BudgetError):
+            run(0)
+        assert run(None) == run(10 ** 6)
+
+
 def _points_walking_every_interval(chain):
     """The point stream by plain recursion, drawing each interval afresh
     from a new ``_Intervals`` table at every tree node (the oracle for the
@@ -762,6 +778,23 @@ def test_shared_halves_keep_one_containment_failures():
                       Subspace.from_rows(GF2, 3, w)]
         assert len(steps) > 1 and not step.exact
         assert step.f_rank + step.g_rank == c.r
+
+
+def test_census_reads_each_edge_once(monkeypatch):
+    # an edge's step is read once, before the loop over the states at its
+    # source, not once per (edge, state)
+    c = build_section_chain(3, 3, 2)
+    real, calls = chains_module._step, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(chains_module, "_step", counting)
+    census(c)
+    graph = chains_module._interval_graph(c, None)
+    assert calls[0] == sum(len(ws) for layer in graph.layers
+                           for ws in layer.values())
 
 
 @pytest.mark.parametrize("c, calls", [

@@ -2,10 +2,15 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_cli import FUZZ, JSON_VALUES
 
+from lgseries.chains import make_standard_chain
 from lgseries.fields import (Dual, DualNumbers, Fp, PrimeField,
                              binomial_matrix, integer_determinant, is_prime,
                              is_tame, ring_from_dict, tameness_determinant)
+from lgseries.linalg import Matrix
 
 PRIMES_SMALL = [2, 3, 5, 7, 11, 13]
 
@@ -172,6 +177,38 @@ def test_dual_ring_descriptor():
     assert D.as_dict() == {"p": 3, "dual": True}
     assert PrimeField(3).as_dict() == {"p": 3, "dual": False}
     assert D(Fp(2, 3), 1) == Dual(2, 1, 3)
+
+
+def test_ring_calls_reject_what_a_matrix_entry_rejects():
+    # a float, a bool or None is no scalar, and an element over another p
+    # belongs to another ring; an element of the ring's own p passes as is
+    for bad in (lambda: PrimeField(5)(1.5), lambda: PrimeField(5)(True),
+                lambda: PrimeField(5)(None), lambda: PrimeField(5)(Fp(1, 7)),
+                lambda: DualNumbers(3)(1, 1.5), lambda: DualNumbers(3)(True),
+                lambda: DualNumbers(3)(Dual(1, 1, 5)),
+                lambda: DualNumbers(3)(Fp(1, 5)),
+                lambda: make_standard_chain(2, 2, 1, True, 2, 1)):
+        with pytest.raises(ValueError):
+            bad()
+    x, y = Fp(2, 5), Dual(1, 2, 3)
+    assert PrimeField(5)(x) is x and DualNumbers(3)(y) is y
+    assert PrimeField(5)(-3) == Fp(2, 5)
+    assert DualNumbers(3)(4, -1) == Dual(1, 2, 3)
+
+
+@FUZZ
+@given(st.sampled_from([2, 3, 5]), JSON_VALUES)
+def test_fuzz_ring_calls_return_or_raise_value_error(p, value):
+    # and a ring call takes exactly what a matrix entry takes
+    for ring in (PrimeField(p), DualNumbers(p)):
+        try:
+            element = ring(value)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Matrix.from_rows(ring, [[value]])
+        else:
+            entry = Matrix.from_rows(ring, [[value]]).entry(0, 0)
+            assert element == entry
 
 
 # every arithmetic method and inverse of the element types

@@ -241,6 +241,19 @@ def test_plucker_rejects_negative_genus_and_repeated_points():
     assert plucker_check(v, points=[0, 6, INFINITY]).inspected == [0, 1, INFINITY]
 
 
+def test_points_and_genus_must_be_integers():
+    # a point is read by the ring call, a genus as rho reads it
+    v = poly_space(GF5, 2, [[1, 0, 0], [0, 0, 1]])
+    for bad in (lambda: vanishing_sequence(v, 1.5),
+                lambda: vanishing_sequence(v, None),
+                lambda: plucker_check(v, points=[0.5]),
+                lambda: plucker_check(v, genus=0.5),
+                lambda: plucker_check(v, genus=True)):
+        with pytest.raises(ValueError):
+            bad()
+    assert plucker_check(v, genus=1).bound == 4
+
+
 def test_polynomial_helpers_return_ints_mod_p():
     for p in (2, 3):
         field = PrimeField(p)

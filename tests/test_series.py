@@ -373,6 +373,14 @@ def test_node_orders_reject_zero_and_dual_aspects():
         EHPair.from_subspaces(vd, vd)
 
 
+def test_aspects_must_share_the_ring():
+    # the lifts build their model over the field of the y-aspect
+    vy = Subspace.from_rows(GF3, 3, [[1, 0, 0], [0, 0, 1]])
+    vz = Subspace.from_rows(PrimeField(5), 3, [[1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="ring"):
+        EHPair.from_subspaces(vy, vz)
+
+
 def listed_pairs(d, r, q):
     """Keys of all crude and all refined aspect pairs, by listing every pair
     of G(d+1, r+1, q) and reading the orders off vanishing_sequence."""
