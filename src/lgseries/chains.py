@@ -22,13 +22,14 @@ can stop early; the counting passes (``census``, its signature graph, and
 ``_interval_graph``, which alone spends their budget.  Every analysis
 reads an edge through ``_step``: the ranks of f_i and g_i on the point,
 exactness at the step, and the step's block of the linearised
-linkage equations, which couple consecutive levels only.  It joins two
-node halves, each built once per (kind, node, map) and read off echelon
-bases, pivots and annihilator rows, so no frame is built or inverted.
-``signature``, ``is_exact`` and ``tangent_dimension`` run it along one
-point's path, which ``_path_steps`` checks to be linked (a graph edge is
-by construction); a census runs it once per edge of the graph and folds
-the tangent equations forward level by level (``_advance``), merging the
+linkage equations, which couple consecutive levels only.  Four small
+blocks cut from two node halves (read off echelon bases, pivots and
+annihilator rows, with no elimination or frame) decide it, so it is built
+once per distinct block.  ``signature``, ``is_exact`` and
+``tangent_dimension`` run it along one point's path, which ``_path_steps``
+checks to be linked (a graph edge is by construction); a census runs it
+once per edge of the graph and folds the tangent equations forward level
+by level (``_advance``, once per shared step and state), merging the
 prefixes that reach the same state.  The table keeps every cache of its
 pass, so no call depends on what ran before.  All of it runs on int rows
 through ``linalg._reduce``.
@@ -37,7 +38,6 @@ through ``linalg._reduce``.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain as concat
 from itertools import islice, starmap
@@ -473,7 +473,7 @@ def _walk(chain: LinkedChain, prefix: Sequence[Subspace],
 
 class _Intervals:
     """The intervals f_k(V) <= W <= g_k^{-1}(V) of one pass over a chain,
-    and every other cache of the pass, in six dicts that die with it.
+    and every other cache of the pass, in dicts that die with it.
 
     ``maps`` holds, per kind, the rows of f_k and g_k and whether
     g_k f_k = s id (axiom (I)), read once; steps with equal
@@ -486,12 +486,13 @@ class _Intervals:
     quotient shape to its ``linalg._cells`` list.  These three are filled
     through ``_recorded``, which stores a stream once it is exhausted, so
     one cut short by a budget, or met again while still open deeper in a
-    walk, is drawn afresh and never listed ahead of its spend.  ``halves``
-    and ``steps`` hold the step data of ``_half`` and ``_step``.
+    walk, is drawn afresh and never listed ahead of its spend.  ``halves``,
+    ``blocks`` and ``steps`` hold the step data of ``_half`` and ``_step``,
+    and ``moves`` the census's ``_advance`` per (id(step), state, last).
     """
 
     __slots__ = ("chain", "kinds", "maps", "spaces", "nodes", "pairs",
-                 "cells", "halves", "steps")
+                 "cells", "halves", "steps", "blocks", "moves")
 
     def __init__(self, chain: LinkedChain):
         maps, p, s = {}, chain.p, chain.s.v
@@ -507,7 +508,7 @@ class _Intervals:
                          for j, col in enumerate(fcols))
             self.maps.append((frows, grows, lawful))
         self.spaces, self.nodes, self.pairs, self.cells = {}, {}, {}, {}
-        self.halves, self.steps = {}, {}
+        self.halves, self.steps, self.blocks, self.moves = {}, {}, {}, {}
 
     def space(self, v: Subspace) -> Subspace:
         """The one object of the pass equal to ``v``."""
@@ -603,13 +604,12 @@ class _Step(NamedTuple):
 
 
 def _half(table: _Intervals, k: int, u: Subspace, forward: bool) -> tuple:
-    """What the edges at step k read of their end U: (images, span, kernel,
-    free, ann) for M = f_k at a source (``forward``), g_k at a target, and
-    M' the other map, kept in ``table.halves`` per (kind, id(U), forward).
-    These are the rows M b_a, each entry a row of M times b_a as in the
-    draw; M(U) and ker(M|U) in ambient coordinates, canonical, from one
-    elimination of the rows [M b_a | b_a]; U's non-pivot columns; and the
-    rows a_c M', on which ``_path_steps`` checks linkage."""
+    """What the edges at step k read of their end U: (images, free, ann)
+    for M = f_k at a source (``forward``), g_k at a target, and M' the
+    other map, kept in ``table.halves`` per (kind, id(U), forward).  These
+    are the rows M b_a, each entry a row of M times b_a as in the draw; U's
+    non-pivot columns; and the rows a_c M', on which ``_path_steps`` checks
+    linkage.  No elimination runs here."""
     key = (table.kinds[k], id(u), forward)
     half = table.halves.get(key)
     if half is not None:
@@ -620,33 +620,55 @@ def _half(table: _Intervals, k: int, u: Subspace, forward: bool) -> tuple:
     pset, basis = set(u.pivots), u.basis_rows()
     free = [c for c in range(d) if c not in pset]
     images = [[sum(map(mul, row, b)) % p for row in mrows] for b in basis]
-    rows = [img + list(b) for img, b in zip(images, basis)]
-    pivots = _reduce(rows, range(2 * d), p)
-    rank = bisect_left(pivots, d)
-    span = Subspace._echelon(chain.field, d, [row[:d] for row in rows[:rank]],
-                             pivots[:rank])
-    half = table.halves[key] = (images, span, [row[d:] for row in rows[rank:]],
-                                free, u._annihilate(partner, p))
+    half = table.halves[key] = (images, free, u._annihilate(partner, p))
     return half
 
 
 def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
     """The step data of the edge V = V_k -> W = V_{k+1}, kept in
-    ``table.steps`` per (kind, id(V), id(W)) and joined from the halves
-    (``_half``) of its ends: the caller holds the spaces while the table
-    lives.
+    ``table.steps`` per (kind, id(V), id(W)) (the caller holds the spaces
+    while the table lives) and in ``table.blocks`` per four blocks cut from
+    the halves (``_half``) of its ends, which alone decide it.
 
     Each space has its frame: its basis rows b_a, then the unit rows at its
     non-pivot columns.  Every b_a is 1 at its own pivot pc_a and 0 at the
     others, so the coordinate of y on b_a is y[pc_a]; on the unit row at a
     non-pivot column c it is a_c . y, with a_c = e_c - sum_a b_a[c] e_(pc_a)
-    the annihilator row of ``Subspace._annihilate``.  So L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on
-    V in basis coordinates, and the rows a_c f_k of W's half give f_k into
-    the quotient (the edge is linked, so they vanish on V's basis; see
-    ``_path_steps``); their entries at V's non-pivot columns form the e x e
-    block Q_F.  g_k gives L_G and Q_G in the same way, with V and W
-    swapped.  Exactness is the containment definition, by reduction against
-    the halves' spans: ker g_k|W lies in f_k(V) and ker f_k|V in g_k(W).
+    the annihilator row of ``Subspace._annihilate``.  So the r x r block
+    L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on V in basis coordinates, and
+    the rows a_c f_k of W's half give f_k into the quotient (the edge is
+    linked, so they vanish on V's basis; see ``_path_steps``); their
+    entries at V's non-pivot columns form the e x e block Q_F.  g_k gives
+    L_G and Q_G in the same way, with V and W swapped.
+    """
+    key = (table.kinds[k], id(v), id(w))
+    st = table.steps.get(key)
+    if st is not None:
+        return st
+    (f_img, v_free, v_ann), (g_img, w_free, w_ann) = \
+        _half(table, k, v, True), _half(table, k, w, False)
+    wp, vp = w.pivots, v.pivots
+    block = (tuple([img[pc] for img in f_img for pc in wp]),
+             tuple([q[c] for q in w_ann for c in v_free]),
+             tuple([img[pc] for img in g_img for pc in vp]),
+             tuple([q[c] for q in v_ann for c in w_free]))
+    st = table.blocks.get(block)
+    if st is None:
+        st = table.blocks[block] = _block_step(table.chain, *block)
+    table.steps[key] = st
+    return st
+
+
+def _block_step(chain: LinkedChain, lf: tuple, qf: tuple, lg: tuple,
+                qg: tuple) -> _Step:
+    """The ``_Step`` of an edge with blocks L_F, Q_F, L_G, Q_G (``_step``),
+    each given by its entries, row by row.  f_rank = rank L_F and
+    g_rank = rank L_G.  Exactness is the containment definition by
+    rank-nullity, with no axiom assumed (``_check_rank_law`` compares it
+    with the rank law): ker g_k|W, of dimension r - rank L_G, lies in
+    f_k(V) iff the kernel of g_k on f_k(V), of dimension
+    rank L_F - rank L_F L_G, is that large; and the same with F and G
+    swapped for ker f_k|V in g_k(W).
 
     The unknowns are the maps phi_k : V_k -> E/V_k in frame coordinates,
     phi(b_a) = sum_c X[a][c] e_c over the non-pivot columns, flattened as
@@ -654,22 +676,15 @@ def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
     X_k Q_F = L_F X_{k+1} and X_{k+1} Q_G = L_G X_k; ``eqs`` holds those 2re
     equations as rows over the unknowns of level k, then those of level k+1.
     """
-    key = (table.kinds[k], id(v), id(w))
-    st = table.steps.get(key)
-    if st is not None:
-        return st
-    (f_img, f_span, f_ker, v_free, v_ann), \
-        (g_img, g_span, g_ker, w_free, w_ann) = \
-        _half(table, k, v, True), _half(table, k, w, False)
-    p, r = table.chain.p, table.chain.r
-    e = table.chain.d - r
+    p, r = chain.p, chain.r
+    e = chain.d - r
     re_ = r * e
+    lf, qf, lg, qg = ([x[i * n:(i + 1) * n] for i in range(n)]
+                      for x, n in ((lf, r), (qf, e), (lg, r), (qg, e)))
     eqs = []
-    for dst, imgs, ann, free, forward in ((w, f_img, w_ann, v_free, True),
-                                          (v, g_img, v_ann, w_free, False)):
-        quot = [[q[c] for c in free] for q in ann]
-        for a, img in enumerate(imgs):
-            lam = [-img[pc] % p for pc in dst.pivots]
+    for lam_rows, quot, forward in ((lf, qf, True), (lg, qg, False)):
+        for a, lrow in enumerate(lam_rows):
+            lam = [-x % p for x in lrow]
             for out_c in range(e):
                 own = [0] * re_      # X of the map's source level
                 other = [0] * re_    # X of its target level
@@ -677,9 +692,19 @@ def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
                 other[out_c::e] = lam
                 eqs.append(tuple(own + other) if forward
                            else tuple(other + own))
-    exact = f_span._holds(g_ker) and g_span._holds(f_ker)
-    st = table.steps[key] = _Step(f_span.dim, g_span.dim, exact, tuple(eqs))
-    return st
+
+    def rank(m) -> int:
+        return len(_reduce(list(m), range(r), p))
+
+    def times(x, y) -> list:
+        return [[sum(map(mul, row, col)) % p for col in zip(*y)] for row in x]
+
+    # an invertible L_F or L_G makes one kernel zero and the other map onto
+    f_rank, g_rank = rank(lf), rank(lg)
+    exact = (r in (f_rank, g_rank)
+             or (f_rank - rank(times(lf, lg)) == r - g_rank
+                 and g_rank - rank(times(lg, lf)) == r - f_rank))
+    return _Step(f_rank, g_rank, exact, tuple(eqs))
 
 
 def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
@@ -720,7 +745,7 @@ def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
         v, w = pt[k], pt[k + 1]
         for name, i, src, dst, at_source in (("f", k, v, w, False),
                                              ("g", k + 1, w, v, True)):
-            ann = _half(table, k, dst, at_source)[4]
+            ann = _half(table, k, dst, at_source)[2]
             if any(sum(map(mul, q, b)) % p for b in src.basis_rows()
                    for q in ann):
                 raise ValueError("non-linked point: %s_%d(V_%d) is not in "
@@ -735,6 +760,27 @@ def _check_rank_law(by_ranks: bool, exact: bool) -> None:
             "exactness rank law violated; the chain is not linked-valid")
 
 
+def _point_analysis(chain: LinkedChain, pt: ChainPoint) -> tuple:
+    """(``signature``, ``tangent_dimension``) of ``pt``, read off one run of
+    ``_path_steps``, so one table and one join of each step serve both."""
+    steps = _path_steps(chain, pt)
+    f_ranks = tuple(st.f_rank for st in steps)
+    g_ranks = tuple(st.g_rank for st in steps)
+    exact = all(st.exact for st in steps)
+    if chain.s.is_zero():
+        _check_rank_law(all(rf + rg == chain.r
+                            for rf, rg in zip(f_ranks, g_ranks)), exact)
+    sig = SignatureReport(f_ranks, g_ranks, exact)
+    if not steps:
+        return sig, chain.r * (chain.d - chain.r)
+    basis, dim_d = None, 0
+    for st in steps[:-1]:
+        a_next, dim_k = _advance(chain, st, basis)
+        dim_d += dim_k - len(a_next)
+        basis = a_next
+    return sig, dim_d + _advance(chain, steps[-1], basis, last=True)[1]
+
+
 def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
     """Per-step ranks of f and g restricted to the point, plus exactness.
 
@@ -744,14 +790,7 @@ def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
     agree with the rank law (the two step ranks sum to r); a disagreement
     raises RuntimeError, as it indicates a corrupted chain.
     """
-    steps = _path_steps(chain, pt)
-    f_ranks = tuple(st.f_rank for st in steps)
-    g_ranks = tuple(st.g_rank for st in steps)
-    exact = all(st.exact for st in steps)
-    if chain.s.is_zero():
-        _check_rank_law(all(rf + rg == chain.r
-                            for rf, rg in zip(f_ranks, g_ranks)), exact)
-    return SignatureReport(f_ranks, g_ranks, exact)
+    return _point_analysis(chain, pt)[0]
 
 
 def is_exact(chain: LinkedChain, pt: ChainPoint) -> bool:
@@ -771,17 +810,10 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint) -> int:
     levels only, so the solutions are built up along the chain as in the
     census: ``_advance`` carries the space A_k of level-k maps that extend
     back, and the dimension D_k of the solutions vanishing at level k, over
-    each step.  A non-linked point raises ValueError.
+    each step, with ``signature`` (``_point_analysis``), and raises as it
+    does.
     """
-    steps = _path_steps(chain, pt)
-    if not steps:
-        return chain.r * (chain.d - chain.r)
-    basis, dim_d = None, 0
-    for st in steps[:-1]:
-        a_next, dim_k = _advance(chain, st, basis)
-        dim_d += dim_k - len(a_next)
-        basis = a_next
-    return dim_d + _advance(chain, steps[-1], basis, last=True)[1]
+    return _point_analysis(chain, pt)[1]
 
 
 def decompose(chain: LinkedChain, pt: ChainPoint, level: int,
@@ -973,10 +1005,12 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     on the whole point, as in ``signature``.
 
     Each edge reads its ranks, exactness and equations from ``_step`` once,
-    joined from halves of V and W that the graph's table keeps for the
-    pass, then moves every state at V by one ``_advance``; a leaf's tangent
-    dimension is D + dim K of its last step.  The budget is spent by
-    ``_interval_graph`` as it builds the graph, before any state moves.
+    cut from halves of V and W that the graph's table keeps for the pass
+    and shared by every edge with the same local blocks, then moves every
+    state at V by one ``_advance``, run once per (shared step, state) in
+    the pass; a leaf's tangent dimension is D + dim K of its last step.
+    The budget is spent by ``_interval_graph`` as it builds the graph,
+    before any state moves.
 
     With ``experiments`` set, a signature-adjacency graph is attached (edges
     join the two exactified signatures over each non-exact point); its
@@ -1012,6 +1046,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     # leaf D is the tangent dimension
     start = (((), ()), True, 0)
     states = {id(v): (v, {None: {start: 1}}) for v in graph.roots}
+    moves = graph.table.moves
     if chain.n == 1:
         leaf(start[:2] + (r * (chain.d - r),), len(states))
     for k, layer in enumerate(graph.layers):
@@ -1021,7 +1056,11 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
             for w in layer[key_v]:
                 st = _step(graph.table, k, v, w)
                 for basis, counts in by_a.items():
-                    a_next, dim_k = _advance(chain, st, basis, last)
+                    move = moves.get((id(st), basis, last))
+                    if move is None:   # one elimination per step and state
+                        move = moves[id(st), basis, last] = _advance(
+                            chain, st, basis, last)
+                    a_next, dim_k = move
                     if last:
                         for key, cnt in counts.items():
                             leaf(moved(key, st, dim_k), cnt)

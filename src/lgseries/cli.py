@@ -261,10 +261,9 @@ def cmd_tangent(args) -> int:
         pt = next(islice(pts, args.point_index, None), None)
         if pt is None:
             raise ValueError("point index %d out of range" % args.point_index)
-    sig = chains.signature(chain, pt)
+    sig, tdim = chains._point_analysis(chain, pt)
     report = {"schema_version": SCHEMA_VERSION, "chain": chain.as_dict(),
-              "point": pt.as_dict(),
-              "tangent_dimension": chains.tangent_dimension(chain, pt),
+              "point": pt.as_dict(), "tangent_dimension": tdim,
               "signature": sig.as_dict(),
               "smooth_floor": chain.r * (chain.d - chain.r)}
     _emit(report, args)

@@ -60,7 +60,7 @@ class Fp:
             if other.p != self.p:
                 raise ValueError("mixed moduli: %d vs %d" % (self.p, other.p))
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return Fp(other, self.p)
         return NotImplemented
 
@@ -90,7 +90,7 @@ class Fp:
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.v == other % self.p
         return NotImplemented
 
@@ -127,7 +127,7 @@ class Dual:
             if other.p != self.p:
                 raise ValueError("mixed moduli: %d vs %d" % (self.p, other.p))
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return Dual(other, 0, self.p)
         return NotImplemented
 
@@ -151,7 +151,7 @@ class Dual:
     def __eq__(self, other):
         if isinstance(other, Dual):
             return (self.p, self.a0, self.a1) == (other.p, other.a0, other.a1)
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.a1 == 0 and self.a0 == other % self.p
         return NotImplemented
 

@@ -12,7 +12,7 @@ from lgseries.chains import (CensusReport, ChainPoint, LinkedChain,
                              signature, tangent_dimension, validate_chain)
 from lgseries.fields import Dual, DualNumbers, PrimeField
 from lgseries.linalg import (BudgetError, Matrix, Subspace, apply_map,
-                             enumerate_between, enumerate_subspaces,
+                             contains, enumerate_between, enumerate_subspaces,
                              gaussian_binomial, image, intersect, kernel,
                              preimage, rref)
 from lgseries.series import (build_section_chain, enumerate_limit_series,
@@ -812,6 +812,93 @@ def test_census_annihilates_once_per_node_half(c, calls, monkeypatch):
     monkeypatch.setattr(Subspace, "_annihilate", counting)
     census(c)
     assert count[0] == calls
+
+
+def _unlawful_chains():
+    """The chains of test_exactness_fails_on_one_containment_alone."""
+    [mark] = test_exactness_fails_on_one_containment_alone.pytestmark
+    return [LinkedChain(GF2, 2, 3, 2, [_gf2_matrix_3x3(f)],
+                        [_gf2_matrix_3x3(g)], GF2(0))
+            for f, g, *_ in mark.args[1]]
+
+
+@pytest.mark.parametrize("c", list(small_standard_chains()) + [
+    make_standard_chain(n, d, 1, 1, 2, r)
+    for n in (2, 3) for d in (2, 3) for r in range(1, d)] + [
+    build_section_chain(2, 2, 1), build_section_chain(2, 3, 2),
+    build_section_chain(3, 2, 2), build_section_chain(3, 2, 3),
+    build_section_chain(3, 3, 2), build_section_chain(3, 3, 3),
+    conjugated_standard_chain(3, 4, 2, 2, 2, seed=1),
+    conjugated_standard_chain(3, 3, 1, 3, 1, seed=5)] + _unlawful_chains(),
+    ids=repr)
+def test_step_ranks_and_exactness_match_the_ambient_definitions(c):
+    # on every linked edge V -> W of every step, the ranks and exactness
+    # that _step reads off the r x r blocks equal dim f(V), dim g(W) and
+    # the two kernel containments, all through the public routines; the
+    # linked W of V are the spaces between f(V) and g^-1(V)
+    table, seen, maps = chains_module._Intervals(c), [], set()
+    for k, (f, g) in enumerate(zip(c.fs, c.gs)):
+        if (f, g) in maps:
+            continue
+        maps.add((f, g))
+        ker_f, ker_g = kernel(f), kernel(g)
+        for v in map(table.space, enumerate_subspaces(c.d, c.r, c.p)):
+            lower, upper = apply_map(f, v), preimage(g, v)
+            if not contains(upper, lower):
+                continue
+            for w in map(table.space, enumerate_between(lower, upper, c.r)):
+                st = chains_module._step(table, k, v, w)
+                image_g = apply_map(g, w)
+                exact = (contains(lower, intersect(w, ker_g))
+                         and contains(image_g, intersect(v, ker_f)))
+                assert (st.f_rank, st.g_rank, st.exact) == \
+                    (lower.dim, image_g.dim, exact), (k, v, w)
+                seen.append(exact)
+    assert seen
+    if not validate_chain(c).ok:
+        assert not all(seen)
+
+
+@pytest.mark.parametrize("c, counts", [
+    (build_section_chain(3, 2, 3), (91, 41, 127, 60)),
+    (build_section_chain(3, 3, 3), (246, 98, 317, 126)),
+    (make_standard_chain(8, 4, 2, 0, 3, 2), (2821, 180, 3499, 704))],
+    ids=repr)
+def test_census_builds_step_data_per_block_and_eliminates_per_state(
+        c, counts, monkeypatch):
+    # edges (one _step each) -> distinct local blocks (one _block_step
+    # each), and state moves (one look-up in the table's moves each) ->
+    # distinct (shared step, state) pairs (one _advance each); a second
+    # census in the same process counts the same, since no cache outlives
+    # its pass
+    names, calls = ("_step", "_block_step", "moves", "_advance"), {}
+
+    class Moves(dict):
+        def get(self, key):
+            calls["moves"] = calls.get("moves", 0) + 1
+            return super().get(key)
+
+    real_init = chains_module._Intervals.__init__
+
+    def init(table, chain):
+        real_init(table, chain)
+        table.moves = Moves()
+
+    monkeypatch.setattr(chains_module._Intervals, "__init__", init)
+    for name in ("_step", "_block_step", "_advance"):
+        real = getattr(chains_module, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(chains_module, name, counting)
+    reads = []
+    for _ in range(2):
+        calls.clear()
+        census(c)
+        reads.append(tuple(calls[name] for name in names))
+    assert reads == [counts, counts]
 
 
 def test_decompose_cross_node():

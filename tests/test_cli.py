@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgseries import cli, linalg, series
+from lgseries import chains, cli, linalg, series
 from lgseries.chains import ChainPoint
 from lgseries.cli import main
 from lgseries.fields import PrimeField
@@ -424,8 +424,9 @@ def test_tangent_command(capsys):
     assert rep["smooth_floor"] == 1
 
 
-def test_tangent_command_point_file(capsys, tmp_path):
-    # the node of the two-level cross chain, supplied as a JSON point
+def test_tangent_command_point_file(capsys, tmp_path, monkeypatch):
+    # the node of the two-level cross chain, supplied as a JSON point; its
+    # signature and tangent dimension come from one join of its steps
     point = {"spaces": [
         {"ring": {"p": 2, "dual": False}, "ambient_dim": 2, "rank": 1,
          "basis": [[0, 1]]},
@@ -434,11 +435,14 @@ def test_tangent_command_point_file(capsys, tmp_path):
     ]}
     path = tmp_path / "pt.json"
     path.write_text(json.dumps(point))
+    real, calls = chains._path_steps, []
+    monkeypatch.setattr(chains, "_path_steps",
+                        lambda *args: calls.append(args) or real(*args))
     code, out, _ = run(capsys, "tangent", "--kind", "standard", "--n", "2",
                        "--dim", "2", "--d1", "1", "--s", "0", "--p", "2",
                        "--rank", "1", "--budget", "1000",
                        "--point-file", str(path))
-    assert code == 0
+    assert code == 0 and len(calls) == 1
     rep = json.loads(out)
     assert rep["tangent_dimension"] == 2
     assert not rep["signature"]["exact"]

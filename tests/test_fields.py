@@ -74,6 +74,20 @@ def test_field_arithmetic_basics():
         _ = Fp(1, 5) + Fp(1, 7)
 
 
+def test_element_operators_reject_bools():
+    # a bool is no scalar here, as for the ring calls and matrix entries
+    for x in (Fp(1, 5), Dual(1, 1, 3)):
+        ops = [lambda: x + True, lambda: True + x, lambda: x * True,
+               lambda: True * x, lambda: x - True, lambda: True - x]
+        for op in ops:
+            with pytest.raises(TypeError):
+                op()
+        assert (x == True) is False and (True == x) is False  # noqa: E712
+        assert x != True  # noqa: E712
+    assert Fp(1, 5) + 1 == Fp(2, 5) and Dual(1, 1, 3) + 1 == Dual(2, 1, 3)
+    assert Fp(1, 5) == 6 and Dual(1, 0, 3) == 4
+
+
 def test_dual_inverse_examples():
     D = DualNumbers(3)
     assert D(1, 0).inverse() == D(1, 0)
