@@ -30,9 +30,10 @@ once per distinct block.  ``signature``, ``is_exact`` and
 checks to be linked (a graph edge is by construction); a census runs it
 once per edge of the graph and folds the tangent equations forward level
 by level (``_advance``, once per shared step and state), merging the
-prefixes that reach the same state.  The table keeps every cache of its
-pass, so no call depends on what ran before.  All of it runs on int rows
-through ``linalg._reduce``.
+prefixes that reach the same state; a state is held by the reduced rows
+of its equations, so each move is one elimination.  The table keeps every
+cache of its pass, so no call depends on what ran before.  All of it runs
+on int rows through ``linalg._reduce``.
 """
 
 from __future__ import annotations
@@ -488,7 +489,8 @@ class _Intervals:
     one cut short by a budget, or met again while still open deeper in a
     walk, is drawn afresh and never listed ahead of its spend.  ``halves``,
     ``blocks`` and ``steps`` hold the step data of ``_half`` and ``_step``,
-    and ``moves`` the census's ``_advance`` per (id(step), state, last).
+    and ``moves`` the census's ``_advance`` per (id(step), C), C the
+    equation rows of a state.
     """
 
     __slots__ = ("chain", "kinds", "maps", "spaces", "nodes", "pairs",
@@ -707,32 +709,26 @@ def _block_step(chain: LinkedChain, lf: tuple, qf: tuple, lg: tuple,
     return _Step(f_rank, g_rank, exact, tuple(eqs))
 
 
-def _advance(chain: LinkedChain, step: _Step, basis: Optional[tuple],
-             last: bool = False) -> tuple:
-    """(A_{k+1}, dim K) for the state A_k = span ``basis`` across ``step``.
+def _advance(chain: LinkedChain, step: _Step, cons: tuple) -> tuple:
+    """(C_{k+1}, dim K - dim A_{k+1}) for A_k = {X : C_k X = 0} across
+    ``step``.
 
-    ``basis`` holds the canonical rows of A_k, the level-k maps that extend
-    back to a solution on levels 0..k, or is None when A_k is everything
-    (level 0).  K = ker [E_V B^T | E_W] pairs coefficients y of A_k with
-    level-(k+1) maps.  One ``_reduce`` of [E_V B^T | E_W] gives dim K; its
-    reduced rows with no entry in the y columns cut out A_{k+1}, the
-    projection of K to the second block, and ``_null_basis`` of them is its
-    canonical basis.  At the ``last`` step only dim K is needed, and A_{k+1}
-    is None.
+    ``cons`` holds C_k, the reduced row-echelon rows of the equations of
+    A_k, the level-k maps that extend back to a solution on levels 0..k
+    (the empty tuple when A_k is everything).  K = ker [C_k 0 ; E_V E_W].
+    One ``_reduce`` of it, X_k block first, gives its rank; its reduced
+    rows with a pivot in the X_{k+1} block are zero in the X_k block and
+    cut out A_{k+1}, the projection of K, so cut to that block they are
+    the canonical C_{k+1}.  dim K - dim A_{k+1} is then
+    r(d-r) - rank + len(C_{k+1}).
     """
-    p, re_ = chain.p, chain.r * (chain.d - chain.r)
-    if basis is None:
-        m, rows = re_, list(step.eqs)
-    else:
-        m = len(basis)
-        rows = [tuple(sum(map(mul, row, b)) % p for b in basis) + row[re_:]
-                for row in step.eqs]
-    pivots = _reduce(rows, range(m + re_), p)
-    dim_k = m + re_ - len(pivots)
-    if last:
-        return None, dim_k
-    cut = [row[m:] for row, pc in zip(rows, pivots) if pc >= m]
-    return tuple(map(tuple, _null_basis(cut, re_, p)[0])), dim_k
+    re_ = chain.r * (chain.d - chain.r)
+    pad = (0,) * re_
+    rows = [c + pad for c in cons] + list(step.eqs)
+    pivots = _reduce(rows, range(2 * re_), chain.p)
+    nxt = tuple(tuple(row[re_:]) for row, pc in zip(rows, pivots)
+                if pc >= re_)
+    return nxt, re_ - len(pivots) + len(nxt)
 
 
 def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
@@ -771,14 +767,11 @@ def _point_analysis(chain: LinkedChain, pt: ChainPoint) -> tuple:
         _check_rank_law(all(rf + rg == chain.r
                             for rf, rg in zip(f_ranks, g_ranks)), exact)
     sig = SignatureReport(f_ranks, g_ranks, exact)
-    if not steps:
-        return sig, chain.r * (chain.d - chain.r)
-    basis, dim_d = None, 0
-    for st in steps[:-1]:
-        a_next, dim_k = _advance(chain, st, basis)
-        dim_d += dim_k - len(a_next)
-        basis = a_next
-    return sig, dim_d + _advance(chain, steps[-1], basis, last=True)[1]
+    cons, dim_d = (), 0
+    for st in steps:
+        cons, grow = _advance(chain, st, cons)
+        dim_d += grow
+    return sig, dim_d + chain.r * (chain.d - chain.r) - len(cons)
 
 
 def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
@@ -808,10 +801,10 @@ def tangent_dimension(chain: LinkedChain, pt: ChainPoint) -> int:
     it are read off V_i's echelon basis.  The answer does not depend on the
     complement.  The linearised linkage conditions couple consecutive
     levels only, so the solutions are built up along the chain as in the
-    census: ``_advance`` carries the space A_k of level-k maps that extend
-    back, and the dimension D_k of the solutions vanishing at level k, over
-    each step, with ``signature`` (``_point_analysis``), and raises as it
-    does.
+    census: ``_advance`` carries the equations of the space A_k of level-k
+    maps that extend back, and the dimension D_k of the solutions vanishing
+    at level k, over each step, and the answer is D_{n-1} + dim A_{n-1}.
+    It runs with ``signature`` (``_point_analysis``), and raises as it does.
     """
     return _point_analysis(chain, pt)[1]
 
@@ -994,21 +987,23 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     One forward pass over the layers of ``_interval_graph``, whose nodes are
     (level, V) and whose edges V -> W run over its intervals.  The tangent
     equations couple consecutive levels only, so a linked prefix ending at
-    level k needs only the state (V_k, A_k) to finish its analysis: A_k,
-    held by its canonical echelon basis, is the space of level-k maps that
-    extend back to a solution on levels 0..k.  Prefixes with equal states
-    are merged, whatever path led to them.  A state counts its prefixes per
-    key: the f- and g-rank prefixes while every step is exact (an exact
-    point's signature; dropped at the first non-exact step), whether every
-    step so far obeys the rank law, and D_k, the dimension of the truncated
-    solutions vanishing at level k.  The rank law is checked at each leaf,
-    on the whole point, as in ``signature``.
+    level k needs only the state (V_k, A_k) to finish its analysis: A_k is
+    the space of level-k maps that extend back to a solution on levels
+    0..k, held by C_k, the reduced row-echelon rows of its equations (the
+    empty tuple at level 0, where A_0 is everything).  Prefixes with equal
+    states are merged, whatever path led to them.  A state counts its
+    prefixes per key: the f- and g-rank prefixes while every step is exact
+    (an exact point's signature; dropped at the first non-exact step),
+    whether every step so far obeys the rank law, and D_k, the dimension of
+    the truncated solutions vanishing at level k.  The rank law is checked
+    at each leaf, on the whole point, as in ``signature``.
 
     Each edge reads its ranks, exactness and equations from ``_step`` once,
     cut from halves of V and W that the graph's table keeps for the pass
     and shared by every edge with the same local blocks, then moves every
     state at V by one ``_advance``, run once per (shared step, state) in
-    the pass; a leaf's tangent dimension is D + dim K of its last step.
+    the pass; a leaf's tangent dimension is D + dim A_{n-1}, that is
+    D + r(d-r) - len(C_{n-1}), read straight off each last-layer move.
     The budget is spent by ``_interval_graph`` as it builds the graph,
     before any state moves.
 
@@ -1040,38 +1035,37 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
             report.exact += count
             report.signatures[sig] = report.signatures.get(sig, 0) + count
 
-    # states[id(V)] = (V, {A: counts}), and counts holds prefixes by key
-    # (sig, law, D): sig is the pair of rank prefixes while every step is
-    # exact and None after, law whether every step's ranks sum to r; at a
-    # leaf D is the tangent dimension
+    # states[id(V)] = (V, {C: counts}), C the equations of A, and counts
+    # holds prefixes by key (sig, law, D): sig is the pair of rank prefixes
+    # while every step is exact and None after, law whether every step's
+    # ranks sum to r; at a leaf D is the tangent dimension
     start = (((), ()), True, 0)
-    states = {id(v): (v, {None: {start: 1}}) for v in graph.roots}
-    moves = graph.table.moves
+    states = {id(v): (v, {(): {start: 1}}) for v in graph.roots}
+    moves, re_ = graph.table.moves, r * (chain.d - r)
     if chain.n == 1:
-        leaf(start[:2] + (r * (chain.d - r),), len(states))
+        leaf(start[:2] + (re_,), len(states))
     for k, layer in enumerate(graph.layers):
         last = k == chain.n - 2
         nxt = {}
-        for key_v, (v, by_a) in states.items():
+        for key_v, (v, by_c) in states.items():
             for w in layer[key_v]:
                 st = _step(graph.table, k, v, w)
-                for basis, counts in by_a.items():
-                    move = moves.get((id(st), basis, last))
+                for cons, counts in by_c.items():
+                    move = moves.get((id(st), cons))
                     if move is None:   # one elimination per step and state
-                        move = moves[id(st), basis, last] = _advance(
-                            chain, st, basis, last)
-                    a_next, dim_k = move
-                    if last:
+                        move = moves[id(st), cons] = _advance(chain, st, cons)
+                    c_next, grow = move
+                    if last:   # a leaf adds dim A_{n-1}
+                        grow += re_ - len(c_next)
                         for key, cnt in counts.items():
-                            leaf(moved(key, st, dim_k), cnt)
+                            leaf(moved(key, st, grow), cnt)
                         continue
-                    vanish = dim_k - len(a_next)
                     slot = nxt.get(id(w))
                     if slot is None:
                         slot = nxt[id(w)] = (w, {})
-                    into = slot[1].setdefault(a_next, {})
+                    into = slot[1].setdefault(c_next, {})
                     for key, cnt in counts.items():
-                        nkey = moved(key, st, vanish)
+                        nkey = moved(key, st, grow)
                         into[nkey] = into.get(nkey, 0) + cnt
         states = nxt
     if experiments:

@@ -50,7 +50,7 @@ im A0.  No routine does arithmetic on ``Fp`` or ``Dual`` elements.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -697,7 +697,10 @@ def coords_in_rows(rows: Sequence[Sequence], v: Sequence, ring):
 
 
 def gaussian_binomial(d: int, r: int, q: int) -> int:
-    """Number of r-dimensional subspaces of GF(q)^d."""
+    """Number of r-dimensional subspaces of GF(q)^d; q must be an int
+    (not a bool) >= 2, or ValueError is raised."""
+    if type(q) is not int or q < 2:
+        raise ValueError("q must be an integer >= 2, got %r" % (q,))
     if r < 0 or r > d:
         return 0
     num = 1
@@ -754,10 +757,13 @@ def _cells(d: int, r: int, q: int,
         template = [0] * (r * d)
         for i, pc in enumerate(pat):
             template[i * d + pc] = 1
-        for values in product(range(q), repeat=len(free_pos)):
+        # the free entries are the base-q digits of a counter, last
+        # position fastest, so no list of GF(q) is built
+        free_pos.reverse()
+        for count in range(q ** len(free_pos)):
             ents = template[:]
-            for pos, val in zip(free_pos, values):
-                ents[pos] = val
+            for pos in free_pos:
+                count, ents[pos] = divmod(count, q)
             yield tuple(ents), pat
 
 

@@ -862,7 +862,7 @@ def test_step_ranks_and_exactness_match_the_ambient_definitions(c):
 @pytest.mark.parametrize("c, counts", [
     (build_section_chain(3, 2, 3), (91, 41, 127, 60)),
     (build_section_chain(3, 3, 3), (246, 98, 317, 126)),
-    (make_standard_chain(8, 4, 2, 0, 3, 2), (2821, 180, 3499, 704))],
+    (make_standard_chain(8, 4, 2, 0, 3, 2), (2821, 180, 3499, 262))],
     ids=repr)
 def test_census_builds_step_data_per_block_and_eliminates_per_state(
         c, counts, monkeypatch):
@@ -899,6 +899,49 @@ def test_census_builds_step_data_per_block_and_eliminates_per_state(
         census(c)
         reads.append(tuple(calls[name] for name in names))
     assert reads == [counts, counts]
+
+
+@pytest.mark.parametrize("c", [
+    build_section_chain(3, 2, 3), make_standard_chain(3, 4, 2, 0, 3, 2),
+    conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)], ids=repr)
+def test_advance_matches_kernel_and_projection(c, monkeypatch):
+    # every distinct (step, state) a census moves, against the public
+    # kernel of [C 0 ; E_V E_W] and its projection to the X_{k+1} block
+    real, moves = chains_module._advance, {}
+
+    def recording(chain, st, cons):
+        out = real(chain, st, cons)
+        moves[st, cons] = out
+        return out
+
+    monkeypatch.setattr(chains_module, "_advance", recording)
+    census(c)
+    ring, re_ = c.field, c.r * (c.d - c.r)
+    assert moves and any(cons for _, cons in moves)
+    for (st, cons), (c_next, grow) in moves.items():
+        rows = [list(row) + [0] * re_ for row in cons] + list(st.eqs)
+        k = kernel(Matrix.from_rows(ring, rows))
+        a_next = Subspace.from_rows(ring, re_,
+                                    [row[re_:] for row in k.basis_rows()])
+        want = rref(a_next.constraints()).matrix
+        assert c_next == tuple(want.row(i) for i in range(want.rows))
+        assert grow == k.dim - a_next.dim
+
+
+@pytest.mark.parametrize("c", [make_standard_chain(1, 3, 1, 0, 2, 1),
+                               make_standard_chain(1, 4, 2, 0, 3, 2)],
+                         ids=repr)
+def test_one_level_chain_points_have_the_grassmannian_tangent(c):
+    re_, count = c.r * (c.d - c.r), gaussian_binomial(c.d, c.r, c.p)
+    pts = list(enumerate_points(c))
+    assert len(pts) == count
+    for pt in pts:
+        assert tangent_dimension(c, pt) == re_
+        assert signature(c, pt) == chains_module.SignatureReport((), (), True)
+    rep = census(c)
+    assert (rep.points, rep.exact) == (count, count)
+    assert rep.signatures == {((), ()): count}
+    assert rep.tangent_histogram == {re_: count}
 
 
 def test_decompose_cross_node():

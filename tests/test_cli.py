@@ -210,6 +210,14 @@ CENSUS_SHA256 = {
     "census --kind standard --n 8 --dim 4 --d1 2 --s 0 --p 3 --rank 2 "
     "--budget 1000000000 --experiments":
         "64fa66b0cd63091a684a2326e912eb3b2f5536123d00e3b74a8ad77b98bdc22a",
+    # two chains with more equations per state, taken while a census state
+    # was held by a basis of its maps
+    "census --kind section --degree 4 --rank 1 --p 2 --budget 1000000000 "
+    "--experiments":
+        "434109ccbb143c15f49ec61be02013d9dc198afc02e402021d185bd04a22e735",
+    "census --kind standard --n 5 --dim 5 --d1 2 --s 0 --p 2 --rank 2 "
+    "--budget 1000000000 --experiments":
+        "7d1339b17d1eca77681f7483f8f69f897df692e00a0eb081acea7db27df53195",
 }
 
 
@@ -237,6 +245,31 @@ def test_fr_image_bytes_pinned(capsys):
         code, out, _ = run(capsys, "fr-image", *argv, "--budget", "1000000000")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_fr_image_names_a_missing_crude_pair(capsys, monkeypatch):
+    # boundary counts with one crude pair of (2, 0, 2) dropped: the report
+    # names exactly that pair, and the command exits 4 after writing it
+    real = series.boundary_counts
+
+    def dropping(*args):
+        counts = real(*args)
+        gone = next(key for key in counts
+                    if series.crude_orders(key[0].pivots, key[1].pivots, 2))
+        dropped.append([list(map(list, (gone[0].key(), gone[1].key())))])
+        del counts[gone]
+        return counts
+
+    dropped = []
+    monkeypatch.setattr(series, "boundary_counts", dropping)
+    rep = series.fr_image_report(2, 0, 2)
+    assert not rep.equal and rep.fr_not_crude == []
+    assert rep.crude_not_fr == dropped[0]
+    code, out, err = run(capsys, "fr-image", "--degree", "2", "--rank", "0",
+                         "--p", "2", "--budget", "100000")
+    assert code == 4 and err == ""
+    head = json.loads(out)
+    assert not head["equal"] and head["crude_not_fr"] == dropped[1]
 
 
 def test_fr_image_bytes_pinned_without_a_point_walk(capsys, monkeypatch):
@@ -778,6 +811,15 @@ def test_census_budget_boundary(capsys):
         code, out, err = run(capsys, "census", *flags, "--budget", str(n))
         assert code == 0 and err == "", flags
         json.loads(out)
+
+
+def test_census_at_a_large_prime_exits_on_budget(capsys):
+    # the level-0 stream counts out GF(p) instead of listing it
+    code, out, err = run(capsys, "census", "--kind", "standard", "--n", "2",
+                         "--dim", "2", "--d1", "1", "--rank", "1", "--p",
+                         "1000003", "--budget", "5")
+    assert code == 3 and out == ""
+    one_json_error(err)
 
 
 def test_components_n2_d1_out_of_range_exit_code(capsys):

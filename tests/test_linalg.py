@@ -184,6 +184,28 @@ def test_enumerate_examples():
     assert len(zero) == 1 and zero[0].dim == 0
 
 
+@pytest.mark.parametrize("q", [1, 0, -1, True, 2.0, "2"])
+def test_gaussian_binomial_rejects_a_bad_q(q):
+    with pytest.raises(ValueError):
+        gaussian_binomial(2, 1, q)
+
+
+def test_subspace_stream_lists_no_field_up_front():
+    # the free entries are counted out, so taking the first spaces at a
+    # large prime allocates nothing of size q
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(enumerate_subspaces(2, 1, 1000003), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [sp.basis_rows() for sp in first] == [[(1, 0)], [(1, 1)],
+                                                 [(1, 2)]]
+    assert peak < 1 << 20
+
+
 def test_enumerate_distinct_and_deterministic():
     pts = list(enumerate_subspaces(4, 2, 2))
     assert len(set(pts)) == len(pts)
