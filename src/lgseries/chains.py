@@ -26,14 +26,16 @@ linkage equations, which couple consecutive levels only.  Four small
 blocks cut from two node halves (read off echelon bases, pivots and
 annihilator rows, with no elimination or frame) decide it, so it is built
 once per distinct block.  ``signature``, ``is_exact`` and
-``tangent_dimension`` run it along one point's path, which ``_path_steps``
-checks to be linked (a graph edge is by construction); a census runs it
-once per edge of the graph and folds the tangent equations forward level
-by level (``_advance``, once per shared step and state), merging the
-prefixes that reach the same state; a state is held by the reduced rows
-of its equations, so each move is one elimination.  The table keeps every
-cache of its pass, so no call depends on what ran before.  All of it runs
-on int rows through ``linalg._reduce``.
+``tangent_dimension`` run it along one point's path, which
+``_linkage_fault`` checks to be linked from the definition (a graph edge
+is by construction); a census runs it once per edge of the graph and
+folds the tangent equations forward level by level (``_advance``, once
+per shared step and state), merging the prefixes that reach the same
+state; a state is held by the reduced rows of its equations, so each
+move is one elimination.  Each step they read is checked against the rank
+law (``_check_rank_law``).  The table keeps every cache of its pass, so no
+call depends on what ran before.  All of it runs on int rows through
+``linalg._reduce``.
 """
 
 from __future__ import annotations
@@ -318,12 +320,19 @@ def _check_point_shape(chain: LinkedChain, pt: ChainPoint) -> None:
 def is_linked_point(chain: LinkedChain, pt: ChainPoint) -> bool:
     """f_i(V_i) <= V_{i+1} and g_i(V_{i+1}) <= V_i for every step."""
     _check_point_shape(chain, pt)
-    for i in range(chain.n - 1):
-        if not contains(pt[i + 1], apply_map(chain.fs[i], pt[i])):
-            return False
-        if not contains(pt[i], apply_map(chain.gs[i], pt[i + 1])):
-            return False
-    return True
+    return not _linkage_fault(chain, pt)
+
+
+def _linkage_fault(chain: LinkedChain, pt: ChainPoint) -> str:
+    """The first map, step by step and f before g, that carries its level
+    of ``pt`` out of the other ("f_k(V_k) is not in V_k+1"), or "" when the
+    point is linked; its shape is not checked."""
+    for k in range(chain.n - 1):
+        if not contains(pt[k + 1], apply_map(chain.fs[k], pt[k])):
+            return "f_%d(V_%d) is not in V_%d" % (k, k, k + 1)
+        if not contains(pt[k], apply_map(chain.gs[k], pt[k + 1])):
+            return "g_%d(V_%d) is not in V_%d" % (k, k + 1, k)
+    return ""
 
 
 def enumerate_points(chain: LinkedChain,
@@ -610,8 +619,8 @@ def _half(table: _Intervals, k: int, u: Subspace, forward: bool) -> tuple:
     for M = f_k at a source (``forward``), g_k at a target, and M' the
     other map, kept in ``table.halves`` per (kind, id(U), forward).  These
     are the rows M b_a, each entry a row of M times b_a as in the draw; U's
-    non-pivot columns; and the rows a_c M', on which ``_path_steps`` checks
-    linkage.  No elimination runs here."""
+    non-pivot columns; and the rows a_c M', whose entries give the other
+    end's Q block in ``_step``.  No elimination runs here."""
     key = (table.kinds[k], id(u), forward)
     half = table.halves.get(key)
     if half is not None:
@@ -639,9 +648,9 @@ def _step(table: _Intervals, k: int, v: Subspace, w: Subspace) -> _Step:
     the annihilator row of ``Subspace._annihilate``.  So the r x r block
     L_F[a][i] = (f_k b_a)[pc_i of W] is f_k on V in basis coordinates, and
     the rows a_c f_k of W's half give f_k into the quotient (the edge is
-    linked, so they vanish on V's basis; see ``_path_steps``); their
-    entries at V's non-pivot columns form the e x e block Q_F.  g_k gives
-    L_G and Q_G in the same way, with V and W swapped.
+    linked, so they vanish on V's basis); their entries at V's non-pivot
+    columns form the e x e block Q_F.  g_k gives L_G and Q_G in the same
+    way, with V and W swapped.
     """
     key = (table.kinds[k], id(v), id(w))
     st = table.steps.get(key)
@@ -733,25 +742,21 @@ def _advance(chain: LinkedChain, step: _Step, cons: tuple) -> tuple:
 
 def _path_steps(chain: LinkedChain, pt: ChainPoint) -> list:
     """The step data along the path of ``pt``, a point from outside the
-    graph: step by step, f before g, a row a_c f_k of V_{k+1}'s half that
-    is not zero on V_k (or a_c g_k of V_k's on V_{k+1}) raises ValueError."""
+    graph; a non-linked point raises ValueError naming its first faulty
+    map (``_linkage_fault``)."""
     _check_point_shape(chain, pt)
-    table, p, steps = _Intervals(chain), chain.p, []
-    for k in range(chain.n - 1):
-        v, w = pt[k], pt[k + 1]
-        for name, i, src, dst, at_source in (("f", k, v, w, False),
-                                             ("g", k + 1, w, v, True)):
-            ann = _half(table, k, dst, at_source)[2]
-            if any(sum(map(mul, q, b)) % p for b in src.basis_rows()
-                   for q in ann):
-                raise ValueError("non-linked point: %s_%d(V_%d) is not in "
-                                 "V_%d" % (name, k, i, 2 * k + 1 - i))
-        steps.append(_step(table, k, v, w))
-    return steps
+    fault = _linkage_fault(chain, pt)
+    if fault:
+        raise ValueError("non-linked point: " + fault)
+    table = _Intervals(chain)
+    return [_step(table, k, pt[k], pt[k + 1]) for k in range(chain.n - 1)]
 
 
-def _check_rank_law(by_ranks: bool, exact: bool) -> None:
-    if by_ranks != exact:
+def _check_rank_law(chain: LinkedChain, st: _Step) -> None:
+    """RuntimeError when s = 0 and the step's exactness disagrees with the
+    rank law f_rank + g_rank = r.  Under the axioms g f = f g = 0 puts f(V)
+    in ker g|W and g(W) in ker f|V, so each containment holds iff it does."""
+    if chain.s.is_zero() and st.exact != (st.f_rank + st.g_rank == chain.r):
         raise RuntimeError(
             "exactness rank law violated; the chain is not linked-valid")
 
@@ -760,17 +765,14 @@ def _point_analysis(chain: LinkedChain, pt: ChainPoint) -> tuple:
     """(``signature``, ``tangent_dimension``) of ``pt``, read off one run of
     ``_path_steps``, so one table and one join of each step serve both."""
     steps = _path_steps(chain, pt)
-    f_ranks = tuple(st.f_rank for st in steps)
-    g_ranks = tuple(st.g_rank for st in steps)
-    exact = all(st.exact for st in steps)
-    if chain.s.is_zero():
-        _check_rank_law(all(rf + rg == chain.r
-                            for rf, rg in zip(f_ranks, g_ranks)), exact)
-    sig = SignatureReport(f_ranks, g_ranks, exact)
     cons, dim_d = (), 0
     for st in steps:
+        _check_rank_law(chain, st)
         cons, grow = _advance(chain, st, cons)
         dim_d += grow
+    sig = SignatureReport(tuple(st.f_rank for st in steps),
+                          tuple(st.g_rank for st in steps),
+                          all(st.exact for st in steps))
     return sig, dim_d + chain.r * (chain.d - chain.r) - len(cons)
 
 
@@ -779,8 +781,8 @@ def signature(chain: LinkedChain, pt: ChainPoint) -> SignatureReport:
 
     Read off the step data of the point's edges (``_step``, shared with
     ``tangent_dimension`` and the census); a non-linked point raises
-    ValueError.  When s = 0 the containment definition of exactness must
-    agree with the rank law (the two step ranks sum to r); a disagreement
+    ValueError.  When s = 0 each step's containment exactness must agree
+    with the rank law at that step (its two ranks sum to r); a disagreement
     raises RuntimeError, as it indicates a corrupted chain.
     """
     return _point_analysis(chain, pt)[0]
@@ -993,14 +995,13 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     empty tuple at level 0, where A_0 is everything).  Prefixes with equal
     states are merged, whatever path led to them.  A state counts its
     prefixes per key: the f- and g-rank prefixes while every step is exact
-    (an exact point's signature; dropped at the first non-exact step),
-    whether every step so far obeys the rank law, and D_k, the dimension of
-    the truncated solutions vanishing at level k.  The rank law is checked
-    at each leaf, on the whole point, as in ``signature``.
+    (an exact point's signature; dropped at the first non-exact step), and
+    D_k, the dimension of the truncated solutions vanishing at level k.
 
     Each edge reads its ranks, exactness and equations from ``_step`` once,
     cut from halves of V and W that the graph's table keeps for the pass
-    and shared by every edge with the same local blocks, then moves every
+    and shared by every edge with the same local blocks, checks them
+    against the rank law as ``signature`` does, then moves every
     state at V by one ``_advance``, run once per (shared step, state) in
     the pass; a leaf's tangent dimension is D + dim A_{n-1}, that is
     D + r(d-r) - len(C_{n-1}), read straight off each last-layer move.
@@ -1017,17 +1018,14 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     graph = _interval_graph(chain, budget)
 
     def moved(key: tuple, st: _Step, grow: int) -> tuple:
-        sig, law, dim_d = key
+        sig, dim_d = key
         if sig is not None:
             sig = ((sig[0] + (st.f_rank,), sig[1] + (st.g_rank,)) if st.exact
                    else None)
-        return sig, law and st.f_rank + st.g_rank == r, dim_d + grow
+        return sig, dim_d + grow
 
     def leaf(key: tuple, count: int) -> None:
-        # the rank law holds on the whole point iff it holds at every step
-        sig, law, tdim = key
-        if chain.s.is_zero():
-            _check_rank_law(law, sig is not None)
+        sig, tdim = key
         report.points += count
         report.tangent_histogram[tdim] = \
             report.tangent_histogram.get(tdim, 0) + count
@@ -1035,21 +1033,21 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
             report.exact += count
             report.signatures[sig] = report.signatures.get(sig, 0) + count
 
-    # states[id(V)] = (V, {C: counts}), C the equations of A, and counts
-    # holds prefixes by key (sig, law, D): sig is the pair of rank prefixes
-    # while every step is exact and None after, law whether every step's
-    # ranks sum to r; at a leaf D is the tangent dimension
-    start = (((), ()), True, 0)
+    # states[id(V)] = (V, {C: {(sig, D): prefixes}}), C the equations of A
+    # and sig the pair of rank prefixes while every step is exact, None
+    # after; at a leaf D is the tangent dimension
+    start = (((), ()), 0)
     states = {id(v): (v, {(): {start: 1}}) for v in graph.roots}
     moves, re_ = graph.table.moves, r * (chain.d - r)
     if chain.n == 1:
-        leaf(start[:2] + (re_,), len(states))
+        leaf((start[0], re_), len(states))
     for k, layer in enumerate(graph.layers):
         last = k == chain.n - 2
         nxt = {}
         for key_v, (v, by_c) in states.items():
             for w in layer[key_v]:
                 st = _step(graph.table, k, v, w)
+                _check_rank_law(chain, st)
                 for cons, counts in by_c.items():
                     move = moves.get((id(st), cons))
                     if move is None:   # one elimination per step and state
@@ -1097,13 +1095,14 @@ def _witnessed_edges(chain: LinkedChain, graph: _Graph) -> set:
     keyed by (kind, id(V), id(W)); the table holds every space by its id.
 
     A set pass carries V_k, the f- and g-rank prefixes, and (i, V_i) and
-    (j, V_{j+1}) for the first and last steps off the rank law (the
-    non-exact steps: the census has checked the law).  A leaf with such a
-    step joins (f, r - f) to (r - g, g).  Its forward ``exactify`` witness
-    exists iff a path from V_i has ranks (f_ranks[k], r - f_ranks[k]) at
-    each step k >= i, its backward one iff a path from V_{j+1} back to
-    level 0 has (r - g_ranks[k], g_ranks[k]) at each k <= j; each key
-    (i, V_i, f_ranks[i:]) or (j, V_{j+1}, g_ranks[:j+1]) is checked once.
+    (j, V_{j+1}) for the first and last non-exact steps, which are the
+    steps off the rank law (the census checks it at every edge).  A leaf
+    with such a step joins (f, r - f) to (r - g, g).  Its forward
+    ``exactify`` witness exists iff a path from V_i has ranks
+    (f_ranks[k], r - f_ranks[k]) at each step k >= i, its backward one iff
+    a path from V_{j+1} back to level 0 has (r - g_ranks[k], g_ranks[k]) at
+    each k <= j; each key (i, V_i, f_ranks[i:]) or
+    (j, V_{j+1}, g_ranks[:j+1]) is checked once.
     """
     n, r = chain.n, chain.r
     ahead, back = {}, {}   # (k, V_k) or (k, V_{k+1}) -> [(other end, ranks)]
@@ -1118,7 +1117,7 @@ def _witnessed_edges(chain: LinkedChain, graph: _Graph) -> set:
                 back.setdefault((k, w), []).append((v, st[:2]))
                 into = nxt.setdefault(w, set())
                 for fr, gr, first, last in keys:
-                    if st.f_rank + st.g_rank != r:
+                    if not st.exact:
                         first, last = first or (k, v), (k, w)
                     into.add((fr + (st.f_rank,), gr + (st.g_rank,), first,
                               last))

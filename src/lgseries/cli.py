@@ -241,14 +241,15 @@ def cmd_census(args) -> int:
 
 
 def _point_from_file(path: str, chain: chains.LinkedChain) -> chains.ChainPoint:
-    """A point read from JSON and checked to be linked before analysis;
-    ``is_linked_point`` checks each level's field, ambient dimension and rank
-    against the chain first."""
+    """A point read from JSON and checked to be linked before analysis,
+    after each level's field, ambient dimension and rank are checked
+    against the chain; the error names the first map that fails."""
     with open(path) as fh:
         pt = chains.ChainPoint.from_dict(json.load(fh))
-    if not chains.is_linked_point(chain, pt):
-        raise ValueError("the point is not linked: some f_i(V_i) is not in "
-                         "V_(i+1) or some g_i(V_(i+1)) is not in V_i")
+    chains._check_point_shape(chain, pt)
+    fault = chains._linkage_fault(chain, pt)
+    if fault:
+        raise ValueError("the point is not linked: " + fault)
     return pt
 
 

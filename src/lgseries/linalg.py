@@ -711,10 +711,6 @@ def gaussian_binomial(d: int, r: int, q: int) -> int:
     return num // den
 
 
-def subspace_count_by_pivots(d: int, r: int, q: int, pivots: Sequence[int]) -> int:
-    return q ** _free_position_count(d, pivots)
-
-
 def _free_position_count(d: int, pivots: Sequence[int]) -> int:
     pset = set(pivots)
     return sum(1 for i, pc in enumerate(pivots)
@@ -733,11 +729,20 @@ def enumerate_subspaces(d: int, r: int, q: int,
     Deterministic order: pivot patterns lexicographically, then free entries
     lexicographically (row-major positions, last position varying fastest).
     Restricting ``pivots`` to one pattern yields a single echelon cell, so an
-    exhaustive search splits into disjoint cells.  The spaces are those of
-    the entry stream ``_cells``, each built as a ``Subspace``.
+    exhaustive search splits into disjoint cells; ValueError is raised
+    unless the pattern is a strictly increasing sequence of r ints (not
+    bools) in [0, d).  The spaces are those of the entry stream ``_cells``,
+    each built as a ``Subspace``.
     """
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))
+    if pivots is not None:
+        pivots = tuple(pivots)
+        if (len(pivots) != r
+                or any(type(c) is not int or not 0 <= c < d for c in pivots)
+                or any(a >= b for a, b in zip(pivots, pivots[1:]))):
+            raise ValueError("pivots must be %d strictly increasing integers "
+                             "in [0, %d), got %r" % (r, d, pivots))
     ring = PrimeField(q)
     for ents, pat in _cells(d, r, q, pivots):
         yield Subspace(ring, d, Matrix(ring, r, d, ents), pat, True)

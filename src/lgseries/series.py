@@ -23,9 +23,9 @@ from typing import Iterator, Optional, Sequence
 from .chains import (ChainPoint, LinkedChain, boundary_counts,
                      enumerate_points, is_linked_point)
 from .fields import Dual, DualNumbers, PrimeField
-from .linalg import (Matrix, Subspace, apply_map, enumerate_subspaces,
-                     intersect, pivot_patterns, preimage,
-                     rank_everywhere_at_most, subspace_count_by_pivots)
+from .linalg import (Matrix, Subspace, _free_position_count, apply_map,
+                     enumerate_subspaces, intersect, pivot_patterns, preimage,
+                     rank_everywhere_at_most)
 from .ramification import INFINITY, vanishing_sequence
 
 
@@ -478,10 +478,10 @@ def _pattern_pairs(d: int, r: int, orders_ok) -> list:
             if orders_ok(py, pz, d)]
 
 
-def _cell_pair_count(d: int, r: int, q: int, pattern_pairs: list) -> int:
+def _cell_pair_count(d: int, q: int, pattern_pairs: list) -> int:
     """Number of aspect pairs in the given products of echelon cells."""
-    return sum(subspace_count_by_pivots(d + 1, r + 1, q, py)
-               * subspace_count_by_pivots(d + 1, r + 1, q, pz)
+    return sum(q ** (_free_position_count(d + 1, py)
+                     + _free_position_count(d + 1, pz))
                for py, pz in pattern_pairs)
 
 
@@ -537,9 +537,9 @@ def fr_image_report(d: int, r: int, q: int,
     report.points = sum(preimages.values())
     report.image_size = len(preimages)
     report.crude_pairs = _cell_pair_count(
-        d, r, q, _pattern_pairs(d, r, crude_orders))
+        d, q, _pattern_pairs(d, r, crude_orders))
     report.refined_pairs = _cell_pair_count(
-        d, r, q, _pattern_pairs(d, r, refined_orders))
+        d, q, _pattern_pairs(d, r, refined_orders))
     report.refined_points = sum(preimages[k] for k in refined)
     crude_in_image = report.image_size - len(not_crude)
     report.equal = not not_crude and crude_in_image == report.crude_pairs

@@ -580,6 +580,55 @@ def test_exactness_fails_on_one_containment_alone(f, g, v, w, fails):
         signature(c, pt)
 
 
+def test_rank_law_is_checked_at_each_step():
+    # a GF(2) chain violating the axioms whose point has steps
+    # (f, g, exact) = (0, 0, False) and (1, 1, True): on the whole point
+    # "every step exact" and "every step's ranks sum to r" are both false,
+    # so only a check per step sees the second step's exact ranks sum to 2
+    c = LinkedChain(GF2, 3, 3, 1,
+                    [_gf2_matrix_3x3((0, 1, 1, 0, 1, 0, 0, 1, 0)),
+                     _gf2_matrix_3x3((0, 0, 0, 0, 1, 0, 1, 0, 0))],
+                    [_gf2_matrix_3x3((0, 0, 0, 0, 1, 1, 0, 1, 1)),
+                     _gf2_matrix_3x3((0, 0, 1, 0, 1, 0, 0, 1, 0))], GF2(0))
+    pt = ChainPoint([Subspace.from_rows(GF2, 3, [row])
+                     for row in ([1, 0, 0], [1, 0, 0], [0, 0, 1])])
+    assert not validate_chain(c).ok and is_linked_point(c, pt)
+    assert is_exact(c, pt) is False
+    steps = chains_module._path_steps(c, pt)
+    assert [st[:3] for st in steps] == [(0, 0, False), (1, 1, True)]
+    for analysis in (signature, tangent_dimension):
+        with pytest.raises(RuntimeError, match="rank law"):
+            analysis(c, pt)
+    with pytest.raises(RuntimeError, match="rank law"):
+        census(c)
+
+
+@pytest.mark.parametrize("c", [
+    cross_chain(), make_standard_chain(2, 3, 1, 0, 3, 1),
+    conjugated_standard_chain(2, 3, 1, 3, 1, seed=5)], ids=repr)
+def test_linkage_matches_vector_oracle(c):
+    # every pair of rank-r spaces, against membership of the maps' images
+    # of basis rows; the analyses reject exactly the non-linked pairs and
+    # name f_0 first
+    f, g = c.fs[0], c.gs[0]
+    spaces = list(enumerate_subspaces(c.d, c.r, c.p))
+    linked = 0
+    for v, w in itertools.product(spaces, repeat=2):
+        f_ok = all(w.contains_vector(f.apply(b)) for b in v.basis_rows())
+        g_ok = all(v.contains_vector(g.apply(b)) for b in w.basis_rows())
+        pt = ChainPoint([v, w])
+        assert is_linked_point(c, pt) == (f_ok and g_ok)
+        if f_ok and g_ok:
+            tangent_dimension(c, pt)
+            linked += 1
+            continue
+        with pytest.raises(ValueError,
+                           match="non-linked point: %s_0" % "fg"[f_ok]):
+            tangent_dimension(c, pt)
+    assert 0 < linked < len(spaces) ** 2
+    assert linked == len(list(enumerate_points(c)))
+
+
 def test_tangent_cross_chain_values():
     c = cross_chain()
     assert tangent_dimension(c, cross_node()) == 2

@@ -506,7 +506,9 @@ def test_tangent_point_file_rejects_unlinked_point(capsys, tmp_path):
                          "--dim", "2", "--d1", "1", "--rank", "1", "--p", "2",
                          "--budget", "1000", "--point-file", str(path))
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "not linked" in json.loads(err)["error"]
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert "not linked" in error and "f_0(V_0)" in error
 
 
 def test_tangent_point_file_rejects_wrong_stated_rank(capsys, tmp_path):

@@ -223,6 +223,19 @@ def test_enumerate_partition_by_pivots():
     assert whole == parts
 
 
+@pytest.mark.parametrize("d, r, pivots", [
+    (3, 1, (5,)),      # out of range
+    (3, 1, (0, 1)),    # more pivots than r
+    (3, 2, (2, 0)),    # not increasing
+    (3, 2, (1, 1)),    # repeated
+    (3, 1, (True,)),   # a bool is not a column
+    (3, 1, (-1,)),
+], ids=repr)
+def test_enumerate_rejects_bad_pivot_patterns(d, r, pivots):
+    with pytest.raises(ValueError, match="pivots"):
+        list(enumerate_subspaces(d, r, 2, pivots=pivots))
+
+
 def test_rref_canonicity_under_row_operations():
     rng = random.Random(11)
     for d in range(1, 5):
