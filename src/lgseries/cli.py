@@ -240,23 +240,11 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _point_from_file(path: str, chain: chains.LinkedChain) -> chains.ChainPoint:
-    """A point read from JSON and checked to be linked before analysis,
-    after each level's field, ambient dimension and rank are checked
-    against the chain; the error names the first map that fails."""
-    with open(path) as fh:
-        pt = chains.ChainPoint.from_dict(json.load(fh))
-    chains._check_point_shape(chain, pt)
-    fault = chains._linkage_fault(chain, pt)
-    if fault:
-        raise ValueError("the point is not linked: " + fault)
-    return pt
-
-
 def cmd_tangent(args) -> int:
     chain = _chain_from_args(args)
-    if args.point_file:
-        pt = _point_from_file(args.point_file, chain)
+    if args.point_file:   # checked by the analysis: shape, then linkage
+        with open(args.point_file) as fh:
+            pt = chains.ChainPoint.from_dict(json.load(fh))
     else:
         pts = chains.enumerate_points(chain, budget=args.budget)
         pt = next(islice(pts, args.point_index, None), None)

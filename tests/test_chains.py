@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -599,8 +600,20 @@ def test_rank_law_is_checked_at_each_step():
     for analysis in (signature, tangent_dimension):
         with pytest.raises(RuntimeError, match="rank law"):
             analysis(c, pt)
-    with pytest.raises(RuntimeError, match="rank law"):
-        census(c)
+    # the census checks the law once every candidate is drawn, so a budget
+    # one short of what the stream spends raises BudgetError first; the
+    # chain extended by a lawful step (f = id, g = 0) puts a level of draws
+    # after the step off the law, so a check made as each edge is read
+    # would raise RuntimeError there
+    longer = LinkedChain(GF2, 4, 3, 1, c.fs + (Matrix.identity(GF2, 3),),
+                         c.gs + (Matrix.zero(GF2, 3, 3),), GF2(0))
+    for chain, spent in ((c, 25), (longer, 34)):
+        assert stream_candidates(chain) == spent
+        with pytest.raises(RuntimeError, match="rank law"):
+            census(chain)
+        with pytest.raises(BudgetError) as info:
+            census(chain, budget=spent - 1)
+        assert info.value.count == spent
 
 
 @pytest.mark.parametrize("c", [
@@ -785,7 +798,8 @@ def test_step_runs_without_matrix_products_or_rref(monkeypatch):
     conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)], ids=repr)
 def test_census_steps_from_shared_halves_equal_fresh_steps(c, monkeypatch):
     # the census joins every edge from node halves kept in one table for
-    # the whole pass; each of its steps equals the step built from nothing
+    # the whole pass; each of its steps equals the step built from nothing,
+    # and its edges are those of the point stream
     real, seen, memos = chains_module._step, {}, set()
 
     def recording(table, k, v, w):
@@ -796,17 +810,18 @@ def test_census_steps_from_shared_halves_equal_fresh_steps(c, monkeypatch):
 
     monkeypatch.setattr(chains_module, "_step", recording)
     census(c)
-    graph = chains_module._interval_graph(c, None)
-    # the layers key each node by the id of its space
-    space = {id(w): w for layer in graph.layers for ws in layer.values()
-             for w in ws}
-    space.update((id(v), v) for v in graph.roots)
-    edges = {(graph.table.kinds[k], space[v], w)
-             for k, layer in enumerate(graph.layers)
-             for v, ws in layer.items() for w in ws}
-    assert len(memos) == 1 and set(seen) == edges
+    assert len(memos) == 1 and set(seen) == _point_edges(c, by_kind=True)
     for (_kind, v, w), (k, st) in seen.items():
         assert st == real(chains_module._Intervals(c), k, v, w)
+
+
+def _point_edges(chain, by_kind=False):
+    """The distinct edges (k, V_k, V_{k+1}) of the listed points, with k
+    replaced by the step kind of ``_Intervals`` when ``by_kind``."""
+    kinds = (chains_module._Intervals(chain).kinds if by_kind
+             else range(chain.n - 1))
+    return {(kinds[k], pt[k], pt[k + 1]) for pt in enumerate_points(chain)
+            for k in range(chain.n - 1)}
 
 
 def test_shared_halves_keep_one_containment_failures():
@@ -841,9 +856,7 @@ def test_census_reads_each_edge_once(monkeypatch):
 
     monkeypatch.setattr(chains_module, "_step", counting)
     census(c)
-    graph = chains_module._interval_graph(c, None)
-    assert calls[0] == sum(len(ws) for layer in graph.layers
-                           for ws in layer.values())
+    assert calls[0] == len(_point_edges(c)) == 975
 
 
 @pytest.mark.parametrize("c, calls", [
@@ -1475,6 +1488,109 @@ def test_tangent_dimension_meets_the_linked_grassmannian_bound(census_oracle):
             assert not exact or tdim == floor
             checked += 1
     assert checked > 2000
+
+
+@pytest.mark.parametrize("c", [
+    make_standard_chain(*args) for args in (
+        (2, 4, 2, 0, 3, 2), (3, 4, 2, 0, 2, 2), (3, 4, 1, 0, 3, 2),
+        (4, 4, 2, 0, 2, 2), (3, 5, 2, 0, 2, 2), (3, 5, 2, 0, 2, 3),
+        (2, 5, 3, 0, 3, 2), (3, 3, 1, 1, 3, 1))] + [
+    build_section_chain(*args) for args in (
+        (3, 3, 2), (3, 2, 2), (4, 2, 2), (3, 2, 3), (4, 2, 3), (2, 3, 2),
+        (5, 2, 2))] + [
+    conjugated_standard_chain(*args, seed=seed) for args, seed in (
+        ((3, 4, 2, 3, 2), 1), ((2, 4, 2, 3, 2), 2), ((4, 3, 1, 2, 1), 3),
+        ((3, 5, 2, 2, 2), 4))], ids=repr)
+def test_census_exact_points_are_the_smooth_points(c):
+    # both directions, by census counts: on a valid s = 0 chain every
+    # tangent space has dimension at least r(d-r), and exactly the exact
+    # points reach it; with s a unit every point does
+    rep, floor = census(c), c.r * (c.d - c.r)
+    if c.s.is_zero():
+        assert validate_chain(c).ok
+        assert min(rep.tangent_histogram) >= floor
+        assert rep.exact == rep.tangent_histogram[floor]
+    else:
+        assert rep.tangent_histogram == {floor: rep.points}
+
+
+def _coordinate_components(chain):
+    """The components of the graph on (level, coordinate) that joins
+    (k, j) to (k + 1, i) where f_k(e_j) has a nonzero entry i, and (k + 1,
+    j) to (k, i) where g_k(e_j) has: the diagonal torus acting on the chain
+    is one scalar per component."""
+    root = {(k, j): (k, j) for k in range(chain.n) for j in range(chain.d)}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for k, (f, g) in enumerate(zip(chain.fs, chain.gs)):
+        for j in range(chain.d):
+            unit = [int(i == j) for i in range(chain.d)]
+            for src, m, dst in ((k, f, k + 1), (k + 1, g, k)):
+                for i, x in enumerate(m.apply(unit)):
+                    if x:
+                        root[find((src, j))] = find((dst, i))
+    comps = {}
+    for x in root:
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+def _coordinate_chains(chain):
+    """(signature, tangent dimension) of each coordinate chain: each
+    linked point whose every level is spanned by unit vectors."""
+    units = [Subspace.from_rows(chain.field, chain.d,
+                                [[int(i == j) for i in range(chain.d)]
+                                 for j in cols])
+             for cols in itertools.combinations(range(chain.d), chain.r)]
+    return [(signature(chain, pt), tangent_dimension(chain, pt))
+            for pt in map(ChainPoint,
+                          itertools.product(units, repeat=chain.n))
+            if is_linked_point(chain, pt)]
+
+
+def _strata(points, exact, signatures, tangent_histogram):
+    """Census counts keyed by stratum: all points, exact points, each exact
+    signature and each tangent dimension."""
+    counts = {("sig", key): cnt for key, cnt in signatures.items()}
+    counts.update((("tdim", dim), cnt)
+                  for dim, cnt in tangent_histogram.items())
+    return dict(counts, points=points, exact=exact)
+
+
+@pytest.mark.parametrize("make, fixed", [
+    (lambda q: make_standard_chain(2, 4, 2, 0, q, 2), 15),
+    (lambda q: make_standard_chain(2, 3, 1, 0, q, 1), 5),
+    (lambda q: make_standard_chain(3, 3, 1, 0, q, 1), 7),
+    (lambda q: make_standard_chain(3, 3, 1, 1, q, 1), 3),
+    (lambda q: build_section_chain(3, q, 1), 14),
+    (lambda q: build_section_chain(3, q, 2), 39)],
+    ids=["standard(2,4,2,0,q,2)", "standard(2,3,1,0,q,1)",
+         "standard(3,3,1,0,q,1)", "standard(3,3,1,1,q,1)",
+         "section(3,q,1)", "section(3,q,2)"])
+def test_census_counts_are_congruent_to_torus_fixed_points(make, fixed):
+    # no torus component holds two coordinates of one level, so the
+    # fixed points are the coordinate chains; every other orbit has
+    # (q-1)^k points with k >= 1, so each count the census reports is its
+    # fixed count mod q - 1, stratum by stratum
+    for q in (3, 5):
+        c = make(q)
+        assert all(len({k for k, _ in comp}) == len(comp)
+                   for comp in _coordinate_components(c))
+        points = _coordinate_chains(c)
+        exact = [sig for sig, _ in points if sig.exact]
+        want = _strata(len(points), len(exact),
+                       collections.Counter(sig.key() for sig in exact),
+                       collections.Counter(tdim for _, tdim in points))
+        rep = census(c)
+        got = _strata(rep.points, rep.exact, rep.signatures,
+                      rep.tangent_histogram)
+        assert len(points) == fixed and set(want) <= set(got)
+        for key, cnt in got.items():
+            assert (cnt - want.get(key, 0)) % (q - 1) == 0, (q, key)
 
 
 def _axiom_violating_chain():

@@ -508,7 +508,7 @@ def test_tangent_point_file_rejects_unlinked_point(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
-    assert "not linked" in error and "f_0(V_0)" in error
+    assert "non-linked point: f_0(V_0) is not in V_1" in error
 
 
 def test_tangent_point_file_rejects_wrong_stated_rank(capsys, tmp_path):
