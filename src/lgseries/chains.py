@@ -36,7 +36,7 @@ state; a state is held by the reduced rows of its equations, so each
 move is one elimination.  Each step they read is checked against the rank
 law (``_check_rank_law``).  The table keeps the caches of its pass, so no
 call depends on what ran before.  All of it runs on int rows through
-``linalg._reduce``.
+``linalg._reduce`` and ``linalg._images``, the one product kernel.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ import functools
 from dataclasses import dataclass, field
 from itertools import chain as concat
 from itertools import islice, starmap
-from operator import mul
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .fields import Fp, PrimeField, ring_from_dict
 from .linalg import (BudgetError, Matrix, Subspace, _between, _cells,
-                     _null_basis, _reduce, _require_dict, apply_map,
+                     _images, _null_basis, _reduce, _require_dict, apply_map,
                      contains, enumerate_subspaces, image, intersect, kernel)
 
 
@@ -235,12 +234,10 @@ def validate_chain(chain: LinkedChain) -> ValidationReport:
     """Check the three chain axioms; violations are reported, not raised."""
     report = ValidationReport()
     d = chain.d
-    s_id = Matrix.identity(chain.field, d).scale(chain.s)
     for i, (f, g) in enumerate(zip(chain.fs, chain.gs)):
-        for name, prod in (("f*g", f * g), ("g*f", g * f)):
-            if prod != s_id:
-                col = next(j for j in range(d)
-                           if prod.column(j) != s_id.column(j))
+        for name, a, b in (("f*g", f, g), ("g*f", g, f)):
+            col = _off_scalar_column(a._rows(), b._rows(), chain.s.v, chain.p)
+            if col is not None:
                 basis_vec = [0] * d
                 basis_vec[col] = 1
                 report.add("I", i, "%s is not s*id at step %d" % (name, i),
@@ -266,6 +263,14 @@ def validate_chain(chain: LinkedChain) -> ValidationReport:
             report.add("III", i, "im g_%d meets ker g_%d" % (i + 1, i),
                        witness=list(meet.basis.row(0)))
     return report
+
+
+def _off_scalar_column(arows: list, brows: list, s: int, p: int):
+    """The first column of A B, A applied to the columns of B (two maps by
+    their int rows), that is not s times the unit column, or None: axiom
+    (I), as ``validate_chain`` and ``_Intervals`` read it."""
+    return next((j for j, col in enumerate(_images(arows, zip(*brows), p))
+                 if any(x != s * (i == j) for i, x in enumerate(col))), None)
 
 
 def _containment_witness(a: Subspace, b: Subspace):
@@ -327,7 +332,8 @@ def is_linked_point(chain: LinkedChain, pt: ChainPoint) -> bool:
 def _linkage_fault(chain: LinkedChain, pt: ChainPoint) -> str:
     """The first map, step by step and f before g, that carries its level
     of ``pt`` out of the other ("f_k(V_k) is not in V_k+1"), or "" when the
-    point is linked; its shape is not checked."""
+    point is linked; its shape is not checked.  ``apply_map`` carries
+    levels over GF(p)[eps] too, the maps acting on both eps-parts."""
     for k in range(chain.n - 1):
         if not contains(pt[k + 1], apply_map(chain.fs[k], pt[k])):
             return "f_%d(V_%d) is not in V_%d" % (k, k, k + 1)
@@ -489,8 +495,8 @@ class _Intervals:
     and every other cache of the pass, in dicts that die with it.
 
     ``maps`` holds, per kind, the rows of f_k and g_k and whether
-    g_k f_k = s id (axiom (I)), read once; steps with equal
-    (f_k, g_k) share a kind.  ``spaces`` interns every space by its
+    g_k f_k = s id (axiom (I), ``_off_scalar_column``), read once; steps
+    with equal (f_k, g_k) share a kind.  ``spaces`` interns every space by its
     echelon entries before any ``Subspace`` is built, so each distinct
     space is one object, held here, and no dict hashes a ``Subspace``.
     ``nodes[kind]`` maps id(V) to the interval of V; ``pairs`` maps the
@@ -519,11 +525,8 @@ class _Intervals:
         self.maps = []
         for f, g in maps:
             frows, grows = f._rows(), g._rows()
-            fcols = list(zip(*frows))
-            lawful = all(sum(map(mul, grow, col)) % p == (s if i == j else 0)
-                         for i, grow in enumerate(grows)
-                         for j, col in enumerate(fcols))
-            self.maps.append((frows, grows, lawful))
+            self.maps.append((frows, grows,
+                              _off_scalar_column(grows, frows, s, p) is None))
         self.nodes = [{} for _ in maps]
         self.halves = [{} for _ in maps]
         self.spaces, self.pairs, self.cells = {}, {}, {}
@@ -557,26 +560,23 @@ class _Intervals:
         """The rank-r spaces W with f_k(v) <= W <= g_k^{-1}(v), in stream
         order, interned.
 
-        f_k(v) is one ``_reduce`` of the images of v's basis rows.  When it
-        has rank r it is the whole interval, and g_k^{-1}(v) is never built;
-        otherwise g_k^{-1}(v) is the null space of the rows a g_k for the
-        annihilator rows a of v, and the spaces between the two come from
-        ``linalg._between`` over the table's quotient stream, the kernels of
-        ``apply_map``, ``preimage`` and ``enumerate_between`` without their
-        checks.  g_k^{-1}(v) has dimension at least r for any map, so the
-        interval is empty only when f_k(v) is not inside g_k^{-1}(v), that
-        is, when g_k f_k(v) is not inside v.  Axiom (I), g_k f_k = s id,
-        rules that out, so v is checked only at a step kind that fails it;
-        there a faulty v raises ValueError naming step k before anything is
-        yielded.
+        f_k(v) is one ``_reduce`` of the ``_images`` of v's basis rows.
+        When it has rank r it is the whole interval, and g_k^{-1}(v) is
+        never built; otherwise g_k^{-1}(v) is the null space of the rows
+        a g_k for the annihilator rows a of v, and the spaces between the
+        two come from ``linalg._between`` over the table's quotient stream,
+        the kernels of ``apply_map``, ``preimage`` and ``enumerate_between``
+        without their checks.  g_k^{-1}(v) has dimension at least r for any
+        map, so the interval is empty only when g_k f_k(v) is not inside v.
+        Axiom (I), g_k f_k = s id, rules that out, so only at a step kind
+        that fails it are the images of f_k(v) under g_k tested against v;
+        a faulty v raises ValueError naming step k before any yield.
         """
         chain = self.chain
         p, d, r = chain.p, chain.d, chain.r
         frows, grows, lawful = self.maps[self.kinds[k]]
-        lower = [[sum(map(mul, row, b)) % p for row in frows]
-                 for b in v.basis_rows()]
-        if not lawful and not v._holds([[sum(map(mul, row, y))
-                                         for row in grows] for y in lower]):
+        lower = _images(frows, v.basis_rows(), p)
+        if not lawful and not v._holds(_images(grows, lower, p)):
             raise _AxiomError(k)
         pivots = _reduce(lower, range(d), p)
         ents = tuple(concat.from_iterable(lower))
@@ -627,7 +627,7 @@ def _half(table: _Intervals, k: int, u: Subspace, forward: bool,
     """What an edge at step k reads of its end U, given the pivots
     ``other`` of its other end: (L, Q), for M = f_k at a source
     (``forward``), g_k at a target, and M' the other map.  L holds the
-    entries of the rows M b_a at ``other``, each entry a row of M times b_a
+    entries of the rows M b_a at ``other``, the ``_images`` of U's basis
     as in the draw; Q those of the rows a_c M' at the other end's non-pivot
     columns.  The rows are kept in ``table.halves`` per (kind, id(U),
     forward), with their cuts per ``other``, each interned in
@@ -639,8 +639,7 @@ def _half(table: _Intervals, k: int, u: Subspace, forward: bool,
         chain, (frows, grows, _) = table.chain, table.maps[kind]
         mrows, partner = (frows, grows) if forward else (grows, frows)
         half = halves[id(u), forward] = (
-            [[sum(map(mul, row, b)) % chain.p for row in mrows]
-             for b in u.basis_rows()],
+            _images(mrows, u.basis_rows(), chain.p),
             u._annihilate(partner, chain.p), {})
     cut = half[2].get(other)
     if cut is None:
@@ -715,14 +714,12 @@ def _block_step(chain: LinkedChain, lf: tuple, qf: tuple, lg: tuple,
     def rank(m) -> int:
         return len(_reduce(list(m), range(r), p))
 
-    def times(x, y) -> list:
-        return [[sum(map(mul, row, col)) % p for col in zip(*y)] for row in x]
-
-    # an invertible L_F or L_G makes one kernel zero and the other map onto
+    # an invertible L_F or L_G makes one kernel zero and the other map onto;
+    # x applied to the columns of y gives the columns of x y, of its rank
     f_rank, g_rank = rank(lf), rank(lg)
     exact = (r in (f_rank, g_rank)
-             or (f_rank - rank(times(lf, lg)) == r - g_rank
-                 and g_rank - rank(times(lg, lf)) == r - f_rank))
+             or (f_rank - rank(_images(lf, zip(*lg), p)) == r - g_rank
+                 and g_rank - rank(_images(lg, zip(*lf), p)) == r - f_rank))
     return _Step(f_rank, g_rank, exact, tuple(eqs))
 
 
@@ -1087,7 +1084,8 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
 def _witnessed_edges(chain: LinkedChain, ahead: dict) -> set:
     """The signature-graph edges of an s = 0 chain, read off the edges the
     census's fold read: ``ahead`` maps (k, id(V_k)) to the (id(V_{k+1}),
-    ``_Step``) of each edge out of V_k, level by level in fold order.
+    (f_rank, g_rank), exact) of each edge out of V_k, read off its
+    ``_Step``, level by level in fold order.
 
     A set pass carries, per node, the f- and g-rank prefixes, and (i, V_i)
     and (j, V_{j+1}) for the first and last non-exact steps, which are the

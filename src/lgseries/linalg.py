@@ -14,16 +14,18 @@ accept ints, or ``Fp`` of the same p, and reduce them through
 ``fields._residue``, as the ring calls do (vectors passed to ``apply``,
 ``contains_vector`` and ``coords_in_rows`` too); anything else raises
 ValueError.  Entry accessors (``entry``, ``row``, ``row_list``,
-``basis_rows``, ``apply``) return ints over GF(p); since ``Fp(a, p) == a``, comparisons against ``Fp`` values
-still hold.  ``Matrix.det`` returns an ``Fp``.  A field matrix never mixes
-``Fp`` and int entries, because they hash differently and subspace hashing
-reads ``entries``.
+``basis_rows``, ``apply``) return ints over GF(p); since ``Fp(a, p) == a``,
+comparisons against ``Fp`` values still hold.  ``Matrix.det`` returns an
+``Fp``.  A field matrix never mixes ``Fp`` and int entries, because they
+hash differently and subspace hashing reads ``entries``.
 
 Kernels.  The field routines share one elimination on lists of int rows,
-``_reduce``, which ``rref`` wraps.  ``apply_map``, ``kernel`` and
-``preimage`` each reduce once and build no intermediate Matrix, Echelon or
-Subspace; the null spaces are reduced with pivots taken right to left, so
-their null vectors are already canonical (``_null_basis``).  The streams
+``_reduce``, which ``rref`` wraps, and one product, ``_images``, which
+every map applied to int rows in the package runs through.  ``apply_map``,
+``kernel`` and ``preimage`` each reduce once and build no intermediate
+Matrix, Echelon or Subspace; the null spaces are reduced with pivots taken
+right to left, so their null vectors are already canonical
+(``_null_basis``).  The streams
 ``_cells`` (behind ``enumerate_subspaces``) and ``_between`` (over a
 ``_cells`` stream its caller passes) yield echelon entries, not subspaces,
 so a caller can intern a space before building it.  Nothing is cached.
@@ -41,11 +43,13 @@ Rank counts unit pivots; ``unit_pivots`` is False when a torsion row is kept
 or a unit-pivot row has an eps entry left of its pivot.  Matrix products,
 sums, ``scale``, ``apply``, ``det``, ``kernel``, ``constraints`` and
 ``coords_in_rows`` require field coefficients and raise ValueError over the
-dual numbers.  Rank conditions that must hold on the whole ring (not
-just at the closed point) go through ``rank_everywhere_at_most``, which
-splits a dual matrix as A0 + eps A1 and decides the bound from the GF(p)
-rank of A0 and, at the boundary rank, from whether A1 maps ker A0 into
-im A0.  No routine does arithmetic on ``Fp`` or ``Dual`` elements.
+dual numbers; ``apply_map`` also takes a map over GF(p) on a module over
+GF(p)[eps], acting on both eps-parts.  A containment of modules is one test
+against W.  Rank conditions that must hold on the whole ring (not just at
+the closed point) go through ``rank_everywhere_at_most``, which splits a
+dual matrix as A0 + eps A1 and decides the bound from the GF(p) rank of A0
+and, at the boundary rank, from whether A1 maps ker A0 into im A0.  No
+routine does arithmetic on ``Fp`` or ``Dual`` elements.
 """
 
 from __future__ import annotations
@@ -164,9 +168,9 @@ class Matrix:
         if self.cols != other.rows or self.ring != other.ring:
             raise ValueError("shape/ring mismatch in matrix product")
         p = _field_p(self.ring, "a matrix product")
-        rows = self._rows()
+        # row i of the product is the transpose of other applied to row i
         cols = [other.column(j) for j in range(other.cols)]
-        ents = tuple([sum(map(mul, r, c)) % p for r in rows for c in cols])
+        ents = tuple(chain.from_iterable(_images(cols, self._rows(), p)))
         return Matrix(self.ring, self.rows, other.cols, ents)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -196,7 +200,7 @@ class Matrix:
                              % (len(v), self.cols))
         v = _entries(self.ring, v)
         p = _field_p(self.ring, "applying a matrix")
-        return tuple([sum(map(mul, r, v)) % p for r in self._rows()])
+        return tuple(_images(self._rows(), (v,), p)[0])
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -282,6 +286,14 @@ class Echelon(NamedTuple):
     rank: int               # number of unit pivots
     pivots: tuple           # pivot column per unit-pivot row
     unit_pivots: bool       # every surviving row is led by its unit pivot
+
+
+def _images(mrows: Sequence[Sequence[int]], vectors: Iterable[Sequence[int]],
+            p: int) -> list:
+    """The images M v mod p, as lists, of the int ``vectors`` under the map
+    M given by its int rows ``mrows``: the one product kernel, so every
+    map applied to int rows, and every matrix product, runs here."""
+    return [[sum(map(mul, row, v)) % p for row in mrows] for v in vectors]
 
 
 def _reduce(rows: list, cols, p: int) -> list:
@@ -461,17 +473,17 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        v = _entries(self.ring, v)
-        if self.ring.dual:
-            w = Subspace.from_matrix(_eps_stable(self.basis))
-            return w.contains_vector([x.a0 for x in v] + [x.a1 for x in v])
-        return self._holds((v,))
+        return self._holds((_entries(self.ring, v),))
 
     def _holds(self, vectors) -> bool:
-        # every vector of ints (any representatives mod p) lies in this
-        # subspace over a field, unchecked; pivot coordinates are never
-        # touched by the other basis rows, so reduction mod p can wait
-        # until the end
+        # every vector lies in this subspace, unchecked: (v0 | v1) in W for
+        # each dual v0 + eps v1; over a field, of ints (any representatives
+        # mod p), pivot coordinates are never touched by the other basis
+        # rows, so reduction mod p can wait until the end
+        if self.ring.dual:
+            w = Subspace.from_matrix(_eps_stable(self.basis))
+            return w._holds([[x.a0 for x in v] + [x.a1 for x in v]
+                             for v in vectors])
         basis = list(zip(self.basis._rows(), self.pivots))
         p = self.ring.p
         for v in vectors:
@@ -487,8 +499,6 @@ class Subspace:
         """True when ``other`` is a subspace of ``self``."""
         if other.ambient_dim != self.ambient_dim or other.ring != self.ring:
             raise ValueError("ambient mismatch in containment test")
-        if self.ring.dual:
-            return all(self.contains_vector(r) for r in other.basis_rows())
         return self._holds(other.basis_rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -634,18 +644,22 @@ def image(m: Matrix) -> Subspace:
 
 
 def apply_map(m: Matrix, u: Subspace) -> Subspace:
-    """Image of the subspace u under the linear map m."""
-    if m.cols != u.ambient_dim or m.ring != u.ring:
+    """Image of the subspace u under the linear map m, which has field
+    coefficients.  A map over GF(p) also acts on a module u over
+    GF(p)[eps], on both eps-parts: m(x0 + eps x1) = m x0 + eps m x1."""
+    if (m.cols != u.ambient_dim or m.ring.p != u.ring.p
+            or m.ring.dual and not u.ring.dual):
         raise ValueError("map domain %d over %r does not match ambient %d "
                          "over %r" % (m.cols, m.ring, u.ambient_dim, u.ring))
-    basis = u.basis_rows()
-    if not basis:
-        return Subspace.zero_space(m.ring, m.rows)
     p = _field_p(m.ring, "applying a matrix")
-    mrows = m._rows()
-    return Subspace._span(m.ring, m.rows,
-                          [[sum(map(mul, r, b)) % p for r in mrows]
-                           for b in basis])
+    basis, mrows = u.basis_rows(), m._rows()
+    if not u.ring.dual:
+        return Subspace._span(u.ring, m.rows, _images(mrows, basis, p))
+    lo = _images(mrows, [[x.a0 for x in b] for b in basis], p)
+    hi = _images(mrows, [[x.a1 for x in b] for b in basis], p)
+    return Subspace._span(u.ring, m.rows,
+                          [[Dual(a, b, p) for a, b in zip(y0, y1)]
+                           for y0, y1 in zip(lo, hi)])
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:

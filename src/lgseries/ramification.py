@@ -23,7 +23,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .fields import is_tame
-from .linalg import Matrix, Subspace, _entries, _field_p
+from .linalg import Subspace, _entries, _field_p, _images
 
 INFINITY = "inf"
 
@@ -100,13 +100,11 @@ class RamificationData:
                 "ramification": list(self.ramification), "tame": self.tame}
 
 
-def _shift_basis_matrix(m: int, t: int, ring) -> Matrix:
-    """Change of coordinates sending coefficients in y to coefficients in
-    (y - t): row k of the result reads off the k-th Hasse coefficient at t."""
-    p = ring.p
-    return Matrix.from_rows(ring, [[comb(j, k) * pow(t, j - k, p) % p if j >= k
-                                    else 0 for j in range(m + 1)]
-                                   for k in range(m + 1)])
+def _shift_basis_rows(m: int, t: int, p: int) -> list:
+    """Rows of the change of coordinates from coefficients in y to those in
+    (y - t): row k reads off the k-th Hasse coefficient at t."""
+    return [[comb(j, k) * pow(t, j - k, p) % p if j >= k else 0
+             for j in range(m + 1)] for k in range(m + 1)]
 
 
 def vanishing_sequence(v: Subspace, point) -> RamificationData:
@@ -128,8 +126,8 @@ def vanishing_sequence(v: Subspace, point) -> RamificationData:
         rows = [row[::-1] for row in v.basis_rows()]
     else:
         point = ring(point).v
-        shift = _shift_basis_matrix(m, point, ring)
-        rows = [shift.apply(row) for row in v.basis_rows()]
+        rows = _images(_shift_basis_rows(m, point, ring.p), v.basis_rows(),
+                       ring.p)
     filtered = Subspace.from_rows(ring, m + 1, rows)
     orders = filtered.pivots
     alpha = tuple(a - j for j, a in enumerate(orders))

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .chains import (ChainPoint, LinkedChain, boundary_counts,
-                     enumerate_points, is_linked_point)
-from .fields import Dual, DualNumbers, PrimeField
+from .chains import (ChainPoint, LinkedChain, _linkage_fault,
+                     boundary_counts, enumerate_points, is_linked_point)
+from .fields import DualNumbers, PrimeField
 from .linalg import (Matrix, Subspace, _free_position_count, apply_map,
                      enumerate_subspaces, intersect, pivot_patterns, preimage,
                      rank_everywhere_at_most)
@@ -245,8 +245,12 @@ def forgetful_map(model: NodalModel, point: ChainPoint) -> EHPair:
 
     Level-0 coordinates are exactly the ascending y-coefficients and level-d
     coordinates the ascending z-coefficients, so both aspects are the
-    boundary subspaces themselves, already in canonical form.
+    boundary subspaces themselves, already in canonical form.  A point
+    without exactly d + 1 levels raises ValueError.
     """
+    if len(point) != model.d + 1:
+        raise ValueError("point has %d levels, the degree-%d model has %d"
+                         % (len(point), model.d, model.d + 1))
     vy, vz = point[0], point[model.d]
     if vy.ambient_dim != model.d + 1:
         raise ValueError("row length %d does not match ambient %d"
@@ -610,20 +614,14 @@ class DualProbeReport:
                     self.first_order_sum >= self.d - 1}
 
 
-def _apply_to_dual(m: Matrix, v: Sequence) -> tuple:
-    """A GF(p) map on a dual vector: m(x0 + eps x1) = m x0 + eps m x1."""
-    y0 = m.apply([x.a0 for x in v])
-    y1 = m.apply([x.a1 for x in v])
-    return tuple(Dual(a, b, m.ring.p) for a, b in zip(y0, y1))
-
-
 def dual_probe(p: int) -> DualProbeReport:
     """The first-order probe point: degree 2, rank 0, sections
     (y^2 + eps*y, 0), (y + eps, eps), (eps, z + eps) over GF(p)[eps].
 
     Its node orders drop below the crude threshold scheme-theoretically
     (sum d-1) while the reductions mod eps are refined; this is the standard
-    counterexample shape for the degree inequality at first order.
+    counterexample shape for the degree inequality at first order.  Its
+    linkage is ``chains._linkage_fault`` over GF(p)[eps].
     """
     model = NodalModel(2, p)
     ring = DualNumbers(p)
@@ -632,16 +630,7 @@ def dual_probe(p: int) -> DualProbeReport:
     v0 = Subspace.from_rows(ring, 3, [model.section(0, [0, eps, one], [0], ring)])
     v1 = Subspace.from_rows(ring, 3, [model.section(1, [eps, one], [eps], ring)])
     v2 = Subspace.from_rows(ring, 3, [model.section(2, [eps], [eps, one], ring)])
-    spaces = [v0, v1, v2]
-    linked = True
-    for i in range(2):
-        f, g = model.forward_matrix(i), model.backward_matrix(i)
-        for row in spaces[i].basis_rows():
-            if not spaces[i + 1].contains_vector(_apply_to_dual(f, row)):
-                linked = False
-        for row in spaces[i + 1].basis_rows():
-            if not spaces[i].contains_vector(_apply_to_dual(g, row)):
-                linked = False
+    linked = not _linkage_fault(model.chain(1), ChainPoint([v0, v1, v2]))
     a_y = vanishing_sequence_dual(v0)        # level-0 coords = y-coefficients
     a_z = vanishing_sequence_dual(v2)        # level-d coords = z-coefficients
     a_y_mod = vanishing_sequence(v0.mod_eps(), 0).vanishing

@@ -748,6 +748,27 @@ def test_tangent_dimension_counts_first_order_points(case):
             chain.p ** tangent_dimension(chain, pt)
 
 
+def test_linkage_fault_over_the_dual_numbers_matches_the_oracle():
+    # every tuple of first-order lifts of every point of the smallest case
+    # above: the chain's own linkage test, its GF(p) maps acting on both
+    # eps-parts, names the map that _ring_maps_into finds at fault
+    chain = make_standard_chain(2, 3, 1, 0, 2, 1)
+    p, seen = chain.p, set()
+    for pt in enumerate_points(chain):
+        for v, w in itertools.product(*[_first_order_lifts(sp, p)
+                                        for sp in pt]):
+            if not _ring_maps_into(chain.fs[0], v, w, p):
+                want = "f_0(V_0) is not in V_1"
+            elif not _ring_maps_into(chain.gs[0], w, v, p):
+                want = "g_0(V_1) is not in V_0"
+            else:
+                want = ""
+            assert chains_module._linkage_fault(
+                chain, ChainPoint([v, w])) == want
+            seen.add(want)
+    assert len(seen) == 3
+
+
 def test_tangent_rejects_point_unlinked_in_one_direction():
     # f and g project onto complementary planes, each the other's kernel:
     # two lines in the image of f are linked by g (it kills both) but not by
@@ -1561,22 +1582,23 @@ def _strata(points, exact, signatures, tangent_histogram):
     return dict(counts, points=points, exact=exact)
 
 
-@pytest.mark.parametrize("make, fixed", [
-    (lambda q: make_standard_chain(2, 4, 2, 0, q, 2), 15),
-    (lambda q: make_standard_chain(2, 3, 1, 0, q, 1), 5),
-    (lambda q: make_standard_chain(3, 3, 1, 0, q, 1), 7),
-    (lambda q: make_standard_chain(3, 3, 1, 1, q, 1), 3),
-    (lambda q: build_section_chain(3, q, 1), 14),
-    (lambda q: build_section_chain(3, q, 2), 39)],
+@pytest.mark.parametrize("make, fixed, qs", [
+    (lambda q: make_standard_chain(2, 4, 2, 0, q, 2), 15, (3, 5, 7)),
+    (lambda q: make_standard_chain(2, 3, 1, 0, q, 1), 5, (3, 5, 7)),
+    (lambda q: make_standard_chain(3, 3, 1, 0, q, 1), 7, (3, 5)),
+    (lambda q: make_standard_chain(3, 3, 1, 1, q, 1), 3, (3, 5)),
+    (lambda q: build_section_chain(3, q, 1), 14, (3, 5, 7)),
+    (lambda q: build_section_chain(3, q, 2), 39, (3, 5)),
+    (lambda q: build_section_chain(4, q, 1), 25, (3, 5))],
     ids=["standard(2,4,2,0,q,2)", "standard(2,3,1,0,q,1)",
          "standard(3,3,1,0,q,1)", "standard(3,3,1,1,q,1)",
-         "section(3,q,1)", "section(3,q,2)"])
-def test_census_counts_are_congruent_to_torus_fixed_points(make, fixed):
+         "section(3,q,1)", "section(3,q,2)", "section(4,q,1)"])
+def test_census_counts_are_congruent_to_torus_fixed_points(make, fixed, qs):
     # no torus component holds two coordinates of one level, so the
     # fixed points are the coordinate chains; every other orbit has
     # (q-1)^k points with k >= 1, so each count the census reports is its
     # fixed count mod q - 1, stratum by stratum
-    for q in (3, 5):
+    for q in qs:
         c = make(q)
         assert all(len({k for k, _ in comp}) == len(comp)
                    for comp in _coordinate_components(c))
@@ -1591,6 +1613,45 @@ def test_census_counts_are_congruent_to_torus_fixed_points(make, fixed):
         assert len(points) == fixed and set(want) <= set(got)
         for key, cnt in got.items():
             assert (cnt - want.get(key, 0)) % (q - 1) == 0, (q, key)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_census_counts_match_closed_forms_in_q(q):
+    rep = census(make_standard_chain(2, 4, 2, 0, q, 2))
+    assert rep.points == 3 * q**4 + 4 * q**3 + 5 * q**2 + 2 * q + 1
+    assert rep.signatures == {((2,), (0,)): q**4,
+                              ((1,), (1,)): q**2 * (q + 1)**2,
+                              ((0,), (2,)): q**4}
+    assert rep.tangent_histogram == {4: 2 * q**4 + q**2 * (q + 1)**2,
+                                     5: 2 * q * (q + 1)**2, 8: 1}
+    assert census(make_standard_chain(2, 3, 1, 0, q, 1)).points == \
+        2 * q**2 + 2 * q + 1
+    assert census(make_standard_chain(3, 3, 1, 0, q, 1)).points == \
+        3 * q**2 + 3 * q + 1
+    assert census(build_section_chain(3, q, 1)).points == \
+        4 * q**3 + 5 * q**2 + 4 * q + 1
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_census_counts_match_closed_forms_in_n(n):
+    rep = census(make_standard_chain(n, 4, 2, 0, 2, 2))
+    assert rep.points == 18 * n**2 + 16 * n + 1
+    assert rep.tangent_histogram[8] == n - 1
+
+
+@pytest.mark.parametrize("n, d, d1, r, p", [
+    (3, 4, 2, 2, 2), (4, 4, 2, 2, 2), (5, 4, 2, 2, 3), (4, 4, 1, 2, 2),
+    (4, 4, 3, 2, 2), (4, 5, 2, 2, 2), (4, 5, 1, 2, 2), (3, 5, 2, 3, 2),
+    (5, 3, 1, 1, 3), (4, 5, 3, 2, 2)])
+def test_exact_signatures_are_the_non_decreasing_admissible_ranks(n, d, d1,
+                                                                   r, p):
+    # each step of an exact point has a forward rank f admissible for two
+    # levels, and the ranks never fall along the chain
+    ranks = admissible_signatures_n2(d, r, d1, d - d1)
+    want = {(f, tuple(r - x for x in f))
+            for f in itertools.combinations_with_replacement(ranks, n - 1)}
+    assert set(census(make_standard_chain(n, d, d1, 0, p, r)).signatures) \
+        == want
 
 
 def _axiom_violating_chain():

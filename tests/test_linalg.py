@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgseries.fields import DualNumbers, Fp, PrimeField
+from lgseries.fields import Dual, DualNumbers, Fp, PrimeField
 from lgseries.linalg import (Matrix, Subspace, apply_map, contains,
                              coords_in_rows, enumerate_between,
                              enumerate_subspaces, gaussian_binomial, image,
@@ -780,6 +780,55 @@ def test_dual_subspaces_compare_as_modules(case):
     again = rref(a.basis)
     assert (again.matrix, again.pivots, again.unit_pivots) == \
         (a.basis, a.pivots, a.unit_pivots)
+
+
+@st.composite
+def field_maps_on_dual_modules(draw):
+    """(m, ring, d, rows): a map m over GF(p) from GF(p)^d and rows of
+    GF(p)[eps]^d spanning the module it is applied to, p in {2, 3} and at
+    most 3 dimensions on each side."""
+    p = draw(st.sampled_from((2, 3)))
+    ring = DualNumbers(p)
+    d, e = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.integers(0, p - 1)
+    m = mat(PrimeField(p), draw(st.lists(
+        st.lists(entry, min_size=d, max_size=d), min_size=e, max_size=e)))
+    vec = st.lists(st.builds(ring, entry, entry), min_size=d, max_size=d)
+    return m, ring, d, draw(st.lists(vec, max_size=3))
+
+
+def _on_both_parts(m, v):
+    """m(v0 + eps v1) = m v0 + eps m v1 for a map m over GF(p)."""
+    lo, hi = m.apply([x.a0 for x in v]), m.apply([x.a1 for x in v])
+    return tuple(Dual(a, b, m.ring.p) for a, b in zip(lo, hi))
+
+
+@PROPERTY
+@given(field_maps_on_dual_modules())
+def test_apply_map_of_a_field_map_acts_on_both_eps_parts(case):
+    m, ring, d, rows = case
+    u = Subspace.from_rows(ring, d, rows)
+    got = apply_map(m, u)
+    assert (got.ring, got.ambient_dim) == (ring, m.rows)
+    assert got == Subspace.from_rows(
+        ring, m.rows, [list(_on_both_parts(m, b)) for b in u.basis_rows()])
+    # the module it spans is the image of every element of u
+    assert module_elements(ring, m.rows, got.basis_rows()) == \
+        {_on_both_parts(m, v) for v in module_elements(ring, d, rows)}
+
+
+def test_apply_map_on_a_dual_module_needs_a_field_map_of_its_p():
+    D = DualNumbers(3)
+    u = Subspace.from_rows(D, 2, [[D(1, 1), D(0, 2)]])
+    for other_p in (GF2, GF5):
+        with pytest.raises(ValueError, match="does not match"):
+            apply_map(mat(other_p, [[1, 0], [0, 1]]), u)
+    dual_map = mat(D, [[D(1, 1), 0], [0, 1]])
+    for module in (u, Subspace.zero_space(D, 2)):
+        with pytest.raises(ValueError, match="field coefficients"):
+            apply_map(dual_map, module)
+    with pytest.raises(ValueError, match="does not match"):
+        apply_map(dual_map, Subspace.from_rows(GF3, 2, [[1, 1]]))
 
 
 def test_dual_matrix_arithmetic_is_field_only():

@@ -74,6 +74,21 @@ def test_forgetful_map_remark_point():
     assert is_exact(chain, pt)
 
 
+def test_forgetful_map_needs_d_plus_one_levels():
+    # a point of any other length has no level d to read, or reads the
+    # wrong one: too few levels used to raise IndexError, too many to
+    # return the aspect of level d as if it were the last
+    from lgseries.chains import ChainPoint
+
+    model = NodalModel(2, 2)
+    pt = next(enumerate_points(model.chain(1)))
+    assert forgetful_map(model, pt).vz == pt[2]
+    for spaces in (pt.spaces[:1], pt.spaces[:2], pt.spaces + pt.spaces[:1]):
+        with pytest.raises(ValueError, match="point has %d levels"
+                           % len(spaces)):
+            forgetful_map(model, ChainPoint(spaces))
+
+
 def test_middle_filling_y_not_exact():
     # (y^2, 0), (y, 0), (0, z^2 + z): linked but not exact
     model = NodalModel(2, 2)

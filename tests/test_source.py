@@ -4,6 +4,9 @@ Every operation is a pure function (README): a call's work and result never
 depend on what ran before it in the process.  A memoising decorator would
 keep a cache across calls, so none may appear; a pass keeps its caches in
 a table of its own (``chains._Intervals``) that dies with it.
+
+A map applied to int rows is one product kernel, ``linalg._images``, so
+``operator.mul``, which it multiplies with, appears in ``linalg`` alone.
 """
 
 import ast
@@ -54,3 +57,34 @@ def test_no_function_keeps_a_cache_across_calls():
     for name in names:
         with open(os.path.join(PACKAGE, name)) as fh:
             assert _cached(fh.read()) == [], name
+
+
+def _mul_uses(source: str) -> list:
+    """Lines of ``source`` that import ``operator.mul`` or read it as an
+    attribute of ``operator``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            found += [node.lineno for alias in node.names
+                      if alias.name == "mul"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "mul"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "operator"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_checker_finds_operator_mul():
+    source = ("import operator\nfrom operator import add, mul\n"
+              "times = operator.mul\nfrom operator import itemgetter\n"
+              "mul = 3\n")
+    assert _mul_uses(source) == [2, 3]
+
+
+def test_only_linalg_imports_operator_mul():
+    found = []
+    for name in sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")):
+        with open(os.path.join(PACKAGE, name)) as fh:
+            if _mul_uses(fh.read()):
+                found.append(name)
+    assert found == ["linalg.py"]
