@@ -42,13 +42,12 @@ call depends on what ran before.  All of it runs on int rows through
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import chain as concat
 from itertools import islice, starmap
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
-from .fields import Fp, PrimeField, ring_from_dict
+from .fields import Fp, PrimeField, Record, ring_from_dict
 from .linalg import (BudgetError, Matrix, Subspace, _between, _cells,
                      _images, _null_basis, _reduce, _require_dict, apply_map,
                      contains, enumerate_subspaces, image, intersect, kernel)
@@ -183,9 +182,11 @@ class ChainPoint:
         return cls([Subspace.from_dict(s) for s in spaces])
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: Optional[list] = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -200,11 +201,13 @@ class ValidationReport:
         return {"ok": self.ok, "violations": self.violations}
 
 
-@dataclass
-class SignatureReport:
-    f_ranks: tuple
-    g_ranks: tuple
-    exact: bool
+class SignatureReport(Record):
+    __slots__ = ("f_ranks", "g_ranks", "exact")
+
+    def __init__(self, f_ranks: tuple, g_ranks: tuple, exact: bool):
+        self.f_ranks = f_ranks
+        self.g_ranks = g_ranks
+        self.exact = exact
 
     def key(self) -> tuple:
         return (self.f_ranks, self.g_ranks)
@@ -214,13 +217,18 @@ class SignatureReport:
                 "exact": self.exact}
 
 
-@dataclass
-class DecompositionReport:
-    level: int
-    image_block: list        # basis vectors of f_{i-1}(V_{i-1}) inside V_i
-    kernel_block: list       # basis vectors of ker f_i restricted to V_i
-    complement_block: list   # greedy complement, extending any supplied seed
-    block_dims: tuple
+class DecompositionReport(Record):
+    __slots__ = ("level", "image_block", "kernel_block", "complement_block",
+                 "block_dims")
+
+    def __init__(self, level: int, image_block: list, kernel_block: list,
+                 complement_block: list, block_dims: tuple):
+        self.level = level
+        self.image_block = image_block  # basis of f_{i-1}(V_{i-1}) inside V_i
+        self.kernel_block = kernel_block  # basis of ker f_i restricted to V_i
+        # greedy complement, extending any supplied seed
+        self.complement_block = complement_block
+        self.block_dims = block_dims
 
     def as_dict(self) -> dict:
         return {"level": self.level,
@@ -961,18 +969,25 @@ def expected_component_count_n2(d: int, r: int, d1: int, d2: int) -> int:
     return count
 
 
-@dataclass
-class CensusReport:
+class CensusReport(Record):
     """Aggregated point data: counts by exactness, exact signature and
     tangent dimension, emitted in sorted key order."""
 
-    chain: dict
-    q: int
-    points: int = 0
-    exact: int = 0
-    signatures: dict = field(default_factory=dict)  # exact points by signature
-    tangent_histogram: dict = field(default_factory=dict)
-    signature_graph: Optional[dict] = None
+    __slots__ = ("chain", "q", "points", "exact", "signatures",
+                 "tangent_histogram", "signature_graph")
+
+    def __init__(self, chain: dict, q: int, points: int = 0, exact: int = 0,
+                 signatures: Optional[dict] = None,  # exact points by signature
+                 tangent_histogram: Optional[dict] = None,
+                 signature_graph: Optional[dict] = None):
+        self.chain = chain
+        self.q = q
+        self.points = points
+        self.exact = exact
+        self.signatures = {} if signatures is None else signatures
+        self.tangent_histogram = ({} if tangent_histogram is None
+                                  else tangent_histogram)
+        self.signature_graph = signature_graph
 
     def as_dict(self) -> dict:
         d = {"schema_version": 1,

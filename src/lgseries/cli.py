@@ -29,13 +29,15 @@ encoded by ``json.dumps``.  ``enum-lls`` takes
 its whole point stream before writing anything, so a budget exit writes no
 report.  A call runs with the collector's generation-0 threshold at 100,000
 (``main``), since it frees little before it exits.
+
+A call imports no module it does not run: ``--format csv`` imports ``csv``
+on first use (``_to_csv``), and the report records load no
+``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import gc
 import io
 import json
@@ -157,6 +159,8 @@ def _format(spec, pad: str) -> str:
 
 def _to_csv(report: dict) -> str:
     """A census or vanishing report, the two that take ``--format csv``."""
+    import csv  # only this format uses it: a JSON call never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     if "signatures" in report:
@@ -297,7 +301,8 @@ def cmd_fr_image(args) -> int:
                                  budget=args.budget)
     rows = [(ky, kz, cnt) for (ky, kz), cnt
             in sorted(rep.preimage_counts.items())]
-    _emit(dataclasses.replace(rep, preimage_counts={}).as_dict(), args,
+    rep.preimage_counts = {}  # the listing writes them, from ``rows``
+    _emit(rep.as_dict(), args,
           encode=lambda head: _listing_json_text(
               head, "preimage_counts", [["\0", "\0"], "\0"], rows))
     return EXIT_OK if rep.equal else EXIT_VIOLATION

@@ -10,6 +10,10 @@ at the end.
 ``_residue`` is the one way a scalar enters GF(p), for ring calls and
 matrix entries (``linalg._entries``) alike: an int, or an ``Fp`` of the
 same p, is reduced, and anything else raises ValueError.
+
+``Record`` is the base of the package's report records (every module
+imports this one), declared without ``dataclasses`` so that importing the
+package loads neither it nor the modules it pulls in.
 """
 
 from __future__ import annotations
@@ -17,6 +21,31 @@ from __future__ import annotations
 from math import comb
 
 MAX_MODULUS = 2**31
+
+
+class Record:
+    """Base of a report record: a class whose ``__slots__`` name its fields,
+    in the order of its ``__init__`` parameters.
+
+    Two records are equal when they are of one class and equal field by
+    field; a record of another class, or any other object, compares with
+    ``NotImplemented``, so ``__hash__`` stays ``None`` and a record, being
+    mutable, is unhashable.  ``repr`` reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 def is_prime(n: int) -> bool:
@@ -209,13 +238,15 @@ class PrimeField:
 
 
 class DualNumbers:
-    """Ring descriptor for GF(p)[eps]/(eps^2)."""
+    """Ring descriptor for GF(p)[eps]/(eps^2).  ``field`` is its residue
+    field GF(p), built once: reducing mod eps reads it rather than rerunning
+    the primality test."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "field")
     dual = True
 
     def __init__(self, p: int):
-        PrimeField(p)  # validates primality and the size cap
+        self.field = PrimeField(p)  # validates primality and the size cap
         self.p = p
 
     def __call__(self, a0, a1: int = 0) -> Dual:

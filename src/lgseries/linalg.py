@@ -229,7 +229,7 @@ class Matrix:
         """Reduce a dual-number matrix modulo eps."""
         if not self.ring.dual:
             return self
-        return Matrix(PrimeField(self.ring.p), self.rows, self.cols,
+        return Matrix(self.ring.field, self.rows, self.cols,
                       tuple(x.a0 for x in self.entries))
 
     def __eq__(self, other):
@@ -359,7 +359,7 @@ def _eps_stable(m: Matrix) -> Matrix:
         x0 = [x.a0 for x in r]
         rows.append(x0 + [x.a1 for x in r])
         rows.append(zeros + x0)
-    return Matrix(PrimeField(m.ring.p), 2 * m.rows, 2 * m.cols,
+    return Matrix(m.ring.field, 2 * m.rows, 2 * m.cols,
                   tuple(chain.from_iterable(rows)))
 
 

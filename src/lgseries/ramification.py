@@ -17,12 +17,11 @@ any other point, a float, a bool or None, raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
 from typing import Optional, Sequence
 
-from .fields import is_tame
+from .fields import Record, is_tame
 from .linalg import Subspace, _entries, _field_p, _images
 
 INFINITY = "inf"
@@ -84,12 +83,15 @@ def poly_order_at(a: tuple, t, ring, degree_bound: Optional[int] = None):
     raise AssertionError("nonzero polynomial with no finite order")
 
 
-@dataclass
-class RamificationData:
-    point: object            # field value as int, or "inf"
-    vanishing: tuple         # strictly increasing orders a_j
-    ramification: tuple      # alpha_j = a_j - j
-    tame: bool
+class RamificationData(Record):
+    __slots__ = ("point", "vanishing", "ramification", "tame")
+
+    def __init__(self, point, vanishing: tuple, ramification: tuple,
+                 tame: bool):
+        self.point = point                # field value as int, or "inf"
+        self.vanishing = vanishing        # strictly increasing orders a_j
+        self.ramification = ramification  # alpha_j = a_j - j
+        self.tame = tame
 
     @property
     def weight(self) -> int:
@@ -173,17 +175,23 @@ def is_separable(v: Subspace) -> bool:
     return len(wronskian(v)) > 0
 
 
-@dataclass
-class PluckerCertificate:
-    genus: int
-    degree: int
-    r: int
-    bound: int
-    found_weight: int
-    separable: bool
-    all_inspected_tame: bool
-    inspected: list          # point labels, in inspection order
-    ramified: list           # RamificationData at the ramified inspected points
+class PluckerCertificate(Record):
+    __slots__ = ("genus", "degree", "r", "bound", "found_weight", "separable",
+                 "all_inspected_tame", "inspected", "ramified")
+
+    def __init__(self, genus: int, degree: int, r: int, bound: int,
+                 found_weight: int, separable: bool, all_inspected_tame: bool,
+                 inspected: list, ramified: list):
+        self.genus = genus
+        self.degree = degree
+        self.r = r
+        self.bound = bound
+        self.found_weight = found_weight
+        self.separable = separable
+        self.all_inspected_tame = all_inspected_tame
+        self.inspected = inspected  # point labels, in inspection order
+        # RamificationData at the ramified inspected points
+        self.ramified = ramified
 
     def as_dict(self) -> dict:
         return {"schema_version": 1, "genus": self.genus, "degree": self.degree,

@@ -17,12 +17,11 @@ for first-order probes of the node vanishing orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .chains import (ChainPoint, LinkedChain, _linkage_fault,
                      boundary_counts, enumerate_points, is_linked_point)
-from .fields import DualNumbers, PrimeField
+from .fields import DualNumbers, PrimeField, Record
 from .linalg import (Matrix, Subspace, _free_position_count, apply_map,
                      enumerate_subspaces, intersect, pivot_patterns, preimage,
                      rank_everywhere_at_most)
@@ -439,24 +438,37 @@ def _meets_bound(aspect: Subspace, point, bound: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(vanishing, bound))
 
 
-@dataclass
-class ImageReport:
+class ImageReport(Record):
     """Comparison of {forgetful image of all linked points} with {all crude
     pairs}, plus the preimage multiplicities."""
 
-    d: int
-    r: int
-    q: int
-    points: int = 0
-    image_size: int = 0
-    crude_pairs: int = 0
-    refined_pairs: int = 0
-    refined_points: int = 0     # points over refined pairs, vs `points` total
-    equal: bool = False
-    fr_not_crude: list = field(default_factory=list)
-    crude_not_fr: list = field(default_factory=list)
-    preimage_counts: dict = field(default_factory=dict)
-    refined_preimages_all_unique: bool = False
+    __slots__ = ("d", "r", "q", "points", "image_size", "crude_pairs",
+                 "refined_pairs", "refined_points", "equal", "fr_not_crude",
+                 "crude_not_fr", "preimage_counts",
+                 "refined_preimages_all_unique")
+
+    def __init__(self, d: int, r: int, q: int, points: int = 0,
+                 image_size: int = 0, crude_pairs: int = 0,
+                 refined_pairs: int = 0, refined_points: int = 0,
+                 equal: bool = False, fr_not_crude: Optional[list] = None,
+                 crude_not_fr: Optional[list] = None,
+                 preimage_counts: Optional[dict] = None,
+                 refined_preimages_all_unique: bool = False):
+        self.d = d
+        self.r = r
+        self.q = q
+        self.points = points
+        self.image_size = image_size
+        self.crude_pairs = crude_pairs
+        self.refined_pairs = refined_pairs
+        # points over refined pairs, vs `points` total
+        self.refined_points = refined_points
+        self.equal = equal
+        self.fr_not_crude = [] if fr_not_crude is None else fr_not_crude
+        self.crude_not_fr = [] if crude_not_fr is None else crude_not_fr
+        self.preimage_counts = ({} if preimage_counts is None
+                                else preimage_counts)
+        self.refined_preimages_all_unique = refined_preimages_all_unique
 
     def as_dict(self) -> dict:
         return {"schema_version": 1, "d": self.d, "r": self.r, "q": self.q,
@@ -587,16 +599,21 @@ def vanishing_sequence_dual(v: Subspace) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class DualProbeReport:
-    p: int
-    d: int
-    r: int
-    linked_over_dual: bool
-    a_y: tuple
-    a_z: tuple
-    a_y_mod_eps: tuple
-    a_z_mod_eps: tuple
+class DualProbeReport(Record):
+    __slots__ = ("p", "d", "r", "linked_over_dual", "a_y", "a_z",
+                 "a_y_mod_eps", "a_z_mod_eps")
+
+    def __init__(self, p: int, d: int, r: int, linked_over_dual: bool,
+                 a_y: tuple, a_z: tuple, a_y_mod_eps: tuple,
+                 a_z_mod_eps: tuple):
+        self.p = p
+        self.d = d
+        self.r = r
+        self.linked_over_dual = linked_over_dual
+        self.a_y = a_y
+        self.a_z = a_z
+        self.a_y_mod_eps = a_y_mod_eps
+        self.a_z_mod_eps = a_z_mod_eps
 
     @property
     def first_order_sum(self) -> int:

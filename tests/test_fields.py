@@ -6,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_cli import FUZZ, JSON_VALUES
 
-from lgseries.chains import make_standard_chain
+from lgseries.chains import (CensusReport, DecompositionReport,
+                             SignatureReport, ValidationReport,
+                             make_standard_chain)
 from lgseries.fields import (Dual, DualNumbers, Fp, PrimeField,
                              binomial_matrix, integer_determinant, is_prime,
                              is_tame, ring_from_dict, tameness_determinant)
 from lgseries.linalg import Matrix
+from lgseries.ramification import PluckerCertificate, RamificationData
+from lgseries.series import DualProbeReport, ImageReport
 
 PRIMES_SMALL = [2, 3, 5, 7, 11, 13]
 
@@ -267,3 +271,56 @@ def test_no_library_routine_does_element_arithmetic(monkeypatch):
     assert rep.signature_graph["edges"]  # the exactify completions ran
     assert fr_image_report(2, 1, 2).equal
     dual_probe(3)
+
+
+# (record, its required fields, its defaulted fields with their defaults),
+# each in constructor order
+RECORDS = [
+    (ValidationReport, {}, {"violations": []}),
+    (SignatureReport, {"f_ranks": (1, 0), "g_ranks": (0, 1), "exact": True},
+     {}),
+    (DecompositionReport,
+     {"level": 1, "image_block": [[1, 0]], "kernel_block": [],
+      "complement_block": [[0, 1]], "block_dims": (1, 0, 1)}, {}),
+    (CensusReport, {"chain": {"n": 2}, "q": 2},
+     {"points": 0, "exact": 0, "signatures": {}, "tangent_histogram": {},
+      "signature_graph": None}),
+    (RamificationData, {"point": "inf", "vanishing": (0, 2),
+                        "ramification": (0, 1), "tame": True}, {}),
+    (PluckerCertificate,
+     {"genus": 0, "degree": 3, "r": 1, "bound": 4, "found_weight": 4,
+      "separable": True, "all_inspected_tame": False, "inspected": [0, "inf"],
+      "ramified": []}, {}),
+    (ImageReport, {"d": 3, "r": 1, "q": 2},
+     {"points": 0, "image_size": 0, "crude_pairs": 0, "refined_pairs": 0,
+      "refined_points": 0, "equal": False, "fr_not_crude": [],
+      "crude_not_fr": [], "preimage_counts": {},
+      "refined_preimages_all_unique": False}),
+    (DualProbeReport,
+     {"p": 3, "d": 2, "r": 1, "linked_over_dual": True, "a_y": (0, 1),
+      "a_z": (1, 2), "a_y_mod_eps": (0, 1), "a_z_mod_eps": (1, 2)}, {}),
+]
+
+
+@pytest.mark.parametrize("cls, required, defaults", RECORDS,
+                         ids=[rec[0].__name__ for rec in RECORDS])
+def test_report_records_behave_as_declared(cls, required, defaults):
+    fields = dict(required, **defaults)
+    rec = cls(*required.values())
+    assert {name: getattr(rec, name) for name in fields} == fields
+    assert cls(**required) == rec
+    assert cls(*fields.values()) == cls(**fields) == rec
+    assert not cls(**fields) != rec
+    for name in fields:
+        assert cls(**dict(fields, **{name: object()})) != rec, name
+    assert rec != tuple(fields.values()) and rec != object()
+    other = next(c for c, r, _ in RECORDS if c is not cls)
+    assert rec.__eq__(other.__new__(other)) is NotImplemented
+    assert repr(rec) == "%s(%s)" % (cls.__name__, ", ".join(
+        "%s=%r" % item for item in fields.items()))
+    with pytest.raises(TypeError):
+        hash(rec)
+    for name, default in defaults.items():
+        if isinstance(default, (list, dict)):
+            assert getattr(cls(**required), name) is not \
+                getattr(cls(**required), name), name

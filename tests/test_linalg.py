@@ -544,6 +544,26 @@ def test_dual_subspace_canonical_equality():
     assert a == b
 
 
+def test_dual_reduction_runs_no_primality_test(monkeypatch):
+    """A dual ring keeps its residue field, so a dual ``rref``,
+    ``contains`` or ``mod_eps`` builds no GF(p) and reruns no trial division
+    (2.2 ms a call at p = 2^31 - 1)."""
+    from lgseries import fields
+
+    F, D = PrimeField(2**31 - 1), DualNumbers(2**31 - 1)
+    u = Subspace.from_rows(D, 3, [[D(0, 1), D(1, 0), D(2, 3)]])
+    m = mat(D, [[D(0, 1), D(1, 0)], [D(1, 0), D(0, 0)]])
+    calls = []
+    real = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    assert u.contains(u)
+    assert u.contains_vector([D(0, 2), D(2, 0), D(4, 6)])
+    assert rref(m).rank == 2
+    assert m.mod_eps().ring == u.mod_eps().ring == F
+    assert calls == []
+
+
 def test_apply_map_and_image():
     m = mat(GF3, [[1, 0], [0, 0]])
     u = Subspace.from_rows(GF3, 2, [[1, 1]])

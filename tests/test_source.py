@@ -7,10 +7,18 @@ a table of its own (``chains._Intervals``) that dies with it.
 
 A map applied to int rows is one product kernel, ``linalg._images``, so
 ``operator.mul``, which it multiplies with, appears in ``linalg`` alone.
+
+A CLI call imports no module it does not run: ``import lgseries.cli`` loads
+neither ``dataclasses`` (the report records derive from ``fields.Record``),
+nor ``inspect``, which ``dataclasses`` pulls in, nor ``csv``, which
+``cli._to_csv`` imports when a ``--format csv`` report is written.
 """
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import lgseries
 
@@ -88,3 +96,17 @@ def test_only_linalg_imports_operator_mul():
             if _mul_uses(fh.read()):
                 found.append(name)
     assert found == ["linalg.py"]
+
+
+def test_importing_the_cli_loads_no_module_it_does_not_run():
+    src = os.path.dirname(PACKAGE)
+    code = ("import json, sys\n"
+            "sys.path.insert(0, %r)\n"
+            "before = set(sys.modules)\n"
+            "import lgseries.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "lgseries.cli" in loaded and "lgseries.series" in loaded
+    assert [m for m in ("dataclasses", "inspect", "csv") if m in loaded] == []
