@@ -4,11 +4,10 @@ Every subcommand reads flags (optionally seeded from a JSON config file;
 flags win), runs one experiment, and writes a schema-versioned JSON or CSV
 report.  Identical inputs produce byte-identical reports.  Exit codes:
 0 success, 2 invalid input, 3 enumeration budget exceeded, 4 a verification
-command found a property violation.  A call builds only its own command's
-parser, the command being the first token left after any ``--config``; when
-that token names no command (top-level help, a missing or unknown command, a
-stray flag), every command's parser is built, so help and usage errors read
-the same.
+command found a property violation.  ``_parse`` reads the flags straight
+from the command table, ``_COMMANDS``, as the argparse parser built from it
+would (``--flag=value``, a unique prefix, the last occurrence winning); only
+an argv that names the help flag builds that parser, which prints the help.
 
 The CLI checks its flags' types and the limits of ``--point-index`` and
 ``--workers``, but not a budget or the shape of an input the library reads:
@@ -31,19 +30,20 @@ report.  A call runs with the collector's generation-0 threshold at 100,000
 (``main``), since it frees little before it exits.
 
 A call imports no module it does not run: ``--format csv`` imports ``csv``
-on first use (``_to_csv``), and the report records load no
-``dataclasses``.
+on first use (``_to_csv``), help alone imports ``argparse`` (so ``gettext``
+and ``locale``), and the report records load no ``dataclasses``.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import json
+import re
 import sys
 from functools import partial
 from itertools import islice
+from types import SimpleNamespace
 from typing import Optional
 
 from . import chains, ramification, series
@@ -181,13 +181,8 @@ def _fail(message: str, code: int, **extra) -> int:
     return code
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     """A malformed command line; reported like any other invalid input."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 class _InvalidChain(ValueError):
@@ -222,6 +217,15 @@ def _chain_from_args(args, validate: bool = True) -> chains.LinkedChain:
 
 def _parse_subspace(text: str, p: int, ambient: int) -> Subspace:
     return Subspace.from_rows(PrimeField(p), ambient, json.loads(text))
+
+
+def _point(text: str, flag: str):
+    """The point ``text`` of ``flag`` names: an integer, or ``inf``."""
+    try:
+        return text if text == ramification.INFINITY else int(text)
+    except ValueError:
+        raise ValueError("%s takes integers and inf, got %r"
+                         % (flag, text)) from None
 
 
 def cmd_validate_chain(args) -> int:
@@ -332,7 +336,7 @@ def cmd_plucker(args) -> int:
     if args.points is not None:
         if not args.points:
             raise ValueError("--points must name at least one point")
-        points = [p if p == "inf" else int(p) for p in args.points.split(",")]
+        points = [_point(p, "--points") for p in args.points.split(",")]
     cert = ramification.plucker_check(v, genus=args.genus, points=points)
     _emit(cert.as_dict(), args)
     return EXIT_OK
@@ -340,8 +344,7 @@ def cmd_plucker(args) -> int:
 
 def cmd_vanishing(args) -> int:
     v = _parse_subspace(args.basis, args.p, args.degree + 1)
-    point = ramification.INFINITY if args.point == "inf" else int(args.point)
-    data = ramification.vanishing_sequence(v, point)
+    data = ramification.vanishing_sequence(v, _point(args.point, "--point"))
     report = data.as_dict()
     report["schema_version"] = SCHEMA_VERSION
     _emit(report, args)
@@ -398,7 +401,7 @@ _COMMANDS = {
     "census": (cmd_census, _CHAIN + _BUDGET + _OUT + _FORMAT + (
         ("--workers", dict(type=int, default=1, help="accepted for "
                            "compatibility; the census is serial")),
-        ("--experiments", dict(action="store_true",
+        ("--experiments", dict(action="store_true", default=False,
                                help="attach the signature-adjacency graph")))),
     "tangent": (cmd_tangent, _CHAIN + _BUDGET + _OUT + (
         ("--point-index", dict(type=int, default=0, help="index into the "
@@ -431,43 +434,122 @@ _COMMANDS = {
 }
 
 
-def _build_parser(config: Optional[dict] = None,
-                  command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone if it names one
-    (a call parses with one subparser, so it builds only that one)."""
-    parser = _Parser(
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, which prints the help."""
+    import argparse  # help alone uses it: no other call loads it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = Parser(
         prog="lgseries",
         description="Deterministic censuses and certificates for linked "
                     "subspace chains and nodal-curve limit linear series.")
     parser.add_argument("--config", help="JSON file of flag defaults "
                         "(explicit flags override it)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        func, flags = _COMMANDS[name]
+    for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag, keywords in flags:
             p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-        if config:
-            p.set_defaults(**{a.dest: config[a.dest] for a in p._actions
-                              if a.dest in config})
-            for action in p._actions:
-                if action.dest in config:
-                    action.required = False
-    parser.commands = sub.choices
     return parser
 
 
-def _load_config(argv: list) -> tuple[Optional[dict], Optional[str]]:
-    """The flag defaults named by ``--config FILE`` or ``--config=FILE``, and
-    the command: the first token left after that flag, if it names one."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    command = rest[0] if rest and rest[0] in _COMMANDS else None
-    path = known.config
-    if path is None:
-        return None, command
+def _flag(token: str, table: dict):
+    """As argparse reads ``token`` against ``table``: None for a value, else
+    the flag it names or uniquely begins (None if none) and its "=" text."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in table:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in table:
+        return head, value
+    if token[1] == "-" and token != "--":
+        found = [flag for flag in table if flag.startswith(head)]
+        if found[1:]:
+            raise _UsageError("%s is ambiguous: %s" % (head, ", ".join(found)))
+        if found:
+            return found[0], value if eq else None
+    # argparse's rule: a negative number, or a token with a space, is a value
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _value(flag: str, spec: dict, value, key: Optional[str] = None):
+    """``value`` as ``flag`` takes it: a string from the command line, or
+    the JSON value of config ``key``, which may also be an int or a bool."""
+    if spec.get("action"):
+        ok, want = type(value) is bool, "a JSON boolean (a bare flag)"
+    elif "choices" in spec:
+        ok, want = value in spec["choices"], "one of %s" % spec["choices"]
+    elif spec.get("type") is int:
+        try:  # a bool, a float or a list stays as it is, and fails
+            value = int(value) if type(value) is str else value
+        except ValueError:
+            pass
+        ok, want = type(value) is int, "an integer"
+    else:
+        ok, want = type(value) is str, "a string"
+    if not ok:
+        where = "config %r for %s" % (key, flag) if key else flag
+        raise _UsageError("%s must be %s, got %r" % (where, want, value))
+    return value
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """``command``, ``func`` and one attribute per flag, read as the parser
+    of ``_build_parser()`` reads ``argv``, which prints the help (raising
+    SystemExit) if ``argv`` names its help flag.  Raises _UsageError."""
+    for token in argv:  # argparse reads these as its help flag
+        head = token.partition("=")[0]
+        if token[:2] == "-h" or len(head) > 2 and "--help".startswith(head):
+            _build_parser().parse_args(argv)  # prints the help, or fails
+    table, name, given, at = {"--config": {}, "--help": None}, None, {}, 0
+    while at < len(argv):
+        token, at = argv[at], at + 1
+        found = _flag(token, table)
+        if found is None and name is None:
+            if token not in _COMMANDS:
+                raise _UsageError("no command %r; choose from %s"
+                                  % (token, ", ".join(_COMMANDS)))
+            name, (func, flags) = token, _COMMANDS[token]
+            table = dict(flags, **{"--help": None})
+            continue
+        flag, value = found or (None, None)  # a stray value names no flag
+        if flag is None:
+            raise _UsageError("unrecognized arguments: %s" % token)
+        if value is None and table[flag].get("action"):
+            value = True  # and --experiments=x fails in _value
+        elif value is None:
+            if at == len(argv) or _flag(argv[at], table) is not None:
+                raise _UsageError("argument %s: expected one argument" % flag)
+            value, at = argv[at], at + 1
+        given[flag] = _value(flag, table[flag], value)
+    if name is None:
+        raise _UsageError("missing the command")
+    config = _load_config(given.pop("--config")) if "--config" in given else {}
+    args = SimpleNamespace(command=name, func=func)
+    for flag, spec in flags:
+        dest = flag[2:].replace("-", "_")
+        if flag not in given and dest in config:
+            given[flag] = _value(flag, spec, config[dest], dest)
+        setattr(args, dest, given.get(flag, spec.get("default")))
+    missing = [f for f, s in flags if s.get("required") and f not in given]
+    if missing:
+        raise _UsageError("missing required flags: %s" % ", ".join(missing))
+    for flag, least in (("--point-index", 0), ("--workers", 1)):
+        if given.get(flag, least) < least:
+            raise _UsageError("%s must be an integer >= %d, got %d"
+                              % (flag, least, given[flag]))
+    return args
+
+
+def _load_config(path: str) -> dict:
+    """The flag defaults at ``path``, keyed by the flags of any command."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -475,45 +557,11 @@ def _load_config(argv: list) -> tuple[Optional[dict], Optional[str]]:
         raise _UsageError("cannot read config: %s" % exc)
     if not isinstance(config, dict):
         raise _UsageError("cannot read config: %s is not a JSON object" % path)
-    return config, command
-
-
-def _check_config(command: argparse.ArgumentParser, config: dict) -> None:
-    """Config values checked like the flags they stand for, since argparse
-    converts only string defaults and never checks choices on defaults: an
-    int flag takes a JSON integer or a string that converts, a choices flag
-    one of its choices, a store_true flag a JSON boolean, any other flag a
-    string."""
-    for action in command._actions:
-        if action.dest not in config or not action.option_strings:
-            continue
-        value = config[action.dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            ok, want = type(value) is bool, "a JSON boolean"
-        elif action.choices is not None:
-            ok, want = value in action.choices, "one of %s" % list(action.choices)
-        elif action.type is int:
-            ok, want = type(value) in (int, str), "an integer"
-        else:
-            ok, want = isinstance(value, str), "a string"
-        if not ok:
-            raise _UsageError("config %r for %s must be %s, got %r"
-                              % (action.dest, action.option_strings[0], want,
-                                 value))
-
-
-def _check_limits(args) -> None:
-    # flags and config values alike: a point index counts points from 0;
-    # --workers has no effect (the census is serial) but keeps its K >= 1
-    # check; the library checks a budget where it reads one
-    index = getattr(args, "point_index", None)
-    if index is not None and (type(index) is not int or index < 0):
-        raise _UsageError("--point-index must be a nonnegative integer, "
-                          "got %r" % (index,))
-    workers = getattr(args, "workers", None)
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise _UsageError("--workers must be a positive integer, got %r"
-                          % (workers,))
+    stray = set(config).difference(flag[2:].replace("-", "_") for _, flags
+                                   in _COMMANDS.values() for flag, _ in flags)
+    if stray:
+        raise _UsageError("config key %r is no command's flag" % min(stray))
+    return config
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -530,18 +578,10 @@ def main(argv: Optional[list] = None) -> int:
 
 def _run(argv: list) -> int:
     try:
-        config, command = _load_config(argv)
-        parser = _build_parser(config, command)
-        args = parser.parse_args(argv)
-        if config:
-            _check_config(parser.commands[args.command], config)
-        _check_limits(args)
-    except _UsageError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+        args = _parse(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except BudgetError as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except _InvalidChain as exc:

@@ -200,9 +200,11 @@ class Dual:
 
 
 class PrimeField:
-    """Ring descriptor for GF(p).  Calling it coerces through ``_residue``."""
+    """Ring descriptor for GF(p).  Calling it coerces through ``_residue``.
+    ``dual_ring`` is GF(p)[eps] over it, built once on first use, so that
+    ``to_dual`` reruns no primality test."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_dual_ring")
     dual = False
 
     def __init__(self, p: int):
@@ -212,6 +214,15 @@ class PrimeField:
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError("modulus must be a prime integer, got %r" % (p,))
         self.p = p
+        self._dual_ring = None
+
+    @property
+    def dual_ring(self) -> "DualNumbers":
+        ring = self._dual_ring
+        if ring is None:
+            ring = self._dual_ring = DualNumbers.__new__(DualNumbers)
+            ring.p, ring.field = self.p, self
+        return ring
 
     def __call__(self, v) -> Fp:
         if isinstance(v, Fp) and v.p == self.p:

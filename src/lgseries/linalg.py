@@ -58,7 +58,7 @@ from itertools import chain, combinations
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .fields import (Dual, DualNumbers, Fp, PrimeField, _residue,
+from .fields import (Dual, Fp, PrimeField, _residue,
                      integer_determinant, ring_from_dict)
 
 
@@ -222,7 +222,7 @@ class Matrix:
         if self.ring.dual:
             return self
         p = self.ring.p
-        return Matrix(DualNumbers(p), self.rows, self.cols,
+        return Matrix(self.ring.dual_ring, self.rows, self.cols,
                       tuple(Dual(x, 0, p) for x in self.entries))
 
     def mod_eps(self) -> "Matrix":

@@ -76,8 +76,7 @@ def test_every_workload_command_line_parses():
         if "conj" in wl:
             argv += ["--chain-file", "chain.json"]
         argv += ["--budget", budget, "--out", "report.json"]
-        args = cli._build_parser(None, argv[0]).parse_args(argv)
-        cli._check_limits(args)
+        args = cli._parse(argv)
         assert args.command == argv[0] and args.budget == int(budget), name
 
 

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import hashlib
 import io
@@ -9,7 +8,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lgseries import chains, cli, linalg, series
@@ -927,52 +926,88 @@ def test_census_csv_refuses_experiments(capsys, tmp_path):
         assert "--format csv" in error and "--experiments" in error
 
 
-# --- the front end builds only the called command's parser -----------------
+# --- the front end reads the flags straight from the command table ---------
 
 COMMANDS = ("validate-chain", "census", "tangent", "components-n2",
             "enum-lls", "fr-image", "reconstruct", "lift-crude", "plucker",
             "vanishing", "rho", "dual-probe")
 
 
-def test_command_help_is_the_full_parsers(capsys):
-    full = cli._build_parser().commands
-    assert tuple(full) == COMMANDS
+def argparse_parsers():
+    """The argparse parser of every command, and its subparser per command."""
+    parser = cli._build_parser()
+    return parser, parser._subparsers._group_actions[0].choices
+
+
+def test_help_is_the_argparse_parsers(capsys):
+    parser, commands = argparse_parsers()
+    assert tuple(commands) == COMMANDS
+    for argv in (["--help"], ["-h"], ["--he"], ["-h", "rho"], ["--x", "-h"]):
+        assert run(capsys, *argv) == (0, parser.format_help(), ""), argv
     for command in COMMANDS:
-        assert run(capsys, command, "--help") == (
-            0, full[command].format_help(), ""), command
+        for flag in ("--help", "-h", "--hel"):
+            assert run(capsys, command, "--bogus", flag) == (
+                0, commands[command].format_help(), ""), command
+    # argparse fails before it reaches the help flag, or on a help flag
+    # given a value
+    for argv in (["rho", "--genus", "x", "-h"], ["bogus", "-h"],
+                 ["rho", "--help=1"], ["-hx"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        one_json_error(err)
 
 
-def test_front_end_matches_a_parser_of_every_command(capsys, tmp_path,
-                                                     monkeypatch):
+def test_front_end_calls_and_usage_errors(capsys, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"kind": "section", "degree": 2, "rank": 0,
                                "p": 3, "budget": 10000}))
-    calls = (["--help"], [], ["bogus"], ["--", "census"],
-             ["--config", str(cfg), "census"], ["--config=%s" % cfg, "census"])
+    calls = ([], ["bogus"], ["--", "census"], ["--config", str(cfg), "census"],
+             ["--config=%s" % cfg, "census"], ["--conf", str(cfg), "census"])
     got = [run(capsys, *argv) for argv in calls]
-    assert "{validate-chain,census," in got[0][1]
-    assert [code for code, _, _ in got] == [0, 2, 2, 2, 0, 0]
-    assert "'dual-probe')" in one_json_error(got[3][2])["error"]
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda config, command=None: build(config))
-    assert got == [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 2, 2, 0, 0, 0]
+    assert "dual-probe" in one_json_error(got[1][2])["error"]
+    assert got[3] == got[4] == got[5] == run(capsys, *SECTION_CENSUS)
 
 
-def test_a_call_builds_only_its_own_subparser(capsys, monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_flags_read_as_argparse_reads_them():
+    # a unique prefix, the = form, a negative value, the last occurrence
+    args = cli._parse(["rho", "--gen=1", "--rank", "-1", "--deg", "3",
+                       "--degree", "2"])
+    assert (args.command, args.genus, args.rank, args.degree,
+            args.alphas, args.out) == ("rho", 1, -1, 2, None, None)
+    assert args.func is cli.cmd_rho
+    census = cli._parse(["census", "--budget", "9", "--exp"])
+    assert (census.experiments, census.kind, census.workers) == (
+        True, "standard", 1)
+    for argv, error in ((["census", "--d", "1", "--budget", "1"], "ambiguous"),
+                        (["rho", "--genus", "-x"], "expected one argument"),
+                        (["census", "--budget", "1", "--exp=1"], "boolean"),
+                        (["rho", "--genus", "0", "7"], "unrecognized"),
+                        (["rho", "--genus=0"], "--rank, --degree")):
+        with pytest.raises(cli._UsageError, match=error):
+            cli._parse(argv)
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert run(capsys, *SECTION_CENSUS)[0] == 0
-    assert built == ["census"]
-    built.clear()
-    assert run(capsys, "--help")[0] == 0
-    assert built == list(COMMANDS)
+def test_config_key_of_no_command_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fromat": "csv"}))
+    code, out, err = run(capsys, "--config", str(cfg), *SECTION_CENSUS)
+    assert code == 2 and out == ""
+    assert "'fromat'" in one_json_error(err)["error"]
+    # a key another command reads is accepted: one file serves several
+    cfg.write_text(json.dumps({"format": "csv", "genus": 0, "alphas": "[]"}))
+    code, out, _ = run(capsys, "--config", str(cfg), *SECTION_CENSUS)
+    assert code == 0 and out.startswith("f_ranks,g_ranks,count")
+
+
+def test_point_values_name_their_flag(capsys):
+    for argv, flag in (
+            (("vanishing", "--degree", "2", "--p", "5", "--basis",
+              "[[1,0,0]]", "--point", "1.5"), "--point"),
+            (PLUCKER + ("--points", "0,,1"), "--points")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert one_json_error(err)["error"].startswith(flag + " takes")
 
 
 # --- fuzzing the JSON-valued flags ------------------------------------------
@@ -1277,3 +1312,169 @@ def test_fuzz_tangent_point_file(content):
         content, "tangent", "--kind", "standard", "--n", "2", "--dim", "2",
         "--d1", "1", "--rank", "1", "--p", "2", "--budget", "1000",
         "--point-file", "FILE"))
+
+
+# --- the whole command line, fuzzed from the command table ------------------
+
+STRAY_TOKENS = ["--bogus", "-x", "--", "3", "-1", "--=1", "-", "x y",
+                "-1e3", ""]
+INT_TEXTS = ["-1", "0", "1", "2", " 2", "+1", "1_0", "\u0661"] * 3 + [
+    "x", "1.5", "", "-x", "-.5", "-1e3", "--"]
+STR_TEXTS = ["a", "-1", "-x y", "", "[[1,0,0]]"] * 3 + ["-x", "--"]
+
+
+def flag_tokens(flag, spec, values):
+    """``flag`` as argv tokens: its name (or a prefix of it, which may be
+    ambiguous) and a value from ``values(flag, spec)``, as the next token or
+    after "=", or now and then no value."""
+    names = st.sampled_from([flag] * 9 + [flag[:k] for k in range(3, len(flag))])
+    if spec.get("action"):
+        return names.map(lambda name: [name])
+    return st.builds(
+        lambda name, value, how: {"next": [name, value], "none": [name],
+                                  "=": [name + "=" + value]}[how],
+        names, st.sampled_from(values(flag, spec)),
+        st.sampled_from(["next"] * 15 + ["="] * 4 + ["none"]))
+
+
+@st.composite
+def argvs(draw, command, values):
+    """An argv of ``command``: each flag left out, given once or twice (a
+    required flag mostly once), in any order; now and then a stray token
+    among them or before the command."""
+    pieces = []
+    for flag, spec in cli._COMMANDS[command][1]:
+        times = draw(st.sampled_from([1] * 6 + [0, 2] if spec.get("required")
+                                     else [0, 1, 0, 2]))
+        pieces += [draw(flag_tokens(flag, spec, values)) for _ in range(times)]
+    pieces = draw(st.permutations(pieces))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      [draw(st.sampled_from(STRAY_TOKENS))])
+    head = draw(st.sampled_from([[]] * 27 + [["--bogus"], ["-1"], ["x"]]))
+    return head + [command] + sum(pieces, [])
+
+
+def any_values(flag, spec):
+    """Valid and invalid values of every kind, many of them edge cases of
+    argparse's rules (a negative number, a space, an "int" with "_")."""
+    if spec.get("action"):
+        return [None]
+    if "choices" in spec:
+        return spec["choices"] * 3 + ["bogus", "", "-1"]
+    return INT_TEXTS if spec.get("type") is int else STR_TEXTS
+
+
+ORACLE = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=120)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parse_reads_argv_as_the_argparse_parser(command):
+    """``_parse`` against the argparse parser built from the same table, on
+    argv without a help flag or a config file: where argparse accepts, the
+    same value for every flag (or exit 2 where the value is below the limit
+    of --point-index or --workers); where it rejects, exit 2 with one JSON
+    line.  A "=--" value is left out: argparse drops it and stores []."""
+    parser = cli._build_parser()
+
+    @ORACLE
+    @given(argvs(command, any_values))
+    def check(argv):
+        assume(not any(token.endswith("=--") for token in argv))
+        try:
+            want = vars(parser.parse_args(argv))
+            want.pop("config")
+            if want.get("point_index", 0) < 0 or want.get("workers", 1) < 1:
+                want = None
+        except cli._UsageError:
+            want = None
+        if want is None:
+            with pytest.raises(cli._UsageError):
+                cli._parse(argv)
+            code, err = run_quiet(*argv)
+            assert code == 2, argv
+            one_json_error(err)
+        else:
+            assert vars(cli._parse(argv)) == want, argv
+
+    check()
+
+
+TINY_INTS = {"--degree": ["2", "1", "2", "0"], "--p": ["2", "3"],
+             "--rank": ["0", "1", "0", "-1"], "--budget": ["200"] * 3 + ["0"]}
+TINY_TEXTS = {"--basis": ["[[1,0,0]]", "[[0,1,1],[1,0,0]]", "[[1,0]]", "x"],
+              "--vy": ["[[0,1,0]]", "[[0,0,1]]", "[]"],
+              "--vz": ["[[0,1,0]]", "[[0,1,1]]", "x"],
+              "--constraints": ["[]", "x", "[{}]"],
+              "--alphas": ["[]", "[[0,1]]", "x"],
+              "--points": ["0,1,inf", "0,,1", "1.5", ""],
+              "--point": ["0", "inf", "1.5"],
+              "--chain-file": ["chain.json", "missing.json"],
+              "--point-file": ["missing.json", "chain.json"], "--out": ["out"]}
+WRONG_JSON = [1.5, True, None, [], "x", {}]
+
+
+def tiny_values(flag, spec):
+    """Values that keep every run tiny: degree <= 2, p in {2, 3}, budget
+    <= 200, other integers in [-1, 2]; and some invalid ones."""
+    if spec.get("action"):
+        return [None]
+    if "choices" in spec:
+        return spec["choices"] * 4 + ["bogus"]
+    if spec.get("type") is int:
+        return TINY_INTS.get(flag, ["0", "1", "2"] * 2 + ["-1"]) * 4 + [
+            "x", "1.5"]
+    return TINY_TEXTS[flag]
+
+
+def config_strategy(command):
+    """A config object: keys of the command's flags, of another command's
+    and of none, with tiny values or values of the wrong type."""
+    flags = cli._COMMANDS[command][1]
+    keys = {"fromat": ["csv"], "genus": ["0"], "alphas": ["[]"]}
+    keys.update((flag[2:].replace("-", "_"), tiny_values(flag, spec))
+                for flag, spec in flags)
+
+    def json_values(texts):
+        if texts == [None]:  # a store_true flag
+            return st.sampled_from([True, False] + WRONG_JSON)
+        ints = [int(t) for t in texts if t.lstrip("-").isdigit()]
+        return st.sampled_from((texts + ints) * 3 + WRONG_JSON)
+
+    return st.none() | st.lists(
+        st.sampled_from(sorted(keys)), unique=True, max_size=3).flatmap(
+        lambda picked: st.fixed_dictionaries(
+            {key: json_values(keys[key]) for key in picked}))
+
+
+FUZZ_ARGV = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=60)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_fuzz_whole_command_line(command):
+    """Every argv of tiny inputs, from flags and a config file alike, ends
+    in a documented exit code and at most one JSON line on stderr."""
+    @FUZZ_ARGV
+    @given(argvs(command, tiny_values), config_strategy(command))
+    def check(argv, config):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # every path a flag or the config names is in it
+            try:
+                with open("chain.json", "w") as fh:
+                    json.dump(VALID_CHAIN, fh)
+                if config is not None:
+                    with open("c.json", "w") as fh:
+                        json.dump(config, fh)
+                    argv = ["--config", "c.json"] + argv
+                code, err = run_quiet(*argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err
+        if err:
+            one_json_error(err)
+
+    check()

@@ -564,6 +564,27 @@ def test_dual_reduction_runs_no_primality_test(monkeypatch):
     assert calls == []
 
 
+def test_to_dual_runs_no_primality_test(monkeypatch):
+    """A prime field keeps its dual ring, built once, so ``to_dual`` builds
+    no GF(p)[eps] and reruns no trial division (4.3 ms a call at
+    p = 2^31 - 1)."""
+    from lgseries import fields
+
+    P = 2**31 - 1
+    F, D = PrimeField(P), DualNumbers(P)
+    m = mat(F, [[1, 2], [3, 4]])
+    u = Subspace.from_rows(F, 2, [[1, 2]])
+    calls = []
+    real = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    dm, du = m.to_dual(), u.to_dual()
+    assert dm.ring is du.ring is F.dual_ring and dm.ring.field is F
+    assert dm.ring == D and dm.mod_eps() == m and du.mod_eps() == u
+    assert m.to_dual() == dm and u.to_dual() == du
+    assert calls == []
+
+
 def test_apply_map_and_image():
     m = mat(GF3, [[1, 0], [0, 0]])
     u = Subspace.from_rows(GF3, 2, [[1, 1]])

@@ -11,7 +11,9 @@ A map applied to int rows is one product kernel, ``linalg._images``, so
 A CLI call imports no module it does not run: ``import lgseries.cli`` loads
 neither ``dataclasses`` (the report records derive from ``fields.Record``),
 nor ``inspect``, which ``dataclasses`` pulls in, nor ``csv``, which
-``cli._to_csv`` imports when a ``--format csv`` report is written.
+``cli._to_csv`` imports when a ``--format csv`` report is written, nor
+``argparse`` (with ``gettext`` and ``locale``), which only help imports; a
+whole call loads none of the last three either.
 """
 
 import ast
@@ -108,5 +110,30 @@ def test_importing_the_cli_loads_no_module_it_does_not_run():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     loaded = json.loads(out)
-    assert "lgseries.cli" in loaded and "lgseries.series" in loaded
-    assert [m for m in ("dataclasses", "inspect", "csv") if m in loaded] == []
+    assert "lgseries.cli" in loaded and "lgseries.chains" in loaded
+    assert [m for m in ("dataclasses", "inspect", "csv", "argparse",
+                        "gettext", "locale") if m in loaded] == []
+
+
+def test_a_call_loads_no_argparse_gettext_or_locale():
+    src = os.path.dirname(PACKAGE)
+    calls = [["census", "--kind", "section", "--degree", "2", "--rank", "0",
+              "--p", "3", "--budget", "10000"],
+             ["fr-image", "--degree", "2", "--rank", "0", "--p", "2",
+              "--budget", "100000"],
+             ["enum-lls", "--degree", "2", "--rank", "0", "--p", "2",
+              "--budget", "100000"]]
+    code = ("import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "sys.path.insert(0, %r)\n"
+            "before = set(sys.modules)\n"
+            "from lgseries.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in %r]\n"
+            "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+            % (src, calls))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    codes, loaded = json.loads(out)
+    assert codes == [0, 0, 0] and "lgseries.series" in loaded
+    assert [m for m in ("argparse", "gettext", "locale") if m in loaded] == []
