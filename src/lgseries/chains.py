@@ -11,11 +11,13 @@ are byte-reproducible.
 The linked points are the paths through a layered graph: its nodes are
 (level, V), and an edge V -> W means f_i(V) <= W <= g_i^{-1}(V).  Each pass
 reads the intervals from one table of its own (``_Intervals``), which draws
-each node's interval once, lists the spaces between each distinct pair
-(f_i(V), g_i^{-1}(V)) once and holds each distinct space as one object.
-A draw is one kernel on int rows: axiom (I) is decided once per step kind,
-and a space is interned by its echelon entries before any ``Subspace`` is
-built, so the passes key spaces by identity and hash none.
+each node once, reduces f_i(V) and g_i^{-1}(V) once per distinct tuple of
+their generators (the images f_i b of V's basis rows, the rows a g_i for
+V's annihilator rows a), lists the spaces between each distinct pair once
+and holds each distinct space as one object.  A draw runs on int rows:
+axiom (I) is decided once per step kind, and a space is interned by its
+echelon entries before any ``Subspace`` is built, so the passes key spaces
+by identity and hash none.
 The point stream walks the graph depth first and lazily (``_walk``), so it
 can stop early.  The counting passes (``census`` with its signature graph,
 and ``boundary_counts``) are one forward fold (``_fold``), which alone
@@ -135,8 +137,8 @@ class LinkedChain:
             if not isinstance(d[key], list):
                 raise ValueError("chain %r must be a JSON list of matrices" % key)
         return cls(field_, d["n"], d["d"], d["r"],
-                   [Matrix.from_dict(m) for m in d["fs"]],
-                   [Matrix.from_dict(m) for m in d["gs"]],
+                   [Matrix.from_dict(m, field_) for m in d["fs"]],
+                   [Matrix.from_dict(m, field_) for m in d["gs"]],
                    field_(d["s"]))
 
 
@@ -179,7 +181,9 @@ class ChainPoint:
         spaces = _require_dict(d, "a chain point", ("spaces",))["spaces"]
         if not isinstance(spaces, list):
             raise ValueError("chain point 'spaces' must be a JSON list")
-        return cls([Subspace.from_dict(s) for s in spaces])
+        head = [Subspace.from_dict(s) for s in spaces[:1]]  # one ring read
+        return cls(head + [Subspace.from_dict(s, head[0].ring)
+                           for s in spaces[1:]])
 
 
 class ValidationReport(Record):
@@ -440,8 +444,8 @@ def _fold(table: _Intervals, budget: Optional[int],
                 move(k, v, held, w, slot[2])
         front, kind = nxt, table.kinds[k]
         if kind not in table.kinds[k + 1:]:
-            table.nodes[kind].clear()
-            table.halves[kind].clear()
+            for memos in table.kindwise:
+                memos[kind].clear()
     return front
 
 
@@ -507,27 +511,31 @@ class _Intervals:
     with equal (f_k, g_k) share a kind.  ``spaces`` interns every space by its
     echelon entries before any ``Subspace`` is built, so each distinct
     space is one object, held here, and no dict hashes a ``Subspace``.
-    ``nodes[kind]`` maps id(V) to the interval of V; ``pairs`` maps the
-    entries of (f_k(V), g_k^{-1}(V)) to the spaces between them, so
-    ``linalg._between`` runs once per distinct pair; ``cells`` maps a
-    quotient shape to its ``linalg._cells`` list.  These three are filled
-    through ``_recorded``, which stores a stream once it is exhausted, so
-    one cut short by a budget, or met again while still open deeper in a
-    walk, is drawn afresh and never listed ahead of its spend.
-    ``halves[kind]`` holds the node halves of ``_half``, with their cuts,
-    each interned in ``cuts``, which holds it for the pass; ``blocks`` maps
-    the ids of an edge's two cuts to its ``_Step`` (``_step``), and
+    ``kindwise`` holds the memos of each kind, which ``_fold`` clears once
+    no later step has it: ``nodes`` maps id(V) to the interval of V,
+    ``rows`` a basis row b to (f_k b, g_k b), ``lowers`` and ``uppers`` the
+    generators of f_k(V) and g_k^{-1}(V) to the reduced space (``draw``),
+    and ``halves`` holds the node halves of ``_half`` with their cuts (a
+    draw adds V's forward half when ``seed`` is set, as ``census`` sets it).
+    ``pairs`` maps the entries of (f_k(V), g_k^{-1}(V)) to the spaces
+    between them, so ``linalg._between`` runs once per distinct pair;
+    ``cells`` maps a quotient shape to its ``linalg._cells`` list.  These
+    two and ``nodes`` are filled through ``_recorded``, which stores a
+    stream once it is exhausted, so one cut short by a budget, or met again
+    while still open deeper in a walk, is drawn afresh and never listed
+    ahead of its spend.  ``cuts`` interns each cut for the pass; ``blocks``
+    maps the ids of an edge's two cuts to its ``_Step`` (``_step``), and
     ``moves`` holds the census's ``_advance`` per (id(step), C), C the
-    equation rows of a state.  ``_fold`` clears
-    ``nodes[kind]`` and ``halves[kind]`` once no later step has the kind.
+    equation rows of a state.
     """
 
-    __slots__ = ("chain", "kinds", "maps", "spaces", "nodes", "pairs",
-                 "cells", "halves", "cuts", "blocks", "moves")
+    __slots__ = ("chain", "seed", "kinds", "maps", "spaces", "nodes", "rows",
+                 "lowers", "uppers", "pairs", "cells", "halves", "kindwise",
+                 "cuts", "blocks", "moves")
 
     def __init__(self, chain: LinkedChain):
         maps, p, s = {}, chain.p, chain.s.v
-        self.chain = chain
+        self.chain, self.seed = chain, False   # True: draws store halves
         self.kinds = tuple(maps.setdefault((f, g), len(maps))
                            for f, g in zip(chain.fs, chain.gs))
         self.maps = []
@@ -535,8 +543,8 @@ class _Intervals:
             frows, grows = f._rows(), g._rows()
             self.maps.append((frows, grows,
                               _off_scalar_column(grows, frows, s, p) is None))
-        self.nodes = [{} for _ in maps]
-        self.halves = [{} for _ in maps]
+        self.kindwise = self.nodes, self.rows, self.lowers, self.uppers, \
+            self.halves = tuple([{} for _ in maps] for _ in range(5))
         self.spaces, self.pairs, self.cells = {}, {}, {}
         self.cuts, self.blocks, self.moves = {}, {}, {}
 
@@ -555,54 +563,82 @@ class _Intervals:
                 True)
         return sp
 
+    def mapped(self, kind: int, u: Subspace, side: int) -> tuple:
+        """The rows f_k b (``side`` 0) or g_k b (1) for the basis rows b of
+        ``u``, each pair of images computed once per kind (``rows``)."""
+        memo, rows = self.rows[kind], u.basis_rows()
+        for row in rows:
+            if row not in memo:
+                memo[row] = tuple(tuple(_images(m, (row,), self.chain.p)[0])
+                                  for m in self.maps[kind][:2])
+        return tuple([memo[row][side] for row in rows])
+
     def of(self, k: int, v: Subspace) -> Iterable[Subspace]:
-        """The interval of v at step k: the stored tuple, or a stream that
-        stores it once exhausted."""
+        """The interval of v at step k: a stored tuple, or the stream of a
+        new pair, which stores it once exhausted."""
         memo = self.nodes[self.kinds[k]]
         seen = memo.get(id(v))
         if seen is None:
-            return _recorded(self.draw(k, v), memo, id(v))
+            seen = self.draw(k, v)
+            if isinstance(seen, tuple):
+                memo[id(v)] = seen
+            else:
+                seen = _recorded(seen, memo, id(v))
         return seen
 
-    def draw(self, k: int, v: Subspace) -> Iterator[Subspace]:
+    def draw(self, k: int, v: Subspace) -> Iterable[Subspace]:
         """The rank-r spaces W with f_k(v) <= W <= g_k^{-1}(v), in stream
-        order, interned.
+        order, interned: a stored tuple, or the stream of a new pair.
 
-        f_k(v) is one ``_reduce`` of the ``_images`` of v's basis rows.
-        When it has rank r it is the whole interval, and g_k^{-1}(v) is
-        never built; otherwise g_k^{-1}(v) is the null space of the rows
-        a g_k for the annihilator rows a of v, and the spaces between the
-        two come from ``linalg._between`` over the table's quotient stream,
-        the kernels of ``apply_map``, ``preimage`` and ``enumerate_between``
-        without their checks.  g_k^{-1}(v) has dimension at least r for any
-        map, so the interval is empty only when g_k f_k(v) is not inside v.
-        Axiom (I), g_k f_k = s id, rules that out, so only at a step kind
-        that fails it are the images of f_k(v) under g_k tested against v;
-        a faulty v raises ValueError naming step k before any yield.
+        f_k(v) is one ``_reduce`` per distinct tuple of the images f_k b of
+        v's basis rows (``mapped``).  When it has rank r it is the whole
+        interval; otherwise g_k^{-1}(v) is one ``_null_basis`` per distinct
+        tuple of rows a g_k, a over the annihilator rows of v, which a
+        census's table (``seed``) stores with the f_k b as v's forward half
+        (``_half``), and the spaces between the two come from
+        ``linalg._between`` over the table's quotient stream: the kernels of
+        ``apply_map``, ``preimage`` and ``enumerate_between`` without their
+        checks.  Only those keys are computed here.  g_k^{-1}(v) has
+        dimension at least r for any map, so the interval is empty only when
+        g_k f_k(v) is not inside v.  Axiom (I), g_k f_k = s id, rules that
+        out, so only at a step kind that fails it are the images of f_k(v)
+        under g_k tested against v, at every node before any memo of f_k(v)
+        is read; a faulty v raises ValueError naming step k.
         """
-        chain = self.chain
+        chain, kind = self.chain, self.kinds[k]
         p, d, r = chain.p, chain.d, chain.r
-        frows, grows, lawful = self.maps[self.kinds[k]]
-        lower = _images(frows, v.basis_rows(), p)
-        if not lawful and not v._holds(_images(grows, lower, p)):
+        _, grows, lawful = self.maps[kind]
+        images = self.mapped(kind, v, 0)
+        if not lawful and not v._holds(_images(grows, images, p)):
             raise _AxiomError(k)
-        pivots = _reduce(lower, range(d), p)
-        ents = tuple(concat.from_iterable(lower))
-        a = len(pivots)
-        if a == r:
-            yield self._space(ents, pivots)
-            return
-        upper = _null_basis(v._annihilate(grows, p), d, p)
-        key = (ents, tuple(concat.from_iterable(upper[0])))
-        seen = self.pairs.get(key)
+        lower = self.lowers[kind].get(images)
+        if lower is None:
+            rows = list(images)
+            pivots = _reduce(rows, range(d), p)
+            ents = tuple(concat.from_iterable(rows))
+            lower = self.lowers[kind][images] = (
+                (self._space(ents, pivots),) if len(pivots) == r
+                else ((rows, pivots), ents))
+        if len(lower) == 1:
+            return lower
+        ann = tuple(map(tuple, v._annihilate(grows, p)))
+        if self.seed:
+            self.halves[kind][id(v), True] = (images, ann, {})
+        upper = self.uppers[kind].get(ann)
+        if upper is None:
+            upper = _null_basis(list(ann), d, p)
+            upper = self.uppers[kind][ann] = (upper, tuple(
+                concat.from_iterable(upper[0])))
+        (lower, ents), (upper, uents) = lower, upper
+        seen = self.pairs.get((ents, uents))
         if seen is None:
-            shape = (len(upper[0]) - a, r - a)
+            shape = (len(upper[0]) - len(lower[1]), r - len(lower[1]))
             cells = self.cells.get(shape)
             if cells is None:
                 cells = _recorded(_cells(*shape, p), self.cells, shape)
             seen = _recorded(starmap(self._space, _between(
-                (lower, pivots), upper, r, p, cells)), self.pairs, key)
-        yield from seen
+                lower, upper, r, p, cells)), self.pairs, (ents, uents))
+        return seen
 
 
 def _recorded(stream: Iterator, memo: dict, key: tuple) -> Iterator:
@@ -635,20 +671,21 @@ def _half(table: _Intervals, k: int, u: Subspace, forward: bool,
     """What an edge at step k reads of its end U, given the pivots
     ``other`` of its other end: (L, Q), for M = f_k at a source
     (``forward``), g_k at a target, and M' the other map.  L holds the
-    entries of the rows M b_a at ``other``, the ``_images`` of U's basis
-    as in the draw; Q those of the rows a_c M' at the other end's non-pivot
-    columns.  The rows are kept in ``table.halves`` per (kind, id(U),
-    forward), with their cuts per ``other``, each interned in
-    ``table.cuts``; no elimination runs here."""
+    entries of the rows M b_a at ``other``, the images of U's basis read
+    from the table's ``mapped`` as in the draw; Q those of the rows a_c M'
+    at the other end's non-pivot columns.  The rows are kept in
+    ``table.halves`` per (kind, id(U), forward), with their cuts per
+    ``other``, each interned in ``table.cuts``; in a census a draw that
+    builds g_k^{-1}(U) has stored U's forward half there already.  No
+    elimination runs here."""
     kind = table.kinds[k]
     halves = table.halves[kind]
     half = halves.get((id(u), forward))
     if half is None:
-        chain, (frows, grows, _) = table.chain, table.maps[kind]
-        mrows, partner = (frows, grows) if forward else (grows, frows)
+        frows, grows, _ = table.maps[kind]
         half = halves[id(u), forward] = (
-            _images(mrows, u.basis_rows(), chain.p),
-            u._annihilate(partner, chain.p), {})
+            table.mapped(kind, u, 0 if forward else 1),
+            u._annihilate(grows if forward else frows, table.chain.p), {})
     cut = half[2].get(other)
     if cut is None:
         images, ann, cuts = half
@@ -1036,6 +1073,7 @@ def census(chain: LinkedChain, budget: Optional[int] = None,
     """
     report = CensusReport(chain.as_dict(), chain.p)
     table, re_ = _Intervals(chain), chain.r * (chain.d - chain.r)
+    table.seed = True   # its draws store the forward halves its edges read
     moves = table.moves
     ahead = {} if experiments and chain.s.is_zero() else None
 

@@ -536,7 +536,7 @@ def _parse(argv: list) -> SimpleNamespace:
     for flag, spec in flags:
         dest = flag[2:].replace("-", "_")
         if flag not in given and dest in config:
-            given[flag] = _value(flag, spec, config[dest], dest)
+            given[flag] = config[dest]
         setattr(args, dest, given.get(flag, spec.get("default")))
     missing = [f for f, s in flags if s.get("required") and f not in given]
     if missing:
@@ -549,7 +549,9 @@ def _parse(argv: list) -> SimpleNamespace:
 
 
 def _load_config(path: str) -> dict:
-    """The flag defaults at ``path``, keyed by the flags of any command."""
+    """The flag defaults at ``path``, keyed by the flags of any command, each
+    value checked by ``_value`` against every flag of its name, whichever
+    command runs and whatever the command line overrides."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -557,11 +559,13 @@ def _load_config(path: str) -> dict:
         raise _UsageError("cannot read config: %s" % exc)
     if not isinstance(config, dict):
         raise _UsageError("cannot read config: %s is not a JSON object" % path)
-    stray = set(config).difference(flag[2:].replace("-", "_") for _, flags
-                                   in _COMMANDS.values() for flag, _ in flags)
+    named = [(flag[2:].replace("-", "_"), flag, spec)
+             for _, flags in _COMMANDS.values() for flag, spec in flags]
+    stray = set(config).difference(key for key, _, _ in named)
     if stray:
         raise _UsageError("config key %r is no command's flag" % min(stray))
-    return config
+    return {key: _value(flag, spec, config[key], key)
+            for key, flag, spec in named if key in config}
 
 
 def main(argv: Optional[list] = None) -> int:

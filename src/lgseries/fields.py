@@ -288,11 +288,15 @@ class DualNumbers:
         return {"p": self.p, "dual": True}
 
 
-def ring_from_dict(d: dict):
-    """The ring of ``as_dict``; ``dual``, when present, must be a bool."""
+def ring_from_dict(d: dict, known=None):
+    """The ring of ``as_dict``; ``dual``, when present, must be a bool.
+    ``known`` is returned when it is that ring: no new primality test."""
     dual = d.get("dual", False)
     if type(dual) is not bool:
         raise ValueError("ring 'dual' must be a JSON boolean, got %r" % (dual,))
+    if (known is not None and type(d["p"]) is int and d["p"] == known.p
+            and dual == known.dual):
+        return known
     return DualNumbers(d["p"]) if dual else PrimeField(d["p"])
 
 

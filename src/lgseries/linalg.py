@@ -251,9 +251,10 @@ class Matrix:
                 "entries": [_entry_json(x) for x in self.entries]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Matrix":
+    def from_dict(cls, d: dict, ring=None) -> "Matrix":
         d = _require_dict(d, "a matrix", ("ring", "rows", "cols", "entries"))
-        ring = ring_from_dict(_require_dict(d["ring"], "a matrix ring", ("p",)))
+        ring = ring_from_dict(_require_dict(d["ring"], "a matrix ring",
+                                            ("p",)), ring)
         rows, cols, ents = d["rows"], d["cols"], d["entries"]
         if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
             raise ValueError("matrix rows and cols must be nonnegative integers")
@@ -580,10 +581,11 @@ class Subspace:
                 "basis": [[_entry_json(x) for x in r] for r in self.basis_rows()]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Subspace":
+    def from_dict(cls, d: dict, ring=None) -> "Subspace":
         d = _require_dict(d, "a subspace",
                           ("ring", "ambient_dim", "rank", "basis"))
-        ring = ring_from_dict(_require_dict(d["ring"], "a subspace ring", ("p",)))
+        ring = ring_from_dict(_require_dict(d["ring"], "a subspace ring",
+                                            ("p",)), ring)
         ambient, rank, basis = d["ambient_dim"], d["rank"], d["basis"]
         if type(ambient) is not int or ambient < 0:
             raise ValueError("subspace ambient_dim must be a nonnegative integer")

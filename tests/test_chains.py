@@ -2,6 +2,8 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgseries import chains as chains_module
 from lgseries import linalg as linalg_module
@@ -518,6 +520,26 @@ def test_draw_equals_the_checked_interval_stream(c):
     assert branches == ({True} if c.s.v else {True, False})
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(2, 3), st.integers(2, 4), st.data())
+def test_memoised_draw_equals_the_checked_stream_on_dense_chains(n, d, data):
+    # one table serves every node of every step, so later nodes read f_k(V),
+    # g_k^{-1}(V) and their pair from the memos of earlier ones; each
+    # interval still equals the checked public stream, in order
+    c = conjugated_standard_chain(
+        n, d, data.draw(st.integers(1, d - 1), label="d1"),
+        data.draw(st.sampled_from([2, 3]), label="p"),
+        data.draw(st.integers(0, d - 1), label="r"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"))
+    table = chains_module._Intervals(c)
+    for k in range(c.n - 1):
+        for v in map(table.space, enumerate_subspaces(c.d, c.r, c.p)):
+            want = tuple(enumerate_between(apply_map(c.fs[k], v),
+                                           preimage(c.gs[k], v), c.r))
+            assert tuple(table.draw(k, v)) == want, (k, v)
+            assert tuple(table.of(k, v)) == want, (k, v)
+
+
 def test_exactness_matches_containment_oracle():
     chains = list(small_standard_chains())
     chains += [build_section_chain(2, 2, 1), build_section_chain(3, 2, 2),
@@ -880,12 +902,68 @@ def test_census_reads_each_edge_once(monkeypatch):
     assert calls[0] == len(_point_edges(c)) == 975
 
 
+def test_walk_reduces_each_distinct_generator_once(monkeypatch):
+    # the walk of section (3, 3, 2) draws 390 nodes, which share 113
+    # distinct tuples of image rows f_k b and 40 distinct tuples of rows
+    # a g_k: one _reduce per f_k(V) key and one _null_basis per g_k^{-1}(V)
+    # key (it ran 390 and 192 when every node reduced its own)
+    calls = {"_reduce": 0, "_null_basis": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(chains_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(chains_module, name, counting)
+    assert sum(1 for _ in enumerate_points(build_section_chain(3, 3, 2))) \
+        == 1147
+    assert calls == {"_reduce": 113, "_null_basis": 40}
+
+
+@pytest.mark.parametrize("c", [
+    build_section_chain(3, 3, 2), make_standard_chain(4, 3, 1, 0, 2, 1),
+    conjugated_standard_chain(3, 4, 2, 2, 2, seed=1)], ids=repr)
+def test_fold_clears_each_kind_memos_together(c, monkeypatch):
+    # every per-kind memo of the table (node intervals, row images, the
+    # f_k(V) and g_k^{-1}(V) memos and the node halves) is emptied at once,
+    # after the last step of its kind, and none before
+    tables, seen = [], []
+    real_init = chains_module._Intervals.__init__
+    real_step = chains_module._step
+
+    def init(self, chain):
+        real_init(self, chain)
+        tables.append(self)
+
+    def step(table, k, v, w):
+        result = real_step(table, k, v, w)
+        for kind in set(table.kinds[:k + 1]):
+            filled = [bool(memos[kind]) for memos in table.kindwise]
+            if kind in table.kinds[k:]:   # in use: all but g_k^-1(V) filled
+                assert filled[:3] + filled[4:] == [True] * 4, (k, kind)
+            else:
+                assert not any(filled), (k, kind)
+        seen.append(k)
+        return result
+
+    monkeypatch.setattr(chains_module._Intervals, "__init__", init)
+    monkeypatch.setattr(chains_module, "_step", step)
+    census(c)
+    [table] = tables
+    assert len(table.kindwise) == 5
+    assert table.kindwise[0] is table.nodes
+    assert table.kindwise[-1] is table.halves
+    assert not any(memos[kind] for memos in table.kindwise
+                   for kind in set(table.kinds))
+    assert set(seen) == set(range(c.n - 1))
+
+
 @pytest.mark.parametrize("c, calls", [
-    (conjugated_standard_chain(2, 4, 2, 2, 2, seed=1), 89),
-    (build_section_chain(3, 2, 3), 127)], ids=repr)
+    (conjugated_standard_chain(2, 4, 2, 2, 2, seed=1), 70),
+    (build_section_chain(3, 2, 3), 90)], ids=repr)
 def test_census_annihilates_once_per_node_half(c, calls, monkeypatch):
-    # Subspace._annihilate runs once per preimage an interval draw builds
-    # and once per node half, not once per end of every edge
+    # Subspace._annihilate runs once per node half, not once per end of
+    # every edge; an interval draw that builds g_k^{-1}(V) stores its rows
+    # a g_k as V's forward half, so the census does not rebuild it (89 and
+    # 127 calls before)
     real, count = Subspace._annihilate, [0]
 
     def counting(*args):
@@ -1716,25 +1794,36 @@ def test_draw_raises_exactly_where_the_checked_stream_does():
     # axiom (I) is decided once per step kind, and a node is checked only
     # at a kind that fails it: at every space of every step the draw equals
     # the checked stream, or raises naming the step where f_k(V) is not
-    # inside g_k^{-1}(V); the walks still stop at steps 0 and 1
+    # inside g_k^{-1}(V); the walks still stop at steps 0 and 1.  One table
+    # draws every space in stream order, so at step 1 of the second chain
+    # the sound <e1, e2> comes before the faulty <e1, e2 + e3>, whose basis
+    # rows have the same images under f_1: a check made only when f_k(V) is
+    # not yet in the memo would miss the fault
     for c, lawful, faulty, first in (
             (_axiom_violating_chain(), [False], {0, 1}, 0),
             (_axiom_violating_chain_off_the_kernel(), [True, False], {1}, 1)):
         table = chains_module._Intervals(c)
         assert [m[-1] for m in table.maps] == lawful
-        steps = set()
+        steps, sound, shared = set(), set(), set()
         for k in range(c.n - 1):
             for v in enumerate_subspaces(c.d, c.r, c.p):
                 lower, upper = apply_map(c.fs[k], v), preimage(c.gs[k], v)
+                key = (k, tuple(c.fs[k].apply(b) for b in v.basis_rows()))
                 if upper.contains(lower):
                     assert tuple(table.draw(k, v)) == tuple(
                         enumerate_between(lower, upper, c.r))
+                    sound.add(key)
                     continue
                 with pytest.raises(ValueError,
                                    match="step %d.*linked-chain axioms" % k):
-                    next(table.draw(k, v))
+                    next(iter(table.draw(k, v)))
                 steps.add(k)
+                if key in sound:
+                    shared.add((k, v))
         assert steps == faulty
+        if first == 1:
+            assert (1, Subspace.from_rows(GF2, 3, [[1, 0, 0], [0, 1, 1]])) \
+                in shared
         with pytest.raises(ValueError,
                            match="step %d.*linked-chain axioms" % first):
             list(enumerate_points(c))
@@ -1881,6 +1970,35 @@ def test_chain_serialization_roundtrip():
     assert LinkedChain.from_dict(c.as_dict()) == c
     pt = next(iter(enumerate_points(c)))
     assert ChainPoint.from_dict(pt.as_dict()) == pt
+
+
+def test_a_chain_or_point_file_tests_its_modulus_once(monkeypatch):
+    # a 6-level chain at p = 2^31 - 1 read its ring 11 times (the chain and
+    # each of its 10 maps), 2.2 ms of trial division each; a point read
+    # it once per level.  A map over another ring still raises
+    from lgseries import fields
+
+    P = 2**31 - 1
+    c = make_standard_chain(6, 3, 1, 0, P, r=1)
+    pt = ChainPoint([Subspace.from_rows(c.field, 3, [[0, 1, 0]])] * 6)
+    chain_spec, point_spec = c.as_dict(), pt.as_dict()
+    calls = []
+    real = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    assert LinkedChain.from_dict(chain_spec) == c
+    assert calls == [P]
+    back = ChainPoint.from_dict(point_spec)
+    assert back == pt and calls == [P, P]
+    assert all(sp.ring is back[0].ring for sp in back)
+    f0 = c.fs[0].as_dict()
+    for m, match in ((Matrix.identity(PrimeField(3), 3).as_dict(),
+                      "must live over"),
+                     (c.fs[0].to_dual().as_dict(), "must live over"),
+                     (dict(f0, ring={"p": float(P)}), "prime integer")):
+        spec = dict(chain_spec, fs=[m] + chain_spec["fs"][1:])
+        with pytest.raises(ValueError, match=match):
+            LinkedChain.from_dict(spec)
 
 
 def test_a_chain_ring_must_be_a_prime_field():

@@ -876,6 +876,20 @@ def test_config_values_checked_like_flags(capsys, tmp_path):
         assert repr(next(iter(config))) in one_json_error(err)["error"]
 
 
+def test_config_values_checked_for_every_command(capsys, tmp_path):
+    # a config value is checked against every flag of its name, even one
+    # the running command lacks or its command line overrides, so a shared
+    # file cannot hold a bad value that surfaces only in another call
+    cfg = tmp_path / "c.json"
+    for config, argv in (({"degree": "x"}, ("rho", "--genus", "0", "--rank",
+                                            "1", "--degree", "2")),
+                         ({"genus": 1.5}, ("census", "--budget", "100"))):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == "", config
+        assert repr(next(iter(config))) in one_json_error(err)["error"]
+
+
 def test_config_string_values_still_work(capsys, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"genus": "0", "rank": "1", "degree": "2"}))
