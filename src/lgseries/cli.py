@@ -19,15 +19,13 @@ ValueError, which exits 2.
 Reports are written by ``json.dumps(report, sort_keys=True, indent=2)``,
 except the long listings of ``enum-lls`` (points) and ``fr-image``
 (preimage counts): ``_listing_json_text`` renders one entry with placeholder
-values once, and writes each entry as that template joined with the texts
-of its values, byte for byte what ``json.dumps`` would write.  Each distinct
-value (for a subspace, each object) is written once, filled into one
-template per shape: a subspace over a prime field per (ring, ambient
-dimension, rank), a flat tuple of ints per length; any other value is
-encoded by ``json.dumps``.  ``enum-lls`` takes
-its whole point stream before writing anything, so a budget exit writes no
-report.  A call runs with the collector's generation-0 threshold at 100,000
-(``main``), since it frees little before it exits.
+values once and writes each entry as that template joined with the texts
+of its values (``_value_text``), byte for byte what ``json.dumps`` would
+write, as ASCII bytes in chunks that ``_emit`` writes as they come, so the
+report text is never held whole.  ``enum-lls`` takes its whole point stream
+before writing anything, so a budget exit writes no report.  A call runs
+with the collector's generation-0 threshold at 100,000 (``main``), since it
+frees little before it exits.
 
 A call imports no module it does not run: ``--format csv`` imports ``csv``
 on first use (``_to_csv``), help alone imports ``argparse`` (so ``gettext``
@@ -41,6 +39,7 @@ import io
 import json
 import re
 import sys
+from contextlib import nullcontext
 from functools import partial
 from itertools import islice
 from types import SimpleNamespace
@@ -56,70 +55,74 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 SCHEMA_VERSION = 1
+_json_text = partial(json.dumps, sort_keys=True, indent=2)
 
 
-def _json_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
-
-
-def _emit(report: dict, args, encode=_json_text) -> None:
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "csv":
-        text, end = _to_csv(report), ""
-    else:
-        # the newline goes out on its own, so no second copy of the text
-        text, end = encode(report), "\n"
+def _emit(report: dict, args, listing=None) -> None:
+    """Write ``report`` and a newline to ``--out`` or stdout: as CSV if
+    ``--format csv`` asks, else by ``_json_text`` or, given a ``listing``
+    (name, template, rows), chunk by chunk by ``_listing_json_text``."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            fh.write(end)
+    if listing:
+        chunks, end = _listing_json_text(report, *listing), b"\n"
+        if not out:
+            chunks, end = (chunk.decode() for chunk in chunks), "\n"
+    elif getattr(args, "format", "json") == "csv":
+        chunks, end = [_to_csv(report)], ""
     else:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
+        chunks, end = [_json_text(report)], "\n"
+    with (open(out, "wb" if listing else "w") if out
+          else nullcontext(sys.stdout)) as fh:
+        fh.writelines(chunks)
+        fh.write(end)
 
 
 _MARK = "\0"  # stands for a row, then for each value
 _QUOTED = '"\\u0000"'  # json.dumps(_MARK)
+_CHUNK = 1 << 17  # a listing hands on its text once it holds this many bytes
 
 
-def _listing_json_text(report: dict, name: str, template, rows) -> str:
+def _listing_json_text(report: dict, name: str, template, rows):
     """``_json_text`` of ``report`` with ``report[name]`` a list of copies of
     ``template``, its list items "\\0" filled, in order, with the values of
-    one of ``rows`` (written by their ``as_dict`` if they have one).  The
-    template is encoded once, and each distinct value is written once per
-    indentation (``_value_text``); a value must be hashable or a list of
-    hashable items, and equal values of one type must write the same JSON.
-    A subspace is keyed by identity (``rows`` keeps it alive).
-    A mark with other text before it on its line (a dict value, say) raises
-    ValueError, since a value's lines are indented as far as its mark's."""
+    one of ``rows`` (written by their ``as_dict`` if they have one), in
+    ASCII bytes chunks of ``_CHUNK`` bytes or more but the last.  A distinct
+    value is written and encoded once per slot indentation and text after
+    it; values must be hashable or lists of hashable items, and equal ones
+    of one type must write the same JSON; a subspace is keyed by identity
+    (``rows`` keeps it alive).  A mark with other text before it on its
+    line raises ValueError: a value's lines are indented as its mark's."""
     if not rows:
-        return _json_text(dict(report, **{name: []}))
+        yield _json_text(dict(report, **{name: []})).encode()
+        return
     head, tail = _json_text(dict(report, **{name: [_MARK]})).split(_QUOTED)
     pad = "\n" + head.rsplit("\n", 1)[1]
     first, *pieces = _json_text(template).replace("\n", pad).split(_QUOTED)
-    slots, by_pad, shapes = [], {}, {}
+    slots, by, shapes = [], {}, {}
     for before, piece in zip([first] + pieces, pieces):
         slot_pad = "\n" + before.rsplit("\n", 1)[1]
         if not slot_pad.isspace():
             raise ValueError("a template mark must be a list item, not %r"
                              % (slot_pad[1:] + _QUOTED))
-        slots.append((by_pad.setdefault(slot_pad, {}), slot_pad, piece))
-    later = "," + pad + first
-    parts = [head]
+        slots.append((by.setdefault((slot_pad, piece), {}), slot_pad, piece))
+    later, first = ("," + pad + first).encode(), first.encode()
+    chunk = bytearray(head.encode())
     for k, row in enumerate(rows):
-        parts.append(later if k else first)
-        for value, (texts, slot_pad, piece) in zip(row, slots):
+        chunk += later if k else first
+        for value, (known, slot_pad, piece) in zip(row, slots):
             # by type too, since True == 1 writes "true" and 1 writes "1"
             cls = value.__class__
             key = id(value) if cls is Subspace else (
                 cls, tuple(value) if cls is list else value)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = _value_text(value, slot_pad, shapes)
-            parts += (text, piece)
-    parts.append(tail)
-    return "".join(parts)
+            if key not in known:
+                known[key] = (_value_text(value, slot_pad, shapes)
+                              + piece).encode()
+            chunk += known[key]
+        if len(chunk) >= _CHUNK:
+            yield chunk
+            chunk = bytearray()
+    chunk += tail.encode()
+    yield chunk
 
 
 def _value_text(value, pad: str, shapes: dict) -> str:
@@ -288,27 +291,24 @@ def cmd_components_n2(args) -> int:
 
 def cmd_enum_lls(args) -> int:
     constraints = json.loads(args.constraints) if args.constraints else None
-    pts = list(series.enumerate_limit_series(
+    rows = [lsp.point.spaces for lsp in series.enumerate_limit_series(
         args.degree, args.rank, args.p, constraints=constraints,
-        budget=args.budget))
+        budget=args.budget)]
     report = {"schema_version": SCHEMA_VERSION, "d": args.degree,
-              "r": args.rank, "q": args.p, "count": len(pts)}
+              "r": args.rank, "q": args.p, "count": len(rows)}
     point = {"d": args.degree, "p": args.p,
              "point": {"spaces": ["\0"] * (args.degree + 1)}}
-    _emit(report, args, encode=lambda rep: _listing_json_text(
-        rep, "points", point, [lsp.point.spaces for lsp in pts]))
+    _emit(report, args, ("points", point, rows))
     return EXIT_OK
 
 
 def cmd_fr_image(args) -> int:
     rep = series.fr_image_report(args.degree, args.rank, args.p,
                                  budget=args.budget)
-    rows = [(ky, kz, cnt) for (ky, kz), cnt
-            in sorted(rep.preimage_counts.items())]
+    rows = [(*key, cnt) for key, cnt in sorted(rep.preimage_counts.items())]
     rep.preimage_counts = {}  # the listing writes them, from ``rows``
     _emit(rep.as_dict(), args,
-          encode=lambda head: _listing_json_text(
-              head, "preimage_counts", [["\0", "\0"], "\0"], rows))
+          ("preimage_counts", [["\0", "\0"], "\0"], rows))
     return EXIT_OK if rep.equal else EXIT_VIOLATION
 
 

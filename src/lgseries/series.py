@@ -485,13 +485,14 @@ class ImageReport(Record):
                     self.refined_preimages_all_unique}
 
 
-def _pattern_pairs(d: int, r: int, orders_ok) -> list:
-    """Pivot-pattern pairs (P_y, P_z) of (r+1)-dimensional aspects whose node
-    orders pass ``orders_ok``; every pair of subspaces in the two echelon
-    cells shares those orders, since they are the pivots."""
+def _pattern_orders(d: int, r: int) -> dict:
+    """{(P_y, P_z): (crude, refined)} over the pivot-pattern pairs of
+    (r+1)-dimensional aspects, each order condition evaluated once per pair:
+    every pair of subspaces in the two echelon cells shares the verdicts,
+    since its node orders are the pivots."""
     patterns = list(pivot_patterns(d + 1, r + 1))
-    return [(py, pz) for py in patterns for pz in patterns
-            if orders_ok(py, pz, d)]
+    return {(py, pz): (crude_orders(py, pz, d), refined_orders(py, pz, d))
+            for py in patterns for pz in patterns}
 
 
 def _cell_pair_count(d: int, q: int, pattern_pairs: list) -> int:
@@ -501,12 +502,14 @@ def _cell_pair_count(d: int, q: int, pattern_pairs: list) -> int:
                for py, pz in pattern_pairs)
 
 
-def missing_crude_pairs(d: int, r: int, q: int, image_keys) -> list:
+def missing_crude_pairs(d: int, r: int, q: int, image_keys,
+                        orders: Optional[dict] = None) -> list:
     """Keys of the crude aspect pairs not in ``image_keys``, sorted.
 
     Lists the crude pairs explicitly, cell by cell over the crude pattern
-    pairs only; ``fr_image_report`` calls it only when the counts show that
-    some crude pair is missing.
+    pairs of ``orders`` (``_pattern_orders(d, r)`` if not given) only;
+    ``fr_image_report`` calls it only when the counts show that some crude
+    pair is missing.
     """
     cells = {}
 
@@ -517,9 +520,9 @@ def missing_crude_pairs(d: int, r: int, q: int, image_keys) -> list:
         return cells[pattern]
 
     missing = []
-    for py, pz in _pattern_pairs(d, r, crude_orders):
-        for ky in cell(py):
-            missing.extend((ky, kz) for kz in cell(pz)
+    for (py, pz), (crude, _) in (orders or _pattern_orders(d, r)).items():
+        if crude:
+            missing.extend((ky, kz) for ky in cell(py) for kz in cell(pz)
                            if (ky, kz) not in image_keys)
     return sorted(missing)
 
@@ -532,10 +535,10 @@ def fr_image_report(d: int, r: int, q: int,
     its preimage counts are the path counts of ``boundary_counts``, with no
     point listed.  The crude and refined loci are counted by echelon cells:
     the node orders of an aspect are its pivot columns, so both conditions
-    depend only on the pair of pivot patterns, and a cell pair holds
-    q^(free entries) pairs.  The image equals the crude locus exactly when
-    every image pair is crude and the counts agree; crude pairs are listed
-    only to name the missing ones when they do not.
+    depend only on the pair of pivot patterns (``_pattern_orders``), and a
+    cell pair holds q^(free entries) pairs.  The image equals the crude
+    locus exactly when every image pair is crude and the counts agree;
+    crude pairs are listed only to name the missing ones when they do not.
 
     ``budget`` caps the candidates the point stream would take, counted by
     ``boundary_counts``.  Its level 0 alone spends one unit on each of the
@@ -545,24 +548,30 @@ def fr_image_report(d: int, r: int, q: int,
     _require_series_rank(r)
     report = ImageReport(d, r, q)
     counts = boundary_counts(build_section_chain(d, q, r + 1), budget)
-    preimages = {(vy.key(), vz.key()): cnt for (vy, vz), cnt in counts.items()}
-    not_crude = [(vy.key(), vz.key()) for vy, vz in counts
-                 if not crude_orders(vy.pivots, vz.pivots, d)]
-    refined = [(vy.key(), vz.key()) for vy, vz in counts
-               if refined_orders(vy.pivots, vz.pivots, d)]
+    orders = _pattern_orders(d, r)
+    keys = {v: v.key() for v in {v for pair in counts for v in pair}}
+    preimages, not_crude, refined = {}, [], []
+    for (vy, vz), cnt in counts.items():
+        pair = keys[vy], keys[vz]
+        preimages[pair] = cnt
+        crude, fine = orders[vy.pivots, vz.pivots]
+        if not crude:
+            not_crude.append(pair)
+        if fine:
+            refined.append(pair)
     report.points = sum(preimages.values())
     report.image_size = len(preimages)
     report.crude_pairs = _cell_pair_count(
-        d, q, _pattern_pairs(d, r, crude_orders))
+        d, q, [pair for pair, (crude, _) in orders.items() if crude])
     report.refined_pairs = _cell_pair_count(
-        d, q, _pattern_pairs(d, r, refined_orders))
+        d, q, [pair for pair, (_, fine) in orders.items() if fine])
     report.refined_points = sum(preimages[k] for k in refined)
     crude_in_image = report.image_size - len(not_crude)
     report.equal = not not_crude and crude_in_image == report.crude_pairs
     report.fr_not_crude = [list(map(list, k)) for k in sorted(not_crude)]
     if crude_in_image != report.crude_pairs:
         report.crude_not_fr = [list(map(list, k)) for k in
-                               missing_crude_pairs(d, r, q, preimages)]
+                               missing_crude_pairs(d, r, q, preimages, orders)]
     report.preimage_counts = preimages
     report.refined_preimages_all_unique = (
         len(refined) == report.refined_pairs

@@ -26,6 +26,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def listing_text(*args) -> str:
+    """The text of the chunks of ``cli._listing_json_text(*args)``, which
+    are ASCII bytes."""
+    return b"".join(cli._listing_json_text(*args)).decode("ascii")
+
+
 def test_census_cross_chain(capsys):
     code, out, _ = run(capsys, "census", "--kind", "standard", "--n", "2",
                        "--dim", "2", "--d1", "1", "--s", "0", "--p", "2",
@@ -281,9 +287,11 @@ def test_fr_image_bytes_pinned_without_a_point_walk(capsys, monkeypatch):
     test_fr_image_bytes_pinned(capsys)
 
 
-def test_fr_image_writer_matches_json_dumps(capsys):
+def test_fr_image_writer_matches_json_dumps(capsys, tmp_path):
     # rank 0, the top rank r = d - 1 (r = d has no series and exits 2), and
-    # the pinned cases, against json.dumps of the report's as_dict
+    # the pinned cases: stdout and --out against json.dumps of the report's
+    # as_dict
+    path = tmp_path / "fr.json"
     for d, r, p in ((2, 0, 2), (3, 0, 2), (1, 0, 3), (2, 1, 3), (3, 2, 2),
                     (3, 1, 2), (3, 1, 3)):
         want = cli._json_text(series.fr_image_report(d, r, p).as_dict())
@@ -291,6 +299,11 @@ def test_fr_image_writer_matches_json_dumps(capsys):
                              "--rank", str(r), "--p", str(p),
                              "--budget", "1000000000")
         assert code == 0 and err == "" and out == want + "\n", (d, r, p)
+        code, out, err = run(capsys, "fr-image", "--degree", str(d),
+                             "--rank", str(r), "--p", str(p),
+                             "--budget", "1000000000", "--out", str(path))
+        assert code == 0 and err == "" and out == ""
+        assert path.read_bytes() == (want + "\n").encode("ascii"), (d, r, p)
     code, out, _ = run(capsys, "fr-image", "--degree", "2", "--rank", "2",
                        "--p", "2", "--budget", "1000")
     assert code == 2 and out == ""
@@ -349,13 +362,25 @@ def _enum_lls_by_json_dumps(degree, rank, p, constraints):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def test_enum_lls_writer_matches_json_dumps(capsys, tmp_path):
+def test_enum_lls_writer_matches_json_dumps(capsys, tmp_path, monkeypatch):
+    # stdout, --out and json.dumps agree byte for byte, with and without
+    # constraints and with no point listed; the 2 MB listing of d=3 r=1 p=3
+    # goes out in several bounded chunks and keeps its pinned digest
     y_and_z = [{"side": "Y", "point": 0, "min": [1]},
                {"side": "Z", "point": "inf", "min": [1]}]
     unmet = [{"side": "Y", "point": -1, "min": [5]}]
     path = tmp_path / "lls.json"
+    real, chunks = cli._listing_json_text, []
+
+    def counted(*args):
+        for chunk in real(*args):
+            chunks.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(cli, "_listing_json_text", counted)
     for degree, rank, p, cons in ((1, 0, 2, None), (2, 1, 3, None),
-                                  (3, 0, 2, y_and_z), (2, 0, 2, unmet)):
+                                  (3, 0, 2, y_and_z), (2, 0, 2, unmet),
+                                  (3, 1, 3, None)):
         want = _enum_lls_by_json_dumps(degree, rank, p, cons)
         argv = ["enum-lls", "--degree", str(degree), "--rank", str(rank),
                 "--p", str(p), "--budget", "1000000"]
@@ -363,9 +388,16 @@ def test_enum_lls_writer_matches_json_dumps(capsys, tmp_path):
             argv += ["--constraints", json.dumps(cons)]
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == "" and out == want
+        chunks.clear()
         code, out, err = run(capsys, *argv, "--out", str(path))
-        assert code == 0 and out == "" and path.read_text() == want
-    assert json.loads(want)["count"] == 0
+        assert code == 0 and out == ""
+        assert path.read_bytes() == want.encode("ascii")
+        if cons is unmet:
+            assert json.loads(want)["count"] == 0 and len(chunks) == 1
+    digest = ENUM_LLS_SHA256[("--degree", "3", "--rank", "1", "--p", "3")]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert len(chunks) >= 8 and all(
+        cli._CHUNK <= size < 2 * cli._CHUNK for size in chunks[:-1])
 
 
 def test_fragment_writer_matches_json_dumps_on_mixed_values():
@@ -389,7 +421,7 @@ def test_fragment_writer_matches_json_dumps_on_mixed_values():
                           sort_keys=True, indent=2)
         point = {"d": degree, "p": p,
                  "point": {"spaces": ["\0"] * (degree + 1)}}
-        assert cli._listing_json_text(
+        assert listing_text(
             report, "points", point, [lsp.point.spaces for lsp in pts]) == want
     assert [len(pts) for _, pts in cases][3] == 0
 
@@ -407,6 +439,51 @@ def test_enum_lls_budget_boundary_writes_nothing(capsys, tmp_path):
     code, out, err = run(capsys, *base, "--budget", "2266")
     assert code == 0 and err == ""
     assert json.loads(out)["count"] == 1147
+
+
+def test_listing_is_written_in_bounded_memory(capsys, tmp_path,
+                                              monkeypatch):
+    # the 2 MB enum-lls listing goes to --out chunk by chunk: writing it
+    # never holds a quarter of the report text
+    import tracemalloc
+
+    real, peaks = cli._emit, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            real(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    path = tmp_path / "lls.json"
+    code, _, err = run(capsys, "enum-lls", "--degree", "3", "--rank", "1",
+                       "--p", "3", "--budget", "1000000", "--out", str(path))
+    size = path.stat().st_size
+    assert code == 0 and err == "" and size > 2_000_000
+    assert len(peaks) == 1 and peaks[0] < size / 4, (peaks, size)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum-lls", "--degree", "3", "--rank", "1", "--p", "3"),
+    ("census", "--kind", "section", "--degree", "3", "--rank", "1", "--p",
+     "2")])
+@pytest.mark.parametrize("target", ["directory", "missing", "/dev/full"])
+def test_an_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+    # a directory, a path under a missing directory, and a full device,
+    # where the listing fails in the middle of its chunked write: one JSON
+    # line on stderr, no traceback, nothing on stdout
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full here")
+    out = {"directory": str(tmp_path), "missing": str(tmp_path / "no" / "r"),
+           "/dev/full": target}[target]
+    code, stdout, err = run(capsys, *argv, "--budget", "1000000",
+                            "--out", out)
+    assert code == 2 and stdout == ""
+    assert "Traceback" not in err
+    one_json_error(err)
 
 
 def test_main_restores_the_gc_thresholds(capsys, monkeypatch):
@@ -1199,7 +1276,7 @@ def test_listing_writer_matches_json_dumps(template, pool, data):
     want = json.dumps(
         dict(report, listing=[_filled(template, iter(row)) for row in rows]),
         sort_keys=True, indent=2, default=lambda v: v.as_dict())
-    assert cli._listing_json_text(report, "listing", template, rows) == want
+    assert listing_text(report, "listing", template, rows) == want
 
 
 def test_listing_writer_tells_equal_values_of_two_types_apart():
@@ -1210,13 +1287,13 @@ def test_listing_writer_tells_equal_values_of_two_types_apart():
     report = {"count": len(rows)}
     want = json.dumps(dict(report, listing=[[v] for (v,) in rows]),
                       sort_keys=True, indent=2)
-    assert cli._listing_json_text(report, "listing", ["\0"], rows) == want
+    assert listing_text(report, "listing", ["\0"], rows) == want
 
 
 def test_listing_writer_rejects_a_mark_under_a_key():
     # a dict value would be written with its key text as indentation
     with pytest.raises(ValueError, match="list item"):
-        cli._listing_json_text({"count": 1}, "listing", {"z": "\0"}, [(1,)])
+        listing_text({"count": 1}, "listing", {"z": "\0"}, [(1,)])
 
 
 # degree-2 bases: lists of rows of three small ints

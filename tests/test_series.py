@@ -467,6 +467,48 @@ def test_fr_image_report_walks_no_point(monkeypatch, d, r, q):
     assert fr_image_report(d, r, q).as_dict() == want
 
 
+@pytest.mark.parametrize("d,r,q,drop", [(3, 1, 2, False), (4, 1, 3, False),
+                                        (2, 0, 2, True)])
+def test_fr_image_report_decides_orders_once_per_pattern_pair(
+        monkeypatch, d, r, q, drop):
+    # both order conditions depend on the pivot patterns alone, so each is
+    # evaluated at most once per pattern pair, also when a crude pair is
+    # missing from the image and named; each image space is keyed once
+    from math import comb
+
+    from lgseries import series
+
+    calls = {"crude": 0, "refined": 0, "key": 0}
+    crude, real_counts = series.crude_orders, series.boundary_counts
+    spaces = set()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def boundary_counts(*args):
+        counts = real_counts(*args)
+        if drop:
+            del counts[next(pair for pair in counts
+                            if crude(pair[0].pivots, pair[1].pivots, d))]
+        spaces.update(v for pair in counts for v in pair)
+        return counts
+
+    monkeypatch.setattr(series, "boundary_counts", boundary_counts)
+    monkeypatch.setattr(series, "crude_orders", counting("crude", crude))
+    monkeypatch.setattr(series, "refined_orders",
+                        counting("refined", series.refined_orders))
+    monkeypatch.setattr(Subspace, "key", counting("key", Subspace.key))
+    rep = fr_image_report(d, r, q)
+    assert rep.equal is not drop and len(rep.crude_not_fr) == drop
+    cells = comb(d + 1, r + 1) ** 2
+    assert 0 < calls["crude"] <= cells and 0 < calls["refined"] <= cells
+    if not drop:  # naming the missing pair keys the spaces it lists
+        assert calls["key"] == len(spaces)
+
+
 @pytest.mark.parametrize("d,r,q", [(2, 0, 3), (2, 1, 2)])
 def test_missing_crude_pairs_matches_listing(d, r, q):
     image = set(image_preimages(d, r, q))
