@@ -49,7 +49,7 @@ from itertools import islice, starmap
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
-from .fields import Fp, PrimeField, Record, ring_from_dict
+from .fields import Fp, PrimeField, Record, _json_field, ring_from_dict
 from .linalg import (BudgetError, Matrix, Subspace, _between, _cells,
                      _images, _null_basis, _reduce, _require_dict, apply_map,
                      contains, enumerate_subspaces, image, intersect, kernel)
@@ -202,7 +202,7 @@ class ValidationReport(Record):
             "witness": witness})
 
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "violations": self.violations}
+        return dict(super().as_dict(), ok=self.ok)
 
 
 class SignatureReport(Record):
@@ -215,10 +215,6 @@ class SignatureReport(Record):
 
     def key(self) -> tuple:
         return (self.f_ranks, self.g_ranks)
-
-    def as_dict(self) -> dict:
-        return {"f_ranks": list(self.f_ranks), "g_ranks": list(self.g_ranks),
-                "exact": self.exact}
 
 
 class DecompositionReport(Record):
@@ -233,13 +229,6 @@ class DecompositionReport(Record):
         # greedy complement, extending any supplied seed
         self.complement_block = complement_block
         self.block_dims = block_dims
-
-    def as_dict(self) -> dict:
-        return {"level": self.level,
-                "image_block": [list(row) for row in self.image_block],
-                "kernel_block": [list(row) for row in self.kernel_block],
-                "complement_block": [list(row) for row in self.complement_block],
-                "block_dims": list(self.block_dims)}
 
 
 def validate_chain(chain: LinkedChain) -> ValidationReport:
@@ -557,10 +546,8 @@ class _Intervals:
         only if it is new."""
         sp = self.spaces.get(ents)
         if sp is None:
-            ring, d = self.chain.field, self.chain.d
-            sp = self.spaces[ents] = Subspace(
-                ring, d, Matrix(ring, len(pivots), d, ents), tuple(pivots),
-                True)
+            sp = self.spaces[ents] = Subspace._from_echelon(
+                self.chain.field, self.chain.d, ents, pivots)
         return sp
 
     def mapped(self, kind: int, u: Subspace, side: int) -> tuple:
@@ -1027,15 +1014,12 @@ class CensusReport(Record):
         self.signature_graph = signature_graph
 
     def as_dict(self) -> dict:
-        d = {"schema_version": 1,
-             "chain": self.chain, "q": self.q, "points": self.points,
-             "exact": self.exact,
-             "signatures": [[[list(sig[0]), list(sig[1])], cnt]
-                            for sig, cnt in sorted(self.signatures.items())],
-             "tangent_histogram": [[dim, cnt] for dim, cnt
-                                   in sorted(self.tangent_histogram.items())]}
-        if self.signature_graph is not None:
-            d["signature_graph"] = self.signature_graph
+        d = dict(super().as_dict(), schema_version=1,
+                 signatures=_json_field(sorted(self.signatures.items())),
+                 tangent_histogram=_json_field(
+                     sorted(self.tangent_histogram.items())))
+        if self.signature_graph is None:
+            del d["signature_graph"]
         return d
 
 

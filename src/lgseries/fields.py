@@ -31,12 +31,19 @@ class Record:
     field; a record of another class, or any other object, compares with
     ``NotImplemented``, so ``__hash__`` stays ``None`` and a record, being
     mutable, is unhashable.  ``repr`` reads ``Name(field=value, ...)``.
+    ``as_dict`` is the JSON form: every field by its slot name, a tuple or
+    list as a list and a nested record by its own ``as_dict``, at any
+    depth of lists; a subclass adds to it or reshapes only what differs.
     """
 
     __slots__ = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def as_dict(self) -> dict:
+        return {name: _json_field(getattr(self, name))
+                for name in self.__slots__}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -46,6 +53,13 @@ class Record:
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+def _json_field(x):
+    """A record field as ``Record.as_dict`` writes it."""
+    if isinstance(x, (tuple, list)):
+        return [_json_field(v) for v in x]
+    return x.as_dict() if isinstance(x, Record) else x
 
 
 def is_prime(n: int) -> bool:

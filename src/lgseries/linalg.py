@@ -242,9 +242,7 @@ class Matrix:
         return hash((self.ring, self.rows, self.cols, self.entries))
 
     def __repr__(self):
-        return "Matrix(%r, %s)" % (self.ring,
-                                   [[_entry_repr(x) for x in r]
-                                    for r in self._rows()])
+        return "Matrix(%r, %s)" % (self.ring, _rows_repr(self._rows()))
 
     def as_dict(self) -> dict:
         return {"ring": self.ring.as_dict(), "rows": self.rows, "cols": self.cols,
@@ -263,10 +261,11 @@ class Matrix:
         return cls(ring, rows, cols, tuple(_entry_from_json(ring, e) for e in ents))
 
 
-def _entry_repr(x) -> str:
-    if isinstance(x, Dual):
-        return "%d+%de" % (x.a0, x.a1)
-    return str(x)
+def _rows_repr(rows) -> str:
+    """Rows as a bracketed list, ints bare and a dual entry as a0+a1e."""
+    return "[%s]" % ", ".join("[%s]" % ", ".join(
+        "%d+%de" % (x.a0, x.a1) if isinstance(x, Dual) else str(x)
+        for x in row) for row in rows)
 
 
 def _entry_json(x):
@@ -393,6 +392,10 @@ class Subspace:
     ``unit_pivots`` (every basis row is led by its unit pivot) and exposes
     ``is_free_cofree`` (no eps-torsion row: free with free quotient), which
     is the condition for being an honest rank-r sub-bundle.
+
+    Only this module builds a Subspace from its parts: a space whose
+    canonical basis is already known (an echelon cell, an interval's
+    candidate, a reduced span or null space) comes from ``_from_echelon``.
     """
 
     __slots__ = ("ring", "ambient_dim", "basis", "pivots", "unit_pivots",
@@ -424,8 +427,17 @@ class Subspace:
         return cls(m.ring, m.cols, ech.matrix, ech.pivots, ech.unit_pivots)
 
     @classmethod
+    def _from_echelon(cls, ring, ambient_dim: int, entries: tuple,
+                      pivots: Sequence[int]) -> "Subspace":
+        """The space over a field whose canonical basis has the row-major
+        ``entries`` and pivot columns ``pivots``, trusted as given."""
+        return cls(ring, ambient_dim,
+                   Matrix(ring, len(pivots), ambient_dim, entries),
+                   tuple(pivots), True)
+
+    @classmethod
     def zero_space(cls, ring, ambient_dim: int) -> "Subspace":
-        return cls(ring, ambient_dim, Matrix(ring, 0, ambient_dim, ()), (), True)
+        return cls._from_echelon(ring, ambient_dim, (), ())
 
     @classmethod
     def full_space(cls, ring, ambient_dim: int) -> "Subspace":
@@ -441,16 +453,8 @@ class Subspace:
             return cls.from_matrix(Matrix(ring, len(rows), ambient_dim, flat))
         rows = list(rows)
         pivots = _reduce(rows, range(ambient_dim), ring.p)
-        return cls._echelon(ring, ambient_dim, rows, pivots)
-
-    @classmethod
-    def _echelon(cls, ring, ambient_dim: int, rows: list,
-                 pivots: Sequence[int]) -> "Subspace":
-        # rows already in canonical form over a field, sorted by pivot
-        return cls(ring, ambient_dim,
-                   Matrix(ring, len(rows), ambient_dim,
-                          tuple(chain.from_iterable(rows))),
-                   tuple(pivots), True)
+        return cls._from_echelon(ring, ambient_dim,
+                                 tuple(chain.from_iterable(rows)), pivots)
 
     @property
     def dim(self) -> int:
@@ -572,8 +576,7 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d, basis=%s)" % (
-            self.dim, self.ambient_dim,
-            [[_entry_repr(x) for x in r] for r in self.basis_rows()])
+            self.dim, self.ambient_dim, _rows_repr(self.basis_rows()))
 
     def as_dict(self) -> dict:
         return {"ring": self.ring.as_dict(), "ambient_dim": self.ambient_dim,
@@ -614,7 +617,9 @@ def kernel(m: Matrix) -> Subspace:
 
 def _null_space(ring, rows: list, d: int, p: int) -> Subspace:
     """{v : r . v = 0 for every row r}, by one elimination of ``rows``."""
-    return Subspace._echelon(ring, d, *_null_basis(rows, d, p))
+    basis, free = _null_basis(rows, d, p)
+    return Subspace._from_echelon(ring, d, tuple(chain.from_iterable(basis)),
+                                  free)
 
 
 def _null_basis(rows: list, d: int, p: int) -> tuple:
@@ -761,7 +766,7 @@ def enumerate_subspaces(d: int, r: int, q: int,
                              "in [0, %d), got %r" % (r, d, pivots))
     ring = PrimeField(q)
     for ents, pat in _cells(d, r, q, pivots):
-        yield Subspace(ring, d, Matrix(ring, r, d, ents), pat, True)
+        yield Subspace._from_echelon(ring, d, ents, pat)
 
 
 def _cells(d: int, r: int, q: int,
@@ -806,8 +811,7 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     for ents, pivots in _between((lower.basis_rows(), lower.pivots),
                                  (upper.basis_rows(), upper.pivots), r, q,
                                  cells):
-        yield Subspace(ring, ambient, Matrix(ring, r, ambient, ents), pivots,
-                       True)
+        yield Subspace._from_echelon(ring, ambient, ents, pivots)
 
 
 def _between(lower: tuple, upper: tuple, r: int, q: int,

@@ -13,6 +13,12 @@ Polynomials are tuples of ints in [0, p); ``hasse_derivative`` and
 like ``wronskian``, raise ValueError over the dual numbers.  A point is
 INFINITY or a field value read by the ring call (``fields._residue``), so
 any other point, a float, a bool or None, raises ValueError.
+
+The orders of vanishing of a series at a point have one owner,
+``_orders``: ``vanishing_sequence`` adds the ramification and the
+tameness to them, and ``series`` reads its node orders and imposed bounds
+from it, with no tameness determinant.  ``poly_order_at`` finds the order
+of one polynomial by Hasse derivatives instead, independently of it.
 """
 
 from __future__ import annotations
@@ -97,10 +103,6 @@ class RamificationData(Record):
     def weight(self) -> int:
         return sum(self.ramification)
 
-    def as_dict(self) -> dict:
-        return {"point": self.point, "vanishing": list(self.vanishing),
-                "ramification": list(self.ramification), "tame": self.tame}
-
 
 def _shift_basis_rows(m: int, t: int, p: int) -> list:
     """Rows of the change of coordinates from coefficients in y to those in
@@ -109,31 +111,37 @@ def _shift_basis_rows(m: int, t: int, p: int) -> list:
              for j in range(m + 1)] for k in range(m + 1)]
 
 
-def vanishing_sequence(v: Subspace, point) -> RamificationData:
-    """Vanishing and ramification sequences of the series v at one point.
-
-    The degree bound m is the ambient dimension minus one.  The basis is
-    rewritten in the order filtration at the point and re-echelonized; the
-    pivot columns are exactly the distinct orders of vanishing realised by
-    the subspace.
-    """
+def _orders(v: Subspace, point) -> tuple:
+    """The distinct orders of vanishing of the series v at one point,
+    ascending: the pivot columns of v's basis rewritten in the order
+    filtration at the point and re-echelonized.  The degree bound m is the
+    ambient dimension minus one.  At t = 0 mod p the ascending coefficients
+    already are that filtration, so the orders are v's own pivots."""
     ring = v.ring
     if ring.dual:
         raise ValueError("vanishing_sequence needs field coefficients; "
                          "use vanishing_sequence_dual for dual-number probes")
-    m = v.ambient_dim - 1
     if v.dim == 0:
         raise ValueError("vanishing sequence of the zero series is undefined")
     if point == INFINITY:
         rows = [row[::-1] for row in v.basis_rows()]
     else:
-        point = ring(point).v
-        rows = _images(_shift_basis_rows(m, point, ring.p), v.basis_rows(),
-                       ring.p)
-    filtered = Subspace.from_rows(ring, m + 1, rows)
-    orders = filtered.pivots
+        t = ring(point).v
+        if not t:
+            return v.pivots
+        rows = _images(_shift_basis_rows(v.ambient_dim - 1, t, ring.p),
+                       v.basis_rows(), ring.p)
+    return Subspace.from_rows(ring, v.ambient_dim, rows).pivots
+
+
+def vanishing_sequence(v: Subspace, point) -> RamificationData:
+    """Vanishing and ramification sequences of the series v at one point
+    (``_orders``), with the tameness of the orders there."""
+    orders = _orders(v, point)
+    if point != INFINITY:
+        point = v.ring(point).v
     alpha = tuple(a - j for j, a in enumerate(orders))
-    return RamificationData(point, tuple(orders), alpha, is_tame(orders, ring.p))
+    return RamificationData(point, orders, alpha, is_tame(orders, v.ring.p))
 
 
 def wronskian(v: Subspace) -> tuple:
@@ -194,12 +202,7 @@ class PluckerCertificate(Record):
         self.ramified = ramified
 
     def as_dict(self) -> dict:
-        return {"schema_version": 1, "genus": self.genus, "degree": self.degree,
-                "r": self.r, "bound": self.bound,
-                "found_weight": self.found_weight, "separable": self.separable,
-                "all_inspected_tame": self.all_inspected_tame,
-                "inspected": list(self.inspected),
-                "ramified": [rd.as_dict() for rd in self.ramified]}
+        return dict(super().as_dict(), schema_version=1)
 
 
 def plucker_check(v: Subspace, genus: int = 0,

@@ -21,11 +21,11 @@ from typing import Iterator, Optional, Sequence
 
 from .chains import (ChainPoint, LinkedChain, _linkage_fault,
                      boundary_counts, enumerate_points, is_linked_point)
-from .fields import DualNumbers, PrimeField, Record
+from .fields import DualNumbers, PrimeField, Record, _json_field
 from .linalg import (Matrix, Subspace, _free_position_count, apply_map,
                      enumerate_subspaces, intersect, pivot_patterns, preimage,
                      rank_everywhere_at_most)
-from .ramification import INFINITY, vanishing_sequence
+from .ramification import INFINITY, _orders
 
 
 class NodalModel:
@@ -203,18 +203,11 @@ class EHPair:
 
 
 def node_orders(v: Subspace) -> tuple:
-    """Vanishing sequence of an aspect at the node (coordinate 0).
-
-    The coordinates are ascending coefficients, which is already the order
-    filtration at 0, so the orders are the pivot columns of the canonical
-    basis: ``vanishing_sequence(v, 0).vanishing`` without the rewrite.
-    """
-    if v.ring.dual:
-        raise ValueError("vanishing_sequence needs field coefficients; "
-                         "use vanishing_sequence_dual for dual-number probes")
-    if v.dim == 0:
-        raise ValueError("vanishing sequence of the zero series is undefined")
-    return v.pivots
+    """Vanishing sequence of an aspect at the node (coordinate 0),
+    ``ramification._orders(v, 0)``: the coordinates are ascending
+    coefficients, already the order filtration at 0, so the orders are the
+    pivot columns of the canonical basis."""
+    return _orders(v, 0)
 
 
 def crude_orders(a_y: Sequence[int], a_z: Sequence[int], d: int) -> bool:
@@ -434,8 +427,7 @@ def _bound_checks(constraints: Optional[Sequence[dict]], d: int,
 
 
 def _meets_bound(aspect: Subspace, point, bound: Sequence[int]) -> bool:
-    vanishing = vanishing_sequence(aspect, point).vanishing
-    return all(a >= b for a, b in zip(vanishing, bound))
+    return all(a >= b for a, b in zip(_orders(aspect, point), bound))
 
 
 class ImageReport(Record):
@@ -471,18 +463,9 @@ class ImageReport(Record):
         self.refined_preimages_all_unique = refined_preimages_all_unique
 
     def as_dict(self) -> dict:
-        return {"schema_version": 1, "d": self.d, "r": self.r, "q": self.q,
-                "points": self.points, "image_size": self.image_size,
-                "crude_pairs": self.crude_pairs,
-                "refined_pairs": self.refined_pairs,
-                "refined_points": self.refined_points, "equal": self.equal,
-                "fr_not_crude": self.fr_not_crude,
-                "crude_not_fr": self.crude_not_fr,
-                "preimage_counts": [
-                    [list(map(list, key)), cnt]
-                    for key, cnt in sorted(self.preimage_counts.items())],
-                "refined_preimages_all_unique":
-                    self.refined_preimages_all_unique}
+        return dict(super().as_dict(), schema_version=1,
+                    preimage_counts=_json_field(
+                        sorted(self.preimage_counts.items())))
 
 
 def _pattern_orders(d: int, r: int) -> dict:
@@ -629,15 +612,10 @@ class DualProbeReport(Record):
         return self.a_y[0] + self.a_z[0]
 
     def as_dict(self) -> dict:
-        return {"schema_version": 1, "p": self.p, "d": self.d, "r": self.r,
-                "linked_over_dual": self.linked_over_dual,
-                "a_y": list(self.a_y), "a_z": list(self.a_z),
-                "a_y_mod_eps": list(self.a_y_mod_eps),
-                "a_z_mod_eps": list(self.a_z_mod_eps),
-                "first_order_sum": self.first_order_sum,
-                "d_inequality_holds": self.first_order_sum >= self.d,
-                "d_minus_1_inequality_holds":
-                    self.first_order_sum >= self.d - 1}
+        total = self.first_order_sum
+        return dict(super().as_dict(), schema_version=1,
+                    first_order_sum=total, d_inequality_holds=total >= self.d,
+                    d_minus_1_inequality_holds=total >= self.d - 1)
 
 
 def dual_probe(p: int) -> DualProbeReport:
@@ -659,6 +637,6 @@ def dual_probe(p: int) -> DualProbeReport:
     linked = not _linkage_fault(model.chain(1), ChainPoint([v0, v1, v2]))
     a_y = vanishing_sequence_dual(v0)        # level-0 coords = y-coefficients
     a_z = vanishing_sequence_dual(v2)        # level-d coords = z-coefficients
-    a_y_mod = vanishing_sequence(v0.mod_eps(), 0).vanishing
-    a_z_mod = vanishing_sequence(v2.mod_eps(), 0).vanishing
+    a_y_mod = node_orders(v0.mod_eps())
+    a_z_mod = node_orders(v2.mod_eps())
     return DualProbeReport(p, 2, 0, linked, a_y, a_z, a_y_mod, a_z_mod)

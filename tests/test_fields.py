@@ -324,3 +324,69 @@ def test_report_records_behave_as_declared(cls, required, defaults):
         if isinstance(default, (list, dict)):
             assert getattr(cls(**required), name) is not \
                 getattr(cls(**required), name), name
+
+
+# (record, its as_dict) for each record of RECORDS: every field by name,
+# tuples written as lists, nested records by their own dicts, and each
+# report's extra or reshaped keys
+AS_DICTS = [
+    (ValidationReport(), {"ok": True, "violations": []}),
+    (ValidationReport([{"condition": "f*g", "index": 0, "detail": "x",
+                        "witness": [1, 0]}]),
+     {"ok": False, "violations": [{"condition": "f*g", "index": 0,
+                                   "detail": "x", "witness": [1, 0]}]}),
+    (SignatureReport((1, 0), (0, 1), True),
+     {"f_ranks": [1, 0], "g_ranks": [0, 1], "exact": True}),
+    (DecompositionReport(1, [(1, 0)], [], [(0, 1), (1, 1)], (1, 0, 2)),
+     {"level": 1, "image_block": [[1, 0]], "kernel_block": [],
+      "complement_block": [[0, 1], [1, 1]], "block_dims": [1, 0, 2]}),
+    (CensusReport({"n": 2}, 2),
+     {"schema_version": 1, "chain": {"n": 2}, "q": 2, "points": 0,
+      "exact": 0, "signatures": [], "tangent_histogram": []}),
+    (CensusReport({"n": 2}, 3, 9, 7,
+                  {((1, 2), (0, 1)): 3, ((0, 1), (1, 0)): 4}, {4: 1, 2: 8},
+                  {"nodes": [[[0, 1], [1, 0]]], "edges": []}),
+     {"schema_version": 1, "chain": {"n": 2}, "q": 3, "points": 9,
+      "exact": 7, "signatures": [[[[0, 1], [1, 0]], 4], [[[1, 2], [0, 1]], 3]],
+      "tangent_histogram": [[2, 8], [4, 1]],
+      "signature_graph": {"nodes": [[[0, 1], [1, 0]]], "edges": []}}),
+    (RamificationData("inf", (0, 2), (0, 1), True),
+     {"point": "inf", "vanishing": [0, 2], "ramification": [0, 1],
+      "tame": True}),
+    (PluckerCertificate(0, 3, 1, 4, 4, True, False, [0, "inf"],
+                        [RamificationData(0, (1, 3), (1, 2), False)]),
+     {"schema_version": 1, "genus": 0, "degree": 3, "r": 1, "bound": 4,
+      "found_weight": 4, "separable": True, "all_inspected_tame": False,
+      "inspected": [0, "inf"],
+      "ramified": [{"point": 0, "vanishing": [1, 3], "ramification": [1, 2],
+                    "tame": False}]}),
+    (ImageReport(3, 1, 2),
+     {"schema_version": 1, "d": 3, "r": 1, "q": 2, "points": 0,
+      "image_size": 0, "crude_pairs": 0, "refined_pairs": 0,
+      "refined_points": 0, "equal": False, "fr_not_crude": [],
+      "crude_not_fr": [], "preimage_counts": [],
+      "refined_preimages_all_unique": False}),
+    (ImageReport(1, 0, 2, 3, 2, 2, 1, 1, True, [], [[[2, 0, 1], [2, 1, 0]]],
+                 {((2, 1, 0), (2, 0, 1)): 2, ((2, 0, 1), (2, 1, 0)): 1},
+                 True),
+     {"schema_version": 1, "d": 1, "r": 0, "q": 2, "points": 3,
+      "image_size": 2, "crude_pairs": 2, "refined_pairs": 1,
+      "refined_points": 1, "equal": True, "fr_not_crude": [],
+      "crude_not_fr": [[[2, 0, 1], [2, 1, 0]]],
+      "preimage_counts": [[[[2, 0, 1], [2, 1, 0]], 1],
+                          [[[2, 1, 0], [2, 0, 1]], 2]],
+      "refined_preimages_all_unique": True}),
+    (DualProbeReport(3, 2, 0, True, (1,), (0,), (2,), (0,)),
+     {"schema_version": 1, "p": 3, "d": 2, "r": 0, "linked_over_dual": True,
+      "a_y": [1], "a_z": [0], "a_y_mod_eps": [2], "a_z_mod_eps": [0],
+      "first_order_sum": 1, "d_inequality_holds": False,
+      "d_minus_1_inequality_holds": True}),
+]
+
+
+@pytest.mark.parametrize("rec, expected", AS_DICTS,
+                         ids=[type(rec).__name__ for rec, _ in AS_DICTS])
+def test_report_records_write_their_dicts(rec, expected):
+    # == tells a list from a tuple, at every depth
+    assert rec.as_dict() == expected
+    assert {cls for cls, _, _ in RECORDS} == {type(r) for r, _ in AS_DICTS}

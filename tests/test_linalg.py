@@ -947,3 +947,17 @@ def test_ring_mismatch_raises():
     with pytest.raises(ValueError, match="does not match"):
         apply_map(mat(GF5, [[1, 0], [0, 1]]),
                   Subspace.from_rows(GF3, 2, [[1, 1]]))
+
+
+def test_reprs_print_entries_bare():
+    f3, r3 = PrimeField(3), DualNumbers(3)
+    assert repr(Matrix.from_rows(f3, [[1, 2], [0, 1]])) == \
+        "Matrix(PrimeField(3), [[1, 2], [0, 1]])"
+    assert repr(Subspace.from_rows(f3, 2, [[2, 0]])) == \
+        "Subspace(dim=1, ambient=2, basis=[[1, 0]])"
+    assert repr(Subspace.zero_space(f3, 2)) == \
+        "Subspace(dim=0, ambient=2, basis=[])"
+    assert repr(Matrix.from_rows(r3, [[Dual(1, 0, 3), Dual(2, 1, 3)]])) == \
+        "Matrix(DualNumbers(3), [[1+0e, 2+1e]])"
+    assert repr(Subspace.from_rows(r3, 2, [[Dual(1, 0, 3), Dual(0, 1, 3)]])) \
+        == "Subspace(dim=1, ambient=2, basis=[[1+0e, 0+1e]])"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from test_cli import FUZZ, JSON_VALUES
 
-from lgseries.fields import PrimeField
+from lgseries.fields import Fp, PrimeField
 from lgseries.linalg import Subspace, enumerate_subspaces
 from lgseries.ramification import (INFINITY, hasse_derivative, is_separable,
                                    plucker_check, poly_order_at, rho,
@@ -84,6 +84,27 @@ def test_vanishing_matches_bruteforce():
         for point in [0, 1, 2, INFINITY]:
             data = vanishing_sequence(v, point)
             assert data.vanishing == brute_orders(v, point, m)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_vanishing_at_zero_matches_bruteforce(p):
+    # the point 0 given as p and as Fp(0, p) too, which take the
+    # unrewritten pivots of v
+    field, rng = PrimeField(p), random.Random(p)
+    for _ in range(12):
+        m = rng.randrange(1, 5)
+        r = rng.randrange(0, min(2, m) + 1)
+        v = None
+        while v is None or v.dim != r + 1:
+            # leading zeros, so that orders above 0 occur
+            rows = [[0] * rng.randrange(m + 1)
+                    + [rng.randrange(p) for _ in range(m + 1)]
+                    for _ in range(r + 1)]
+            v = poly_space(field, m, [row[:m + 1] for row in rows])
+        want = brute_orders(v, 0, m)
+        for point in [0, p, Fp(0, p)]:
+            data = vanishing_sequence(v, point)
+            assert (data.point, data.vanishing) == (0, want), point
 
 
 def test_wronskian_pencil():

@@ -4,6 +4,7 @@ from test_cli import FUZZ, JSON_VALUES
 
 from lgseries.chains import (census, enumerate_points, is_exact,
                              is_linked_point, validate_chain)
+from lgseries import ramification
 from lgseries.fields import DualNumbers, PrimeField
 from lgseries.linalg import Subspace, enumerate_subspaces, kernel
 from lgseries.series import (EHPair, NodalModel, build_section_chain,
@@ -290,6 +291,28 @@ def test_enumerate_limit_series_checks_constraints_first():
             next(enumerate_limit_series(2, 0, 2, constraints=bad, budget=0))
     assert list(enumerate_limit_series(2, 0, 2, constraints=(good,))) == \
         list(enumerate_limit_series(2, 0, 2, constraints=[good]))
+
+
+def test_series_orders_compute_no_tameness(monkeypatch):
+    # node orders and imposed bounds are orders of vanishing only; the
+    # tameness of ``vanishing_sequence`` is never asked for
+    constraints = [{"side": "Y", "point": 1, "min": [0, 2]},
+                   {"side": "Z", "point": "inf", "min": [1, 2]},
+                   {"side": "Z", "point": 0, "min": [1, 2]}]
+    want = list(enumerate_limit_series(3, 1, 3, constraints=constraints))
+    assert want
+
+    def refuse(*args):
+        raise AssertionError("is_tame called")
+
+    monkeypatch.setattr(ramification, "is_tame", refuse)
+    with pytest.raises(AssertionError, match="is_tame"):
+        ramification.vanishing_sequence(want[0].point[0], 1)
+    assert list(enumerate_limit_series(3, 1, 3,
+                                       constraints=constraints)) == want
+    pair = EHPair.from_subspaces(want[0].point[0], want[0].point[3])
+    assert pair == forgetful_map(want[0].model, want[0].point)
+    assert dual_probe(5).a_y_mod_eps == (2,)
 
 
 @FUZZ

@@ -7,6 +7,9 @@ a table of its own (``chains._Intervals``) that dies with it.
 
 A map applied to int rows is one product kernel, ``linalg._images``, so
 ``operator.mul``, which it multiplies with, appears in ``linalg`` alone.
+Likewise only ``linalg`` knows how a subspace is stored: no other module
+calls ``Subspace(...)`` itself, and a space of known canonical basis comes
+from ``Subspace._from_echelon``.
 
 A CLI call imports no module it does not run: ``import lgseries.cli`` loads
 neither ``dataclasses`` (the report records derive from ``fields.Record``),
@@ -98,6 +101,37 @@ def test_only_linalg_imports_operator_mul():
             if _mul_uses(fh.read()):
                 found.append(name)
     assert found == ["linalg.py"]
+
+
+def _subspace_calls(source: str) -> list:
+    """Lines of ``source`` that call ``Subspace`` itself, by its name or
+    as an attribute (``linalg.Subspace(...)``), not one of its methods."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", "")
+            if name == "Subspace":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_checker_finds_subspace_calls():
+    source = ("Subspace(ring, 2, m, (), True)\nlinalg.Subspace(1)\n"
+              "Subspace.from_rows(ring, 2, [])\nmake = Subspace\n"
+              "Subspace._from_echelon(ring, 2, (), ())\n")
+    assert _subspace_calls(source) == [1, 2]
+
+
+def test_only_linalg_builds_a_subspace_from_its_parts():
+    found = {}
+    for name in sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")):
+        with open(os.path.join(PACKAGE, name)) as fh:
+            found[name] = _subspace_calls(fh.read())
+    assert "chains.py" in found and "series.py" in found
+    assert {name: lines for name, lines in found.items()
+            if lines and name != "linalg.py"} == {}
 
 
 def test_importing_the_cli_loads_no_module_it_does_not_run():
