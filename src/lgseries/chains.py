@@ -985,12 +985,9 @@ def admissible_signatures_n2(d: int, r: int, d1: int, d2: int) -> range:
 
 
 def expected_component_count_n2(d: int, r: int, d1: int, d2: int) -> int:
-    """min(r+1, d-r+1, d1+1, d2+1); always the size of the admissible range."""
-    count = min(r + 1, d - r + 1, d1 + 1, d2 + 1)
-    rng = admissible_signatures_n2(d, r, d1, d2)
-    if len(rng) != count:
-        raise RuntimeError("component count does not match signature range")
-    return count
+    """The size of the admissible range, in closed form
+    min(r+1, d-r+1, d1+1, d2+1) = min(r, d1, d2, d-r) + 1."""
+    return len(admissible_signatures_n2(d, r, d1, d2))
 
 
 class CensusReport(Record):

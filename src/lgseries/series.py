@@ -71,25 +71,15 @@ class NodalModel:
         return LinkedChain(self.field, self.d + 1, self.d + 1, rank, fs, gs,
                            self.field.zero())
 
-    def y_aspect_matrix(self, i: int) -> Matrix:
-        """Project E_i onto the y-side polynomial (ascending, degree <= d-i)."""
-        return Matrix.from_rows(self.field, self._unit_vectors(range(self.d - i + 1)))
-
-    def z_aspect_matrix(self, i: int) -> Matrix:
-        """Project E_i onto the z-side polynomial (ascending, degree <= i)."""
-        cols = [0] + list(range(self.d - i + 1, self.d + 1))
-        return Matrix.from_rows(self.field, self._unit_vectors(cols))
-
     def z_vanishing_space(self, i: int) -> Subspace:
         """Sections with b identically zero (rows supported on a_1..a_{d-i})."""
         return self._coordinate_space(range(1, self.d - i + 1))
 
     def _coordinate_space(self, cols) -> Subspace:
-        return Subspace.from_rows(self.field, self.d + 1, self._unit_vectors(cols))
-
-    def _unit_vectors(self, cols) -> list:
-        """The coordinate vectors e_c of the level coordinates, c in cols."""
-        return [[int(j == c) for j in range(self.d + 1)] for c in cols]
+        """The span of the level coordinate vectors e_c, c in cols."""
+        return Subspace.from_rows(
+            self.field, self.d + 1,
+            [[int(j == c) for j in range(self.d + 1)] for c in cols])
 
     def section(self, i: int, a_coeffs: Sequence, b_coeffs: Sequence,
                 ring=None) -> tuple:
@@ -238,11 +228,16 @@ def forgetful_map(model: NodalModel, point: ChainPoint) -> EHPair:
     Level-0 coordinates are exactly the ascending y-coefficients and level-d
     coordinates the ascending z-coefficients, so both aspects are the
     boundary subspaces themselves, already in canonical form.  A point
-    without exactly d + 1 levels raises ValueError.
+    without exactly d + 1 levels, or with a level over another ring than
+    the model's field, raises ValueError.
     """
     if len(point) != model.d + 1:
         raise ValueError("point has %d levels, the degree-%d model has %d"
                          % (len(point), model.d, model.d + 1))
+    for i, sp in enumerate(point):
+        if sp.ring != model.field:
+            raise ValueError("level %d is over %r, the model over %r"
+                             % (i, sp.ring, model.field))
     vy, vz = point[0], point[model.d]
     if vy.ambient_dim != model.d + 1:
         raise ValueError("row length %d does not match ambient %d"
@@ -250,49 +245,18 @@ def forgetful_map(model: NodalModel, point: ChainPoint) -> EHPair:
     return EHPair.from_subspaces(vy, vz)
 
 
-def _node_filtration_rows(v: Subspace, min_order: int, shift: int,
-                          out_len: int) -> list:
-    """Rows of v with node order >= min_order, divided by the coordinate
-    shift (the ascending basis is already the node filtration)."""
-    rows = []
-    for i, pc in enumerate(v.pivots):
-        if pc >= min_order:
-            row = v.basis.row(i)
-            rows.append(list(row[shift:shift + out_len]))
-    return rows
-
-
 def reconstruct_refined(pair: EHPair) -> LimitSeriesPoint:
-    """The unique linked point over a refined pair.
+    """The unique linked point over a refined pair: ``lift_crude``
+    restricted to refined pairs.
 
-    Level i glues the order->=i part of the y-aspect (shifted down i steps)
-    with the order->=(d-i) part of the z-aspect (shifted down d-i steps),
-    matching node values; refinedness makes every level land on dimension
-    r+1.
+    Over a refined pair the Eisenbud-Harris theory leaves exactly one linked
+    point, so the crude lift is that point; the enumeration oracle
+    (``tests/test_series.py::test_reconstruct_uniqueness_by_enumeration``)
+    checks the uniqueness exhaustively on small cases.
     """
-    d = pair.d
     if not is_refined(pair):
         raise ValueError("reconstruction requires a refined pair")
-    model = NodalModel(d, pair.vy.ring.p)
-    r = pair.r
-    spaces = []
-    for i in range(d + 1):
-        a_rows = _node_filtration_rows(pair.vy, i, i, d - i + 1)
-        a_div = Subspace.from_rows(model.field, d - i + 1, a_rows)
-        b_rows = _node_filtration_rows(pair.vz, d - i, d - i, i + 1)
-        b_div = Subspace.from_rows(model.field, i + 1, b_rows)
-        v_i = intersect(preimage(model.y_aspect_matrix(i), a_div),
-                        preimage(model.z_aspect_matrix(i), b_div))
-        if v_i.dim != r + 1:
-            raise RuntimeError(
-                "refined reconstruction produced dimension %d at level %d"
-                % (v_i.dim, i))
-        spaces.append(v_i)
-    point = ChainPoint(spaces)
-    chain = model.chain(r + 1)
-    if not is_linked_point(chain, point):
-        raise RuntimeError("refined reconstruction is not linked")
-    return LimitSeriesPoint(model, point)
+    return lift_crude(pair)
 
 
 def lift_crude(pair: EHPair) -> LimitSeriesPoint:

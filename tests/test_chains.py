@@ -1299,6 +1299,14 @@ def test_component_formulas():
     assert list(admissible_signatures_n2(3, 1, 1, 2)) == [0, 1]
     with pytest.raises(ValueError):
         admissible_signatures_n2(3, 1, 1, 1)
+    # the closed form equals the range's length on every valid argument
+    for d in range(2, 9):
+        for r in range(1, d):
+            for d1 in range(1, d):
+                d2 = d - d1
+                count = expected_component_count_n2(d, r, d1, d2)
+                assert count == min(r + 1, d - r + 1, d1 + 1, d2 + 1)
+                assert count == len(admissible_signatures_n2(d, r, d1, d2))
 
 
 def test_component_formulas_reject_d1_out_of_range():

@@ -90,6 +90,14 @@ def test_forgetful_map_needs_d_plus_one_levels():
             forgetful_map(model, ChainPoint(spaces))
 
 
+def test_forgetful_map_rejects_a_point_over_another_ring():
+    # a GF(2) point read by a GF(3) model used to come back as a GF(2) pair
+    pt = next(enumerate_points(build_section_chain(2, 2, 1)))
+    with pytest.raises(ValueError, match="level 0 is over"):
+        forgetful_map(NodalModel(2, 3), pt)
+    assert forgetful_map(NodalModel(2, 2), pt).vy == pt[0]
+
+
 def test_middle_filling_y_not_exact():
     # (y^2, 0), (y, 0), (0, z^2 + z): linked but not exact
     model = NodalModel(2, 2)
@@ -149,24 +157,28 @@ def test_reconstruct_rejects_non_refined():
 
 
 def test_reconstruct_uniqueness_by_enumeration():
-    # over GF(2) and GF(3), every refined pair at d<=2, r=0 has exactly one
-    # linked point above it, and reconstruction produces that point
-    for q in (2, 3):
-        for d in (1, 2):
-            model = NodalModel(d, q)
-            preimages = {}
-            for pt in enumerate_points(model.chain(1)):
-                key = forgetful_map(model, pt).key()
-                preimages.setdefault(key, []).append(pt)
-            field = PrimeField(q)
-            for vy in enumerate_subspaces(d + 1, 1, q):
-                for vz in enumerate_subspaces(d + 1, 1, q):
-                    pair = EHPair.from_subspaces(vy, vz)
-                    if not is_refined(pair):
-                        continue
-                    pts = preimages.get(pair.key(), [])
-                    assert len(pts) == 1
-                    assert reconstruct_refined(pair).point == pts[0]
+    # every refined pair of each (d, r, q) case has exactly one linked point
+    # above it, and reconstruction produces that point
+    cases = [(1, 0, 2), (2, 0, 2), (1, 0, 3), (2, 0, 3),
+             (2, 1, 3), (3, 2, 2), (3, 1, 3)]
+    for d, r, q in cases:
+        model = NodalModel(d, q)
+        preimages = {}
+        for pt in enumerate_points(model.chain(r + 1)):
+            key = forgetful_map(model, pt).key()
+            preimages.setdefault(key, []).append(pt)
+        aspects = list(enumerate_subspaces(d + 1, r + 1, q))
+        refined = 0
+        for vy in aspects:
+            for vz in aspects:
+                pair = EHPair.from_subspaces(vy, vz)
+                if not is_refined(pair):
+                    continue
+                refined += 1
+                pts = preimages.get(pair.key(), [])
+                assert len(pts) == 1
+                assert reconstruct_refined(pair).point == pts[0]
+        assert refined > 0
 
 
 def test_lift_crude_forced_middle():
@@ -204,6 +216,22 @@ def test_lift_crude_both_fillings_case():
                 if forgetful_map(model, pt).key() == pair.key()]
     assert len(fillings) >= 2
     assert lsp.point in fillings
+
+
+def test_lift_crude_is_not_the_first_filling():
+    # VY = VZ = span{y, y^2} at d = 2, r = 1: seven linked fillings; the lift
+    # keeps f(V_0) + (z-vanishing part of g^-1(V_0)) = span{y, y^2} as its
+    # middle level, which is the last filling in stream order, not the first
+    rows = [[0, 1, 0], [0, 0, 1]]
+    pair = pair_from_rows(GF2, 2, rows, rows)
+    lsp = lift_crude(pair)
+    model = lsp.model
+    assert lsp.point[1] == Subspace.from_rows(GF2, 3, rows)
+    fillings = [pt for pt in enumerate_points(model.chain(2))
+                if forgetful_map(model, pt).key() == pair.key()]
+    assert len(fillings) == 7
+    assert fillings[0][1] == Subspace.from_rows(GF2, 3, [[1, 0, 0], [0, 1, 0]])
+    assert lsp.point in fillings and lsp.point != fillings[0]
 
 
 def test_lift_crude_rejects_non_crude():
