@@ -50,8 +50,8 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .fields import Fp, PrimeField, Record, _json_field, ring_from_dict
-from .linalg import (BudgetError, Matrix, Subspace, _between, _cells,
-                     _images, _null_basis, _reduce, _require_dict, apply_map,
+from .linalg import (BudgetError, Matrix, Subspace, _between, _images,
+                     _null_basis, _reduce, _require_dict, apply_map,
                      contains, enumerate_subspaces, image, intersect, kernel)
 
 
@@ -507,9 +507,8 @@ class _Intervals:
     and ``halves`` holds the node halves of ``_half`` with their cuts (a
     draw adds V's forward half when ``seed`` is set, as ``census`` sets it).
     ``pairs`` maps the entries of (f_k(V), g_k^{-1}(V)) to the spaces
-    between them, so ``linalg._between`` runs once per distinct pair;
-    ``cells`` maps a quotient shape to its ``linalg._cells`` list.  These
-    two and ``nodes`` are filled through ``_recorded``, which stores a
+    between them, so ``linalg._between`` runs once per distinct pair.
+    This and ``nodes`` are filled through ``_recorded``, which stores a
     stream once it is exhausted, so one cut short by a budget, or met again
     while still open deeper in a walk, is drawn afresh and never listed
     ahead of its spend.  ``cuts`` interns each cut for the pass; ``blocks``
@@ -519,8 +518,8 @@ class _Intervals:
     """
 
     __slots__ = ("chain", "seed", "kinds", "maps", "spaces", "nodes", "rows",
-                 "lowers", "uppers", "pairs", "cells", "halves", "kindwise",
-                 "cuts", "blocks", "moves")
+                 "lowers", "uppers", "pairs", "halves", "kindwise", "cuts",
+                 "blocks", "moves")
 
     def __init__(self, chain: LinkedChain):
         maps, p, s = {}, chain.p, chain.s.v
@@ -534,7 +533,7 @@ class _Intervals:
                               _off_scalar_column(grows, frows, s, p) is None))
         self.kindwise = self.nodes, self.rows, self.lowers, self.uppers, \
             self.halves = tuple([{} for _ in maps] for _ in range(5))
-        self.spaces, self.pairs, self.cells = {}, {}, {}
+        self.spaces, self.pairs = {}, {}
         self.cuts, self.blocks, self.moves = {}, {}, {}
 
     def space(self, v: Subspace) -> Subspace:
@@ -582,8 +581,8 @@ class _Intervals:
         interval; otherwise g_k^{-1}(v) is one ``_null_basis`` per distinct
         tuple of rows a g_k, a over the annihilator rows of v, which a
         census's table (``seed``) stores with the f_k b as v's forward half
-        (``_half``), and the spaces between the two come from
-        ``linalg._between`` over the table's quotient stream: the kernels of
+        (``_half``), and the spaces between the two are listed once per
+        distinct pair from ``linalg._between``: the kernels of
         ``apply_map``, ``preimage`` and ``enumerate_between`` without their
         checks.  Only those keys are computed here.  g_k^{-1}(v) has
         dimension at least r for any map, so the interval is empty only when
@@ -619,12 +618,8 @@ class _Intervals:
         (lower, ents), (upper, uents) = lower, upper
         seen = self.pairs.get((ents, uents))
         if seen is None:
-            shape = (len(upper[0]) - len(lower[1]), r - len(lower[1]))
-            cells = self.cells.get(shape)
-            if cells is None:
-                cells = _recorded(_cells(*shape, p), self.cells, shape)
             seen = _recorded(starmap(self._space, _between(
-                lower, upper, r, p, cells)), self.pairs, (ents, uents))
+                lower, upper, r, p)), self.pairs, (ents, uents))
         return seen
 
 

@@ -203,7 +203,7 @@ def _chain_from_args(args, validate: bool = True) -> chains.LinkedChain:
         return chains.make_standard_chain(args.n, args.dim, args.d1, args.s,
                                           args.p, r=args.rank)
     if kind == "section":
-        series._require_series_rank(args.rank)
+        series._require_series_rank(args.degree, args.rank)
         return series.build_section_chain(args.degree, args.p, args.rank + 1)
     if kind == "file":
         if not args.chain_file:

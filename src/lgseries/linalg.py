@@ -26,9 +26,10 @@ every map applied to int rows in the package runs through.  ``apply_map``,
 Matrix, Echelon or Subspace; the null spaces are reduced with pivots taken
 right to left, so their null vectors are already canonical
 (``_null_basis``).  The streams
-``_cells`` (behind ``enumerate_subspaces``) and ``_between`` (over a
-``_cells`` stream its caller passes) yield echelon entries, not subspaces,
-so a caller can intern a space before building it.  Nothing is cached.
+``_cells`` (behind ``enumerate_subspaces``) and ``_between`` (behind
+``enumerate_between``, by affine families over the quotient's echelon
+cells) yield echelon entries, not subspaces, so a caller can intern a
+space before building it.  Nothing is cached.
 
 Dual numbers.  Over R = GF(p)[eps]/(eps^2) the entries are ``Dual`` values,
 and a submodule M of R^d is decided through the GF(p)-subspace
@@ -55,7 +56,7 @@ routine does arithmetic on ``Fp`` or ``Dual`` elements.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .fields import (Dual, Fp, PrimeField, _residue,
@@ -717,9 +718,17 @@ def coords_in_rows(rows: Sequence[Sequence], v: Sequence, ring):
     return tuple(x)
 
 
+def _require_int(name: str, x) -> None:
+    """ValueError unless ``x`` is an int (not a bool)."""
+    if type(x) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+
+
 def gaussian_binomial(d: int, r: int, q: int) -> int:
-    """Number of r-dimensional subspaces of GF(q)^d; q must be an int
-    (not a bool) >= 2, or ValueError is raised."""
+    """Number of r-dimensional subspaces of GF(q)^d; d and r must be ints
+    and q an int >= 2 (none a bool), or ValueError is raised."""
+    _require_int("d", d)
+    _require_int("r", r)
     if type(q) is not int or q < 2:
         raise ValueError("q must be an integer >= 2, got %r" % (q,))
     if r < 0 or r > d:
@@ -752,9 +761,11 @@ def enumerate_subspaces(d: int, r: int, q: int,
     Restricting ``pivots`` to one pattern yields a single echelon cell, so an
     exhaustive search splits into disjoint cells; ValueError is raised
     unless the pattern is a strictly increasing sequence of r ints (not
-    bools) in [0, d).  The spaces are those of the entry stream ``_cells``,
-    each built as a ``Subspace``.
+    bools) in [0, d), and unless d and r are ints (not bools).  The spaces
+    are those of the entry stream ``_cells``, each built as a ``Subspace``.
     """
+    _require_int("d", d)
+    _require_int("r", r)
     if r < 0 or r > d:
         raise ValueError("need 0 <= r <= d, got r=%d d=%d" % (r, d))
     if pivots is not None:
@@ -797,25 +808,23 @@ def enumerate_between(lower: Subspace, upper: Subspace, r: int) -> Iterator[Subs
     """All r-dimensional subspaces V with lower <= V <= upper, each once.
 
     A thin wrapper over the private entry stream ``_between``, which the
-    interval passes of ``chains`` read directly: it checks the coefficients
-    and the containment (dual coefficients, or lower not inside upper, raise
-    ValueError), passes a fresh quotient stream ``_cells`` and builds a
-    ``Subspace`` for each space the stream yields.  Deterministic order
-    inherited from enumerate_subspaces.
+    interval passes of ``chains`` read directly: it checks r and the
+    coefficients and the containment (an r that is not an int or is a
+    bool, dual coefficients, or lower not inside upper, raise ValueError)
+    and builds a ``Subspace`` for each space the stream yields.  The order
+    is that of ``enumerate_subspaces`` on the quotient upper/lower.
     """
+    _require_int("r", r)
     q = _field_p(lower.ring, "enumerate_between")
     if not upper.contains(lower):
         raise ValueError("lower is not contained in upper")
     ring, ambient = lower.ring, lower.ambient_dim
-    cells = _cells(upper.dim - lower.dim, r - lower.dim, q)
     for ents, pivots in _between((lower.basis_rows(), lower.pivots),
-                                 (upper.basis_rows(), upper.pivots), r, q,
-                                 cells):
+                                 (upper.basis_rows(), upper.pivots), r, q):
         yield Subspace._from_echelon(ring, ambient, ents, pivots)
 
 
-def _between(lower: tuple, upper: tuple, r: int, q: int,
-             cells: Iterable[tuple]) -> Iterator[tuple]:
+def _between(lower: tuple, upper: tuple, r: int, q: int) -> Iterator[tuple]:
     """(entries, pivots) of the canonical basis of each r-dimensional space
     between lower and upper, which are given by their canonical (rows,
     pivots) over GF(q), with lower inside upper (unchecked).
@@ -825,15 +834,16 @@ def _between(lower: tuple, upper: tuple, r: int, q: int,
     vectors, so lower's pivots are among upper's, and the rows of upper's
     canonical basis at the other pivots span a complement of lower: they are
     the quotient coordinates, read off the two echelon forms without
-    solving.  The quotient spaces are read from ``cells``, the caller's
-    stream (or replay) of ``_cells(dim upper - dim lower, r - dim lower,
-    q)``, only as far as this stream runs; for r = dim lower or dim upper
-    the one candidate is lower or upper, and ``cells`` is not read.  The
-    canonical basis of a candidate is built, not reduced: the lifted
-    rows are 1 at their own pivots and 0 at one another's and at lower's,
-    so it is lower's rows cleared at the lifted pivots plus the lifted rows,
-    sorted by pivot.  Quotient spaces share rows, so each quotient row is
-    lifted once per call and its lift kept for the rest of the stream.
+    solving.  The quotient spaces run by echelon cell in the order of
+    ``_cells(dim upper - dim lower, r - dim lower, q)``; for r = dim lower
+    or dim upper the one candidate is lower or upper.  A quotient row lifts
+    to 1 at its own pivot and 0 at the other lifted pivots and at lower's,
+    so the canonical basis is lower's rows cleared at the lifted pivots
+    plus the lifted rows, sorted by pivot, with no reduction.  Its entries
+    are affine in the cell's free entries: each cell builds its base and
+    one direction per free entry once, and each space is one step of an
+    odometer, last free entry fastest, adding a direction mod q (q steps
+    add 0, so a carry undoes nothing).
     """
     (lrows, lpivots), (urows, upivots) = lower, upper
     a, b = len(lrows), len(urows)
@@ -845,31 +855,51 @@ def _between(lower: tuple, upper: tuple, r: int, q: int,
         return
     lpiv = set(lpivots)
     quotient = [(pc, row) for row, pc in zip(urows, upivots) if pc not in lpiv]
-    lower_rows = list(zip(lpivots, lrows))
-    ambient, m = len(urows[0]), b - a
-    lifts = {}
-    for wents, wpivots in cells:
-        lifted = []
-        for i, wpc in zip(range(0, len(wents), m), wpivots):
-            wrow = wents[i:i + m]
-            lift = lifts.get(wrow)
-            if lift is None:
-                # lift through the complement coordinates back to ambient
-                amb = [0] * ambient
-                for coeff, (_, urow) in zip(wrow, quotient):
-                    if coeff:
-                        amb = [x + coeff * y for x, y in zip(amb, urow)]
-                lift = lifts[wrow] = (quotient[wpc][0], [x % q for x in amb])
-            lifted.append(lift)
-        rows = lifted[:]
-        for pc, row in lower_rows:
-            for lpc, lrow in lifted:
-                c = row[lpc]
+    n, k = len(urows[0]), r - a
+    for pat in combinations(range(len(quotient)), k):
+        lifted = [quotient[w] for w in pat]
+        # rows sorted by pivot; ``at`` maps lifted row i to the offset of
+        # its row in the entries, and lower row j as k + j
+        order = sorted([(pc, i) for i, (pc, _) in enumerate(lifted)]
+                       + [(pc, k + j) for j, pc in enumerate(lpivots)])
+        at = {i: pos * n for pos, (_, i) in enumerate(order)}
+        base = [0] * (r * n)
+        for i, (_, row) in enumerate(lifted):
+            base[at[i]:at[i] + n] = row
+        for j, row in enumerate(lrows):
+            for pc, lrow in lifted:
+                c = row[pc]
                 if c:
                     row = [x - c * y for x, y in zip(row, lrow)]
-            rows.append((pc, [x % q for x in row]))
-        pivots, rows = zip(*sorted(rows, key=itemgetter(0)))
-        yield tuple(chain.from_iterable(rows)), pivots
+            base[at[k + j]:at[k + j] + n] = [x % q for x in row]
+        # free entry (i, c) adds quotient row c to lifted row i, and
+        # -row[pc_i] times it to each lower row: sparse (position, value)
+        pset = set(pat)
+        dirs = []
+        for i, w in enumerate(pat):
+            pc = lifted[i][0]
+            for c in range(w + 1, len(quotient)):
+                if c in pset:
+                    continue
+                qrow = quotient[c][1]
+                step = [(at[i] + col, x) for col, x in enumerate(qrow) if x]
+                for j, row in enumerate(lrows):
+                    if row[pc]:
+                        step += [(at[k + j] + col, -row[pc] * x % q)
+                                 for col, x in enumerate(qrow) if x]
+                dirs.append(step)
+        pivots = tuple(pc for pc, _ in order)
+        yield tuple(base), pivots
+        digits, j = [0] * len(dirs), len(dirs) - 1
+        while j >= 0:
+            for pos, x in dirs[j]:
+                base[pos] = (base[pos] + x) % q
+            if digits[j] < q - 1:
+                digits[j] += 1
+                yield tuple(base), pivots
+                j = len(dirs) - 1
+            else:
+                digits[j], j = 0, j - 1
 
 
 def rank_everywhere_at_most(m: Matrix, j: int) -> bool:

@@ -104,11 +104,15 @@ def build_section_chain(d: int, p: int, rank: int) -> LinkedChain:
     return NodalModel(d, p).chain(rank)
 
 
-def _require_series_rank(r: int) -> None:
-    """A series of projective dimension r has (r+1)-dimensional spaces, so
-    r must be nonnegative."""
+def _require_series_rank(d: int, r: int) -> None:
+    """A degree-d series of projective dimension r has (r+1)-dimensional
+    spaces in the (d+1)-dimensional level spaces, proper and nonzero, so
+    0 <= r < d; the message is in the series' own r and d."""
     if r < 0:
         raise ValueError("series rank r must be nonnegative, got %d" % r)
+    if r >= d:
+        raise ValueError("series rank r must be less than the degree d, "
+                         "got r=%d d=%d" % (r, d))
 
 
 class LimitSeriesPoint:
@@ -269,13 +273,14 @@ def lift_crude(pair: EHPair) -> LimitSeriesPoint:
     when the z-aspect has a section of node order d-i) or one more y-side
     vanishing section divided down from the z-aspect.  Free choices are
     resolved by taking first rows of canonical bases, so the output is
-    deterministic.
+    deterministic.  Aspects of dimension r+1 with r outside 0 <= r < d
+    (full aspects, say) raise ValueError before any level is built.
     """
-    d = pair.d
+    d, r = pair.d, pair.r
+    _require_series_rank(d, r)
     if not is_crude(pair):
         raise ValueError("lifting requires a crude pair")
     model = NodalModel(d, pair.vy.ring.p)
-    r = pair.r
     spaces = [pair.vy]
     for i in range(1, d):
         prev = spaces[-1]
@@ -350,11 +355,12 @@ def enumerate_limit_series(d: int, r: int, q: int,
     ``constraints`` is a list (or tuple) of {"side": "Y"|"Z", "point": int
     or "inf", "min": [a_0..a_r]} lower bounds on vanishing sequences,
     imposed on the y-aspect of level 0 for Y-points and the z-aspect of
-    level d for Z-points.  Order is deterministic.  A negative r, or
-    constraints of any other shape (other keys, a bool for an int, a "min"
-    not of r+1 ints), raise ValueError before any budget is spent.
+    level d for Z-points.  Order is deterministic.  An r outside
+    0 <= r < d (``_require_series_rank``), or constraints of any other
+    shape (other keys, a bool for an int, a "min" not of r+1 ints), raise
+    ValueError before any budget is spent.
     """
-    _require_series_rank(r)
+    _require_series_rank(d, r)
     checks = _bound_checks(constraints, d, r)
     model = NodalModel(d, q)
     for pt in enumerate_points(model.chain(r + 1), budget=budget):
@@ -492,7 +498,7 @@ def fr_image_report(d: int, r: int, q: int,
     G(d+1, r+1, q) subspaces, so a run that finishes has spent at least G,
     and no separate check on the aspect space is needed.
     """
-    _require_series_rank(r)
+    _require_series_rank(d, r)
     report = ImageReport(d, r, q)
     counts = boundary_counts(build_section_chain(d, q, r + 1), budget)
     orders = _pattern_orders(d, r)

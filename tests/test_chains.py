@@ -278,19 +278,20 @@ def _projection_chain(d, r, p):
 
 
 def _count_cell_draws(monkeypatch):
-    """Patch the quotient stream ``linalg._cells`` where the interval table
-    reads it (``chains._cells``) to count its yields.  The quotient spaces
-    of every interval are drawn through it; the level-0 stream, which runs
-    through ``enumerate_subspaces``, is not counted."""
+    """Patch the interval stream ``linalg._between`` where the interval
+    table reads it (``chains._between``) to count its yields.  The spaces
+    of every interval with f_k(V) of rank below r are drawn through it; the
+    level-0 stream, which runs through ``enumerate_subspaces``, is not
+    counted."""
     counts = {"yields": 0}
-    real = chains_module._cells
+    real = chains_module._between
 
     def counting(*args, **kwargs):
         for item in real(*args, **kwargs):
             counts["yields"] += 1
             yield item
 
-    monkeypatch.setattr(chains_module, "_cells", counting)
+    monkeypatch.setattr(chains_module, "_between", counting)
     return counts
 
 
@@ -337,12 +338,12 @@ def test_counting_passes_draw_an_interval_only_as_far_as_the_budget(
 
 def test_no_cache_outlives_a_pass(monkeypatch):
     # every cache of a pass lives in its own interval table, so a second
-    # identical call in one process draws as many quotient spaces as the
+    # identical call in one process draws as many interval spaces as the
     # first, whatever ran before it
     counts = _count_cell_draws(monkeypatch)
     section = build_section_chain(3, 3, 2)
-    for run, drawn in ((lambda: fr_image_report(3, 1, 2), 52),
-                       (lambda: list(enumerate_points(section)), 160)):
+    for run, drawn in ((lambda: fr_image_report(3, 1, 2), 167),
+                       (lambda: list(enumerate_points(section)), 545)):
         for _ in range(2):
             counts["yields"] = 0
             run()
@@ -424,12 +425,12 @@ def test_a_pair_met_again_while_its_stream_is_open(monkeypatch):
     live, reopened = [], []
     real = chains_module._between
 
-    def tracking(lower, upper, r, q, cells):
+    def tracking(lower, upper, r, q):
         key = (lower, upper)
         if key in live:
             reopened.append(key)
         live.append(key)
-        yield from real(lower, upper, r, q, cells)
+        yield from real(lower, upper, r, q)
         live.remove(key)
 
     monkeypatch.setattr(chains_module, "_between", tracking)

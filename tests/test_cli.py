@@ -523,6 +523,37 @@ def test_negative_series_rank_exit_code(capsys):
             "series rank r must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize("argv, r, d", [
+    (("lift-crude", "--degree", "1", "--p", "2", "--vy", "[[1,0],[0,1]]",
+      "--vz", "[[1,0],[0,1]]"), 1, 1),
+    (("reconstruct", "--degree", "2", "--p", "3", "--vy",
+      "[[1,0,0],[0,1,0],[0,0,1]]", "--vz", "[[1,0,0],[0,1,0],[0,0,1]]"),
+     2, 2),
+    (("enum-lls", "--degree", "2", "--rank", "3", "--p", "2"), 3, 2),
+    (("fr-image", "--degree", "3", "--rank", "3", "--p", "3"), 3, 3),
+    (("census", "--kind", "section", "--degree", "2", "--rank", "2",
+      "--p", "2"), 2, 2),
+    (("tangent", "--kind", "section", "--degree", "1", "--rank", "4",
+      "--p", "2"), 4, 1),
+    (("validate-chain", "--kind", "section", "--degree", "3", "--rank", "5",
+      "--p", "5"), 5, 3),
+])
+def test_series_rank_not_below_degree_exit_code(capsys, monkeypatch, argv,
+                                                 r, d):
+    # r >= d is refused in the flags' own r and d, before the section
+    # model of any level is built
+    def unbuilt(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(series, "NodalModel", unbuilt)
+    if argv[0] in ("enum-lls", "fr-image", "census", "tangent"):
+        argv += ("--budget", "1000")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert one_json_error(err)["error"] == \
+        "series rank r must be less than the degree d, got r=%d d=%d" % (r, d)
+
+
 def test_tangent_command(capsys):
     code, out, _ = run(capsys, "tangent", "--kind", "standard", "--n", "2",
                        "--dim", "2", "--d1", "1", "--s", "0", "--p", "2",

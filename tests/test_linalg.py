@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgseries.fields import Dual, DualNumbers, Fp, PrimeField
@@ -15,6 +15,7 @@ from lgseries.linalg import (Matrix, Subspace, apply_map, contains,
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
+GF7 = PrimeField(7)
 
 
 def mat(field, rows):
@@ -190,6 +191,20 @@ def test_gaussian_binomial_rejects_a_bad_q(q):
         gaussian_binomial(2, 1, q)
 
 
+@pytest.mark.parametrize("bad", [1.5, "2", True, False, None], ids=repr)
+def test_dimensions_must_be_ints(bad):
+    # a float or a str failed deep inside with TypeError, and a bool was
+    # taken as 0 or 1: each is refused up front, naming the argument
+    zero, full = Subspace.zero_space(GF2, 3), Subspace.full_space(GF2, 3)
+    for call, name in ((lambda: list(enumerate_subspaces(bad, 1, 2)), "d"),
+                       (lambda: list(enumerate_subspaces(3, bad, 2)), "r"),
+                       (lambda: list(enumerate_between(zero, full, bad)), "r"),
+                       (lambda: gaussian_binomial(bad, 1, 2), "d"),
+                       (lambda: gaussian_binomial(3, bad, 2), "r")):
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
+            call()
+
+
 def test_subspace_stream_lists_no_field_up_front():
     # the free entries are counted out, so taking the first spaces at a
     # large prime allocates nothing of size q
@@ -341,6 +356,57 @@ def test_enumerate_between_builds_canonical_bases_in_oracle_order(d, q):
                     ("a == 0", lower.dim == 0), ("b == d", upper.dim == d),
                     ("a < r < b", lower.dim < r < upper.dim)) if hit)
     assert seen == {"a == r", "b == r", "a == 0", "b == d", "a < r < b"}
+
+
+def _echelon_rows(draw, rows, cols, q):
+    """Rows of a random rows x cols echelon matrix of full rank over GF(q):
+    1 at drawn pivots, 0 left of them, random entries right of them."""
+    pivots = sorted(draw(st.permutations(range(cols)))[:rows])
+    return [[0] * pc + [1] + draw(st.lists(st.integers(0, q - 1),
+                                           min_size=cols - pc - 1,
+                                           max_size=cols - pc - 1))
+            for pc in pivots]
+
+
+# (q, d, a, b, k) with at most 1000 spaces of dimension a + k between an
+# a- and a b-dimensional space of GF(q)^d, d <= 7, drawn uniformly so that
+# cells with many free entries are common
+INTERVAL_SHAPES = [(q, d, a, b, k) for q in (2, 3, 5, 7) for d in range(1, 8)
+                   for b in range(d + 1) for a in range(b + 1)
+                   for k in range(b - a + 1)
+                   if gaussian_binomial(b - a, k, q) <= 1000]
+
+
+@st.composite
+def intervals(draw):
+    """(lower, upper, r) of a drawn shape: upper spanned by echelon rows,
+    lower by combinations of upper's rows."""
+    q, d, a, b, k = draw(st.sampled_from(INTERVAL_SHAPES))
+    urows = _echelon_rows(draw, b, d, q)
+    lrows = [[sum(c * x for c, x in zip(cs, col)) % q for col in zip(*urows)]
+             for cs in _echelon_rows(draw, a, b, q)]
+    field = PrimeField(q)
+    return (Subspace.from_rows(field, d, lrows),
+            Subspace.from_rows(field, d, urows), a + k)
+
+
+# a quotient of dimension 4 and lines in it: the first cell has 3 free
+# entries, 343 spaces at q = 7, so the odometer carries out of both its
+# last and its middle digit
+@example((Subspace.from_rows(GF7, 7, [[1, 2, 0, 3, 0, 4, 5]]),
+          Subspace.from_rows(GF7, 7, [[1, 2, 0, 3, 0, 4, 5],
+                                      [0, 1, 6, 0, 2, 0, 1],
+                                      [0, 0, 0, 1, 3, 0, 0],
+                                      [0, 0, 0, 0, 1, 5, 2],
+                                      [0, 0, 0, 0, 0, 1, 6]]), 2))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(intervals())
+def test_enumerate_between_equals_lift_and_reduce(case):
+    # the affine families over each quotient cell give the oracle's spaces
+    # in its order, past the exhaustive d <= 4 of the test above
+    lower, upper, r = case
+    assert list(enumerate_between(lower, upper, r)) == \
+        list(_between_by_span(lower, upper, r))
 
 
 @pytest.mark.parametrize("d, q", [(4, 2), (3, 3)])
